@@ -28,6 +28,7 @@ import numpy as np
 from . import kernels
 from .graphs import Graph, canonical_form, is_regular, write_graph6
 from .linalg import (
+    SingularResolventError,
     eig_multiplicity,
     format_rational,
     graph_min_poly,
@@ -85,13 +86,13 @@ def _mask_to_candidate(mask: int, n: int) -> Candidate:
 
 def _scaled_resolvent(h: Graph, mu: Fraction):
     """(m(mu) (mu I - A)^{-1}, m(mu)) with spectrum membership rejected."""
-    if eig_multiplicity(h, mu) > 0:
+    try:
+        res = resolvent_via_minpoly(h, mu)
+    except SingularResolventError:
         raise MuIsEigenvalueError(
             f"mu={format_rational(mu)} is an eigenvalue of the star complement"
-        )
-    res = resolvent_via_minpoly(h, mu)
-    m_mu = graph_min_poly(h)(mu)
-    return res, m_mu
+        ) from None
+    return res, graph_min_poly(h)(mu)
 
 
 def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi, n):

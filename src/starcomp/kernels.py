@@ -1,4 +1,4 @@
-"""Integer hot-loop kernels with a numba fast path and a pure-numpy fallback.
+"""Integer hot-loop kernels: numba-compiled when numba imports, numpy otherwise.
 
 Two kernels dominate search runtime: fraction-free (Bareiss) rank of small
 integer matrices, used for "is mu an eigenvalue of G - X" tests inside
@@ -11,14 +11,13 @@ intermediate minor would leave the certified range, and callers then redo the
 computation with Python big integers.  The subset kernel is only entered when
 the caller has proven an a-priori magnitude bound.
 
-Backend selection: numba when importable, unless STARCOMP_PURE_NUMPY is set
-to a truthy value, in which case vectorized numpy implementations of the same
-algorithms are used.  Results are bit-identical across backends.
+Backend: numba when it imports.  Without it the subset scan runs as a
+blockwise numpy pass, and there is no int64 rank at all - try_int_rank
+returns None and callers use big-integer Bareiss, which in pure Python beats
+an interpreted int64 elimination.  Results are bit-identical across backends.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -66,35 +65,6 @@ def _rank_bareiss_loops(m):
                     return -1
                 m[i, j] = v
             m[i, c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def _rank_bareiss_numpy(m):
-    """Vectorized twin of _rank_bareiss_loops (same bail-out semantics)."""
-    if np.any(np.abs(m) > ENTRY_LIMIT):
-        return -1
-    rows, cols = m.shape
-    prev = np.int64(1)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        piv = m[r, c]
-        if r + 1 < rows:
-            upd = m[r + 1 :, c + 1 :] * piv - np.outer(m[r + 1 :, c], m[r, c + 1 :])
-            upd //= prev  # Bareiss divisions are exact, so // is safe for negatives
-            if np.any(np.abs(upd) > ENTRY_LIMIT):
-                return -1
-            m[r + 1 :, c + 1 :] = upd
-            m[r + 1 :, c] = 0
         prev = piv
         r += 1
     return r
@@ -169,37 +139,28 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
     return np.concatenate(hits)
 
 
-def _truthy(value):
-    return value.strip().lower() in {"1", "true", "yes", "on"}
-
-
-PURE_NUMPY = _truthy(os.environ.get("STARCOMP_PURE_NUMPY", ""))
-
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-
-        rank_int64 = njit(cache=True, nogil=True)(_rank_bareiss_loops)
-        subset_scan_int64 = njit(cache=True, nogil=True)(_subset_scan_loops)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        rank_int64 = _rank_bareiss_numpy
-        subset_scan_int64 = _subset_scan_numpy
-        BACKEND = "numpy"
-else:
-    rank_int64 = _rank_bareiss_numpy
+try:
+    from numba import njit
+except ImportError:  # numba is the optional "fast" extra
+    rank_int64 = None
     subset_scan_int64 = _subset_scan_numpy
     BACKEND = "numpy"
+else:
+    rank_int64 = njit(cache=True, nogil=True)(_rank_bareiss_loops)
+    subset_scan_int64 = njit(cache=True, nogil=True)(_subset_scan_loops)
+    BACKEND = "numba"
 
 
 def try_int_rank(rows):
     """Rank of an integer matrix via the int64 kernel, or None if out of range.
 
-    `rows` is a sequence of sequences of Python ints.  Returns None when the
-    input entries already exceed ENTRY_LIMIT or when the kernel bails out
-    because an intermediate minor would; the caller then falls back to exact
-    big-integer elimination.
+    `rows` is a sequence of sequences of Python ints.  Returns None on the
+    numpy backend, when the input entries already exceed ENTRY_LIMIT, or when
+    the kernel bails out because an intermediate minor would; the caller then
+    falls back to exact big-integer elimination.
     """
+    if rank_int64 is None:
+        return None
     if not rows or not rows[0]:
         return 0
     for row in rows:
@@ -213,6 +174,8 @@ def try_int_rank(rows):
 
 def warmup():
     """Trigger JIT compilation of both kernels (no-op on the numpy backend)."""
+    if BACKEND != "numba":
+        return
     rank_int64(np.array([[1, 0], [0, 1]], dtype=np.int64))
     subset_scan_int64(
         np.zeros((2, 2), dtype=np.int64),

@@ -2,14 +2,17 @@
 
 Everything here is exact: scalars are Python ints and fractions.Fraction,
 matrices are numpy object arrays, and elimination is fraction-free (Bareiss)
-so rationals only appear at back-substitution.  The methods implemented on
-top - characteristic and minimal polynomials, eigenvalue multiplicity,
-main/non-main classification, and the resolvent bilinear form
-<x, y> = x^T (mu I - A)^{-1} y - all reduce to these primitives.
+so rationals only appear in the final result.  One Bareiss forward pass over
+Python ints serves both rank and inversion.  The methods implemented on top -
+characteristic and minimal polynomials, eigenvalue multiplicity, main/non-main
+classification, and the resolvent (mu I - A)^{-1} with its bilinear form
+<x, y> = x^T (mu I - A)^{-1} y - all reduce to these primitives.  The
+resolvent is computed in one place, resolvent_inverse, and cached; the scaled
+form m(mu) (mu I - A)^{-1} used by the extension engine is derived from it.
 
-Small integer matrices are routed through the int64 kernels when an overflow
-guard certifies the fast path; otherwise big-integer elimination runs, so the
-answer is identical either way.
+Rank goes through the int64 kernel when the numba backend is active and an
+overflow guard certifies the fast path; otherwise big-integer elimination
+runs, so the answer is identical either way.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ import numpy as np
 
 from . import kernels
 from .graphs import Graph
+
+# Entries kept by each (graph, mu)-keyed cache below.  Star-set certificates
+# key resolvent_inverse by every complement they test, so the caches are
+# bounded rather than kept for the life of the process.
+CACHE_SIZE = 256
 
 
 class SingularResolventError(ValueError):
@@ -251,14 +259,19 @@ def _as_int_rows(m) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _rank_bigint(rows: list[list[int]]) -> int:
-    """Bareiss elimination with Python big integers; no overflow, ever."""
-    m = [r[:] for r in rows]
+def _bareiss(m: list[list[int]], pivot_cols: int) -> int:
+    """Fraction-free forward elimination of an integer row list, in place.
+
+    Pivots are sought in the first `pivot_cols` columns; later columns are
+    carried along.  Every division is exact, so entries stay Python ints and
+    never overflow.  Returns the number of pivots, the rank of the leading
+    `pivot_cols` columns.
+    """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
     r = 0
-    for c in range(nc):
+    for c in range(pivot_cols):
         if r == nr:
             break
         p = next((i for i in range(r, nr) if m[i][c] != 0), None)
@@ -278,63 +291,49 @@ def _rank_bigint(rows: list[list[int]]) -> int:
     return r
 
 
-def rank(m) -> int:
-    """Exact rank of a rational matrix (nested sequence or object array)."""
-    rows, _ = _as_int_rows(m)
+def _int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer row list: the int64 kernel if it certifies, else
+    big-integer Bareiss on a copy."""
     if not rows or not rows[0]:
         return 0
     fast = kernels.try_int_rank(rows)
     if fast is not None:
         return fast
-    return _rank_bigint(rows)
+    return _bareiss([r[:] for r in rows], len(rows[0]))
 
 
-def solve_exact(m, rhs) -> np.ndarray:
-    """Solve m x = rhs exactly for square m; raises SingularResolventError.
-
-    Fraction-free forward elimination on the integer-scaled augmented matrix,
-    then rational back-substitution.  rhs may be a vector or a matrix.
-    """
-    a_rows, a_scale = _as_int_rows(m)
-    n = len(a_rows)
-    rhs_arr = np.asarray(rhs, dtype=object)
-    vector = rhs_arr.ndim == 1
-    b = rhs_arr.reshape(n, -1) if vector else rhs_arr
-    if n == 0:
-        return np.zeros(0 if vector else (0, b.shape[1]), dtype=object)
-    b_rows, b_scale = _as_int_rows(b)
-    width = len(b_rows[0])
-    aug = [a_rows[i] + b_rows[i] for i in range(n)]
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if p is None:
-            raise SingularResolventError("matrix is singular")
-        if p != c:
-            aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        for i in range(c + 1, n):
-            mic = aug[i][c]
-            row_i, row_c = aug[i], aug[c]
-            for j in range(c + 1, n + width):
-                row_i[j] = (row_i[j] * piv - mic * row_c[j]) // prev
-            row_i[c] = 0
-        prev = piv
-    x = np.zeros((n, width), dtype=object)
-    for col in range(width):
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(aug[i][n + col])
-            for j in range(i + 1, n):
-                acc -= aug[i][j] * x[j, col]
-            x[i, col] = Fraction(acc, aug[i][i])
-    # undo the row scaling: (a_scale * M) x' = (b_scale * rhs)
-    x = x * Fraction(a_scale, b_scale)
-    return x[:, 0] if vector else x
+def rank(m) -> int:
+    """Exact rank of a rational matrix (nested sequence or object array)."""
+    return _int_rank(_as_int_rows(m)[0])
 
 
 def invert_exact(m) -> np.ndarray:
-    n = len(m)
-    return solve_exact(m, identity_matrix(n))
+    """Exact inverse of a square rational matrix; raises SingularResolventError.
+
+    Bareiss forward elimination of the integer-scaled [s*M | I] leaves the
+    last pivot d = det(s*M) up to sign, and d (s*M)^{-1} is an integer
+    matrix, so back-substitution stays in exact integer division; the
+    inverse is then s/d times that matrix.
+    """
+    rows, scale = _as_int_rows(m)
+    n = len(rows)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if _bareiss(aug, n) < n:
+        raise SingularResolventError("matrix is singular")
+    d = aug[n - 1][n - 1] if n else 1
+    y = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row, piv = aug[i], aug[i][i]
+        for col in range(n):
+            acc = d * row[n + col]
+            for j in range(i + 1, n):
+                acc -= row[j] * y[j][col]
+            y[i][col] = acc // piv
+    inv = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for col in range(n):
+            inv[i, col] = Fraction(y[i][col] * scale, d)
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +409,6 @@ def _shifted_int_matrix(g: Graph, mu: Fraction) -> list[list[int]]:
     return rows
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    fast = kernels.try_int_rank(rows)
-    return fast if fast is not None else _rank_bigint(rows)
-
-
 def eig_multiplicity(g: Graph, mu) -> int:
     """Multiplicity of mu as an adjacency eigenvalue: n - rank(A - mu I)."""
     return g.n - _int_rank(_shifted_int_matrix(g, Fraction(mu)))
@@ -444,20 +436,22 @@ def is_nonmain(g: Graph, mu) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def resolvent_inverse(h: Graph, mu: Fraction) -> np.ndarray:
     """(mu I - A(H))^{-1}, exact, cached per (graph, mu).
 
-    Graphs are immutable, so entries never need invalidation; callers must
-    treat the returned array as read-only.
+    This is the only place the resolvent is computed.  Graphs are immutable,
+    so entries never need invalidation; the returned array is read-only.
     """
     shifted = mu * identity_matrix(h.n) - adjacency_matrix(h)
     try:
-        return invert_exact(shifted)
+        inv = invert_exact(shifted)
     except SingularResolventError:
         raise SingularResolventError(
             f"{format_rational(mu)} is an eigenvalue of the complement graph"
         ) from None
+    inv.setflags(write=False)
+    return inv
 
 
 def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
@@ -471,37 +465,21 @@ def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
     return Fraction(sum(a * b for a, b in zip(xv, solved)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def graph_min_poly(h: Graph) -> Polynomial:
     return min_poly(adjacency_matrix(h))
 
 
 def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
-    """m(mu) (mu I - A(H))^{-1} as a polynomial in A(H).
+    """The scaled resolvent m(mu) (mu I - A(H))^{-1}, m the minimal polynomial.
 
-    With m(x) = x^{d+1} + c_d x^d + ... + c_0 and mu not a root, the scaled
-    resolvent is sum_i a_i A^i where a_d = 1 and a_j = mu a_{j+1} + c_{j+1};
-    the result is an integer matrix whenever mu is an integer.
+    It is m(mu) times the cached resolvent_inverse.  Being a polynomial in
+    A(H) with coefficients in Z[mu], it is an integer matrix whenever mu is
+    an integer, and its entries are then Python ints.  Raises
+    SingularResolventError when mu is an eigenvalue of H.
     """
     mu = Fraction(mu)
-    if h.n == 0:
-        return np.zeros((0, 0), dtype=object)
-    m = graph_min_poly(h)
-    if m(mu) == 0:
-        raise SingularResolventError(
-            f"{format_rational(mu)} is an eigenvalue of the complement graph"
-        )
-    d = m.degree - 1
-    a = [Fraction(0)] * (d + 1)
-    a[d] = Fraction(1)
-    for j in range(d - 1, -1, -1):
-        a[j] = mu * a[j + 1] + m.coeff(j + 1)
-    adj = adjacency_matrix(h)
-    out = identity_matrix(h.n) * a[d]
-    for j in range(d - 1, -1, -1):
-        out = out @ adj
-        for i in range(h.n):
-            out[i, i] += a[j]
+    scaled = graph_min_poly(h)(mu) * resolvent_inverse(h, mu)
     if mu.denominator == 1:
-        out = np.array([[int(v) for v in row] for row in out], dtype=object)
-    return out
+        scaled = np.frompyfunc(int, 1, 1)(scaled)
+    return scaled

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .graphs import Graph, induced_subgraph, write_graph6
 from .linalg import (
     NotAnEigenvalueError,
@@ -229,8 +228,3 @@ def substar_check(g: Graph, mu, star_set: Sequence[int], removed: Sequence[int])
     reduced = induced_subgraph(g, keep)
     reduced_star = [relabel[v] for v in sorted(star - drop)]
     return verify_star_set(reduced, mu, reduced_star).valid
-
-
-def warmup() -> None:
-    """JIT-compile the integer kernels so searches start at full speed."""
-    kernels.warmup()

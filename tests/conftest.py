@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own algorithms: isomorphism
 by backtracking permutation search, characteristic polynomials by Leibniz
-expansion over all permutations, and brute-force star-set extension search by
-building every possible graph and counting eigenvalue multiplicities.
+expansion over all permutations, the scaled resolvent as a polynomial in A
+instead of an inverse, and brute-force star-set extension search by building
+every possible graph and counting eigenvalue multiplicities.
 """
 
 from __future__ import annotations
@@ -18,17 +19,20 @@ import pytest
 from starcomp import (
     Graph,
     Polynomial,
+    adjacency_matrix,
     eig_multiplicity,
+    kernels,
     make_complete_split,
+    min_poly,
 )
-from starcomp.starsets import warmup
+from starcomp.linalg import identity_matrix
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # JIT-compile the int64 kernels once so timed tests measure the
     # algorithms, not compilation.
-    warmup()
+    kernels.warmup()
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -100,6 +104,33 @@ def leibniz_char_poly(adj) -> Polynomial:
             term = term * entries[i][perm[i]]
         total = total + term
     return total
+
+
+def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
+    """m(mu) (mu I - A)^{-1} as a polynomial in A, with no matrix inverse.
+
+    With m(x) = x^{d+1} + c_d x^d + ... + c_0 the minimal polynomial of A,
+    m(x) - m(mu) = (x - mu) q(x), and m(A) = 0 gives q(A) = m(mu) (mu I - A)^{-1}.
+    Synthetic division yields q = sum_i a_i x^i with a_d = 1 and
+    a_j = mu a_{j+1} + c_{j+1}.  Assumes mu is not an eigenvalue of h.
+    """
+    mu = Fraction(mu)
+    n = h.n
+    if n == 0:
+        return np.zeros((0, 0), dtype=object)
+    adj = adjacency_matrix(h)
+    m = min_poly(adj)
+    d = m.degree - 1
+    a = [Fraction(0)] * (d + 1)
+    a[d] = Fraction(1)
+    for j in range(d - 1, -1, -1):
+        a[j] = mu * a[j + 1] + m.coeff(j + 1)
+    out = identity_matrix(n) * a[d]
+    for j in range(d - 1, -1, -1):
+        out = out @ adj
+        for i in range(n):
+            out[i, i] += a[j]
+    return out
 
 
 def attachment_pattern(masks: tuple[int, ...], adjacency: frozenset) -> tuple:

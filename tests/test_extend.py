@@ -23,8 +23,10 @@ from starcomp import (
     verify_star_set,
 )
 from starcomp.extend import (
+    Candidate,
     EngineRestrictionError,
     IncompatiblePairError,
+    MuIsEigenvalueError,
     maximal_cliques,
 )
 from starcomp.starsets import BudgetExceededError
@@ -203,6 +205,29 @@ class TestAssemble:
         cands = enumerate_candidates(h, -3, nonmain=True)
         with pytest.raises(IncompatiblePairError):
             assemble_graph(h, -3, cands[:2])
+
+
+class TestMuInSpectrum:
+    @pytest.mark.parametrize(
+        "h, mu",
+        [
+            (cycle_graph(4), -2),
+            (cycle_graph(4), 2),
+            (make_cocktail(3), -2),
+            (make_complete_split(2, 2), 0),
+        ],
+        ids=["C4-mu-2", "C4-mu2", "octahedron-mu-2", "split22-mu0"],
+    )
+    def test_pair_class_and_assemble_reject_eigenvalue(self, h, mu):
+        assert eig_multiplicity(h, mu) > 0
+        u, v = Candidate((0,)), Candidate((1, 2))
+        message = "is an eigenvalue of the star complement"
+        with pytest.raises(MuIsEigenvalueError, match=message):
+            pair_class(h, mu, u, v)
+        with pytest.raises(MuIsEigenvalueError, match=message):
+            assemble_graph(h, mu, [u, v])
+        with pytest.raises(MuIsEigenvalueError, match=message):
+            build_compat_graph(h, mu, [u, v])
 
 
 class TestMaximalExtensions:

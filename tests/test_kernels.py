@@ -8,7 +8,6 @@ from starcomp import kernels, rank
 from starcomp.kernels import (
     ENTRY_LIMIT,
     _rank_bareiss_loops,
-    _rank_bareiss_numpy,
     _subset_scan_loops,
     _subset_scan_numpy,
     try_int_rank,
@@ -44,31 +43,46 @@ def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
 
 class TestRankKernels:
     def test_backends_agree_with_reference(self):
+        # the kernel loops (interpreted here, compiled under numba) and the
+        # public rank both match plain Fraction elimination
         rng = random.Random(5)
         for _ in range(60):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = random_int_matrix(rng, rows, cols)
             expected = fraction_rank(m)
-            a = _rank_bareiss_loops(np.array(m, dtype=np.int64))
-            b = _rank_bareiss_numpy(np.array(m, dtype=np.int64))
-            c = kernels.rank_int64(np.array(m, dtype=np.int64))
-            assert a == b == c == expected
+            assert _rank_bareiss_loops(np.array(m, dtype=np.int64)) == expected
+            assert rank(m) == expected
+            if kernels.rank_int64 is not None:
+                assert kernels.rank_int64(np.array(m, dtype=np.int64)) == expected
 
     def test_rank_deficient(self):
         m = [[1, 2, 3], [2, 4, 6], [0, 0, 0]]
-        assert kernels.rank_int64(np.array(m, dtype=np.int64)) == 1
+        assert _rank_bareiss_loops(np.array(m, dtype=np.int64)) == 1
+        assert rank(m) == 1
 
     def test_bailout_on_large_entries(self):
         big = ENTRY_LIMIT + 1
         m = np.array([[big, 0], [0, 1]], dtype=np.int64)
         assert _rank_bareiss_loops(m.copy()) == -1
-        assert _rank_bareiss_numpy(m.copy()) == -1
 
     def test_try_int_rank_falls_back_to_none(self):
         assert try_int_rank([[ENTRY_LIMIT * 2, 0], [0, 1]]) is None
-        assert try_int_rank([[1, 0], [0, 1]]) == 2
-        assert try_int_rank([]) == 0
+        if kernels.BACKEND == "numba":
+            assert try_int_rank([[1, 0], [0, 1]]) == 2
+            assert try_int_rank([]) == 0
+
+    def test_numpy_backend_has_no_int64_rank(self):
+        # without numba every rank goes to big-integer Bareiss, still exact
+        if kernels.BACKEND != "numpy":
+            pytest.skip("numba backend compiles an int64 rank")
+        assert kernels.rank_int64 is None
+        assert try_int_rank([[1, 0], [0, 1]]) is None
+        rng = random.Random(8)
+        for _ in range(20):
+            m = random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+            assert try_int_rank(m) is None
+            assert rank(m) == fraction_rank(m)
 
     def test_public_rank_exact_on_huge_entries(self):
         # big-int fallback must agree with the rational reference

@@ -27,7 +27,7 @@ from starcomp import (
 )
 from starcomp.linalg import identity_matrix, invert_exact
 
-from conftest import leibniz_char_poly, random_graph
+from conftest import leibniz_char_poly, minpoly_scaled_resolvent, random_graph
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -164,6 +164,30 @@ class TestRankMultiplicity:
                 assert char_poly(adjacency_matrix(g))(value) == 0
 
 
+class TestInvertExact:
+    def test_random_rational_matrices(self):
+        rng = random.Random(41)
+        inverted = singular = 0
+        for _ in range(200):
+            n = rng.randint(0, 7)
+            m = np.empty((n, n), dtype=object)
+            for i in range(n):
+                for j in range(n):
+                    m[i, j] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+            if n >= 2 and rng.random() < 0.2:
+                m[n - 1] = m[0] * Fraction(rng.randint(-3, 3), 2)  # dependent rows
+            if rank(m) < n:
+                with pytest.raises(SingularResolventError):
+                    invert_exact(m)
+                singular += 1
+                continue
+            inv = invert_exact(m)
+            assert (m @ inv == identity_matrix(n)).all()
+            assert (inv @ m == identity_matrix(n)).all()
+            inverted += 1
+        assert inverted > 100 and singular > 5
+
+
 class TestNonMain:
     def test_octahedron(self):
         assert is_nonmain(make_cocktail(3), -2) is True
@@ -259,6 +283,7 @@ class TestResolvent:
         assert got[0, 0] == 1
 
     def test_via_minpoly_matches_direct_inverse(self):
+        # the Bareiss inverse, scaled by m(mu), against the polynomial oracle
         rng = random.Random(71)
         trials = 0
         while trials < 20:
@@ -267,23 +292,40 @@ class TestResolvent:
             if eig_multiplicity(g, mu) > 0:
                 continue
             trials += 1
-            from starcomp.linalg import graph_min_poly
-
-            m_mu = graph_min_poly(g)(mu)
+            m_mu = min_poly(adjacency_matrix(g))(mu)
             shifted = mu * identity_matrix(g.n) - adjacency_matrix(g)
             direct = invert_exact(shifted) * m_mu
-            assert (resolvent_via_minpoly(g, mu) == direct).all()
+            assert (direct == minpoly_scaled_resolvent(g, mu)).all()
 
     def test_bilinear_matches_scaled_matrix(self):
         rng = random.Random(13)
         for _ in range(10):
             g = random_graph(rng.randint(2, 6), rng)
             mu = Fraction(rng.randint(2, 9))  # beyond spectral radius
-            from starcomp.linalg import graph_min_poly
-
-            m_mu = graph_min_poly(g)(mu)
-            scaled = resolvent_via_minpoly(g, mu)
+            m_mu = min_poly(adjacency_matrix(g))(mu)
+            scaled = minpoly_scaled_resolvent(g, mu)
             x = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
             y = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
             direct = resolvent_bilinear(g, mu, x, y)
             assert m_mu * direct == (x @ scaled @ y)
+
+    def test_via_minpoly_differential_against_oracle(self):
+        rng = random.Random(97)
+        checked = {"integral": 0, "rational": 0}
+        for n in range(13):
+            for _ in range(4):
+                g = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.7]))
+                mu = Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3]))
+                if eig_multiplicity(g, mu) > 0:
+                    with pytest.raises(SingularResolventError):
+                        resolvent_via_minpoly(g, mu)
+                    continue
+                got = resolvent_via_minpoly(g, mu)
+                assert got.shape == (n, n)
+                assert (got == minpoly_scaled_resolvent(g, mu)).all()
+                if mu.denominator == 1:
+                    assert all(type(v) is int for v in got.reshape(-1))
+                    checked["integral"] += 1
+                else:
+                    checked["rational"] += 1
+        assert min(checked.values()) >= 10
