@@ -394,8 +394,10 @@ def maximal_extensions(
 
     Candidate cliques are deduplicated by canonical form (keeping the
     lexicographically smallest witness) and optionally filtered to regular
-    graphs after assembly.  With maximal_only=False every nonempty clique is
-    reported, not just the maximal ones.
+    graphs.  Regularity is an isomorphism invariant, so the filter runs
+    before the canonical form and leaves the same survivors and witnesses.
+    With maximal_only=False every nonempty clique is reported, not just the
+    maximal ones.
     """
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget, threads=threads)
@@ -413,6 +415,9 @@ def maximal_extensions(
         if not clique:
             continue
         graph, star = assemble_graph(h, mu, [cands[i] for i in clique])
+        regular = is_regular(graph)
+        if regular_only and regular is None:
+            continue
         canon = canonical_form(graph)
         if canon in by_canon:
             continue
@@ -420,13 +425,11 @@ def maximal_extensions(
             graph=graph,
             star_vertices=star,
             witness=tuple(clique),
-            regular=is_regular(graph),
+            regular=regular,
             canonical=canon,
         )
         order.append(canon)
     found = [by_canon[c] for c in order]
-    if regular_only:
-        found = [m for m in found if m.regular is not None]
     found.sort(key=lambda m: (m.graph.n, m.canonical))
     return ExtensionReport(
         complement=h,

@@ -1,14 +1,16 @@
 """Exact rational linear algebra over graph adjacency matrices.
 
 Everything here is exact: scalars are Python ints and fractions.Fraction,
-matrices are numpy object arrays, and elimination is fraction-free (Bareiss)
-so rationals only appear in the final result.  One Bareiss forward pass over
-Python ints serves both rank and inversion.  The methods implemented on top -
-characteristic and minimal polynomials, eigenvalue multiplicity, main/non-main
-classification, and the resolvent (mu I - A)^{-1} with its bilinear form
-<x, y> = x^T (mu I - A)^{-1} y - all reduce to these primitives.  The
-resolvent is computed in one place, resolvent_inverse, and cached; the scaled
-form m(mu) (mu I - A)^{-1} used by the extension engine is derived from it.
+matrices are numpy object arrays, and the work is done on integer-scaled
+matrices so rationals only appear in the final result.  One Bareiss forward
+pass over Python ints serves both rank and inversion.  The characteristic
+polynomial is Berkowitz's division-free method over Python ints, and the
+minimal polynomial of a symmetric matrix is its squarefree part.  Eigenvalue
+multiplicity and the main/non-main classification are ranks.  The resolvent
+(mu I - A)^{-1} is computed in one place, resolvent_inverse, and cached as an
+integer pair (Y, d) with (mu I - A)^{-1} = Y / d; the bilinear form
+<x, y> = x^T (mu I - A)^{-1} y and the scaled form m(mu) (mu I - A)^{-1} used
+by the extension engine are derived from it.
 
 Rank goes through the int64 kernel when the numba backend is active and an
 overflow guard certifies the fast path; otherwise big-integer elimination
@@ -138,6 +140,13 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
+    def gcd(self, other: "Polynomial") -> "Polynomial":
+        """Monic greatest common divisor; the zero polynomial only for 0 and 0."""
+        (a,), _ = _as_int_rows([self.coeffs])
+        (b,), _ = _as_int_rows([other.coeffs])
+        g = _int_poly_gcd(a, b)
+        return Polynomial([Fraction(c, g[-1]) for c in g])
+
     @classmethod
     def from_roots(cls, roots: Sequence) -> "Polynomial":
         poly = cls([1])
@@ -216,6 +225,44 @@ class Polynomial:
         return " ".join(parts)
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """An integer polynomial divided by its content, leading coefficient > 0."""
+    content = 0
+    for c in p:
+        content = gcd(content, c)
+    if p and p[-1] < 0:
+        content = -content
+    return [c // content for c in p] if content else p
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials (low degree first, no
+    trailing zeros), by a primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            top, shift = r[-1], len(r) - len(b)
+            r = [c * lead for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= top * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return a
+
+
+def _monic_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b monic and dividing a."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        top = q[k] = r[k + len(b) - 1]
+        for i, c in enumerate(b):
+            r[k + i] -= top * c
+    return q
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     if n == 0:
@@ -238,13 +285,6 @@ def _divisors(n: int) -> list[int]:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Adjacency matrix as an exact (object dtype, Python int) array."""
     return g.adj.astype(object)
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        m[i, i] = 1
-    return m
 
 
 def _as_int_rows(m) -> tuple[list[list[int]], int]:
@@ -307,20 +347,18 @@ def rank(m) -> int:
     return _int_rank(_as_int_rows(m)[0])
 
 
-def invert_exact(m) -> np.ndarray:
-    """Exact inverse of a square rational matrix; raises SingularResolventError.
+def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(Y, d) with d > 0 and N^{-1} = Y / d, for a square integer row list N.
 
-    Bareiss forward elimination of the integer-scaled [s*M | I] leaves the
-    last pivot d = det(s*M) up to sign, and d (s*M)^{-1} is an integer
-    matrix, so back-substitution stays in exact integer division; the
-    inverse is then s/d times that matrix.
+    Bareiss forward elimination of [N | I] leaves the last pivot d = det N
+    up to sign, and d N^{-1} is an integer matrix, so back-substitution stays
+    in exact integer division.  Raises SingularResolventError.
     """
-    rows, scale = _as_int_rows(m)
     n = len(rows)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     if _bareiss(aug, n) < n:
         raise SingularResolventError("matrix is singular")
-    d = aug[n - 1][n - 1] if n else 1
+    d = abs(aug[n - 1][n - 1]) if n else 1
     y = [[0] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row, piv = aug[i], aug[i][i]
@@ -329,6 +367,17 @@ def invert_exact(m) -> np.ndarray:
             for j in range(i + 1, n):
                 acc -= row[j] * y[j][col]
             y[i][col] = acc // piv
+    return y, d
+
+
+def invert_exact(m) -> np.ndarray:
+    """Exact inverse of a square rational matrix; raises SingularResolventError.
+
+    With s clearing the denominators, M^{-1} = s (sM)^{-1} = s Y / d.
+    """
+    rows, scale = _as_int_rows(m)
+    y, d = _inverse_scaled(rows)
+    n = len(rows)
     inv = np.empty((n, n), dtype=object)
     for i in range(n):
         for col in range(n):
@@ -341,57 +390,75 @@ def invert_exact(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(m) -> Polynomial:
-    """Characteristic polynomial det(xI - M), monic, exact (Faddeev-LeVerrier)."""
+def _square_object(m, what: str) -> np.ndarray:
     arr = np.asarray(m, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = arr.shape[0]
-    cs = [Fraction(1)]  # coefficient of x^n, then x^{n-1}, ...
-    aux = identity_matrix(n)
-    for k in range(1, n + 1):
-        aux = arr @ aux
-        ck = Fraction(-sum(aux[i, i] for i in range(n)), k)
-        cs.append(ck)
-        for i in range(n):
-            aux[i, i] += ck
-    return Polynomial(list(reversed(cs)))
+        raise ValueError(f"{what} needs a square matrix")
+    return arr
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """det(xI - A) of a square integer row list, low degree first.
+
+    Berkowitz (1984): grow the leading principal submatrix A_k one row r and
+    column c at a time (corner entry a).  The new characteristic polynomial
+    is the old one times the lower-triangular Toeplitz matrix with first
+    column 1, -a, -r c, -r A_k c, ..., -r A_k^{k-1} c.  Only ring operations
+    occur, so the coefficients stay Python ints.
+    """
+    poly = [1]  # highest degree first while growing
+    for k in range(len(a)):
+        sub = [row[:k] for row in a[:k]]
+        r = a[k][:k]
+        c = [row[k] for row in a[:k]]
+        col = [1, -a[k][k]]
+        for step in range(k):
+            col.append(-sum(x * y for x, y in zip(r, c)))
+            if step < k - 1:
+                c = [sum(x * y for x, y in zip(row, c)) for row in sub]
+        poly = [
+            sum(col[j] * poly[i - j] for j in range(max(0, i - k), i + 1))
+            for i in range(k + 2)
+        ]
+    return poly[::-1]
+
+
+def _unscale(coeffs: list[int], scale: int) -> Polynomial:
+    """The polynomial of M from the integer one of sM, low degree first: its
+    roots are those of sM divided by s, so coefficient j is divided by
+    s^(deg - j)."""
+    if scale == 1:
+        return Polynomial(coeffs)
+    deg = len(coeffs) - 1
+    return Polynomial([Fraction(c, scale ** (deg - j)) for j, c in enumerate(coeffs)])
+
+
+def char_poly(m) -> Polynomial:
+    """Characteristic polynomial det(xI - M), monic, exact.
+
+    Berkowitz over the integer matrix sM that clears M's denominators; the
+    coefficient of x^{n-k} in det(xI - sM) is s^k times the one of M.
+    """
+    rows, scale = _as_int_rows(_square_object(m, "characteristic polynomial"))
+    return _unscale(_berkowitz(rows), scale)
 
 
 def min_poly(m) -> Polynomial:
-    """Minimal polynomial via the first linear dependence among I, M, M^2, ...
+    """Minimal polynomial of a symmetric rational matrix; raises ValueError
+    on any other input.
 
-    Exact incremental elimination on vectorized powers, tracking the
-    combination so the dependence is read off directly.
+    A symmetric matrix is diagonalizable, so its minimal polynomial is the
+    squarefree part of its characteristic polynomial, char / gcd(char, char').
+    Computed on sM over the integers, where the monic char has a monic
+    primitive gcd with its derivative and the division is exact.
     """
-    arr = np.asarray(m, dtype=object)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("minimal polynomial needs a square matrix")
-    n = arr.shape[0]
-    if n == 0:
-        return Polynomial([1])
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = identity_matrix(n)
-    k = 0
-    while True:
-        vec = [Fraction(v) for v in power.reshape(-1)]
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        for pivot, bvec, bcombo in basis:
-            f = vec[pivot]
-            if f == 0:
-                continue
-            vec = [a - f * b for a, b in zip(vec, bvec)]
-            for i, c in enumerate(bcombo):
-                combo[i] -= f * c
-        pivot = next((i for i, v in enumerate(vec) if v != 0), None)
-        if pivot is None:
-            return Polynomial(combo)
-        inv = 1 / vec[pivot]
-        vec = [v * inv for v in vec]
-        combo_n = [c * inv for c in combo]
-        basis.append((pivot, vec, combo_n))
-        power = power @ arr
-        k += 1
+    arr = _square_object(m, "minimal polynomial")
+    if not (arr == arr.T).all():
+        raise ValueError("minimal polynomial needs a symmetric matrix")
+    rows, scale = _as_int_rows(arr)
+    cp = _berkowitz(rows)
+    slope = [i * c for i, c in enumerate(cp)][1:]
+    return _unscale(_monic_quotient(cp, _int_poly_gcd(cp, slope)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +504,29 @@ def is_nonmain(g: Graph, mu) -> bool:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def resolvent_inverse(h: Graph, mu: Fraction) -> np.ndarray:
-    """(mu I - A(H))^{-1}, exact, cached per (graph, mu).
+def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
+    """(Y, d) with d > 0 and (mu I - A(H))^{-1} = Y / d, exact, cached per
+    (graph, mu).
 
+    Y is a read-only object array of Python ints: for mu = p/q it is
+    q adj(pI - qA) up to the sign of det(pI - qA), and d = |det(pI - qA)|.
     This is the only place the resolvent is computed.  Graphs are immutable,
-    so entries never need invalidation; the returned array is read-only.
+    so entries never need invalidation.
     """
-    shifted = mu * identity_matrix(h.n) - adjacency_matrix(h)
+    mu = Fraction(mu)
     try:
-        inv = invert_exact(shifted)
+        y, d = _inverse_scaled(_shifted_int_matrix(h, mu))
     except SingularResolventError:
         raise SingularResolventError(
             f"{format_rational(mu)} is an eigenvalue of the complement graph"
         ) from None
-    inv.setflags(write=False)
-    return inv
+    # y / d inverts qA - pI = -q (mu I - A), so (mu I - A)^{-1} = -q y / d.
+    q = mu.denominator
+    out = np.empty((h.n, h.n), dtype=object)
+    for i, row in enumerate(y):
+        out[i, :] = [-q * v for v in row]
+    out.setflags(write=False)
+    return out, d
 
 
 def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
@@ -461,8 +536,8 @@ def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
     yv = np.asarray(y, dtype=object)
     if xv.shape != (h.n,) or yv.shape != (h.n,):
         raise ValueError(f"vectors must have length {h.n}")
-    solved = resolvent_inverse(h, mu) @ yv
-    return Fraction(sum(a * b for a, b in zip(xv, solved)))
+    inv, d = resolvent_inverse(h, mu)
+    return Fraction(sum(a * b for a, b in zip(xv, inv @ yv))) / d
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -473,13 +548,14 @@ def graph_min_poly(h: Graph) -> Polynomial:
 def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
     """The scaled resolvent m(mu) (mu I - A(H))^{-1}, m the minimal polynomial.
 
-    It is m(mu) times the cached resolvent_inverse.  Being a polynomial in
-    A(H) with coefficients in Z[mu], it is an integer matrix whenever mu is
-    an integer, and its entries are then Python ints.  Raises
-    SingularResolventError when mu is an eigenvalue of H.
+    It is m(mu) Y / d from the cached resolvent_inverse.  Being a polynomial
+    in A(H) with coefficients in Z[mu], it is an integer matrix whenever mu
+    is an integer; its entries are then Python ints from an exact integer
+    division.  Raises SingularResolventError when mu is an eigenvalue of H.
     """
     mu = Fraction(mu)
-    scaled = graph_min_poly(h)(mu) * resolvent_inverse(h, mu)
+    y, d = resolvent_inverse(h, mu)
+    m_mu = graph_min_poly(h)(mu)
     if mu.denominator == 1:
-        scaled = np.frompyfunc(int, 1, 1)(scaled)
-    return scaled
+        return int(m_mu) * y // d
+    return y * (m_mu / d)

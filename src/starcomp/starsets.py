@@ -9,7 +9,9 @@ star set exactly when mu is missing from H's spectrum and
 
 Certificates record the multiplicity comparison, the complement-spectrum
 check, and the residual identity as three independently evaluated exact
-checks, even though the residual is implied by the other two.
+checks, even though the residual is implied by the other two.  The residual
+is evaluated in integers: with mu = p/q and the cached resolvent
+(mu I - C)^{-1} = Y / d, the identity reads d (pI - qA_X) = q B^T Y B.
 """
 
 from __future__ import annotations
@@ -88,14 +90,26 @@ class StarSetCertificate:
         return json.dumps(self.to_json())
 
 
-def _split_blocks(g: Graph, star: Sequence[int]):
-    """(A_X, B, complement order) for the block layout induced by X."""
-    star = sorted(star)
-    comp = [v for v in range(g.n) if v not in set(star)]
-    adj = g.adj.astype(object)
-    a_x = adj[np.ix_(star, star)]
-    b = adj[np.ix_(comp, star)]
-    return a_x, b, comp
+def _scaled_residual(g: Graph, mu: Fraction, star, comp, y, d) -> list[list[int]]:
+    """d (pI - qA_X) - q B^T Y B, zero exactly when the star-set identity holds.
+
+    B is 0/1, so row i of B^T Y is the sum of Y's rows over the complement
+    neighbours of star vertex i, and entry (i, j) of B^T Y B sums that row
+    over the neighbours of star vertex j.
+    """
+    p, q = mu.numerator, mu.denominator
+    adj = g.adj.tolist()
+    nbrs = [[i for i, v in enumerate(comp) if adj[x][v]] for x in star]
+    out = []
+    for i, x in enumerate(star):
+        row = [0] * len(comp)
+        for u in nbrs[i]:
+            row = [a + b for a, b in zip(row, y[u])]
+        out.append([
+            d * ((p if x == z else 0) - q * adj[x][z]) - q * sum(row[w] for w in nbrs[j])
+            for j, z in enumerate(star)
+        ])
+    return out
 
 
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
@@ -105,21 +119,17 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
     if star and not (0 <= star[0] and star[-1] < g.n):
         raise ValueError(f"star set {star} out of range for n={g.n}")
     multiplicity = eig_multiplicity(g, mu)
-    complement = induced_subgraph(g, [v for v in range(g.n) if v not in set(star)])
+    drop = set(star)
+    comp = [v for v in range(g.n) if v not in drop]
+    complement = induced_subgraph(g, comp)
     comp_mult = eig_multiplicity(complement, mu)
     complement_ok = comp_mult == 0
     sizes_match = multiplicity == len(star)
     residual_zero = False
     if complement_ok:
-        a_x, b, _ = _split_blocks(g, star)
-        k = len(star)
-        inv = resolvent_inverse(complement, mu)
-        lhs = np.full((k, k), Fraction(0), dtype=object)
-        for i in range(k):
-            lhs[i, i] = mu
-        lhs -= a_x
-        rhs = b.T @ inv @ b if k else lhs
-        residual_zero = bool(np.all(lhs == rhs))
+        y, d = resolvent_inverse(complement, mu)
+        residual = _scaled_residual(g, mu, star, comp, y.tolist(), d)
+        residual_zero = not any(any(row) for row in residual)
     return StarSetCertificate(
         graph=g,
         mu=mu,
@@ -189,26 +199,28 @@ def find_star_sets(
 def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarray]:
     """Eigenspace basis reconstructed from a star set.
 
-    For each u in X the vector with e_u on X and (mu I - C)^{-1} B e_u on the
-    complement is an exact eigenvector; together they span the eigenspace.
-    Every returned vector is re-checked against A v = mu v.
+    For each u in X the vector with e_u on X and (mu I - C)^{-1} B e_u, that
+    is Y B e_u / d, on the complement is an exact eigenvector; together they
+    span the eigenspace.  Every returned vector is re-checked against
+    A v = mu v.
     """
     mu = Fraction(mu)
     cert = verify_star_set(g, mu, star_set)
     if not cert.valid:
         raise InvalidStarSetError(cert)
     star = list(cert.star_set)
-    _, b, comp = _split_blocks(g, star)
-    complement = induced_subgraph(g, comp)
-    inv = resolvent_inverse(complement, mu)
+    drop = set(star)
+    comp = [v for v in range(g.n) if v not in drop]
+    y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
     adj = g.adj.astype(object)
+    b = adj[np.ix_(comp, star)]
     basis = []
     for idx in range(len(star)):
-        tail = inv @ b[:, idx] if comp else np.zeros(0, dtype=object)
+        tail = y @ b[:, idx]
         vec = np.zeros(g.n, dtype=object)
         vec[star[idx]] = Fraction(1)
         for pos, v in zip(comp, tail):
-            vec[pos] = v
+            vec[pos] = Fraction(v, d)
         if not np.all(adj @ vec == mu * vec):
             raise AssertionError("reconstructed vector is not an eigenvector")
         basis.append(vec)

@@ -2,9 +2,12 @@
 
 The oracles here deliberately avoid the package's own algorithms: isomorphism
 by backtracking permutation search, characteristic polynomials by Leibniz
-expansion over all permutations, the scaled resolvent as a polynomial in A
-instead of an inverse, and brute-force star-set extension search by building
-every possible graph and counting eigenvalue multiplicities.
+expansion over all permutations and by Faddeev-LeVerrier over Fractions,
+minimal polynomials by Krylov elimination on the powers of A, the scaled
+resolvent as a polynomial in A instead of an inverse, the star-set residual
+as the Fraction block product B^T (mu I - C)^{-1} B, and brute-force
+star-set extension search by building every possible graph and counting
+eigenvalue multiplicities.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from starcomp import (
     Polynomial,
     adjacency_matrix,
     eig_multiplicity,
+    induced_subgraph,
     kernels,
     make_complete_split,
-    min_poly,
 )
-from starcomp.linalg import identity_matrix
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -33,6 +35,13 @@ def _warm_kernels():
     # JIT-compile the int64 kernels once so timed tests measure the
     # algorithms, not compilation.
     kernels.warmup()
+
+
+def identity_matrix(n: int) -> np.ndarray:
+    m = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        m[i, i] = 1
+    return m
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -72,8 +81,8 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def leibniz_char_poly(adj) -> Polynomial:
-    """det(xI - A) by summing over all permutations; independent of the
-    Faddeev-LeVerrier route.  Only sensible for n <= 7."""
+    """det(xI - A) by summing over all permutations; independent of
+    Berkowitz and Faddeev-LeVerrier.  Only sensible for n <= 7."""
     arr = np.asarray(adj, dtype=object)
     n = arr.shape[0]
     x = Polynomial([0, 1])
@@ -106,6 +115,54 @@ def leibniz_char_poly(adj) -> Polynomial:
     return total
 
 
+def faddeev_leverrier_char_poly(m) -> Polynomial:
+    """det(xI - M) by the Faddeev-LeVerrier recurrence over Fractions:
+    M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k."""
+    arr = np.asarray(m, dtype=object)
+    n = arr.shape[0]
+    cs = [Fraction(1)]  # coefficient of x^n, then x^{n-1}, ...
+    aux = identity_matrix(n)
+    for k in range(1, n + 1):
+        aux = arr @ aux
+        ck = Fraction(-sum(aux[i, i] for i in range(n)), k)
+        cs.append(ck)
+        for i in range(n):
+            aux[i, i] += ck
+    return Polynomial(list(reversed(cs)))
+
+
+def krylov_min_poly(m) -> Polynomial:
+    """Minimal polynomial from the first linear dependence among I, M, M^2,
+    ..., by Fraction elimination on the vectorized powers, tracking the
+    combination so the dependence is read off directly.  Any square M."""
+    arr = np.asarray(m, dtype=object)
+    n = arr.shape[0]
+    if n == 0:
+        return Polynomial([1])
+    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    power = identity_matrix(n)
+    k = 0
+    while True:
+        vec = [Fraction(v) for v in power.reshape(-1)]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            f = vec[pivot]
+            if f == 0:
+                continue
+            vec = [a - f * b for a, b in zip(vec, bvec)]
+            for i, c in enumerate(bcombo):
+                combo[i] -= f * c
+        pivot = next((i for i, v in enumerate(vec) if v != 0), None)
+        if pivot is None:
+            return Polynomial(combo)
+        inv = 1 / vec[pivot]
+        vec = [v * inv for v in vec]
+        combo_n = [c * inv for c in combo]
+        basis.append((pivot, vec, combo_n))
+        power = power @ arr
+        k += 1
+
+
 def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
     """m(mu) (mu I - A)^{-1} as a polynomial in A, with no matrix inverse.
 
@@ -119,7 +176,7 @@ def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=object)
     adj = adjacency_matrix(h)
-    m = min_poly(adj)
+    m = krylov_min_poly(adj)
     d = m.degree - 1
     a = [Fraction(0)] * (d + 1)
     a[d] = Fraction(1)
@@ -131,6 +188,23 @@ def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
         for i in range(n):
             out[i, i] += a[j]
     return out
+
+
+def block_residual(g: Graph, mu, star) -> np.ndarray | None:
+    """(mu I - A_X) - B^T (mu I - C)^{-1} B over Fractions, the inverse taken
+    from the polynomial oracle; None when mu is an eigenvalue of C = A(G - X)."""
+    mu = Fraction(mu)
+    star = sorted(star)
+    comp = [v for v in range(g.n) if v not in set(star)]
+    h = induced_subgraph(g, comp)
+    m_mu = krylov_min_poly(adjacency_matrix(h))(mu)
+    if m_mu == 0:
+        return None
+    inv = minpoly_scaled_resolvent(h, mu) / m_mu
+    adj = adjacency_matrix(g)
+    a_x = adj[np.ix_(star, star)]
+    b = adj[np.ix_(comp, star)]
+    return mu * identity_matrix(len(star)) - a_x - b.T @ inv @ b
 
 
 def attachment_pattern(masks: tuple[int, ...], adjacency: frozenset) -> tuple:

@@ -42,9 +42,9 @@ from starcomp import (
     verify_star_set,
 )
 from starcomp.extend import PairClass
-from starcomp.linalg import graph_min_poly, identity_matrix, invert_exact
+from starcomp.linalg import graph_min_poly, invert_exact
 
-from conftest import attachment_pattern, brute_force_extensions
+from conftest import attachment_pattern, brute_force_extensions, identity_matrix
 
 
 def finish(name: str, limit: float, t0: float) -> None:
@@ -82,7 +82,7 @@ def test_criterion_1_resolvent_identity():
 
 
 def test_criterion_2_minimal_polynomial():
-    """Printed minimal polynomial equals the Krylov computation, s,t in [2,8]."""
+    """Printed minimal polynomial equals the computed one, s,t in [2,8]."""
     t0 = time.perf_counter()
     for s in range(2, 9):
         for t in range(2, 9):

@@ -22,6 +22,7 @@ from starcomp import (
     resolvent_bilinear,
     verify_star_set,
 )
+import starcomp.extend as extend_module
 from starcomp.extend import (
     Candidate,
     EngineRestrictionError,
@@ -273,6 +274,36 @@ class TestMaximalExtensions:
         assert len(rep.maximal_graphs) == 2
         sizes = sorted(len(m.star_vertices) for m in rep.maximal_graphs)
         assert sizes == [1, 2]
+
+    @pytest.mark.parametrize("maximal_only", [True, False])
+    def test_regular_filter_runs_before_canonical_form(self, monkeypatch, maximal_only):
+        canonised = []
+        real = extend_module.canonical_form
+
+        def counting(graph):
+            canonised.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(extend_module, "canonical_form", counting)
+        h = make_complete_split(3, 2)
+        runs = {}
+        for regular_only in (False, True):
+            canonised.clear()
+            rep = maximal_extensions(
+                h, -2, nonmain=False, regular_only=regular_only, maximal_only=maximal_only
+            )
+            runs[regular_only] = (rep, list(canonised))
+        (full, all_canon), (kept, regular_canon) = runs[False], runs[True]
+        assert any(m.regular is None for m in full.maximal_graphs)
+        assert regular_canon and all(is_regular(g) is not None for g in regular_canon)
+        assert len(regular_canon) < len(all_canon)
+
+        def summary(graphs):
+            return [(m.to_json(), m.witness, m.canonical) for m in graphs]
+
+        assert summary(kept.maximal_graphs) == summary(
+            m for m in full.maximal_graphs if m.regular is not None
+        )
 
     def test_thread_invariance(self):
         h = make_complete_split(3, 2)

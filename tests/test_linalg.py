@@ -25,17 +25,24 @@ from starcomp import (
     resolvent_bilinear,
     resolvent_via_minpoly,
 )
-from starcomp.linalg import identity_matrix, invert_exact
+from starcomp.linalg import invert_exact, resolvent_inverse
 
-from conftest import leibniz_char_poly, minpoly_scaled_resolvent, random_graph
+from conftest import (
+    faddeev_leverrier_char_poly,
+    identity_matrix,
+    krylov_min_poly,
+    leibniz_char_poly,
+    minpoly_scaled_resolvent,
+    random_graph,
+)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while b.degree >= 0:
-        _, r = divmod(a, b)
-        a, b = b, r
-    lead = a.coeffs[-1]
-    return Polynomial([c / lead for c in a.coeffs])
+def random_rational_matrix(n: int, rng: random.Random) -> np.ndarray:
+    m = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+    return m
 
 
 class TestPolynomial:
@@ -65,6 +72,19 @@ class TestPolynomial:
         roots, residual = p.factor_rational()
         assert roots == [(Fraction(-1), 1), (Fraction(0), 1)]
         assert residual == Polynomial([-4, -1, 1])
+
+    def test_gcd(self):
+        a = Polynomial.from_roots([1, 2, 2, Fraction(1, 3)])
+        b = Polynomial.from_roots([2, Fraction(1, 3), 5]) * Polynomial([7])
+        assert a.gcd(b) == Polynomial.from_roots([2, Fraction(1, 3)])
+        assert b.gcd(a) == a.gcd(b)
+        assert a.gcd(Polynomial([])) == Polynomial([c / a.coeffs[-1] for c in a.coeffs])
+        assert Polynomial([]).gcd(Polynomial([])) == Polynomial([])
+        assert a.gcd(Polynomial.from_roots([3, -1])) == Polynomial([1])
+        half = Polynomial([Fraction(-1, 2), Fraction(3, 4)])  # 3/4 (x - 2/3)
+        assert half.gcd(Polynomial.from_roots([Fraction(2, 3), 0])) == Polynomial.from_roots(
+            [Fraction(2, 3)]
+        )
 
     def test_parse_format_rational(self):
         assert parse_rational("-5/2") == Fraction(-5, 2)
@@ -99,6 +119,16 @@ class TestCharPoly:
             adj = adjacency_matrix(g)
             assert char_poly(adj) == leibniz_char_poly(adj)
 
+    def test_differential_against_faddeev_leverrier(self):
+        rng = random.Random(29)
+        for n in range(17):
+            for _ in range(2):
+                adj = adjacency_matrix(random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.8])))
+                assert char_poly(adj) == faddeev_leverrier_char_poly(adj)
+        for _ in range(60):
+            m = random_rational_matrix(rng.randint(0, 6), rng)
+            assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
 
 class TestMinPoly:
     def test_split_2_2(self):
@@ -121,11 +151,40 @@ class TestMinPoly:
             assert mp.is_monic
             # adjacency matrices are symmetric, so the minimal polynomial is
             # the squarefree part of the characteristic polynomial
-            squarefree, rem = divmod(cp, poly_gcd(cp, cp.derivative()))
+            squarefree, rem = divmod(cp, cp.gcd(cp.derivative()))
             assert rem.degree < 0
             assert mp == Polynomial(
                 [c / squarefree.coeffs[-1] for c in squarefree.coeffs]
             )
+
+
+    def test_zero_and_empty(self):
+        assert min_poly(np.zeros((3, 3), dtype=object)) == Polynomial([0, 1])
+        assert min_poly(np.zeros((0, 0), dtype=object)) == Polynomial([1])
+
+    def test_rational_symmetric(self):
+        m = np.array([[Fraction(1, 2), 1], [1, Fraction(1, 2)]], dtype=object)
+        assert min_poly(m) == Polynomial.from_roots([Fraction(3, 2), Fraction(-1, 2)])
+        assert min_poly(identity_matrix(2) * Fraction(2, 3)) == Polynomial.from_roots(
+            [Fraction(2, 3)]
+        )
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            min_poly(np.array([[0, 1], [0, 0]], dtype=object))
+        with pytest.raises(ValueError):
+            min_poly(np.zeros((2, 3), dtype=object))
+
+    def test_differential_against_krylov(self):
+        rng = random.Random(61)
+        for n in range(13):
+            for _ in range(3):
+                adj = adjacency_matrix(random_graph(n, rng, p=rng.choice([0.2, 0.5, 0.8])))
+                assert min_poly(adj) == krylov_min_poly(adj)
+        for _ in range(30):
+            m = random_rational_matrix(rng.randint(1, 5), rng)
+            m = m + m.T
+            assert min_poly(m) == krylov_min_poly(m)
 
 
 class TestRankMultiplicity:
@@ -170,10 +229,7 @@ class TestInvertExact:
         inverted = singular = 0
         for _ in range(200):
             n = rng.randint(0, 7)
-            m = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    m[i, j] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 7]))
+            m = random_rational_matrix(n, rng)
             if n >= 2 and rng.random() < 0.2:
                 m[n - 1] = m[0] * Fraction(rng.randint(-3, 3), 2)  # dependent rows
             if rank(m) < n:
@@ -292,7 +348,7 @@ class TestResolvent:
             if eig_multiplicity(g, mu) > 0:
                 continue
             trials += 1
-            m_mu = min_poly(adjacency_matrix(g))(mu)
+            m_mu = krylov_min_poly(adjacency_matrix(g))(mu)
             shifted = mu * identity_matrix(g.n) - adjacency_matrix(g)
             direct = invert_exact(shifted) * m_mu
             assert (direct == minpoly_scaled_resolvent(g, mu)).all()
@@ -302,7 +358,7 @@ class TestResolvent:
         for _ in range(10):
             g = random_graph(rng.randint(2, 6), rng)
             mu = Fraction(rng.randint(2, 9))  # beyond spectral radius
-            m_mu = min_poly(adjacency_matrix(g))(mu)
+            m_mu = krylov_min_poly(adjacency_matrix(g))(mu)
             scaled = minpoly_scaled_resolvent(g, mu)
             x = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
             y = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
@@ -328,4 +384,26 @@ class TestResolvent:
                     checked["integral"] += 1
                 else:
                     checked["rational"] += 1
+        assert min(checked.values()) >= 10
+
+    def test_scaled_inverse_pair(self):
+        # (Y, d): Y / d = (mu I - A)^{-1}, d = |det(pI - qA)|, Y read-only ints
+        rng = random.Random(83)
+        checked = {"integral": 0, "rational": 0}
+        for n in range(13):
+            for _ in range(4):
+                g = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.7]))
+                mu = Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3]))
+                shifted = mu * identity_matrix(n) - adjacency_matrix(g)
+                if eig_multiplicity(g, mu) > 0:
+                    with pytest.raises(SingularResolventError):
+                        resolvent_inverse(g, mu)
+                    continue
+                y, d = resolvent_inverse(g, mu)
+                assert y.shape == (n, n) and not y.flags.writeable
+                assert all(type(v) is int for v in y.reshape(-1))
+                assert (y * Fraction(1, d) == invert_exact(shifted)).all()
+                det = faddeev_leverrier_char_poly(shifted * mu.denominator)(0) * (-1) ** n
+                assert d == abs(det) > 0
+                checked["integral" if mu.denominator == 1 else "rational"] += 1
         assert min(checked.values()) >= 10

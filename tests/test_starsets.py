@@ -20,12 +20,16 @@ from starcomp import (
     is_regular,
     make_cocktail,
     make_complete_split,
+    parse_graph6,
     path_graph,
     verify_star_set,
 )
-from starcomp.starsets import substar_check
+from starcomp.linalg import resolvent_inverse
+from starcomp.starsets import _scaled_residual, substar_check
 
-from conftest import random_graph
+from conftest import block_residual, random_graph
+
+PETERSEN = parse_graph6("IheA@GUAo")
 
 
 class TestVerify:
@@ -91,6 +95,46 @@ class TestVerify:
                         assert cert.residual_zero == (
                             cert.sizes_match and cert.complement_ok
                         ), (g, mu, star)
+
+
+class TestResidualDifferential:
+    # Every k-subset against the Fraction block identity.  For an eigenvalue
+    # k is its multiplicity; a non-integral mu is never a graph eigenvalue,
+    # so its residual is nonzero everywhere, but both sides must agree on
+    # the whole scaled matrix, which runs the q != 1 branch.
+    @pytest.mark.parametrize(
+        "g, mu, k",
+        [
+            (make_cocktail(3), -2, None),
+            (make_cocktail(3), 0, None),
+            (make_cocktail(3), Fraction(1, 2), 2),
+            (make_cocktail(4), -2, None),
+            (make_cocktail(4), 0, None),
+            (make_cocktail(4), Fraction(-5, 2), 2),
+            (PETERSEN, 1, None),
+            (PETERSEN, -2, None),
+            (PETERSEN, Fraction(1, 2), 2),
+            (PETERSEN, Fraction(-5, 2), 2),
+        ],
+    )
+    def test_every_subset_matches_fraction_identity(self, g, mu, k):
+        mu = Fraction(mu)
+        if k is None:
+            k = eig_multiplicity(g, mu)
+        valid = 0
+        for star in combinations(range(g.n), k):
+            cert = verify_star_set(g, mu, star)
+            expected = block_residual(g, mu, star)
+            assert cert.complement_ok == (expected is not None), star
+            if expected is None:
+                continue
+            assert cert.residual_zero == (expected == 0).all(), star
+            comp = [v for v in range(g.n) if v not in star]
+            y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
+            got = _scaled_residual(g, mu, star, comp, y.tolist(), d)
+            assert got == (mu.denominator * d * expected).tolist(), star
+            valid += cert.valid
+        assert valid == (len(find_star_sets(g, mu)) if mu.denominator == 1 else 0)
 
 
 class TestFindStarSets:
