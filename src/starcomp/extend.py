@@ -9,14 +9,20 @@ incompatible.  Maximal graphs with star complement H therefore correspond to
 maximal cliques of the "not incompatible" relation, with adjacency inside
 the added set dictated by the -1/0 split.
 
-All bilinear values are computed in the scaled integer form m(mu) <.,.>
-(exact for integral mu, exact rationals otherwise), so the comparisons are
-against m(mu)*mu, -m(mu), and 0.
+The subset scan works in an integer form for every rational mu = p/q: with
+(mu I - A)^{-1} = Y / d from the cached resolvent_inverse and g the gcd of d
+and the entries of Y, <b, b> = mu iff b^T R b = p d/g for R = q Y/g, and
+<b, j> = -1 iff b^T R j = -q d/g.  It runs on the int64 kernel when mu is
+integral and every accumulator provably fits, and on Python ints otherwise.
+Pair classes use the scaled integer form m(mu) <.,.> of
+resolvent_via_minpoly (exact rationals for non-integral mu), compared against
+-m(mu) and 0.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +33,14 @@ import numpy as np
 
 from . import kernels
 from .graphs import Graph, canonical_form, is_regular, write_graph6
-from .linalg import (
+# eig_multiplicity is not called here; perfbench/tracer.py wraps
+# extend.eig_multiplicity, so the name stays importable from this module.
+from .linalg import (  # noqa: F401
     SingularResolventError,
     eig_multiplicity,
     format_rational,
     graph_min_poly,
+    resolvent_inverse,
     resolvent_via_minpoly,
 )
 from .starsets import DEFAULT_BUDGET, BudgetExceededError, verify_star_set
@@ -96,12 +105,19 @@ def _scaled_resolvent(h: Graph, mu: Fraction):
 
 
 def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi, n):
-    """Python twin of the int64 subset kernel, for values outside int64 range."""
+    """Python-int twin of the int64 subset kernel, same contract.
+
+    Used for the integer forms the int64 kernel cannot take: non-integral
+    mu, and integral mu whose accumulators could pass
+    kernels.ACCUMULATOR_LIMIT.  res and rj are lists of Python ints.
+    """
     hits = []
+    if hi <= lo:
+        return hits
     g = lo ^ (lo >> 1)
-    w = [Fraction(0)] * n
-    val = Fraction(0)
-    jval = Fraction(0)
+    w = [0] * n
+    val = 0
+    jval = 0
     for v in range(n):
         if (g >> v) & 1:
             val += 2 * w[v] + res[v][v]
@@ -152,46 +168,41 @@ def enumerate_candidates(
         )
     if h.n == 0:
         return []  # <b,b> = 0 != mu for the only subset
-    if eig_multiplicity(h, mu) > 0:
+    try:
+        y, d = resolvent_inverse(h, mu)
+    except SingularResolventError:
         # No graph can have H as a star complement for one of H's own
         # eigenvalues, so the candidate set is empty by definition.
         return []
-    res, m_mu = _scaled_resolvent(h, mu)
-    want_diag = mu * m_mu
-    want_j = -m_mu
-    rj = res.sum(axis=1)
-
     n = h.n
+    p, q = mu.numerator, mu.denominator
+    g = math.gcd(d, *y.reshape(-1))
+    res = [[q * (v // g) for v in row] for row in y]
+    rj = [sum(row) for row in res]
+    want_diag = p * (d // g)
+    want_j = -q * (d // g)
     bounds_ok = (
-        mu.denominator == 1
-        and want_diag.denominator == 1
-        and all(Fraction(v).denominator == 1 for v in res.reshape(-1))
-        and (n + 2) ** 2 * max((abs(int(v)) for v in res.reshape(-1)), default=0)
+        q == 1
+        and (n + 2) ** 2 * max(abs(v) for row in res for v in row)
         < kernels.ACCUMULATOR_LIMIT
-        and max(abs(int(want_diag)), abs(int(want_j))) < kernels.ACCUMULATOR_LIMIT
+        and max(abs(want_diag), abs(want_j)) < kernels.ACCUMULATOR_LIMIT
     )
 
     ranges = _even_ranges(total, threads)
     if bounds_ok:
-        res64 = np.array([[int(v) for v in row] for row in res], dtype=np.int64)
+        res64 = np.array(res, dtype=np.int64)
         rj64 = res64.sum(axis=1)
 
         def scan(rng):
             lo, hi = rng
-            return list(
-                kernels.subset_scan_int64(
-                    res64, rj64, np.int64(int(want_diag)), np.int64(int(want_j)),
-                    nonmain, lo, hi,
-                )
-            )
+            return kernels.subset_scan_int64(
+                res64, rj64, np.int64(want_diag), np.int64(want_j), nonmain, lo, hi
+            ).tolist()
     else:
-        res_rows = [[Fraction(v) for v in row] for row in res]
-        rj_rows = [Fraction(v) for v in rj]
-
         def scan(rng):
             lo, hi = rng
             return _subset_scan_exact(
-                res_rows, rj_rows, want_diag, want_j, nonmain, lo, hi, n
+                res, rj, want_diag, want_j, nonmain, lo, hi, n
             )
 
     if threads <= 1 or len(ranges) == 1:
@@ -201,7 +212,7 @@ def enumerate_candidates(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for chunk in pool.map(scan, ranges):
                 masks.extend(chunk)
-    cands = [_mask_to_candidate(int(m), n) for m in masks]
+    cands = [_mask_to_candidate(m, n) for m in masks]
     cands.sort(key=lambda c: c.vertices)
     return cands
 

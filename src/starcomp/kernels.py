@@ -11,10 +11,13 @@ intermediate minor would leave the certified range, and callers then redo the
 computation with Python big integers.  The subset kernel is only entered when
 the caller has proven an a-priori magnitude bound.
 
-Backend: numba when it imports.  Without it the subset scan runs as a
-blockwise numpy pass, and there is no int64 rank at all - try_int_rank
-returns None and callers use big-integer Bareiss, which in pure Python beats
-an interpreted int64 elimination.  Results are bit-identical across backends.
+Backend: numba when it imports, compiling the incremental Gray-code loop.
+Without it the subset scan runs as a split-half numpy pass: the quadratic
+form is tabulated over the low LOW_BITS bits once and combined with blocks of
+high patterns by one small int64 matmul each.  There is then no int64 rank
+at all - try_int_rank returns None and callers use big-integer Bareiss, which
+in pure Python beats an interpreted int64 elimination.  Each shard [i0, i1)
+of the Gray-code index space yields the same set of masks on every backend.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ ENTRY_LIMIT = 1 << 30
 # Subset-scan accumulators stay below n * ENTRY_LIMIT * n; callers must check
 # against this before dispatching masks to the int64 path.
 ACCUMULATOR_LIMIT = 1 << 62
+
+# Initial hit-buffer length of the loop scan; it doubles whenever it fills.
+HIT_BUFFER = 256
+
+# Split-half numpy scan: the low LOW_BITS bits are tabulated once and
+# HIGH_BLOCK high patterns are scanned per block, so the per-block buffers
+# hold at most 2^LOW_BITS * HIGH_BLOCK = 2^16 entries.
+LOW_BITS = 10
+HIGH_BLOCK = 64
 
 
 def _rank_bareiss_loops(m):
@@ -76,9 +88,13 @@ def _subset_scan_loops(res, rj, want_diag, want_j, use_j, i0, i1):
     Walks masks in Gray-code order gray(i) = i ^ (i >> 1) for i in [i0, i1),
     maintaining w = res @ b and the quadratic form incrementally; a single bit
     flip updates both in O(n).  Disjoint i-ranges partition the full mask
-    space, so the scan can be sharded across workers.
+    space, so the scan can be sharded across workers.  Hits go to a buffer
+    that starts at HIT_BUFFER slots and doubles when full, so memory follows
+    the number of hits, not the number of masks.
     """
     n = res.shape[0]
+    if i1 <= i0:
+        return np.empty(0, dtype=np.int64)
     g = i0 ^ (i0 >> 1)
     w = np.zeros(n, dtype=np.int64)
     val = np.int64(0)
@@ -89,11 +105,15 @@ def _subset_scan_loops(res, rj, want_diag, want_j, use_j, i0, i1):
             for u in range(n):
                 w[u] += res[u, v]
             jval += rj[v]
-    out = np.empty(i1 - i0, dtype=np.int64)
+    out = np.empty(HIT_BUFFER, dtype=np.int64)
     cnt = 0
     i = i0
     while True:
         if val == want_diag and (not use_j or jval == want_j):
+            if cnt == out.shape[0]:
+                grown = np.empty(2 * cnt, dtype=np.int64)
+                grown[:cnt] = out
+                out = grown
             out[cnt] = g
             cnt += 1
         i += 1
@@ -119,23 +139,53 @@ def _subset_scan_loops(res, rj, want_diag, want_j, use_j, i0, i1):
 
 
 def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
-    """Blockwise vectorized twin of _subset_scan_loops."""
+    """Split-half numpy twin of _subset_scan_loops: the same set of masks.
+
+    A mask b splits into its low L = min(n, LOW_BITS) bits l and its high
+    bits h, so that
+        b^T R b = q_L(l) + q_H(h) + 2 h^T R_HL l,    b.rj = j_L(l) + j_H(h).
+    q_L, j_L and W = 2 R_HL B_L^T are tabulated once over all 2^L low
+    patterns, taken in Gray order (column r holds l = gray_L(r)).  A block of
+    HIGH_BLOCK high patterns then costs one int64 matmul B_H @ W, an outer
+    sum and a compare: O(n - L) work per mask.  The <b, j> test runs on the
+    hits of the quadratic test only.
+
+    For i = c 2^L + r, gray(i) has high part gray(c) and low part
+    gray_L(r) ^ ((c & 1) << (L - 1)) = gray_L(r ^ (c & 1) (2^L - 1)), so
+    each high index c meets every column once.  Whole aligned blocks are
+    computed; each hit is mapped back to its index i and those outside
+    [i0, i1) are dropped.
+    """
     n = res.shape[0]
-    shifts = np.arange(n, dtype=np.int64)
-    hits = []
-    block = 1 << 14
-    for lo in range(i0, i1, block):
-        hi = min(lo + block, i1)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        g = idx ^ (idx >> 1)
-        bits = (g[:, None] >> shifts) & 1
-        vals = np.einsum("ij,jk,ik->i", bits, res, bits)
-        ok = vals == want_diag
-        if use_j:
-            ok &= (bits @ rj) == want_j
-        hits.append(g[ok])
-    if not hits:
+    if i1 <= i0:
         return np.empty(0, dtype=np.int64)
+    low = min(n, LOW_BITS)
+    all_low = (1 << low) - 1
+    cols = np.arange(1 << low, dtype=np.int64)
+    pats = cols ^ (cols >> 1)
+    b_low = (pats[:, None] >> np.arange(low)) & 1
+    q_low = np.einsum("ij,jk,ik->i", b_low, res[:low, :low], b_low)
+    j_low = b_low @ rj[:low]
+    w = np.ascontiguousarray(2 * (b_low @ res[:low, low:]).T)
+    high_shifts = np.arange(n - low, dtype=np.int64)
+    c_start, c_end = i0 >> low, ((i1 - 1) >> low) + 1
+    vals = np.empty((min(HIGH_BLOCK, c_end - c_start), 1 << low), dtype=np.int64)
+    ok = np.empty(vals.shape, dtype=bool)
+    hits = []
+    for c0 in range(c_start, c_end, HIGH_BLOCK):
+        c = np.arange(c0, min(c0 + HIGH_BLOCK, c_end), dtype=np.int64)
+        high = c ^ (c >> 1)
+        b_high = (high[:, None] >> high_shifts) & 1
+        v = np.matmul(b_high, w, out=vals[: len(c)])
+        v += q_low
+        v += np.einsum("ij,jk,ik->i", b_high, res[low:, low:], b_high)[:, None]
+        rows, col = np.nonzero(np.equal(v, want_diag, out=ok[: len(c)]))
+        cc = c[rows]
+        idx = (cc << low) | (col ^ ((cc & 1) * all_low))
+        keep = (idx >= i0) & (idx < i1)
+        if use_j:
+            keep &= j_low[col] + (b_high @ rj[low:])[rows] == want_j
+        hits.append(((high[rows] << low) | pats[col])[keep])
     return np.concatenate(hits)
 
 

@@ -5,9 +5,10 @@ by backtracking permutation search, characteristic polynomials by Leibniz
 expansion over all permutations and by Faddeev-LeVerrier over Fractions,
 minimal polynomials by Krylov elimination on the powers of A, the scaled
 resolvent as a polynomial in A instead of an inverse, the star-set residual
-as the Fraction block product B^T (mu I - C)^{-1} B, and brute-force
-star-set extension search by building every possible graph and counting
-eigenvalue multiplicities.
+as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
+by evaluating the bilinear form on every subset, and brute-force star-set
+extension search by building every possible graph and counting eigenvalue
+multiplicities.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from starcomp import (
     induced_subgraph,
     kernels,
     make_complete_split,
+    resolvent_bilinear,
 )
 
 
@@ -205,6 +207,21 @@ def block_residual(g: Graph, mu, star) -> np.ndarray | None:
     a_x = adj[np.ix_(star, star)]
     b = adj[np.ix_(comp, star)]
     return mu * identity_matrix(len(star)) - a_x - b.T @ inv @ b
+
+
+def exhaustive_candidates(h: Graph, mu, nonmain: bool) -> list[tuple[int, ...]]:
+    """Every H-neighborhood b with <b, b> = mu (and <b, j> = -1 if nonmain),
+    by evaluating resolvent_bilinear on each of the 2^n subsets in turn."""
+    out = []
+    ones = np.ones(h.n, dtype=object)
+    for mask in range(1 << h.n):
+        vec = np.array([(mask >> v) & 1 for v in range(h.n)], dtype=object)
+        if resolvent_bilinear(h, mu, vec, vec) != mu:
+            continue
+        if nonmain and resolvent_bilinear(h, mu, vec, ones) != -1:
+            continue
+        out.append(tuple(v for v in range(h.n) if (mask >> v) & 1))
+    return sorted(out)
 
 
 def attachment_pattern(masks: tuple[int, ...], adjacency: frozenset) -> tuple:

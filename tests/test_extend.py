@@ -23,6 +23,7 @@ from starcomp import (
     verify_star_set,
 )
 import starcomp.extend as extend_module
+from starcomp import kernels
 from starcomp.extend import (
     Candidate,
     EngineRestrictionError,
@@ -32,21 +33,12 @@ from starcomp.extend import (
 )
 from starcomp.starsets import BudgetExceededError
 
-from conftest import attachment_pattern, brute_force_extensions
-
-
-def exhaustive_candidates(h, mu, nonmain):
-    """Independent oracle: test every subset with the direct bilinear form."""
-    out = []
-    ones = np.ones(h.n, dtype=object)
-    for mask in range(1 << h.n):
-        vec = np.array([(mask >> v) & 1 for v in range(h.n)], dtype=object)
-        if resolvent_bilinear(h, mu, vec, vec) != mu:
-            continue
-        if nonmain and resolvent_bilinear(h, mu, vec, ones) != -1:
-            continue
-        out.append(tuple(v for v in range(h.n) if (mask >> v) & 1))
-    return sorted(out)
+from conftest import (
+    attachment_pattern,
+    brute_force_extensions,
+    exhaustive_candidates,
+    random_graph,
+)
 
 
 class TestEnumerateCandidates:
@@ -118,6 +110,76 @@ class TestEnumerateCandidates:
                 c.vertices for c in enumerate_candidates(h, -2, threads=threads)
             ]
             assert got == base
+
+    @pytest.mark.parametrize("nonmain", [False, True])
+    @pytest.mark.parametrize("s,t,mu", [(6, 6, -2), (6, 5, -2), (5, 6, 2), (5, 3, -3)])
+    def test_thread_determinism_across_blocks(self, s, t, mu, nonmain):
+        # 3 threads cut the mask space at indices that are neither powers of
+        # two nor multiples of the split-half scan's 2^LOW_BITS blocks
+        h = make_complete_split(s, t)
+        base = enumerate_candidates(h, mu, nonmain=nonmain, threads=1)
+        for threads in (2, 3):
+            assert enumerate_candidates(h, mu, nonmain=nonmain, threads=threads) == base
+
+    @pytest.mark.parametrize("nonmain", [False, True])
+    @pytest.mark.parametrize(
+        "s,t,mu",
+        [(3, 4, -2), (4, 3, -4), (3, 2, -2), (5, 3, -3), (6, 5, -2), (6, 6, -2)],
+    )
+    def test_exact_scan_matches_int64_scan(self, monkeypatch, s, t, mu, nonmain):
+        # with the accumulator limit forced down, integral mu takes the
+        # Python-int scan; it must return what the int64 kernel returns
+        h = make_complete_split(s, t)
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(kernels, "subset_scan_int64",
+                            spy("int64", kernels.subset_scan_int64))
+        monkeypatch.setattr(extend_module, "_subset_scan_exact",
+                            spy("exact", extend_module._subset_scan_exact))
+        fast = enumerate_candidates(h, mu, nonmain=nonmain, threads=3)
+        assert set(calls) == {"int64"}
+        calls.clear()
+        monkeypatch.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+        exact = enumerate_candidates(h, mu, nonmain=nonmain, threads=3)
+        assert set(calls) == {"exact"}
+        assert exact == fast
+        if s + t <= 8:
+            assert [c.vertices for c in exact] == exhaustive_candidates(h, mu, nonmain)
+
+    def test_exact_and_int64_scans_find_candidates(self):
+        # the differential cases above are not all vacuous
+        assert len(enumerate_candidates(make_complete_split(5, 3), -3)) == 5
+        assert len(enumerate_candidates(make_complete_split(6, 6), -2, nonmain=False)) == 210
+
+    def test_non_integral_mu_has_no_candidates(self):
+        # <b, b> = mu makes mu an eigenvalue of the integer matrix A(H + v),
+        # and a rational eigenvalue of an integer matrix is an integer
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=30, deadline=None)
+        @given(
+            st.integers(1, 6),
+            st.randoms(use_true_random=False),
+            st.integers(-12, 12),
+            st.integers(2, 5),
+            st.booleans(),
+        )
+        def check(n, rng, p, q, nonmain):
+            mu = Fraction(p, q)
+            if mu.denominator == 1:
+                return
+            h = random_graph(n, rng)
+            assert enumerate_candidates(h, mu, nonmain=nonmain) == []
+            assert exhaustive_candidates(h, mu, nonmain) == []
+
+        check()
 
 
 class TestPairClass:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from starcomp import kernels, rank
+from starcomp.extend import _subset_scan_exact
 from starcomp.kernels import (
     ENTRY_LIMIT,
     _rank_bareiss_loops,
@@ -179,8 +180,65 @@ class TestSubsetScanKernels:
     def test_empty_range(self):
         res = np.zeros((3, 3), dtype=np.int64)
         rj = np.zeros(3, dtype=np.int64)
-        out = _subset_scan_numpy(res, rj, np.int64(1), np.int64(0), False, 5, 5)
-        assert len(out) == 0
+        for scan in (_subset_scan_numpy, _subset_scan_loops):
+            assert len(scan(res, rj, np.int64(0), np.int64(0), False, 5, 5)) == 0
+        assert _subset_scan_exact([[0] * 3] * 3, [0] * 3, 0, 0, False, 5, 5, 3) == []
+
+    @pytest.mark.parametrize("use_j", [False, True])
+    def test_shard_contract(self, use_j):
+        # every shard [i0, i1), cut at random indices that straddle the
+        # split-half blocks, gets the same masks from every scan (the active
+        # backend included), and the shards together give the whole range
+        rng = random.Random(2024 + use_j)
+        for n in range(1, 15):
+            res, rj = self.build_case(rng, n)
+            res //= 3  # entries in -3..3, so that hits are common
+            rj = res.sum(axis=1)
+            probe = rng.randrange(1 << n)
+            bits = np.array([(probe >> v) & 1 for v in range(n)], dtype=np.int64)
+            want_diag = np.int64(bits @ res @ bits)
+            want_j = np.int64(bits @ rj)
+            args = (res, rj, want_diag, want_j, use_j)
+            exact_args = (res.tolist(), rj.tolist(), int(want_diag), int(want_j), use_j)
+            total = 1 << n
+            cuts = sorted({0, total, *(rng.randrange(total + 1) for _ in range(3))})
+            whole = set(_subset_scan_numpy(*args, 0, total).tolist())
+            assert probe in whole
+            union = set()
+            for i0, i1 in zip(cuts, cuts[1:]):
+                vec = _subset_scan_numpy(*args, i0, i1).tolist()
+                loops = _subset_scan_loops(*args, i0, i1).tolist()
+                exact = _subset_scan_exact(*exact_args, i0, i1, n)
+                backend = kernels.subset_scan_int64(*args, i0, i1).tolist()
+                assert sorted(vec) == sorted(loops) == sorted(exact) == sorted(backend), (
+                    n, i0, i1)
+                assert all(i0 <= ungray(m) < i1 for m in vec)
+                union.update(vec)
+            assert union == whole
+
+    def test_loop_buffer_grows(self):
+        # all-hit scan: every mask matches, so the hit buffer of the loop
+        # kernel must double several times past its initial length
+        n = 12
+        assert (1 << n) >= 8 * kernels.HIT_BUFFER
+        res = np.zeros((n, n), dtype=np.int64)
+        rj = np.zeros(n, dtype=np.int64)
+        for i0, i1 in [(0, 1 << n), (5, (1 << n) - 3)]:
+            out = _subset_scan_loops(res, rj, np.int64(0), np.int64(0), True, i0, i1)
+            assert out.dtype == np.int64
+            assert out.tolist() == [i ^ (i >> 1) for i in range(i0, i1)]
+            assert sorted(
+                _subset_scan_numpy(res, rj, np.int64(0), np.int64(0), True, i0, i1).tolist()
+            ) == sorted(out.tolist())
+
+
+def ungray(g):
+    """Index i with gray(i) = i ^ (i >> 1) == g."""
+    i = 0
+    while g:
+        i ^= g
+        g >>= 1
+    return i
 
 
 def test_backend_reports_something():
