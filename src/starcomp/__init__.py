@@ -8,9 +8,6 @@ graph.  All linear algebra is exact; nothing is ever rounded.
 
 from .extend import (
     Candidate,
-    CompatTable,
-    DegreeBalance,
-    ExtensionReport,
     PairClass,
     assemble_graph,
     build_compat_graph,
@@ -57,7 +54,6 @@ from .linalg import (
 )
 from .multipartite import (
     BlockSpec,
-    ResolventCoeffs,
     TypeVector,
     closed_bilinear,
     coeffs,
@@ -74,10 +70,8 @@ from .multipartite import (
 from .starsets import (
     BudgetExceededError,
     InvalidStarSetError,
-    StarSetCertificate,
     eigenspace_from_star,
     find_star_sets,
-    substar_check,
     verify_star_set,
 )
 

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--include-nonmaximal",
         action="store_true",
-        help="also report graphs from non-maximal candidate cliques",
+        help="also report graphs from non-maximal candidate cliques (counted against --budget)",
     )
     p.set_defaults(func=cmd_extend)
 

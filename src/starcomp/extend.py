@@ -12,8 +12,9 @@ the added set dictated by the -1/0 split.
 The subset scan works in an integer form for every rational mu = p/q: with
 (mu I - A)^{-1} = Y / d from the cached resolvent_inverse and g the gcd of d
 and the entries of Y, <b, b> = mu iff b^T R b = p d/g for R = q Y/g, and
-<b, j> = -1 iff b^T R j = -q d/g.  It runs on the int64 kernel when mu is
-integral and every accumulator provably fits, and on Python ints otherwise.
+<b, j> = -1 iff b^T R j = -q d/g.  One split-half scan covers both cases:
+in int64, sharded across threads, when mu is integral and every accumulator
+provably fits, and over Python ints, as one range, otherwise.
 Pair classes use the scaled integer form m(mu) <.,.> of
 resolvent_via_minpoly (exact rationals for non-integral mu), compared against
 -m(mu) and 0.
@@ -104,43 +105,16 @@ def _scaled_resolvent(h: Graph, mu: Fraction):
     return res, graph_min_poly(h)(mu)
 
 
-def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi, n):
-    """Python-int twin of the int64 subset kernel, same contract.
+def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
+    """The split-half subset scan over Python ints, same masks as the int64 path.
 
-    Used for the integer forms the int64 kernel cannot take: non-integral
-    mu, and integral mu whose accumulators could pass
-    kernels.ACCUMULATOR_LIMIT.  res and rj are lists of Python ints.
+    Used for the integer forms the int64 path cannot take: non-integral mu,
+    and integral mu whose accumulators could pass kernels.ACCUMULATOR_LIMIT.
+    res and rj are object arrays of Python ints, so every sum stays exact.
+    perfbench/tracer.py wraps this name and kernels.subset_scan_int64, so
+    the scan is reached by its own name to count each mask once.
     """
-    hits = []
-    if hi <= lo:
-        return hits
-    g = lo ^ (lo >> 1)
-    w = [0] * n
-    val = 0
-    jval = 0
-    for v in range(n):
-        if (g >> v) & 1:
-            val += 2 * w[v] + res[v][v]
-            for u in range(n):
-                w[u] += res[u][v]
-            jval += rj[v]
-    i = lo
-    while True:
-        if val == want_diag and (not use_j or jval == want_j):
-            hits.append(g)
-        i += 1
-        if i >= hi:
-            break
-        gn = i ^ (i >> 1)
-        flip = gn ^ g
-        v = (flip & -flip).bit_length() - 1
-        sign = 1 if (gn >> v) & 1 else -1
-        val += sign * 2 * w[v] + res[v][v]
-        for u in range(n):
-            w[u] += sign * res[u][v]
-        jval += sign * rj[v]
-        g = gn
-    return hits
+    return kernels._subset_scan_numpy(res, rj, want_diag, want_j, use_j, lo, hi).tolist()
 
 
 def enumerate_candidates(
@@ -177,21 +151,20 @@ def enumerate_candidates(
     n = h.n
     p, q = mu.numerator, mu.denominator
     g = math.gcd(d, *y.reshape(-1))
-    res = [[q * (v // g) for v in row] for row in y]
-    rj = [sum(row) for row in res]
+    res = (y // g) * q
+    rj = res.sum(axis=1)
     want_diag = p * (d // g)
     want_j = -q * (d // g)
     bounds_ok = (
         q == 1
-        and (n + 2) ** 2 * max(abs(v) for row in res for v in row)
-        < kernels.ACCUMULATOR_LIMIT
+        and (n + 2) ** 2 * max(abs(v) for v in res.flat) < kernels.ACCUMULATOR_LIMIT
         and max(abs(want_diag), abs(want_j)) < kernels.ACCUMULATOR_LIMIT
     )
 
-    ranges = _even_ranges(total, threads)
     if bounds_ok:
-        res64 = np.array(res, dtype=np.int64)
-        rj64 = res64.sum(axis=1)
+        ranges = _even_ranges(total, threads)
+        res64 = res.astype(np.int64)
+        rj64 = rj.astype(np.int64)
 
         def scan(rng):
             lo, hi = rng
@@ -199,11 +172,13 @@ def enumerate_candidates(
                 res64, rj64, np.int64(want_diag), np.int64(want_j), nonmain, lo, hi
             ).tolist()
     else:
+        # Object arithmetic holds the GIL, so shards would only repeat the
+        # low-bit table: the Python-int scan runs as one range.
+        ranges = [(0, total)]
+
         def scan(rng):
             lo, hi = rng
-            return _subset_scan_exact(
-                res, rj, want_diag, want_j, nonmain, lo, hi, n
-            )
+            return _subset_scan_exact(res, rj, want_diag, want_j, nonmain, lo, hi)
 
     if threads <= 1 or len(ranges) == 1:
         masks = [m for rng in ranges for m in scan(rng)]
@@ -408,13 +383,20 @@ def maximal_extensions(
     graphs.  Regularity is an isomorphism invariant, so the filter runs
     before the canonical form and leaves the same survivors and witnesses.
     With maximal_only=False every nonempty clique is reported, not just the
-    maximal ones.
+    maximal ones; their count, sum(2^|c| - 1) over the maximal cliques c,
+    must not exceed budget.
     """
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget, threads=threads)
     table = build_compat_graph(h, mu, cands)
     cliques = maximal_cliques(table)
     if not maximal_only:
+        subcliques = sum((1 << len(c)) - 1 for c in cliques)
+        if subcliques > budget:
+            raise BudgetExceededError(
+                f"{subcliques} sub-cliques of {len(cliques)} maximal cliques "
+                f"exceeds budget {budget}"
+            )
         seen = set()
         for clique in cliques:
             for size in range(1, len(clique) + 1):

@@ -11,6 +11,7 @@ engine produces.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +19,13 @@ import numpy as np
 
 MAX_VERTICES = 1 << 16
 CANON_MAX_VERTICES = 64
+
+# Entries kept by each graph-keyed cache: canonical_form here and the
+# (graph, mu)-keyed resolvent caches in linalg.  Star-set certificates key
+# the resolvent by every complement they test, and extension runs canonise
+# every assembled graph, so the caches are bounded rather than kept for the
+# life of the process.
+CACHE_SIZE = 256
 
 
 class Graph6Error(ValueError):
@@ -384,26 +392,21 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
     return best[0], best[1]
 
 
-_canon_cache: dict[Graph, bytes] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant encoding: graph6 of the canonically labeled graph.
 
-    Equal canonical forms are equivalent to isomorphism for n <= 64.
+    Equal canonical forms are equivalent to isomorphism for n <= 64.  The
+    last CACHE_SIZE forms are cached, so is_isomorphic on a graph that was
+    just canonised reuses its form.
     """
     if g.n > CANON_MAX_VERTICES:
         raise UnsupportedSizeError(
             f"canonical form supported up to n={CANON_MAX_VERTICES}, got n={g.n}"
         )
-    cached = _canon_cache.get(g)
-    if cached is not None:
-        return cached
     _, position = _canon_search(g) if g.n else (0, [])
     relabeled = Graph(g.n, ((position[u], position[v]) for u, v in g.edges()))
-    form = write_graph6(relabeled).encode("ascii")
-    _canon_cache[g] = form
-    return form
+    return write_graph6(relabeled).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

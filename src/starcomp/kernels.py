@@ -1,23 +1,25 @@
-"""Integer hot-loop kernels: numba-compiled when numba imports, numpy otherwise.
+"""Integer hot-loop kernels: one subset scan, and a rank compiled by numba.
 
 Two kernels dominate search runtime: fraction-free (Bareiss) rank of small
 integer matrices, used for "is mu an eigenvalue of G - X" tests inside
-subset searches, and a Gray-code scan over all vertex subsets evaluating the
-scaled quadratic form b^T R b, used for attachment-candidate enumeration.
+subset searches, and a scan over all vertex subsets for the masks b with
+b^T R b on target, used for attachment-candidate enumeration.
 
-Both kernels work in int64 and are exact only while every stored entry stays
-within ENTRY_LIMIT; the rank kernel bails out (returns -1) the moment an
+The subset scan is one split-half numpy pass: the quadratic form is
+tabulated over the low LOW_BITS bits once and combined with blocks of high
+patterns by one small matrix product each.  Its buffers take the dtype of R,
+so the same code runs in int64, once the caller has proven that every
+accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
+ints otherwise.  Each shard [i0, i1) of the Gray-code index space yields the
+same set of masks in either arithmetic.
+
+The rank kernel works in int64 and is exact only while every stored entry
+stays within ENTRY_LIMIT; it bails out (returns -1) the moment an
 intermediate minor would leave the certified range, and callers then redo the
-computation with Python big integers.  The subset kernel is only entered when
-the caller has proven an a-priori magnitude bound.
-
-Backend: numba when it imports, compiling the incremental Gray-code loop.
-Without it the subset scan runs as a split-half numpy pass: the quadratic
-form is tabulated over the low LOW_BITS bits once and combined with blocks of
-high patterns by one small int64 matmul each.  There is then no int64 rank
-at all - try_int_rank returns None and callers use big-integer Bareiss, which
-in pure Python beats an interpreted int64 elimination.  Each shard [i0, i1)
-of the Gray-code index space yields the same set of masks on every backend.
+computation with Python big integers.  numba, when it imports, compiles it.
+Without numba there is no int64 rank at all - try_int_rank returns None and
+callers use big-integer Bareiss, which in pure Python beats an interpreted
+int64 elimination.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ import numpy as np
 # overflow-free.
 ENTRY_LIMIT = 1 << 30
 
-# Subset-scan accumulators stay below n * ENTRY_LIMIT * n; callers must check
-# against this before dispatching masks to the int64 path.
+# Callers run the subset scan in int64 only when they have proven that every
+# accumulator and target stays below this; otherwise they pass Python ints.
 ACCUMULATOR_LIMIT = 1 << 62
-
-# Initial hit-buffer length of the loop scan; it doubles whenever it fills.
-HIT_BUFFER = 256
 
 # Split-half numpy scan: the low LOW_BITS bits are tabulated once and
 # HIGH_BLOCK high patterns are scanned per block, so the per-block buffers
@@ -82,71 +81,21 @@ def _rank_bareiss_loops(m):
     return r
 
 
-def _subset_scan_loops(res, rj, want_diag, want_j, use_j, i0, i1):
-    """Collect subset bitmasks b with b^T res b == want_diag (and b.rj == want_j).
-
-    Walks masks in Gray-code order gray(i) = i ^ (i >> 1) for i in [i0, i1),
-    maintaining w = res @ b and the quadratic form incrementally; a single bit
-    flip updates both in O(n).  Disjoint i-ranges partition the full mask
-    space, so the scan can be sharded across workers.  Hits go to a buffer
-    that starts at HIT_BUFFER slots and doubles when full, so memory follows
-    the number of hits, not the number of masks.
-    """
-    n = res.shape[0]
-    if i1 <= i0:
-        return np.empty(0, dtype=np.int64)
-    g = i0 ^ (i0 >> 1)
-    w = np.zeros(n, dtype=np.int64)
-    val = np.int64(0)
-    jval = np.int64(0)
-    for v in range(n):
-        if (g >> v) & 1:
-            val += 2 * w[v] + res[v, v]
-            for u in range(n):
-                w[u] += res[u, v]
-            jval += rj[v]
-    out = np.empty(HIT_BUFFER, dtype=np.int64)
-    cnt = 0
-    i = i0
-    while True:
-        if val == want_diag and (not use_j or jval == want_j):
-            if cnt == out.shape[0]:
-                grown = np.empty(2 * cnt, dtype=np.int64)
-                grown[:cnt] = out
-                out = grown
-            out[cnt] = g
-            cnt += 1
-        i += 1
-        if i >= i1:
-            break
-        gn = i ^ (i >> 1)
-        flip = gn ^ g
-        v = 0
-        while not (flip >> v) & 1:
-            v += 1
-        if (gn >> v) & 1:
-            val += 2 * w[v] + res[v, v]
-            for u in range(n):
-                w[u] += res[u, v]
-            jval += rj[v]
-        else:
-            val += -2 * w[v] + res[v, v]
-            for u in range(n):
-                w[u] -= res[u, v]
-            jval -= rj[v]
-        g = gn
-    return out[:cnt].copy()
-
-
 def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
-    """Split-half numpy twin of _subset_scan_loops: the same set of masks.
+    """Subset bitmasks b = gray(i), i0 <= i < i1, with b^T res b == want_diag
+    (and b.rj == want_j when use_j), as an int64 array in no fixed order.
+
+    res is a symmetric int64 or object array and rj its row sums; every
+    buffer takes res.dtype, so object arrays of Python ints stay exact.
+    Disjoint ranges [i0, i1) partition the mask space, so the scan can be
+    sharded across workers.
 
     A mask b splits into its low L = min(n, LOW_BITS) bits l and its high
     bits h, so that
         b^T R b = q_L(l) + q_H(h) + 2 h^T R_HL l,    b.rj = j_L(l) + j_H(h).
     q_L, j_L and W = 2 R_HL B_L^T are tabulated once over all 2^L low
     patterns, taken in Gray order (column r holds l = gray_L(r)).  A block of
-    HIGH_BLOCK high patterns then costs one int64 matmul B_H @ W, an outer
+    HIGH_BLOCK high patterns then costs one matmul B_H @ W, an outer
     sum and a compare: O(n - L) work per mask.  The <b, j> test runs on the
     hits of the quadratic test only.
 
@@ -169,7 +118,7 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
     w = np.ascontiguousarray(2 * (b_low @ res[:low, low:]).T)
     high_shifts = np.arange(n - low, dtype=np.int64)
     c_start, c_end = i0 >> low, ((i1 - 1) >> low) + 1
-    vals = np.empty((min(HIGH_BLOCK, c_end - c_start), 1 << low), dtype=np.int64)
+    vals = np.empty((min(HIGH_BLOCK, c_end - c_start), 1 << low), dtype=res.dtype)
     ok = np.empty(vals.shape, dtype=bool)
     hits = []
     for c0 in range(c_start, c_end, HIGH_BLOCK):
@@ -189,15 +138,16 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
     return np.concatenate(hits)
 
 
+# The name int64 callers scan through.
+subset_scan_int64 = _subset_scan_numpy
+
 try:
     from numba import njit
 except ImportError:  # numba is the optional "fast" extra
     rank_int64 = None
-    subset_scan_int64 = _subset_scan_numpy
     BACKEND = "numpy"
 else:
     rank_int64 = njit(cache=True, nogil=True)(_rank_bareiss_loops)
-    subset_scan_int64 = njit(cache=True, nogil=True)(_subset_scan_loops)
     BACKEND = "numba"
 
 
@@ -223,16 +173,6 @@ def try_int_rank(rows):
 
 
 def warmup():
-    """Trigger JIT compilation of both kernels (no-op on the numpy backend)."""
-    if BACKEND != "numba":
-        return
-    rank_int64(np.array([[1, 0], [0, 1]], dtype=np.int64))
-    subset_scan_int64(
-        np.zeros((2, 2), dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.int64(1),
-        np.int64(0),
-        True,
-        0,
-        4,
-    )
+    """Trigger JIT compilation of the rank kernel (no-op on the numpy backend)."""
+    if BACKEND == "numba":
+        rank_int64(np.array([[1, 0], [0, 1]], dtype=np.int64))

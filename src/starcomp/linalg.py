@@ -27,12 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import Graph
-
-# Entries kept by each (graph, mu)-keyed cache below.  Star-set certificates
-# key resolvent_inverse by every complement they test, so the caches are
-# bounded rather than kept for the life of the process.
-CACHE_SIZE = 256
+from .graphs import CACHE_SIZE, Graph
 
 
 class SingularResolventError(ValueError):

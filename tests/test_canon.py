@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,7 @@ from starcomp import (
     path_graph,
     relabel,
 )
-from starcomp.graphs import UnsupportedSizeError
+from starcomp.graphs import CACHE_SIZE, UnsupportedSizeError
 
 from conftest import brute_isomorphic, random_graph
 
@@ -68,6 +69,20 @@ def test_cocktail_vertex_transitivity():
 def test_size_bound():
     with pytest.raises(UnsupportedSizeError):
         canonical_form(Graph(65))
+
+
+def test_cache_is_bounded():
+    # more distinct labelled graphs than the cache holds: it stays at the
+    # bound, and the graph canonised last is still a hit
+    edges = list(combinations(range(6), 2))
+    for mask in range(CACHE_SIZE + 50):
+        g = Graph(6, [e for k, e in enumerate(edges) if (mask >> k) & 1])
+        form = canonical_form(g)
+        assert canonical_form.cache_info().currsize <= CACHE_SIZE
+    assert canonical_form.cache_info().currsize == CACHE_SIZE
+    hits = canonical_form.cache_info().hits
+    assert canonical_form(g) == form
+    assert canonical_form.cache_info().hits == hits + 1
 
 
 def test_agrees_with_brute_force_small():

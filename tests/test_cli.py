@@ -201,6 +201,17 @@ class TestErrors:
         assert data["error"]["kind"] == "budget"
         assert "C(8,3)" in data["error"]["detail"]
 
+    def test_include_nonmaximal_budget(self, capsys, schema):
+        # 180 sub-cliques over a 2^6 subset scan
+        argv = ["extend", "--graph", "split:4,2", "--mu=-2", "--include-nonmaximal"]
+        code, data = run_json(capsys, *argv, "--budget", "179")
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"]["kind"] == "budget"
+        assert "180 sub-cliques" in data["error"]["detail"]
+        code, data = run_json(capsys, *argv, "--budget", "180")
+        assert code == 0
+
     def test_engine_restriction(self, capsys):
         code, data = run_json(
             capsys, "candidates", "--graph", "split:2,2", "--mu", "0"

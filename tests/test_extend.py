@@ -337,6 +337,24 @@ class TestMaximalExtensions:
         sizes = sorted(len(m.star_vertices) for m in rep.maximal_graphs)
         assert sizes == [1, 2]
 
+    def test_include_nonmaximal_budget(self, monkeypatch):
+        # split:4,2 at mu = -2 has 12 maximal cliques with 180 nonempty
+        # sub-cliques in all, above its 2^6 subset scan
+        h = make_complete_split(4, 2)
+        cliques = maximal_cliques(build_compat_graph(h, -2, enumerate_candidates(h, -2, False)))
+        threshold = sum((1 << len(c)) - 1 for c in cliques)
+        assert threshold == 180 > 1 << h.n
+        rep = maximal_extensions(h, -2, nonmain=False, maximal_only=False, budget=threshold)
+        assert rep.maximal_graphs
+
+        def untouched(*args):
+            raise AssertionError("sub-cliques materialised past the budget")
+
+        monkeypatch.setattr(extend_module, "combinations", untouched)
+        monkeypatch.setattr(extend_module, "assemble_graph", untouched)
+        with pytest.raises(BudgetExceededError, match="180 sub-cliques"):
+            maximal_extensions(h, -2, nonmain=False, maximal_only=False, budget=threshold - 1)
+
     @pytest.mark.parametrize("maximal_only", [True, False])
     def test_regular_filter_runs_before_canonical_form(self, monkeypatch, maximal_only):
         canonised = []

@@ -6,13 +6,7 @@ import pytest
 
 from starcomp import kernels, rank
 from starcomp.extend import _subset_scan_exact
-from starcomp.kernels import (
-    ENTRY_LIMIT,
-    _rank_bareiss_loops,
-    _subset_scan_loops,
-    _subset_scan_numpy,
-    try_int_rank,
-)
+from starcomp.kernels import ENTRY_LIMIT, _rank_bareiss_loops, try_int_rank
 
 
 def fraction_rank(rows):
@@ -106,6 +100,10 @@ class TestRankKernels:
         assert rank(m) == fraction_rank(m)
 
 
+def gray(i):
+    return i ^ (i >> 1)
+
+
 class TestSubsetScanKernels:
     def build_case(self, rng, n):
         sym = [[0] * n for _ in range(n)]
@@ -118,18 +116,29 @@ class TestSubsetScanKernels:
         rj = res.sum(axis=1)
         return res, rj
 
-    def reference(self, res, rj, want_diag, want_j, use_j):
+    def reference(self, res, rj, want_diag, want_j, use_j, i0=0, i1=None):
+        """Brute force over the masks gray(i), i0 <= i < i1, sorted."""
         n = res.shape[0]
         hits = []
-        for mask in range(1 << n):
-            bits = [(mask >> v) & 1 for v in range(n)]
-            val = sum(
-                bits[i] * bits[j] * int(res[i, j]) for i in range(n) for j in range(n)
-            )
-            jv = sum(bits[i] * int(rj[i]) for i in range(n))
+        for i in range(i0, (1 << n) if i1 is None else i1):
+            mask = gray(i)
+            on = [v for v in range(n) if (mask >> v) & 1]
+            val = sum(int(res[a, b]) for a in on for b in on)
+            jv = sum(int(rj[a]) for a in on)
             if val == want_diag and (not use_j or jv == want_j):
                 hits.append(mask)
         return sorted(hits)
+
+    def scans(self, res, rj, want_diag, want_j, use_j, i0, i1):
+        """(int64 scan, Python-int scan) of one range, each sorted."""
+        int64 = kernels.subset_scan_int64(
+            res, rj, np.int64(want_diag), np.int64(want_j), use_j, i0, i1
+        )
+        assert int64.dtype == np.int64
+        exact = _subset_scan_exact(
+            res.astype(object), rj.astype(object), int(want_diag), int(want_j), use_j, i0, i1
+        )
+        return sorted(int64.tolist()), sorted(exact)
 
     @pytest.mark.parametrize("use_j", [False, True])
     def test_backends_agree(self, use_j):
@@ -140,20 +149,8 @@ class TestSubsetScanKernels:
             want_diag = rng.randint(-20, 20)
             want_j = rng.randint(-20, 20)
             ref = self.reference(res, rj, want_diag, want_j, use_j)
-            total = 1 << n
-            loops = sorted(
-                int(m)
-                for m in _subset_scan_loops(
-                    res, rj, np.int64(want_diag), np.int64(want_j), use_j, 0, total
-                )
-            )
-            vec = sorted(
-                int(m)
-                for m in _subset_scan_numpy(
-                    res, rj, np.int64(want_diag), np.int64(want_j), use_j, 0, total
-                )
-            )
-            assert loops == vec == ref
+            int64, exact = self.scans(res, rj, want_diag, want_j, use_j, 0, 1 << n)
+            assert int64 == exact == ref
 
     def test_sharded_ranges_cover_everything(self):
         rng = random.Random(123)
@@ -180,65 +177,53 @@ class TestSubsetScanKernels:
     def test_empty_range(self):
         res = np.zeros((3, 3), dtype=np.int64)
         rj = np.zeros(3, dtype=np.int64)
-        for scan in (_subset_scan_numpy, _subset_scan_loops):
-            assert len(scan(res, rj, np.int64(0), np.int64(0), False, 5, 5)) == 0
-        assert _subset_scan_exact([[0] * 3] * 3, [0] * 3, 0, 0, False, 5, 5, 3) == []
+        assert self.scans(res, rj, 0, 0, False, 5, 5) == ([], [])
 
-    @pytest.mark.parametrize("use_j", [False, True])
-    def test_shard_contract(self, use_j):
-        # every shard [i0, i1), cut at random indices that straddle the
-        # split-half blocks, gets the same masks from every scan (the active
-        # backend included), and the shards together give the whole range
-        rng = random.Random(2024 + use_j)
+    def shard_cases(self, rng):
+        """(n, res, rj, want_diag, want_j, probe, cuts) for n = 1..14: entries
+        in -3..3 so that hits are common, a target hit by the mask `probe`,
+        and shard cuts at random indices that straddle the split-half blocks."""
         for n in range(1, 15):
             res, rj = self.build_case(rng, n)
-            res //= 3  # entries in -3..3, so that hits are common
+            res //= 3
             rj = res.sum(axis=1)
             probe = rng.randrange(1 << n)
             bits = np.array([(probe >> v) & 1 for v in range(n)], dtype=np.int64)
-            want_diag = np.int64(bits @ res @ bits)
-            want_j = np.int64(bits @ rj)
-            args = (res, rj, want_diag, want_j, use_j)
-            exact_args = (res.tolist(), rj.tolist(), int(want_diag), int(want_j), use_j)
             total = 1 << n
             cuts = sorted({0, total, *(rng.randrange(total + 1) for _ in range(3))})
-            whole = set(_subset_scan_numpy(*args, 0, total).tolist())
-            assert probe in whole
+            yield n, res, rj, int(bits @ res @ bits), int(bits @ rj), probe, cuts
+
+    @pytest.mark.parametrize("use_j", [False, True])
+    def test_shard_contract(self, use_j):
+        # every shard [i0, i1) gets the masks gray(i), i0 <= i < i1, that the
+        # brute-force oracle finds, from the int64 and the Python-int scan,
+        # and the shards together give the whole range
+        rng = random.Random(2024 + use_j)
+        for n, res, rj, want_diag, want_j, probe, cuts in self.shard_cases(rng):
+            args = (res, rj, want_diag, want_j, use_j)
             union = set()
             for i0, i1 in zip(cuts, cuts[1:]):
-                vec = _subset_scan_numpy(*args, i0, i1).tolist()
-                loops = _subset_scan_loops(*args, i0, i1).tolist()
-                exact = _subset_scan_exact(*exact_args, i0, i1, n)
-                backend = kernels.subset_scan_int64(*args, i0, i1).tolist()
-                assert sorted(vec) == sorted(loops) == sorted(exact) == sorted(backend), (
-                    n, i0, i1)
-                assert all(i0 <= ungray(m) < i1 for m in vec)
-                union.update(vec)
-            assert union == whole
+                int64, exact = self.scans(*args, i0, i1)
+                assert int64 == exact == self.reference(*args, i0, i1), (n, i0, i1)
+                union.update(int64)
+            assert probe in union
+            assert sorted(union) == self.scans(*args, 0, 1 << n)[1]
 
-    def test_loop_buffer_grows(self):
-        # all-hit scan: every mask matches, so the hit buffer of the loop
-        # kernel must double several times past its initial length
-        n = 12
-        assert (1 << n) >= 8 * kernels.HIT_BUFFER
-        res = np.zeros((n, n), dtype=np.int64)
-        rj = np.zeros(n, dtype=np.int64)
-        for i0, i1 in [(0, 1 << n), (5, (1 << n) - 3)]:
-            out = _subset_scan_loops(res, rj, np.int64(0), np.int64(0), True, i0, i1)
-            assert out.dtype == np.int64
-            assert out.tolist() == [i ^ (i >> 1) for i in range(i0, i1)]
-            assert sorted(
-                _subset_scan_numpy(res, rj, np.int64(0), np.int64(0), True, i0, i1).tolist()
-            ) == sorted(out.tolist())
-
-
-def ungray(g):
-    """Index i with gray(i) = i ^ (i >> 1) == g."""
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
+    @pytest.mark.parametrize("use_j", [False, True])
+    def test_python_int_scan_is_exact_beyond_int64(self, use_j):
+        # R, rj and both targets scaled by 2^80 keep the same hits; any cast
+        # of the Python-int path to int64 would overflow and lose them
+        scale = 1 << 80
+        rng = random.Random(77 + use_j)
+        for n, res, rj, want_diag, want_j, probe, cuts in self.shard_cases(rng):
+            big_res = res.astype(object) * scale
+            big_rj = rj.astype(object) * scale
+            for i0, i1 in zip(cuts, cuts[1:]):
+                int64, _ = self.scans(res, rj, want_diag, want_j, use_j, i0, i1)
+                exact = _subset_scan_exact(
+                    big_res, big_rj, want_diag * scale, want_j * scale, use_j, i0, i1
+                )
+                assert sorted(exact) == int64, (n, i0, i1)
 
 
 def test_backend_reports_something():
