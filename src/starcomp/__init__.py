@@ -11,7 +11,6 @@ from .extend import (
     PairClass,
     assemble_graph,
     build_compat_graph,
-    degree_balance,
     enumerate_candidates,
     maximal_extensions,
     pair_class,
@@ -58,6 +57,7 @@ from .multipartite import (
     closed_bilinear,
     coeffs,
     corollary_ab,
+    degree_balance,
     diag_constraint,
     minpoly_formula,
     nonmain_constraint,

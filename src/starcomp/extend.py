@@ -15,9 +15,11 @@ and the entries of Y, <b, b> = mu iff b^T R b = p d/g for R = q Y/g, and
 <b, j> = -1 iff b^T R j = -q d/g.  One split-half scan covers both cases:
 in int64, sharded across threads, when mu is integral and every accumulator
 provably fits, and over Python ints, as one range, otherwise.
-Pair classes use the scaled integer form m(mu) <.,.> of
-resolvent_via_minpoly (exact rationals for non-integral mu), compared against
--m(mu) and 0.
+Pair classes use the scaled form R' = m(mu) (mu I - A)^{-1} of
+resolvent_via_minpoly, an integer matrix for integral mu and exact rationals
+otherwise: with the candidates as the rows of a 0/1 matrix C, every scaled
+pair value m(mu) <b_u, b_v> is an entry of the one product C R' C^T, compared
+against -m(mu) and 0.
 """
 
 from __future__ import annotations
@@ -92,17 +94,6 @@ class Candidate:
 
 def _mask_to_candidate(mask: int, n: int) -> Candidate:
     return Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
-
-
-def _scaled_resolvent(h: Graph, mu: Fraction):
-    """(m(mu) (mu I - A)^{-1}, m(mu)) with spectrum membership rejected."""
-    try:
-        res = resolvent_via_minpoly(h, mu)
-    except SingularResolventError:
-        raise MuIsEigenvalueError(
-            f"mu={format_rational(mu)} is an eigenvalue of the star complement"
-        ) from None
-    return res, graph_min_poly(h)(mu)
 
 
 def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
@@ -198,28 +189,36 @@ def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _scaled_pair_value(res, u: Candidate, v: Candidate):
-    acc = 0
-    for i in u.vertices:
-        row = res[i]
-        for j in v.vertices:
-            acc += row[j]
-    return acc
+def _pair_values(res, cands: Sequence[Candidate]) -> np.ndarray:
+    """C res C^T, C the 0/1 object matrix whose rows are the candidates:
+    entry (i, j) is the scaled pair value of candidates i and j."""
+    c = np.zeros((len(cands), res.shape[0]), dtype=object)
+    for i, cand in enumerate(cands):
+        c[i, list(cand.vertices)] = 1
+    return c @ res @ c.T
+
+
+def _pair_classes(h: Graph, mu: Fraction, cands: Sequence[Candidate]) -> np.ndarray:
+    """PairClass of every candidate pair, by comparing the scaled pair values
+    with -m(mu) and 0; the diagonal is incompatible."""
+    try:
+        res = resolvent_via_minpoly(h, mu)
+    except SingularResolventError:
+        raise MuIsEigenvalueError(
+            f"mu={format_rational(mu)} is an eigenvalue of the star complement"
+        ) from None
+    m_mu = graph_min_poly(h)(mu)
+    values = _pair_values(res, cands)
+    classes = np.full(values.shape, PairClass.INCOMPATIBLE, dtype=object)
+    classes[values == -m_mu] = PairClass.ADJACENT
+    classes[values == 0] = PairClass.NONADJACENT
+    np.fill_diagonal(classes, PairClass.INCOMPATIBLE)
+    return classes
 
 
 def pair_class(h: Graph, mu, u: Candidate, v: Candidate) -> PairClass:
     """Classify a candidate pair by the exact scaled bilinear value."""
-    mu = Fraction(mu)
-    res, m_mu = _scaled_resolvent(h, mu)
-    return _classify(_scaled_pair_value(res, u, v), m_mu)
-
-
-def _classify(value, m_mu) -> PairClass:
-    if value == -m_mu:
-        return PairClass.ADJACENT
-    if value == 0:
-        return PairClass.NONADJACENT
-    return PairClass.INCOMPATIBLE
+    return _pair_classes(h, Fraction(mu), [u, v])[0, 1]
 
 
 @dataclass(frozen=True)
@@ -241,22 +240,13 @@ class CompatTable:
 
 
 def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
-    """Tabulate pair_class over all candidate pairs with one cached resolvent."""
+    """Tabulate pair_class over all candidate pairs with one matrix product."""
     mu = Fraction(mu)
     if not candidates:
         empty = np.empty((0, 0), dtype=object)
         empty.setflags(write=False)
         return CompatTable(candidates=(), classes=empty)
-    res, m_mu = _scaled_resolvent(h, mu)
-    c = len(candidates)
-    classes = np.full((c, c), PairClass.INCOMPATIBLE, dtype=object)
-    for i in range(c):
-        for j in range(i + 1, c):
-            cls = _classify(
-                _scaled_pair_value(res, candidates[i], candidates[j]), m_mu
-            )
-            classes[i, j] = cls
-            classes[j, i] = cls
+    classes = _pair_classes(h, mu, candidates)
     classes.setflags(write=False)
     return CompatTable(candidates=tuple(candidates), classes=classes)
 
@@ -301,22 +291,21 @@ def assemble_graph(
     The result is re-verified as a star-set certificate before returning.
     """
     mu = Fraction(mu)
-    res, m_mu = _scaled_resolvent(h, mu)
+    classes = _pair_classes(h, mu, chosen)
     k = len(chosen)
     n = h.n + k
     edges = list(h.edges())
     for i, cand in enumerate(chosen):
         edges.extend((h.n + i, v) for v in cand.vertices)
-    for i in range(k):
-        for j in range(i + 1, k):
-            cls = _classify(_scaled_pair_value(res, chosen[i], chosen[j]), m_mu)
-            if cls is PairClass.INCOMPATIBLE:
-                raise IncompatiblePairError(
-                    f"candidates {chosen[i].vertices} and {chosen[j].vertices} "
-                    f"cannot coexist for mu={format_rational(mu)}"
-                )
-            if cls is PairClass.ADJACENT:
-                edges.append((h.n + i, h.n + j))
+    bad = np.argwhere(np.triu(classes == PairClass.INCOMPATIBLE, 1))
+    if len(bad):
+        i, j = bad[0]  # argwhere is row-major: the first pair in (i, j) order
+        raise IncompatiblePairError(
+            f"candidates {chosen[i].vertices} and {chosen[j].vertices} "
+            f"cannot coexist for mu={format_rational(mu)}"
+        )
+    for i, j in np.argwhere(np.triu(classes == PairClass.ADJACENT, 1)):
+        edges.append((h.n + int(i), h.n + int(j)))
     g = Graph(n, edges)
     star = tuple(range(h.n, n))
     cert = verify_star_set(g, mu, star)
@@ -432,42 +421,4 @@ def maximal_extensions(
         maximal_only=maximal_only,
         candidates=tuple(cands),
         maximal_graphs=tuple(found),
-    )
-
-
-@dataclass(frozen=True)
-class DegreeBalance:
-    """The three degree expressions a regular completion must reconcile.
-
-    For H a complete split graph with clique size s and independent part t,
-    a regular graph of degree r built over it forces
-        r = s + |X|            (independent-part vertex)
-        r = s - 1 + t + c      (clique vertex with c neighbors in X)
-        r = a + b + d          (star-set vertex with d neighbors in X)
-    """
-
-    r_independent: int
-    r_clique: int
-    r_star: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.r_independent == self.r_clique == self.r_star
-
-    def to_json(self) -> dict:
-        return {
-            "r_independent": self.r_independent,
-            "r_clique": self.r_clique,
-            "r_star": self.r_star,
-            "consistent": self.consistent,
-        }
-
-
-def degree_balance(
-    s: int, t: int, x_size: int, a: int, b: int, c: int, d: int
-) -> DegreeBalance:
-    return DegreeBalance(
-        r_independent=s + x_size,
-        r_clique=s - 1 + t + c,
-        r_star=a + b + d,
     )

@@ -1,9 +1,10 @@
-"""Integer hot-loop kernels: one subset scan, and a rank compiled by numba.
+"""Integer hot-loop kernels: one subset scan and one Bareiss elimination.
 
-Two kernels dominate search runtime: fraction-free (Bareiss) rank of small
-integer matrices, used for "is mu an eigenvalue of G - X" tests inside
-subset searches, and a scan over all vertex subsets for the masks b with
-b^T R b on target, used for attachment-candidate enumeration.
+Two kernels dominate search runtime: fraction-free (Bareiss) elimination of
+small integer matrices, used for "is mu an eigenvalue of G - X" rank tests
+inside subset searches and for exact inverses, and a scan over all vertex
+subsets for the masks b with b^T R b on target, used for
+attachment-candidate enumeration.
 
 The subset scan is one split-half numpy pass: the quadratic form is
 tabulated over the low LOW_BITS bits once and combined with blocks of high
@@ -13,23 +14,14 @@ accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
 ints otherwise.  Each shard [i0, i1) of the Gray-code index space yields the
 same set of masks in either arithmetic.
 
-The rank kernel works in int64 and is exact only while every stored entry
-stays within ENTRY_LIMIT; it bails out (returns -1) the moment an
-intermediate minor would leave the certified range, and callers then redo the
-computation with Python big integers.  numba, when it imports, compiles it.
-Without numba there is no int64 rank at all - try_int_rank returns None and
-callers use big-integer Bareiss, which in pure Python beats an interpreted
-int64 elimination.
+The elimination runs over Python ints, so every rank and inverse is exact
+whatever the size of the entries; in pure Python it beats an interpreted
+int64 elimination, and there is no compiled variant.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Entries bounded by 2^30 keep Bareiss cross products below 2^61, so the
-# int64 arithmetic (one product minus another, then an exact division) is
-# overflow-free.
-ENTRY_LIMIT = 1 << 30
 
 # Callers run the subset scan in int64 only when they have proven that every
 # accumulator and target stays below this; otherwise they pass Python ints.
@@ -40,45 +32,6 @@ ACCUMULATOR_LIMIT = 1 << 62
 # hold at most 2^LOW_BITS * HIGH_BLOCK = 2^16 entries.
 LOW_BITS = 10
 HIGH_BLOCK = 64
-
-
-def _rank_bareiss_loops(m):
-    """Fraction-free rank of an int64 matrix; -1 if entries leave the safe range."""
-    rows, cols = m.shape
-    for i in range(rows):
-        for j in range(cols):
-            v = m[i, j]
-            if v > ENTRY_LIMIT or v < -ENTRY_LIMIT:
-                return -1
-    prev = np.int64(1)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = -1
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for j in range(cols):
-                tmp = m[r, j]
-                m[r, j] = m[p, j]
-                m[p, j] = tmp
-        piv = m[r, c]
-        for i in range(r + 1, rows):
-            mic = m[i, c]
-            for j in range(c + 1, cols):
-                v = (m[i, j] * piv - mic * m[r, j]) // prev
-                if v > ENTRY_LIMIT or v < -ENTRY_LIMIT:
-                    return -1
-                m[i, j] = v
-            m[i, c] = 0
-        prev = piv
-        r += 1
-    return r
 
 
 def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
@@ -141,38 +94,50 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
 # The name int64 callers scan through.
 subset_scan_int64 = _subset_scan_numpy
 
-try:
-    from numba import njit
-except ImportError:  # numba is the optional "fast" extra
-    rank_int64 = None
-    BACKEND = "numpy"
-else:
-    rank_int64 = njit(cache=True, nogil=True)(_rank_bareiss_loops)
-    BACKEND = "numba"
 
+def _bareiss(m: list[list[int]], pivot_cols: int) -> int:
+    """Fraction-free forward elimination of an integer row list, in place.
 
-def try_int_rank(rows):
-    """Rank of an integer matrix via the int64 kernel, or None if out of range.
-
-    `rows` is a sequence of sequences of Python ints.  Returns None on the
-    numpy backend, when the input entries already exceed ENTRY_LIMIT, or when
-    the kernel bails out because an intermediate minor would; the caller then
-    falls back to exact big-integer elimination.
+    Pivots are sought in the first `pivot_cols` columns; later columns are
+    carried along.  Every division is exact, so entries stay Python ints and
+    never overflow.  Returns the number of pivots, the rank of the leading
+    `pivot_cols` columns.
     """
-    if rank_int64 is None:
-        return None
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    prev = 1
+    r = 0
+    for c in range(pivot_cols):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nr):
+            mic = m[i][c]
+            row_i, row_r = m[i], m[r]
+            for j in range(c + 1, nc):
+                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = piv
+        r += 1
+    return r
+
+
+# perfbench/tracer.py wraps this name to count rank calls.
+def try_int_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer row list: Bareiss over Python ints on a copy."""
     if not rows or not rows[0]:
         return 0
-    for row in rows:
-        for v in row:
-            if v > ENTRY_LIMIT or v < -ENTRY_LIMIT:
-                return None
-    m = np.array(rows, dtype=np.int64)
-    r = rank_int64(m)
-    return None if r < 0 else int(r)
+    return _bareiss([r[:] for r in rows], len(rows[0]))
+
+
+# perfbench/child.py reads BACKEND and calls warmup(); nothing is compiled.
+BACKEND = "numpy"
 
 
 def warmup():
-    """Trigger JIT compilation of the rank kernel (no-op on the numpy backend)."""
-    if BACKEND == "numba":
-        rank_int64(np.array([[1, 0], [0, 1]], dtype=np.int64))
+    """No-op: there is no kernel to compile."""

@@ -3,18 +3,15 @@
 Everything here is exact: scalars are Python ints and fractions.Fraction,
 matrices are numpy object arrays, and the work is done on integer-scaled
 matrices so rationals only appear in the final result.  One Bareiss forward
-pass over Python ints serves both rank and inversion.  The characteristic
-polynomial is Berkowitz's division-free method over Python ints, and the
-minimal polynomial of a symmetric matrix is its squarefree part.  Eigenvalue
-multiplicity and the main/non-main classification are ranks.  The resolvent
-(mu I - A)^{-1} is computed in one place, resolvent_inverse, and cached as an
-integer pair (Y, d) with (mu I - A)^{-1} = Y / d; the bilinear form
-<x, y> = x^T (mu I - A)^{-1} y and the scaled form m(mu) (mu I - A)^{-1} used
-by the extension engine are derived from it.
-
-Rank goes through the int64 kernel when the numba backend is active and an
-overflow guard certifies the fast path; otherwise big-integer elimination
-runs, so the answer is identical either way.
+pass over Python ints, kernels._bareiss, serves both rank and inversion.
+The characteristic polynomial is Berkowitz's division-free method over
+Python ints, and the minimal polynomial of a symmetric matrix is its
+squarefree part.  Eigenvalue multiplicity and the main/non-main
+classification are ranks.  The resolvent (mu I - A)^{-1} is computed in one
+place, resolvent_inverse, and cached as an integer pair (Y, d) with
+(mu I - A)^{-1} = Y / d; the bilinear form <x, y> = x^T (mu I - A)^{-1} y
+and the scaled form m(mu) (mu I - A)^{-1} used by the extension engine are
+derived from it.
 """
 
 from __future__ import annotations
@@ -294,47 +291,10 @@ def _as_int_rows(m) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _bareiss(m: list[list[int]], pivot_cols: int) -> int:
-    """Fraction-free forward elimination of an integer row list, in place.
-
-    Pivots are sought in the first `pivot_cols` columns; later columns are
-    carried along.  Every division is exact, so entries stay Python ints and
-    never overflow.  Returns the number of pivots, the rank of the leading
-    `pivot_cols` columns.
-    """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    r = 0
-    for c in range(pivot_cols):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nr):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c + 1, nc):
-                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
+# perfbench/tracer.py wraps starsets' import of this name and kernels.try_int_rank.
 def _int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer row list: the int64 kernel if it certifies, else
-    big-integer Bareiss on a copy."""
-    if not rows or not rows[0]:
-        return 0
-    fast = kernels.try_int_rank(rows)
-    if fast is not None:
-        return fast
-    return _bareiss([r[:] for r in rows], len(rows[0]))
+    """Exact rank of an integer row list."""
+    return kernels.try_int_rank(rows)
 
 
 def rank(m) -> int:
@@ -351,7 +311,7 @@ def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """
     n = len(rows)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if _bareiss(aug, n) < n:
+    if kernels._bareiss(aug, n) < n:
         raise SingularResolventError("matrix is singular")
     d = abs(aug[n - 1][n - 1]) if n else 1
     y = [[0] * n for _ in range(n)]

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .extend import Candidate, degree_balance, maximal_extensions
+from .extend import Candidate, maximal_extensions
 from .graphs import (
     Graph,
     is_isomorphic,
@@ -424,6 +424,44 @@ def theorem_check(s: int, t_max: int, threads: int = 1) -> TheoremReport:
             )
         )
     return TheoremReport(s=s, t_max=t_max, branches=tuple(branches))
+
+
+@dataclass(frozen=True)
+class DegreeBalance:
+    """The three degree expressions a regular completion must reconcile.
+
+    For H a complete split graph with clique size s and independent part t,
+    a regular graph of degree r built over it forces
+        r = s + |X|            (independent-part vertex)
+        r = s - 1 + t + c      (clique vertex with c neighbors in X)
+        r = a + b + d          (star-set vertex with d neighbors in X)
+    """
+
+    r_independent: int
+    r_clique: int
+    r_star: int
+
+    @property
+    def consistent(self) -> bool:
+        return self.r_independent == self.r_clique == self.r_star
+
+    def to_json(self) -> dict:
+        return {
+            "r_independent": self.r_independent,
+            "r_clique": self.r_clique,
+            "r_star": self.r_star,
+            "consistent": self.consistent,
+        }
+
+
+def degree_balance(
+    s: int, t: int, x_size: int, a: int, b: int, c: int, d: int
+) -> DegreeBalance:
+    return DegreeBalance(
+        r_independent=s + x_size,
+        r_clique=s - 1 + t + c,
+        r_star=a + b + d,
+    )
 
 
 def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:

@@ -8,10 +8,17 @@ star set exactly when mu is missing from H's spectrum and
     mu I - A_X = B^T (mu I - C)^{-1} B.
 
 Certificates record the multiplicity comparison, the complement-spectrum
-check, and the residual identity as three independently evaluated exact
-checks, even though the residual is implied by the other two.  The residual
-is evaluated in integers: with mu = p/q and the cached resolvent
-(mu I - C)^{-1} = Y / d, the identity reads d (pI - qA_X) = q B^T Y B.
+check, and the residual identity as three separately evaluated exact
+checks, even though the residual is implied by the other two.  The
+multiplicity of mu in G is a rank.  The complement check is the Bareiss
+inverse of pI - qC behind the cached resolvent (mu I - C)^{-1} = Y / d, for
+mu = p/q: it succeeds exactly when mu is not an eigenvalue of C, and the
+complement is ranked only when it fails, to report its multiplicity.  The
+residual is evaluated in integers from the same pair: the identity reads
+d (pI - qA_X) = q B^T Y B.
+
+The exhaustive search ranks q(A - mu I) restricted to each complement; all
+ranks are exact Bareiss eliminations over Python ints (kernels._bareiss).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 from .graphs import Graph, induced_subgraph, write_graph6
 from .linalg import (
     NotAnEigenvalueError,
+    SingularResolventError,
     _int_rank,
     _shifted_int_matrix,
     eig_multiplicity,
@@ -122,14 +130,18 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
     complement = induced_subgraph(g, comp)
-    comp_mult = eig_multiplicity(complement, mu)
-    complement_ok = comp_mult == 0
-    sizes_match = multiplicity == len(star)
-    residual_zero = False
-    if complement_ok:
+    try:
         y, d = resolvent_inverse(complement, mu)
+    except SingularResolventError:
+        # Only a failing certificate ranks the complement, for its report.
+        comp_mult = eig_multiplicity(complement, mu)
+        residual_zero = False
+    else:
+        comp_mult = 0
         residual = _scaled_residual(g, mu, star, comp, y.tolist(), d)
         residual_zero = not any(any(row) for row in residual)
+    complement_ok = comp_mult == 0
+    sizes_match = multiplicity == len(star)
     return StarSetCertificate(
         graph=g,
         mu=mu,

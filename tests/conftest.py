@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the package's own algorithms: isomorphism
-by backtracking permutation search, characteristic polynomials by Leibniz
-expansion over all permutations and by Faddeev-LeVerrier over Fractions,
-minimal polynomials by Krylov elimination on the powers of A, the scaled
+The oracles here deliberately avoid the package's own algorithms: ranks by
+Gaussian elimination over Fractions, isomorphism by backtracking permutation
+search, characteristic polynomials by Leibniz expansion over all
+permutations and by Faddeev-LeVerrier over Fractions, minimal polynomials by Krylov elimination on the powers of A, the scaled
 resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
 by evaluating the bilinear form on every subset, and brute-force star-set
@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-import pytest
 
 from starcomp import (
     Graph,
@@ -26,17 +25,32 @@ from starcomp import (
     adjacency_matrix,
     eig_multiplicity,
     induced_subgraph,
-    kernels,
     make_complete_split,
     resolvent_bilinear,
 )
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT-compile the int64 kernels once so timed tests measure the
-    # algorithms, not compilation.
-    kernels.warmup()
+def fraction_rank(rows) -> int:
+    """Rank by plain Gaussian elimination over Fraction; the rank oracle."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == nr:
+            break
+    return r
 
 
 def identity_matrix(n: int) -> np.ndarray:

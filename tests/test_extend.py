@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -239,6 +240,19 @@ class TestCompatTable:
                     assert table.pair(i, j) is PairClass.INCOMPATIBLE
         assert maximal_cliques(table) == [(i,) for i in range(5)]
 
+    @pytest.mark.parametrize("mu", [-2, Fraction(-5, 2)])
+    def test_table_matches_exact_values(self, mu):
+        # the one-product table, entry by entry, against resolvent_bilinear
+        h = cycle_graph(5)
+        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        table = build_compat_graph(h, mu, cands)
+        by_value = {-1: PairClass.ADJACENT, 0: PairClass.NONADJACENT}
+        for i, u in enumerate(cands):
+            for j, v in enumerate(cands):
+                value = resolvent_bilinear(h, mu, u.vector(5), v.vector(5))
+                want = by_value.get(value, PairClass.INCOMPATIBLE) if i != j else PairClass.INCOMPATIBLE
+                assert table.pair(i, j) is want
+
 
 class TestAssemble:
     def test_both_candidates_build_octahedron(self):
@@ -268,6 +282,19 @@ class TestAssemble:
         cands = enumerate_candidates(h, -3, nonmain=True)
         with pytest.raises(IncompatiblePairError):
             assemble_graph(h, -3, cands[:2])
+
+    def test_incompatible_reports_first_pair(self):
+        # the error names the first incompatible pair in (i, j) order
+        h = make_complete_split(2, 2)
+        chosen = enumerate_candidates(h, -2, nonmain=True) + [Candidate((0,)), Candidate((1,))]
+        vecs = [c.vector(h.n) for c in chosen]
+        i, j = next(
+            (i, j) for i, j in combinations(range(len(chosen)), 2)
+            if resolvent_bilinear(h, -2, vecs[i], vecs[j]) not in (-1, 0)
+        )
+        message = f"candidates {chosen[i].vertices} and {chosen[j].vertices} cannot"
+        with pytest.raises(IncompatiblePairError, match=re.escape(message)):
+            assemble_graph(h, -2, chosen)
 
 
 class TestMuInSpectrum:

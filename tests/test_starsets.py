@@ -27,9 +27,16 @@ from starcomp import (
 from starcomp.linalg import resolvent_inverse
 from starcomp.starsets import _scaled_residual, substar_check
 
-from conftest import block_residual, random_graph
+from conftest import block_residual, fraction_rank, random_graph
 
 PETERSEN = parse_graph6("IheA@GUAo")
+
+
+def oracle_multiplicity(g, mu, keep):
+    """Multiplicity of mu in the subgraph induced on `keep`, by Fraction rank."""
+    return len(keep) - fraction_rank(
+        [[int(g.adj[i, j]) - (mu if i == j else 0) for j in keep] for i in keep]
+    )
 
 
 class TestVerify:
@@ -122,14 +129,17 @@ class TestResidualDifferential:
         if k is None:
             k = eig_multiplicity(g, mu)
         valid = 0
+        multiplicity = oracle_multiplicity(g, mu, range(g.n))
         for star in combinations(range(g.n), k):
             cert = verify_star_set(g, mu, star)
+            comp = [v for v in range(g.n) if v not in star]
+            assert cert.multiplicity == multiplicity, star
+            assert cert.complement_multiplicity == oracle_multiplicity(g, mu, comp), star
             expected = block_residual(g, mu, star)
             assert cert.complement_ok == (expected is not None), star
             if expected is None:
                 continue
             assert cert.residual_zero == (expected == 0).all(), star
-            comp = [v for v in range(g.n) if v not in star]
             y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
             got = _scaled_residual(g, mu, star, comp, y.tolist(), d)
             assert got == (mu.denominator * d * expected).tolist(), star

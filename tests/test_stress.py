@@ -30,9 +30,8 @@ from starcomp import (
     write_graph6,
 )
 from starcomp.extend import CompatTable, PairClass, build_compat_graph, maximal_cliques
-from starcomp.kernels import ENTRY_LIMIT
 
-from conftest import brute_isomorphic, random_graph
+from conftest import brute_isomorphic, fraction_rank, random_graph
 
 
 def shuffled(g, rng):
@@ -181,10 +180,10 @@ class TestBronKerboschStress:
 
 class TestBigIntegerFallback:
     def test_star_search_with_huge_rational_mu(self):
-        # q A - p I with a huge p exceeds the int64 guard, forcing the
-        # big-integer path through the same public API
+        # q A - p I with q = 2^32: Bareiss minors far past int64, through
+        # the same public API
         g = make_cocktail(3)
-        mu = Fraction(1, ENTRY_LIMIT * 4)
+        mu = Fraction(1, 1 << 32)
         assert eig_multiplicity(g, mu) == 0
         cert = verify_star_set(g, mu, ())
         assert cert.valid and cert.multiplicity == 0
@@ -199,13 +198,18 @@ class TestBigIntegerFallback:
                 big = eig_multiplicity(g, Fraction(mu * (10**40), 10**40))
                 assert small == big
 
-    def test_find_star_sets_identical_under_forced_fallback(self, monkeypatch):
-        import starcomp.linalg as linalg
-
+    def test_find_star_sets_identical_under_forced_fallback(self):
+        # the search against complements ranked by the Fraction oracle; -2
+        # has multiplicity 2 in the octahedron
         g = make_cocktail(3)
         fast = find_star_sets(g, -2)
-        monkeypatch.setattr(linalg.kernels, "try_int_rank", lambda rows: None)
-        slow = find_star_sets(g, -2)
+        slow = [
+            star for star in combinations(range(g.n), 2)
+            if fraction_rank([
+                [int(g.adj[i, j]) + 2 * (i == j) for j in range(g.n) if j not in star]
+                for i in range(g.n) if i not in star
+            ]) == g.n - 2
+        ]
         assert fast == slow == sorted(tuple(sorted(e)) for e in g.edges())
 
 
