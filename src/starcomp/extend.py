@@ -189,12 +189,18 @@ def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _pair_values(res, cands: Sequence[Candidate]) -> np.ndarray:
-    """C res C^T, C the 0/1 object matrix whose rows are the candidates:
-    entry (i, j) is the scaled pair value of candidates i and j."""
-    c = np.zeros((len(cands), res.shape[0]), dtype=object)
+def _attachment_matrix(cands: Sequence[Candidate], n: int) -> np.ndarray:
+    """The 0/1 object matrix whose rows are the candidates' H-neighborhoods."""
+    c = np.zeros((len(cands), n), dtype=object)
     for i, cand in enumerate(cands):
         c[i, list(cand.vertices)] = 1
+    return c
+
+
+def _pair_values(res, cands: Sequence[Candidate]) -> np.ndarray:
+    """C res C^T for the attachment matrix C: entry (i, j) is the scaled
+    pair value of candidates i and j."""
+    c = _attachment_matrix(cands, res.shape[0])
     return c @ res @ c.T
 
 
@@ -288,15 +294,12 @@ def assemble_graph(
     """Attach the chosen candidates to H; adjacency inside the new set comes
     from the bilinear values (-1 adjacent, 0 nonadjacent).
 
-    The result is re-verified as a star-set certificate before returning.
+    The graph is the block adjacency ((A(H), C^T), (C, ADJ)), C the attachment
+    matrix and ADJ the ADJACENT mask of the pair classes.  The result is
+    re-verified as a star-set certificate before returning.
     """
     mu = Fraction(mu)
     classes = _pair_classes(h, mu, chosen)
-    k = len(chosen)
-    n = h.n + k
-    edges = list(h.edges())
-    for i, cand in enumerate(chosen):
-        edges.extend((h.n + i, v) for v in cand.vertices)
     bad = np.argwhere(np.triu(classes == PairClass.INCOMPATIBLE, 1))
     if len(bad):
         i, j = bad[0]  # argwhere is row-major: the first pair in (i, j) order
@@ -304,10 +307,9 @@ def assemble_graph(
             f"candidates {chosen[i].vertices} and {chosen[j].vertices} "
             f"cannot coexist for mu={format_rational(mu)}"
         )
-    for i, j in np.argwhere(np.triu(classes == PairClass.ADJACENT, 1)):
-        edges.append((h.n + int(i), h.n + int(j)))
-    g = Graph(n, edges)
-    star = tuple(range(h.n, n))
+    c = _attachment_matrix(chosen, h.n)
+    g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, classes == PairClass.ADJACENT]]))
+    star = tuple(range(h.n, g.n))
     cert = verify_star_set(g, mu, star)
     if not cert.valid:
         raise AssertionError(
@@ -392,10 +394,7 @@ def maximal_extensions(
                 seen.update(combinations(clique, size))
         cliques = sorted(seen)
     by_canon: dict[bytes, MaximalGraph] = {}
-    order: list[bytes] = []
     for clique in cliques:
-        if not clique:
-            continue
         graph, star = assemble_graph(h, mu, [cands[i] for i in clique])
         regular = is_regular(graph)
         if regular_only and regular is None:
@@ -410,9 +409,7 @@ def maximal_extensions(
             regular=regular,
             canonical=canon,
         )
-        order.append(canon)
-    found = [by_canon[c] for c in order]
-    found.sort(key=lambda m: (m.graph.n, m.canonical))
+    found = sorted(by_canon.values(), key=lambda m: (m.graph.n, m.canonical))
     return ExtensionReport(
         complement=h,
         mu=mu,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -159,26 +159,29 @@ class Polynomial:
         if mult0:
             roots.append((Fraction(0), mult0))
         if poly.degree >= 1:
-            scale = 1
-            for c in poly.coeffs:
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-            ints = [int(c * scale) for c in poly.coeffs]
-            content = 0
-            for v in ints:
-                content = gcd(content, v)
-            ints = [v // content for v in ints]
-            lead, const = abs(ints[-1]), abs(ints[0])
-            for p in _divisors(const):
-                for q in _divisors(lead):
-                    if gcd(p, q) != 1:
-                        continue
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        mult = 0
-                        while poly(cand) == 0:
-                            poly, _ = divmod(poly, Polynomial([-cand, 1]))
-                            mult += 1
-                        if mult:
-                            roots.append((cand, mult))
+            # x = y / t turns f = x^d + c_(d-1) x^(d-1) + ... + c_0 into the
+            # monic t^d f(y / t), with integer coefficients t^k c_(d-k) once
+            # each denominator divides t^k (t = s for char_poly(A / s)).  Its
+            # rational roots are integers: divisors of its constant term
+            # within its root bound, which is O(n) for an adjacency matrix.
+            d = poly.degree
+            cs = [c / poly.coeffs[-1] for c in poly.coeffs]
+            t = 1
+            for k in range(1, d + 1):
+                den = cs[d - k].denominator
+                r = _ceil_root(den, k)
+                t = lcm(t, r if r**k % den == 0 else den)
+            monic = [int(c * t ** (d - j)) for j, c in enumerate(cs)]
+            for y in range(1, _root_bound(monic) + 1):
+                if monic[0] % y:
+                    continue
+                for cand in (Fraction(y, t), Fraction(-y, t)):
+                    mult = 0
+                    while poly(cand) == 0:
+                        poly, _ = divmod(poly, Polynomial([-cand, 1]))
+                        mult += 1
+                    if mult:
+                        roots.append((cand, mult))
         return sorted(roots)
 
     def factor_rational(self) -> tuple[list[tuple[Fraction, int]], "Polynomial"]:
@@ -255,18 +258,23 @@ def _monic_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _ceil_root(c: int, k: int) -> int:
+    """The smallest r >= 0 with r^k >= c, for c >= 0 and k >= 1."""
+    lo, hi = -1, 1 << -(-c.bit_length() // k)  # r lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k >= c:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _root_bound(monic: list[int]) -> int:
+    """Fujiwara's bound 2 max_k |c_(d-k)|^(1/k) on the roots of a monic
+    integer polynomial (low degree first), each k-th root rounded up."""
+    d = len(monic) - 1
+    return 2 * max((_ceil_root(abs(monic[d - k]), k) for k in range(1, d + 1)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -445,14 +445,6 @@ class DegreeBalance:
     def consistent(self) -> bool:
         return self.r_independent == self.r_clique == self.r_star
 
-    def to_json(self) -> dict:
-        return {
-            "r_independent": self.r_independent,
-            "r_clique": self.r_clique,
-            "r_star": self.r_star,
-            "consistent": self.consistent,
-        }
-
 
 def degree_balance(
     s: int, t: int, x_size: int, a: int, b: int, c: int, d: int

@@ -15,19 +15,19 @@ inverse of pI - qC behind the cached resolvent (mu I - C)^{-1} = Y / d, for
 mu = p/q: it succeeds exactly when mu is not an eigenvalue of C, and the
 complement is ranked only when it fails, to report its multiplicity.  The
 residual is evaluated in integers from the same pair: the identity reads
-d (pI - qA_X) = q B^T Y B.
+d (pI - qA_X) = q B^T Y B, one object product over the 0/1 matrix B.
 
-The exhaustive search ranks q(A - mu I) restricted to each complement; all
-ranks are exact Bareiss eliminations over Python ints (kernels._bareiss).
+The exhaustive search ranks q(A - mu I) restricted to each complement, on
+one thread; all ranks are exact Bareiss eliminations over Python ints
+(kernels._bareiss).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -98,26 +98,13 @@ class StarSetCertificate:
         return json.dumps(self.to_json())
 
 
-def _scaled_residual(g: Graph, mu: Fraction, star, comp, y, d) -> list[list[int]]:
-    """d (pI - qA_X) - q B^T Y B, zero exactly when the star-set identity holds.
-
-    B is 0/1, so row i of B^T Y is the sum of Y's rows over the complement
-    neighbours of star vertex i, and entry (i, j) of B^T Y B sums that row
-    over the neighbours of star vertex j.
-    """
+def _scaled_residual(g: Graph, mu: Fraction, star, comp, y, d) -> np.ndarray:
+    """d (pI - qA_X) - q B^T Y B with B = A[comp, star], an object array of
+    Python ints that is zero exactly when the star-set identity holds."""
     p, q = mu.numerator, mu.denominator
-    adj = g.adj.tolist()
-    nbrs = [[i for i, v in enumerate(comp) if adj[x][v]] for x in star]
-    out = []
-    for i, x in enumerate(star):
-        row = [0] * len(comp)
-        for u in nbrs[i]:
-            row = [a + b for a, b in zip(row, y[u])]
-        out.append([
-            d * ((p if x == z else 0) - q * adj[x][z]) - q * sum(row[w] for w in nbrs[j])
-            for j, z in enumerate(star)
-        ])
-    return out
+    b = g.adj[np.ix_(comp, star)].astype(object)
+    a_x = g.adj[np.ix_(star, star)].astype(object)
+    return d * (p * np.identity(len(star), dtype=object) - q * a_x) - q * (b.T @ y @ b)
 
 
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
@@ -138,8 +125,7 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
         residual_zero = False
     else:
         comp_mult = 0
-        residual = _scaled_residual(g, mu, star, comp, y.tolist(), d)
-        residual_zero = not any(any(row) for row in residual)
+        residual_zero = not _scaled_residual(g, mu, star, comp, y, d).any()
     complement_ok = comp_mult == 0
     sizes_match = multiplicity == len(star)
     return StarSetCertificate(
@@ -154,25 +140,13 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
     )
 
 
-def _chunks(iterable, size):
-    it = iter(iterable)
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def find_star_sets(
-    g: Graph,
-    mu,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> list[tuple[int, ...]]:
+def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """All star sets for mu, exhaustively, in lexicographic order.
 
     Tests every k-subset X (k = multiplicity of mu) for mu not being an
     eigenvalue of G - X.  Refuses up front if C(n, k) exceeds the budget.
+    Each test is a pure-Python rank that holds the GIL, so the search runs
+    on one thread.
     """
     mu = Fraction(mu)
     k = eig_multiplicity(g, mu)
@@ -187,25 +161,13 @@ def find_star_sets(
         )
     shifted = _shifted_int_matrix(g, mu)
     full = g.n - k  # complement rank when mu is not an eigenvalue of G - X
-
-    def scan(block: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        hits = []
-        for star in block:
-            drop = set(star)
-            keep = [v for v in range(g.n) if v not in drop]
-            sub = [[shifted[i][j] for j in keep] for i in keep]
-            if _int_rank(sub) == full:
-                hits.append(star)
-        return hits
-
-    subsets = combinations(range(g.n), k)
-    if threads <= 1:
-        return scan(list(subsets))
-    out: list[tuple[int, ...]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for hits in pool.map(scan, _chunks(subsets, 2048)):
-            out.extend(hits)
-    return out
+    hits = []
+    for star in combinations(range(g.n), k):
+        drop = set(star)
+        keep = [v for v in range(g.n) if v not in drop]
+        if _int_rank([[shifted[i][j] for j in keep] for i in keep]) == full:
+            hits.append(star)
+    return hits
 
 
 def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarray]:

@@ -6,9 +6,10 @@ search, characteristic polynomials by Leibniz expansion over all
 permutations and by Faddeev-LeVerrier over Fractions, minimal polynomials by Krylov elimination on the powers of A, the scaled
 resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
-by evaluating the bilinear form on every subset, and brute-force star-set
+by evaluating the bilinear form on every subset, brute-force star-set
 extension search by building every possible graph and counting eigenvalue
-multiplicities.
+multiplicities, and polynomial gcds by the Euclidean algorithm over
+Fractions.
 """
 
 from __future__ import annotations
@@ -177,6 +178,17 @@ def krylov_min_poly(m) -> Polynomial:
         basis.append((pivot, vec, combo_n))
         power = power @ arr
         k += 1
+
+
+def euclid_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by the Euclidean remainder sequence over Fractions, built on
+    Polynomial.__divmod__ rather than the package's integer pseudo-remainder
+    gcd; the zero polynomial only for 0 and 0."""
+    while b.degree >= 0:
+        a, b = b, divmod(a, b)[1]
+    if a.degree < 0:
+        return a
+    return Polynomial([c / a.coeffs[-1] for c in a.coeffs])
 
 
 def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:

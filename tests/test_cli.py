@@ -1,10 +1,15 @@
 import json
+import random
+from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from starcomp import cli, make_cocktail, parse_graph6
+from starcomp import cli, disjoint_union, eig_multiplicity, make_cocktail, parse_graph6, write_graph6
 from starcomp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+
+from conftest import random_graph
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,27 @@ class TestSpectrum:
         assert code == EXIT_OK
         schema.validate(data)
         assert data["roots"] == [{"value": "0", "multiplicity": 1, "main": True}]
+
+    def test_large_constant_term(self, capsys, schema):
+        # The char poly's constant term is ~10^16 here: rational roots come
+        # from a root bound, not from the divisors of the constant term.
+        g = disjoint_union(random_graph(60, random.Random(7)), make_cocktail(3))
+        code, data = run_json(capsys, "spectrum", "--graph", write_graph6(g))
+        assert code == EXIT_OK
+        schema.validate(data)
+        roots = {Fraction(r["value"]): r["multiplicity"] for r in data["roots"]}
+        assert roots[-2] >= 2 and roots[0] >= 3 and roots[4] >= 1
+        for value, mult in roots.items():
+            assert eig_multiplicity(g, value) == mult
+        # Every integer that the float spectrum meets is reported.
+        near = {
+            round(ev)
+            for ev in np.linalg.eigvalsh(g.adj.astype(float))
+            if abs(ev - round(ev)) < 1e-6
+        }
+        assert {x for x in near if eig_multiplicity(g, x)} == set(roots)
+        residual_degree = len(data["residual"]) - 1 if data["residual"] else 0
+        assert sum(roots.values()) + residual_degree == g.n
 
 
 class TestStarsets:
@@ -226,6 +252,22 @@ class TestErrors:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("spec", ["split:3", "split:a,b", "cocktail:x"])
+    def test_bad_construction(self, capsys, schema, spec):
+        code, data = run_json(capsys, "spectrum", "--graph", spec)
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"]["kind"] == "usage"
+        assert spec in data["error"]["detail"]
+
+    @pytest.mark.parametrize("s_range", ["4..2", "2-4", "a..b"])
+    def test_bad_range(self, capsys, schema, s_range):
+        code, data = run_json(capsys, "explore", "--s", s_range, "--t", "2..3", "--mu=-3..-2")
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"]["kind"] == "usage"
+        assert s_range in data["error"]["detail"]
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -260,22 +302,14 @@ class TestErrors:
 
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, capsys):
-        outputs = set()
-        for threads in ("1", "2", "8"):
-            code = main(
-                [
-                    "--format",
-                    "json",
-                    "extend",
-                    "--graph",
-                    "split:3,2",
-                    "--mu",
-                    "-2",
-                    "--nonmain",
-                    "--threads",
-                    threads,
-                ]
-            )
-            assert code == EXIT_OK
-            outputs.add(capsys.readouterr().out)
-        assert len(outputs) == 1
+        # starsets runs on one thread: it accepts --threads and ignores it.
+        for argv in (
+            ["extend", "--graph", "split:3,2", "--mu", "-2", "--nonmain"],
+            ["starsets", "--graph", "cocktail:4", "--mu=-2"],
+        ):
+            outputs = set()
+            for threads in ("1", "2", "8"):
+                code = main(["--format", "json", *argv, "--threads", threads])
+                assert code == EXIT_OK
+                outputs.add(capsys.readouterr().out)
+            assert len(outputs) == 1

@@ -25,9 +25,10 @@ from starcomp import (
     resolvent_bilinear,
     resolvent_via_minpoly,
 )
-from starcomp.linalg import invert_exact, resolvent_inverse
+from starcomp.linalg import _root_bound, invert_exact, resolvent_inverse
 
 from conftest import (
+    euclid_poly_gcd,
     faddeev_leverrier_char_poly,
     identity_matrix,
     krylov_min_poly,
@@ -66,6 +67,32 @@ class TestPolynomial:
             (Fraction(0), 2),
             (Fraction(1, 2), 1),
         ]
+        # a non-monic integer form, a root far out and an irreducible factor
+        p = Polynomial.from_roots([-1000, Fraction(7, 3), Fraction(-5, 6), 12, 12])
+        p = p * Polynomial([1, 0, 1]) * Polynomial([Fraction(3, 5)])
+        assert p.rational_roots() == [
+            (Fraction(-1000), 1),
+            (Fraction(-5, 6), 1),
+            (Fraction(7, 3), 1),
+            (Fraction(12), 2),
+        ]
+
+    def test_root_bound_rounds_each_root_up_exactly(self):
+        # 2 max_k ceil(|c_(d-k)|^(1/k)), low degree first
+        assert _root_bound([-9, 0, 1]) == 6
+        assert _root_bound([-10, 0, 1]) == 8
+        assert _root_bound([5, 1]) == 10
+        assert _root_bound([-(10**30) - 1, 0, 0, 1]) == 2 * (10**10 + 1)
+        assert _root_bound([0, 0, 1]) == 0
+        assert _root_bound([1]) == 0
+
+    def test_rational_roots_of_scaled_matrix(self):
+        # char_poly(A / 2) has denominators up to 2^n; its roots are A's halved.
+        g = disjoint_union(random_graph(40, random.Random(7)), make_cocktail(3))
+        adj = adjacency_matrix(g)
+        halved = char_poly(adj / 2).rational_roots()
+        assert halved == [(r / 2, m) for r, m in char_poly(adj).rational_roots()]
+        assert (Fraction(-1), 2) in halved
 
     def test_factor_rational_residual(self):
         p = Polynomial([-4, -1, 1]) * Polynomial.from_roots([0, -1])  # x^2-x-4 times x(x+1)
@@ -78,6 +105,7 @@ class TestPolynomial:
         b = Polynomial.from_roots([2, Fraction(1, 3), 5]) * Polynomial([7])
         assert a.gcd(b) == Polynomial.from_roots([2, Fraction(1, 3)])
         assert b.gcd(a) == a.gcd(b)
+        assert a.gcd(b) == euclid_poly_gcd(a, b)
         assert a.gcd(Polynomial([])) == Polynomial([c / a.coeffs[-1] for c in a.coeffs])
         assert Polynomial([]).gcd(Polynomial([])) == Polynomial([])
         assert a.gcd(Polynomial.from_roots([3, -1])) == Polynomial([1])
@@ -151,7 +179,7 @@ class TestMinPoly:
             assert mp.is_monic
             # adjacency matrices are symmetric, so the minimal polynomial is
             # the squarefree part of the characteristic polynomial
-            squarefree, rem = divmod(cp, cp.gcd(cp.derivative()))
+            squarefree, rem = divmod(cp, euclid_poly_gcd(cp, cp.derivative()))
             assert rem.degree < 0
             assert mp == Polynomial(
                 [c / squarefree.coeffs[-1] for c in squarefree.coeffs]

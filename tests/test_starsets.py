@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from starcomp import (
@@ -141,8 +142,10 @@ class TestResidualDifferential:
                 continue
             assert cert.residual_zero == (expected == 0).all(), star
             y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
-            got = _scaled_residual(g, mu, star, comp, y.tolist(), d)
-            assert got == (mu.denominator * d * expected).tolist(), star
+            got = _scaled_residual(g, mu, star, comp, y, d)
+            assert got.shape == (k, k), star
+            assert np.array_equal(got, mu.denominator * d * expected), star
+            assert all(type(v) is int for v in got.flat), star
             valid += cert.valid
         assert valid == (len(find_star_sets(g, mu)) if mu.denominator == 1 else 0)
 
@@ -168,12 +171,6 @@ class TestFindStarSets:
         g = make_cocktail(4)  # multiplicity of -2 is 3
         with pytest.raises(BudgetExceededError, match=r"C\(8,3\) = 56"):
             find_star_sets(g, -2, budget=10)
-
-    def test_thread_determinism(self):
-        g = make_cocktail(4)
-        single = find_star_sets(g, -2, threads=1)
-        assert find_star_sets(g, -2, threads=3) == single
-        assert find_star_sets(g, -2, threads=8) == single
 
     def test_every_hit_is_certified(self):
         rng = random.Random(8)
