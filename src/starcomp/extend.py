@@ -19,7 +19,9 @@ Pair classes use the scaled form R' = m(mu) (mu I - A)^{-1} of
 resolvent_via_minpoly, an integer matrix for integral mu and exact rationals
 otherwise: with the candidates as the rows of a 0/1 matrix C, every scaled
 pair value m(mu) <b_u, b_v> is an entry of the one product C R' C^T, compared
-against -m(mu) and 0.
+against -m(mu) and 0.  build_compat_graph does this once per run and keeps C
+and the two resulting masks in a CompatTable; Bron-Kerbosch reads its rows,
+and assemble_graph slices the block adjacency of each clique out of it.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def enumerate_candidates(
     tuples.  mu in {0, -1} is rejected: there the neighborhoods stop being
     distinct and nonempty and the compatibility reading breaks down.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     mu = Fraction(mu)
     if mu in (0, -1):
         raise EngineRestrictionError(
@@ -171,11 +175,11 @@ def enumerate_candidates(
             lo, hi = rng
             return _subset_scan_exact(res, rj, want_diag, want_j, nonmain, lo, hi)
 
-    if threads <= 1 or len(ranges) == 1:
-        masks = [m for rng in ranges for m in scan(rng)]
+    if len(ranges) == 1:
+        masks = scan(ranges[0])
     else:
         masks = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             for chunk in pool.map(scan, ranges):
                 masks.extend(chunk)
     cands = [_mask_to_candidate(m, n) for m in masks]
@@ -184,77 +188,70 @@ def enumerate_candidates(
 
 
 def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
+    """Even ranges covering [0, total): at most `parts` of them, and no more
+    than there are scan blocks of 2^LOW_BITS * HIGH_BLOCK masks, so no
+    shard recomputes the low-bit table for a handful of masks."""
+    block = kernels.HIGH_BLOCK << kernels.LOW_BITS
+    parts = max(1, min(parts, -(-total // block)))
     step = (total + parts - 1) // parts
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _attachment_matrix(cands: Sequence[Candidate], n: int) -> np.ndarray:
-    """The 0/1 object matrix whose rows are the candidates' H-neighborhoods."""
-    c = np.zeros((len(cands), n), dtype=object)
-    for i, cand in enumerate(cands):
+@dataclass(frozen=True, eq=False)  # numpy fields: compare by identity
+class CompatTable:
+    """Candidates of one (H, mu) with every pair classified once.
+
+    attachment holds the candidates' 0/1 rows; adjacent[i, j] says that the
+    pair value is -1 and compat[i, j] that it is -1 or 0.  Both masks are
+    read-only and False on the diagonal: a candidate only ever pairs with
+    itself as the same vertex.
+    """
+
+    h: Graph
+    mu: Fraction
+    candidates: tuple[Candidate, ...]
+    attachment: np.ndarray
+    adjacent: np.ndarray
+    compat: np.ndarray
+
+    def pair(self, i: int, j: int) -> PairClass:
+        if self.adjacent[i, j]:
+            return PairClass.ADJACENT
+        return PairClass.NONADJACENT if self.compat[i, j] else PairClass.INCOMPATIBLE
+
+    def compatible(self, i: int, j: int) -> bool:
+        return bool(self.compat[i, j])
+
+
+def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
+    """Classify every candidate pair with one product C R' C^T, compared
+    against -m(mu) and 0."""
+    mu = Fraction(mu)
+    c = np.zeros((len(candidates), h.n), dtype=object)
+    for i, cand in enumerate(candidates):
         c[i, list(cand.vertices)] = 1
-    return c
-
-
-def _pair_values(res, cands: Sequence[Candidate]) -> np.ndarray:
-    """C res C^T for the attachment matrix C: entry (i, j) is the scaled
-    pair value of candidates i and j."""
-    c = _attachment_matrix(cands, res.shape[0])
-    return c @ res @ c.T
-
-
-def _pair_classes(h: Graph, mu: Fraction, cands: Sequence[Candidate]) -> np.ndarray:
-    """PairClass of every candidate pair, by comparing the scaled pair values
-    with -m(mu) and 0; the diagonal is incompatible."""
-    try:
-        res = resolvent_via_minpoly(h, mu)
-    except SingularResolventError:
-        raise MuIsEigenvalueError(
-            f"mu={format_rational(mu)} is an eigenvalue of the star complement"
-        ) from None
-    m_mu = graph_min_poly(h)(mu)
-    values = _pair_values(res, cands)
-    classes = np.full(values.shape, PairClass.INCOMPATIBLE, dtype=object)
-    classes[values == -m_mu] = PairClass.ADJACENT
-    classes[values == 0] = PairClass.NONADJACENT
-    np.fill_diagonal(classes, PairClass.INCOMPATIBLE)
-    return classes
+    adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
+    compat = adjacent.copy()
+    if candidates:
+        try:
+            res = resolvent_via_minpoly(h, mu)
+        except SingularResolventError:
+            raise MuIsEigenvalueError(
+                f"mu={format_rational(mu)} is an eigenvalue of the star complement"
+            ) from None
+        values = c @ res @ c.T
+        adjacent = values == -graph_min_poly(h)(mu)
+        compat = adjacent | (values == 0)
+        np.fill_diagonal(adjacent, False)
+        np.fill_diagonal(compat, False)
+    for m in (c, adjacent, compat):
+        m.setflags(write=False)
+    return CompatTable(h, mu, tuple(candidates), c, adjacent, compat)
 
 
 def pair_class(h: Graph, mu, u: Candidate, v: Candidate) -> PairClass:
     """Classify a candidate pair by the exact scaled bilinear value."""
-    return _pair_classes(h, Fraction(mu), [u, v])[0, 1]
-
-
-@dataclass(frozen=True)
-class CompatTable:
-    """Candidates plus the symmetric pairwise classification.
-
-    The diagonal is incompatible by convention: a candidate only ever pairs
-    with itself as the same vertex.
-    """
-
-    candidates: tuple[Candidate, ...]
-    classes: np.ndarray  # object array of PairClass
-
-    def pair(self, i: int, j: int) -> PairClass:
-        return self.classes[i, j]
-
-    def compatible(self, i: int, j: int) -> bool:
-        return i != j and self.classes[i, j] is not PairClass.INCOMPATIBLE
-
-
-def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
-    """Tabulate pair_class over all candidate pairs with one matrix product."""
-    mu = Fraction(mu)
-    if not candidates:
-        empty = np.empty((0, 0), dtype=object)
-        empty.setflags(write=False)
-        return CompatTable(candidates=(), classes=empty)
-    classes = _pair_classes(h, mu, candidates)
-    classes.setflags(write=False)
-    return CompatTable(candidates=tuple(candidates), classes=classes)
+    return build_compat_graph(h, mu, [u, v]).pair(0, 1)
 
 
 def _bron_kerbosch(neighbors: list[set[int]], n: int) -> list[tuple[int, ...]]:
@@ -282,35 +279,33 @@ def maximal_cliques(table: CompatTable) -> list[tuple[int, ...]]:
     n = len(table.candidates)
     if n == 0:
         return []
-    neighbors = [
-        {j for j in range(n) if table.compatible(i, j)} for i in range(n)
-    ]
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in table.compat]
     return _bron_kerbosch(neighbors, n)
 
 
 def assemble_graph(
-    h: Graph, mu, chosen: Sequence[Candidate]
+    table: CompatTable, clique: Sequence[int]
 ) -> tuple[Graph, tuple[int, ...]]:
-    """Attach the chosen candidates to H; adjacency inside the new set comes
-    from the bilinear values (-1 adjacent, 0 nonadjacent).
+    """Attach the candidates with the given indices to H; adjacency inside
+    the new set is the table's -1/0 split.
 
-    The graph is the block adjacency ((A(H), C^T), (C, ADJ)), C the attachment
-    matrix and ADJ the ADJACENT mask of the pair classes.  The result is
+    The graph is the block adjacency ((A(H), C_K^T), (C_K, ADJ_K)), sliced
+    from the table's attachment matrix and adjacent mask.  The result is
     re-verified as a star-set certificate before returning.
     """
-    mu = Fraction(mu)
-    classes = _pair_classes(h, mu, chosen)
-    bad = np.argwhere(np.triu(classes == PairClass.INCOMPATIBLE, 1))
+    k = np.asarray(clique, dtype=np.intp)
+    bad = np.argwhere(np.triu(~table.compat[np.ix_(k, k)], 1))
     if len(bad):
         i, j = bad[0]  # argwhere is row-major: the first pair in (i, j) order
         raise IncompatiblePairError(
-            f"candidates {chosen[i].vertices} and {chosen[j].vertices} "
-            f"cannot coexist for mu={format_rational(mu)}"
+            f"candidates {table.candidates[k[i]].vertices} and "
+            f"{table.candidates[k[j]].vertices} "
+            f"cannot coexist for mu={format_rational(table.mu)}"
         )
-    c = _attachment_matrix(chosen, h.n)
-    g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, classes == PairClass.ADJACENT]]))
+    h, c = table.h, table.attachment[k]
+    g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
     star = tuple(range(h.n, g.n))
-    cert = verify_star_set(g, mu, star)
+    cert = verify_star_set(g, table.mu, star)
     if not cert.valid:
         raise AssertionError(
             "assembled graph failed star-set verification; this is a bug"
@@ -395,7 +390,7 @@ def maximal_extensions(
         cliques = sorted(seen)
     by_canon: dict[bytes, MaximalGraph] = {}
     for clique in cliques:
-        graph, star = assemble_graph(h, mu, [cands[i] for i in clique])
+        graph, star = assemble_graph(table, clique)
         regular = is_regular(graph)
         if regular_only and regular is None:
             continue

@@ -101,18 +101,20 @@ class PowerBlocks:
     indep_i: int
 
     def to_matrix(self, spec: BlockSpec) -> np.ndarray:
-        s, t = spec.s, spec.t
-        n = s + t
-        out = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                if i < s and j < s:
-                    out[i, j] = self.clique_j + (self.clique_i if i == j else 0)
-                elif i >= s and j >= s:
-                    out[i, j] = self.indep_j + (self.indep_i if i == j else 0)
-                else:
-                    out[i, j] = self.cross_j
-        return out
+        return _split_blocks(
+            spec, self.clique_j, self.clique_i, self.cross_j, self.indep_j, self.indep_i
+        )
+
+
+def _split_blocks(spec: BlockSpec, clique_j, clique_i, cross_j, indep_j, indep_i) -> np.ndarray:
+    """The object matrix ((clique_j J + clique_i I, cross_j J),
+    (cross_j J, indep_j J + indep_i I)) with diagonal blocks of sizes s and t."""
+    s, n = spec.s, spec.s + spec.t
+    out = np.full((n, n), cross_j, dtype=object)
+    out[:s, :s] = clique_j
+    out[s:, s:] = indep_j
+    out[range(n), range(n)] = [clique_j + clique_i] * s + [indep_j + indep_i] * spec.t
+    return out
 
 
 def power_blocks(spec: BlockSpec, k: int) -> PowerBlocks:
@@ -155,18 +157,7 @@ def coeffs(spec: BlockSpec, mu) -> ResolventCoeffs:
 def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:
     """m(mu)(mu I - A(H))^{-1} assembled from the closed-form blocks."""
     c = coeffs(spec, mu)
-    s, t = spec.s, spec.t
-    n = s + t
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if i < s and j < s:
-                out[i, j] = c.alpha + (c.beta * mu if i == j else 0)
-            elif i >= s and j >= s:
-                out[i, j] = c.gamma + (c.beta * (mu + 1) if i == j else 0)
-            else:
-                out[i, j] = c.delta
-    return out
+    return _split_blocks(spec, c.alpha, c.beta * mu, c.delta, c.gamma, c.beta * (mu + 1))
 
 
 def closed_bilinear(

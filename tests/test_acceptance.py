@@ -206,7 +206,7 @@ def _engine_patterns(h, mu, k, threads=1):
                 if table.pair(idxs[a], idxs[b]) is PairClass.ADJACENT
             )
             patterns.add(attachment_pattern(masks, adjacency))
-    return cands, cliques, patterns
+    return table, cliques, patterns
 
 
 @pytest.fixture(scope="module")
@@ -225,9 +225,9 @@ def oracle_runs():
                 continue
             per_k = {}
             for k in (1, 2):
-                cands, cliques, patterns = _engine_patterns(h, mu, k)
+                table, cliques, patterns = _engine_patterns(h, mu, k)
                 assert patterns == brute_force_extensions(h, mu, k), (h, mu, k)
-                per_k[k] = (cands, cliques)
+                per_k[k] = (table, cliques)
             runs.append((h, Fraction(mu), per_k))
     return runs, time.perf_counter() - t0
 
@@ -248,9 +248,9 @@ def test_criterion_8_eigenspace_reconstruction(theorem_runs, oracle_runs):
         for m in report.maximal_graphs:
             assembled.append((m.graph, Fraction(-t), m.star_vertices))
     for h, mu, per_k in oracle_runs[0]:
-        for k, (cands, cliques) in per_k.items():
+        for k, (table, cliques) in per_k.items():
             for idxs in cliques:
-                g, star = assemble_graph(h, mu, [cands[i] for i in idxs])
+                g, star = assemble_graph(table, idxs)
                 assembled.append((g, mu, star))
     assert assembled
     for g, mu, star in assembled:

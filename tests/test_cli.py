@@ -238,6 +238,19 @@ class TestErrors:
         code, data = run_json(capsys, *argv, "--budget", "180")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["candidates", "--graph", "split:2,2", "--mu=-2"],
+        ["extend", "--graph", "split:2,2", "--mu=-2"],
+        ["theorem", "--s", "3", "--t-max", "3"],
+    ], ids=["candidates", "extend", "theorem"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, capsys, schema, argv, threads):
+        code, data = run_json(capsys, *argv, "--threads", threads)
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"]["kind"] == "usage"
+        assert "threads must be at least 1" in data["error"]["detail"]
+
     def test_engine_restriction(self, capsys):
         code, data = run_json(
             capsys, "candidates", "--graph", "split:2,2", "--mu", "0"

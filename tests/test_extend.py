@@ -113,14 +113,54 @@ class TestEnumerateCandidates:
             assert got == base
 
     @pytest.mark.parametrize("nonmain", [False, True])
-    @pytest.mark.parametrize("s,t,mu", [(6, 6, -2), (6, 5, -2), (5, 6, 2), (5, 3, -3)])
+    @pytest.mark.parametrize("s,t,mu", [
+        (6, 6, -2), (6, 5, -2), (5, 6, 2), (5, 3, -3),
+        (13, 5, 1), (14, 4, -4), (16, 2, -2), (15, 4, -4),
+    ])
     def test_thread_determinism_across_blocks(self, s, t, mu, nonmain):
-        # 3 threads cut the mask space at indices that are neither powers of
-        # two nor multiples of the split-half scan's 2^LOW_BITS blocks
+        # up to 2^16 masks the scan runs as one shard whatever the thread
+        # count; from 2^18 masks on, 3 threads cut the mask space at indices
+        # that are neither powers of two nor multiples of the split-half
+        # scan's 2^LOW_BITS blocks
         h = make_complete_split(s, t)
         base = enumerate_candidates(h, mu, nonmain=nonmain, threads=1)
+        assert base or s + t < 18
         for threads in (2, 3):
             assert enumerate_candidates(h, mu, nonmain=nonmain, threads=threads) == base
+
+    @pytest.mark.parametrize("s,t,threads,workers", [
+        (14, 4, 10**6, 4), (16, 3, 10**6, 8), (16, 3, 5, 5), (6, 6, 10**6, None),
+    ])
+    def test_threads_capped_by_scan_blocks(self, monkeypatch, s, t, threads, workers):
+        # a huge --threads asks for at most one worker per block of
+        # 2^LOW_BITS * HIGH_BLOCK masks; the stand-in pool starts no thread
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        h = make_complete_split(s, t)
+        base = enumerate_candidates(h, -t, threads=1)
+        monkeypatch.setattr(extend_module, "ThreadPoolExecutor", SerialPool)
+        assert enumerate_candidates(h, -t, threads=threads) == base
+        block = kernels.HIGH_BLOCK << kernels.LOW_BITS
+        assert requested == ([] if workers is None else [workers])
+        assert all(w <= -(-(1 << h.n) // block) for w in requested)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            enumerate_candidates(make_complete_split(2, 2), -2, threads=threads)
 
     @pytest.mark.parametrize("nonmain", [False, True])
     @pytest.mark.parametrize(
@@ -253,12 +293,73 @@ class TestCompatTable:
                 want = by_value.get(value, PairClass.INCOMPATIBLE) if i != j else PairClass.INCOMPATIBLE
                 assert table.pair(i, j) is want
 
+    @staticmethod
+    def compare_with_bilinear(h, mu, extra_masks=()):
+        """Check every entry of the table against resolvent_bilinear, and every
+        maximal clique's assembled graph against the table; return the
+        number of star-vertex pairs and edges the assemblies checked."""
+        n = h.n
+        incompatible = PairClass.INCOMPATIBLE
+        by_value = {-1: PairClass.ADJACENT, 0: PairClass.NONADJACENT}
+        cands = enumerate_candidates(h, mu, nonmain=False)
+        # arbitrary subsets as well, so that every class shows up
+        extra = [extend_module._mask_to_candidate(m % (1 << n) or 1, n) for m in extra_masks]
+        mixed = build_compat_graph(h, mu, cands + extra)
+        vecs = [c.vector(n) for c in mixed.candidates]
+        for i, u in enumerate(vecs):
+            for j, v in enumerate(vecs):
+                value = resolvent_bilinear(h, mu, u, v)
+                want = by_value.get(value, incompatible) if i != j else incompatible
+                assert mixed.pair(i, j) is want
+                assert mixed.compatible(i, j) is (want is not incompatible)
+        table = build_compat_graph(h, mu, cands)
+        pairs = edges = 0
+        for clique in maximal_cliques(table):
+            g, star = assemble_graph(table, clique)
+            assert star == tuple(range(n, n + len(clique)))
+            assert np.array_equal(g.adj[:n, :n], h.adj)
+            for a, i in enumerate(clique):
+                assert np.array_equal(g.adj[n + a, :n], cands[i].vector(n))
+                for b, j in enumerate(clique[a + 1:], a + 1):
+                    adjacent = table.pair(i, j) is PairClass.ADJACENT
+                    assert bool(g.adj[n + a, n + b]) is adjacent
+                    pairs += 1
+                    edges += adjacent
+        return pairs, edges
+
+    @pytest.mark.parametrize("h,mu", [
+        (make_complete_split(2, 2), -2), (make_complete_split(3, 2), -2), (cycle_graph(5), -2),
+    ])
+    def test_table_and_assembly_match_bilinear_fixed(self, h, mu):
+        # the random cases below often have no clique of two candidates
+        pairs, edges = self.compare_with_bilinear(h, mu, [3, 5, 6, 7, 11])
+        assert pairs and edges
+
+    def test_table_and_assembly_match_bilinear(self):
+        # random H (n <= 7) and integral mu outside spec(H)
+        from hypothesis import assume, given, settings, strategies as st
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            st.integers(1, 7),
+            st.randoms(use_true_random=False),
+            st.integers(-4, 4),
+            st.lists(st.integers(1, 127), max_size=6),
+        )
+        def check(n, rng, mu, extra):
+            assume(mu not in (0, -1))
+            h = random_graph(n, rng)
+            assume(eig_multiplicity(h, mu) == 0)
+            self.compare_with_bilinear(h, mu, extra)
+
+        check()
+
 
 class TestAssemble:
     def test_both_candidates_build_octahedron(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        g, star = assemble_graph(h, -2, cands)
+        g, star = assemble_graph(build_compat_graph(h, -2, cands), (0, 1))
         assert g.n == 6
         assert is_regular(g) == 4
         assert star == (4, 5)
@@ -267,21 +368,22 @@ class TestAssemble:
     def test_single_candidate(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        g, star = assemble_graph(h, -2, cands[:1])
+        g, star = assemble_graph(build_compat_graph(h, -2, cands), (0,))
         assert g.n == h.n + 1
         cert = verify_star_set(g, -2, star)
         assert cert.valid and cert.multiplicity == 1
 
     def test_empty_choice(self):
         h = make_complete_split(2, 2)
-        g, star = assemble_graph(h, -2, [])
+        cands = enumerate_candidates(h, -2, nonmain=True)
+        g, star = assemble_graph(build_compat_graph(h, -2, cands), ())
         assert g == h and star == ()
 
     def test_incompatible_rejected(self):
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)
         with pytest.raises(IncompatiblePairError):
-            assemble_graph(h, -3, cands[:2])
+            assemble_graph(build_compat_graph(h, -3, cands), (0, 1))
 
     def test_incompatible_reports_first_pair(self):
         # the error names the first incompatible pair in (i, j) order
@@ -294,7 +396,7 @@ class TestAssemble:
         )
         message = f"candidates {chosen[i].vertices} and {chosen[j].vertices} cannot"
         with pytest.raises(IncompatiblePairError, match=re.escape(message)):
-            assemble_graph(h, -2, chosen)
+            assemble_graph(build_compat_graph(h, -2, chosen), range(len(chosen)))
 
 
 class TestMuInSpectrum:
@@ -315,7 +417,7 @@ class TestMuInSpectrum:
         with pytest.raises(MuIsEigenvalueError, match=message):
             pair_class(h, mu, u, v)
         with pytest.raises(MuIsEigenvalueError, match=message):
-            assemble_graph(h, mu, [u, v])
+            assemble_graph(build_compat_graph(h, mu, [u, v]), (0, 1))
         with pytest.raises(MuIsEigenvalueError, match=message):
             build_compat_graph(h, mu, [u, v])
 

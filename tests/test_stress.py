@@ -228,7 +228,7 @@ class TestOrderInvariance:
             table = build_compat_graph(h, mu, order)
             graphs = []
             for clique in maximal_cliques(table):
-                g, _star = assemble_graph(h, mu, [order[i] for i in clique])
+                g, _star = assemble_graph(table, clique)
                 graphs.append(canonical_form(g))
             key = sorted(graphs)
             if baseline is None:
