@@ -118,6 +118,9 @@ def cmd_spectrum(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_starsets(args) -> tuple[dict, list[str], int]:
+    # --threads is checked like the other commands' but otherwise ignored.
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     g = load_graph(args.graph)
     mu = parse_rational(args.mu)
     stars = find_star_sets(g, mu, budget=args.budget)
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("starsets", help="exhaustive star-set search for an eigenvalue")
-    add_common(p, threads_help="ignored: star-set search runs on one thread")
+    add_common(p, threads_help="at least 1, otherwise ignored: star-set search runs on one thread")
     p.set_defaults(func=cmd_starsets)
 
     p = sub.add_parser("candidates", help="enumerate attachment candidates for a star complement")

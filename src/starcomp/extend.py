@@ -22,6 +22,18 @@ pair value m(mu) <b_u, b_v> is an entry of the one product C R' C^T, compared
 against -m(mu) and 0.  build_compat_graph does this once per run and keeps C
 and the two resulting masks in a CompatTable; Bron-Kerbosch reads its rows,
 and assemble_graph slices the block adjacency of each clique out of it.
+
+Only one clique per symmetry orbit is assembled.  A transposition of twins
+in H (equal adjacency rows, or equal rows plus the identity) is an
+automorphism sigma, and <sigma b, sigma c> = <b, c>, <sigma b, j> = <b, j>:
+sigma maps candidates to candidates and cliques to cliques of the same
+table, and the graphs they assemble are isomorphic.  For K_s + tK_1 these
+transpositions generate all of Aut(H) = S_s x S_t.  Before assembly the
+sorted clique list is cut to the first clique of each orbit of the group
+they generate.  The first clique of an isomorphism class in that list is the
+first of its own orbit, so it is still assembled and still the witness, and
+the report keeps every byte (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)).
 """
 
 from __future__ import annotations
@@ -283,6 +295,77 @@ def maximal_cliques(table: CompatTable) -> list[tuple[int, ...]]:
     return _bron_kerbosch(neighbors, n)
 
 
+def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
+    """Transpositions of twins in H, each an automorphism of H.
+
+    u and v are false twins when their adjacency rows are equal and true
+    twins when their rows plus the identity are.  Within each class of equal
+    rows the transpositions of consecutive members are returned; they
+    generate the symmetric group of the class, so for K_s + tK_1 they
+    generate all of S_s x S_t.
+    """
+    pairs = []
+    for rows in (h.adj, h.adj + np.eye(h.n, dtype=h.adj.dtype)):
+        last: dict[bytes, int] = {}
+        for v in range(h.n):
+            key = rows[v].tobytes()
+            if key in last:
+                pairs.append((last[key], v))
+            last[key] = v
+    return pairs
+
+
+def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union-find over arrays: join the classes of a[k] and b[k] for every k.
+
+    root must map each index to its class's smallest member, and does so
+    again on return: every round hooks the larger of two differing roots
+    onto the smaller, then compresses paths until root is idempotent.
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            return
+        np.minimum.at(root, np.maximum(ra, rb)[differ], np.minimum(ra, rb)[differ])
+        while not np.array_equal(up := root[root], root):
+            root[:] = up
+
+
+def _orbit_representatives(
+    table: CompatTable, cliques: list[tuple[int, ...]], generators: list[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """The first clique of each orbit of the group the generators span.
+
+    cliques must be sorted and closed under every generator, as the maximal
+    cliques of a table and their sub-cliques are: an automorphism of H keeps
+    every pair value, so it maps candidates to candidates and cliques to
+    cliques.  The cliques of one size, stacked as rows, are in lex order; a
+    generator's images, sorted the same way, must be exactly those rows, and
+    the sort then says which clique maps to which.  A missing image raises.
+    """
+    masks = [c.mask for c in table.candidates]
+    index = {m: i for i, m in enumerate(masks)}
+    perms = []
+    for u, v in generators:
+        swap = (1 << u) | (1 << v)
+        images = [m ^ swap if (m >> u ^ m >> v) & 1 else m for m in masks]
+        if not all(m in index for m in images):
+            raise AssertionError(f"({u} {v}) maps a candidate off the table; this is a bug")
+        perms.append(np.array([index[m] for m in images], dtype=np.intp))
+    root = np.arange(len(cliques))
+    for size in sorted({len(c) for c in cliques}):
+        at = np.array([i for i, c in enumerate(cliques) if len(c) == size])
+        rows = np.array([cliques[i] for i in at], dtype=np.intp).reshape(len(at), size)
+        for (u, v), perm in zip(generators, perms):
+            images = np.sort(perm[rows], axis=1)
+            order = np.lexsort(images.T[::-1])
+            if not np.array_equal(images[order], rows):
+                raise AssertionError(f"({u} {v}) maps a clique off the list; this is a bug")
+            _merge(root, at[order], at)  # clique at[order[k]] maps to clique at[k]
+    return [c for i, c in enumerate(cliques) if root[i] == i]
+
+
 def assemble_graph(
     table: CompatTable, clique: Sequence[int]
 ) -> tuple[Graph, tuple[int, ...]]:
@@ -371,6 +454,14 @@ def maximal_extensions(
     With maximal_only=False every nonempty clique is reported, not just the
     maximal ones; their count, sum(2^|c| - 1) over the maximal cliques c,
     must not exceed budget.
+
+    Only the first clique of each orbit under the twin transpositions of H
+    is assembled.  Each orbit lies inside one isomorphism class, so the
+    lexicographically smallest witness of every class is the first of its
+    orbit and the report does not change.  With maximal_only=False the
+    orbits are taken after the sub-cliques are listed, since the first
+    sub-clique of a class need not lie in an orbit's first maximal clique.
+    An H without twins keeps every clique.
     """
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget, threads=threads)
@@ -388,6 +479,7 @@ def maximal_extensions(
             for size in range(1, len(clique) + 1):
                 seen.update(combinations(clique, size))
         cliques = sorted(seen)
+    cliques = _orbit_representatives(table, cliques, twin_transpositions(h))
     by_canon: dict[bytes, MaximalGraph] = {}
     for clique in cliques:
         graph, star = assemble_graph(table, clique)

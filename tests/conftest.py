@@ -8,15 +8,16 @@ resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
 by evaluating the bilinear form on every subset, brute-force star-set
 extension search by building every possible graph and counting eigenvalue
-multiplicities, and polynomial gcds by the Euclidean algorithm over
-Fractions.
+multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
+and maximal extensions without the symmetry reduction, assembling every
+clique.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -24,11 +25,17 @@ from starcomp import (
     Graph,
     Polynomial,
     adjacency_matrix,
+    assemble_graph,
+    build_compat_graph,
+    canonical_form,
     eig_multiplicity,
+    enumerate_candidates,
     induced_subgraph,
+    is_regular,
     make_complete_split,
     resolvent_bilinear,
 )
+from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
 
 
 def fraction_rank(rows) -> int:
@@ -66,6 +73,21 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def random_graph_with_twins(n: int, twins: int, rng: random.Random) -> Graph:
+    """A random graph on n vertices, then `twins` vertices each added as a
+    false twin (same neighbours) or a true twin (same neighbours plus the
+    edge) of a uniformly chosen earlier vertex."""
+    adj = random_graph(n, rng).adj.astype(bool).tolist()
+    for _ in range(twins):
+        v = rng.randrange(len(adj))
+        row = adj[v][:]
+        row[v] = rng.random() < 0.5  # a true twin is adjacent to v
+        for u, bit in enumerate(row):
+            adj[u].append(bit)
+        adj.append(row + [False])
+    return Graph.from_adjacency(np.array(adj, dtype=np.uint8))
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -307,6 +329,39 @@ def brute_force_extensions(h: Graph, mu, k: int) -> set[tuple]:
     else:
         raise ValueError("brute force supports k <= 3")
     return found
+
+
+def unreduced_extensions(
+    h: Graph, mu, nonmain: bool, regular_only: bool, maximal_only: bool
+) -> ExtensionReport:
+    """maximal_extensions with no symmetry reduction: every clique (every
+    nonempty sub-clique unless maximal_only) is assembled, and the first
+    clique of each isomorphism class in sorted order is its witness."""
+    mu = Fraction(mu)
+    cands = enumerate_candidates(h, mu, nonmain=nonmain)
+    table = build_compat_graph(h, mu, cands)
+    cliques = maximal_cliques(table)
+    if not maximal_only:
+        cliques = sorted(
+            {sub for c in cliques for k in range(1, len(c) + 1) for sub in combinations(c, k)}
+        )
+    by_canon = {}
+    for clique in cliques:
+        graph, star = assemble_graph(table, clique)
+        regular = is_regular(graph)
+        if regular_only and regular is None:
+            continue
+        canon = canonical_form(graph)
+        by_canon.setdefault(canon, MaximalGraph(graph, star, tuple(clique), regular, canon))
+    return ExtensionReport(
+        complement=h,
+        mu=mu,
+        nonmain=nonmain,
+        regular_only=regular_only,
+        maximal_only=maximal_only,
+        candidates=tuple(cands),
+        maximal_graphs=tuple(sorted(by_canon.values(), key=lambda m: (m.graph.n, m.canonical))),
+    )
 
 
 def _attach(h: Graph, base_edges, masks, internal) -> Graph:

@@ -242,7 +242,8 @@ class TestErrors:
         ["candidates", "--graph", "split:2,2", "--mu=-2"],
         ["extend", "--graph", "split:2,2", "--mu=-2"],
         ["theorem", "--s", "3", "--t-max", "3"],
-    ], ids=["candidates", "extend", "theorem"])
+        ["starsets", "--graph", "cocktail:3", "--mu=-2"],
+    ], ids=["candidates", "extend", "theorem", "starsets"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, capsys, schema, argv, threads):
         code, data = run_json(capsys, *argv, "--threads", threads)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from starcomp import (
+    Graph,
     PairClass,
     assemble_graph,
     build_compat_graph,
@@ -20,6 +21,7 @@ from starcomp import (
     maximal_extensions,
     pair_class,
     path_graph,
+    relabel,
     resolvent_bilinear,
     verify_star_set,
 )
@@ -30,7 +32,9 @@ from starcomp.extend import (
     EngineRestrictionError,
     IncompatiblePairError,
     MuIsEigenvalueError,
+    _orbit_representatives,
     maximal_cliques,
+    twin_transpositions,
 )
 from starcomp.starsets import BudgetExceededError
 
@@ -39,6 +43,8 @@ from conftest import (
     brute_force_extensions,
     exhaustive_candidates,
     random_graph,
+    random_graph_with_twins,
+    unreduced_extensions,
 )
 
 
@@ -519,6 +525,156 @@ class TestMaximalExtensions:
         base = maximal_extensions(h, -2, nonmain=True).to_json()
         for threads in (2, 8):
             assert maximal_extensions(h, -2, nonmain=True, threads=threads).to_json() == base
+
+    def test_thread_determinism_random(self, monkeypatch):
+        # Shards of at least 2^10 masks, so that the scan of H on 12-13
+        # vertices really splits into three ranges.
+        from hypothesis import assume, given, settings, strategies as st
+
+        monkeypatch.setattr(kernels, "HIGH_BLOCK", 1)
+
+        @settings(max_examples=25, deadline=None)
+        @given(
+            st.integers(12, 13),
+            st.randoms(use_true_random=False),
+            st.sampled_from([-3, -2, 1, 2, 3]),
+            st.booleans(),
+        )
+        def check(n, rng, mu, nonmain):
+            assert len(extend_module._even_ranges(1 << n, 3)) == 3
+            h = random_graph(n, rng)
+            assume(eig_multiplicity(h, mu) == 0)
+            # A few candidates: some graphs to report, and a small clique list.
+            assume(1 <= len(enumerate_candidates(h, mu, nonmain=nonmain)) <= 16)
+            runs = [
+                maximal_extensions(h, mu, nonmain=nonmain, threads=k).to_json()
+                for k in (1, 2, 3)
+            ]
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+
+        check()
+
+
+class TestOrbitReduction:
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        """The cliques maximal_extensions assembles, in call order."""
+        calls = []
+        real = extend_module.assemble_graph
+
+        def counting(table, clique):
+            calls.append(tuple(clique))
+            return real(table, clique)
+
+        monkeypatch.setattr(extend_module, "assemble_graph", counting)
+        return calls
+
+    def test_twin_transpositions_are_automorphisms(self):
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(1, 6), st.integers(0, 4), st.randoms(use_true_random=False))
+        def check(n, twins, rng):
+            h = random_graph_with_twins(n, twins, rng)
+            pairs = twin_transpositions(h)
+            for u, v in pairs:
+                perm = list(range(h.n))
+                perm[u], perm[v] = v, u
+                assert relabel(h, perm) == h
+            # the transpositions join exactly the twins, of either kind
+            cls = list(range(h.n))
+            for u, v in pairs:
+                cls = [cls[u] if c == cls[v] else c for c in cls]
+            closed = h.adj + np.eye(h.n, dtype=h.adj.dtype)
+            for u, v in combinations(range(h.n), 2):
+                twin = np.array_equal(h.adj[u], h.adj[v]) or np.array_equal(closed[u], closed[v])
+                assert (cls[u] == cls[v]) is twin
+
+        check()
+
+    @pytest.mark.parametrize("s,t", [(1, 2), (2, 2), (3, 4), (8, 3), (12, 8)])
+    def test_split_generators_transitive_on_blocks(self, s, t):
+        cls = list(range(s + t))
+        for u, v in twin_transpositions(make_complete_split(s, t)):
+            cls = [cls[u] if c == cls[v] else c for c in cls]
+        assert cls == [0] * s + [s] * t
+
+    def test_no_twins_assembles_every_clique(self, assembled):
+        # C5 has automorphisms but no twins, so the reduction is the identity
+        h = cycle_graph(5)
+        assert twin_transpositions(h) == []
+        table = build_compat_graph(h, 1, enumerate_candidates(h, 1, nonmain=False))
+        cliques = maximal_cliques(table)
+        assert len(cliques) == 11
+        maximal_extensions(h, 1, nonmain=False)
+        assert assembled == cliques
+
+    def test_missing_image_raises(self):
+        h = make_complete_split(8, 3)
+        table = build_compat_graph(h, -3, enumerate_candidates(h, -3, nonmain=False))
+        cliques = maximal_cliques(table)
+        with pytest.raises(AssertionError, match="off the list"):
+            _orbit_representatives(table, cliques[1:], twin_transpositions(h))
+
+    def test_extend_workload_assembles_two_cliques(self, assembled):
+        # extend split:8,3 --mu=-3: 63 maximal cliques in two isomorphism classes
+        h = make_complete_split(8, 3)
+        table = build_compat_graph(h, -3, enumerate_candidates(h, -3, nonmain=False))
+        assert len(maximal_cliques(table)) == 63
+        rep = maximal_extensions(h, -3, nonmain=False)
+        assert len(assembled) == 2
+        oracle = unreduced_extensions(h, -3, nonmain=False, regular_only=False, maximal_only=True)
+        assert rep.to_json() == oracle.to_json()
+        assert [m.witness for m in rep.maximal_graphs] == [m.witness for m in oracle.maximal_graphs]
+
+    def test_nonmaximal_reduces_after_expansion(self):
+        # A triangle plus two isolated vertices at mu = 1: the first
+        # sub-clique of some class lies in no orbit-first maximal clique, so
+        # reducing before the sub-cliques are listed changes a witness.
+        h = Graph(5, [(0, 3), (0, 4), (3, 4)])
+        rep = maximal_extensions(h, 1, nonmain=False, maximal_only=False)
+        oracle = unreduced_extensions(h, 1, nonmain=False, regular_only=False, maximal_only=False)
+        assert rep.to_json() == oracle.to_json()
+        assert [m.witness for m in rep.maximal_graphs] == [m.witness for m in oracle.maximal_graphs]
+
+    def test_matches_unreduced_oracle(self, assembled):
+        # random H with planted true and false twins, under every filter setting
+        from hypothesis import assume, given, settings, strategies as st
+
+        reduced = []
+
+        @settings(max_examples=80, deadline=None)
+        @given(
+            st.integers(1, 5),
+            st.integers(1, 3),
+            st.randoms(use_true_random=False),
+            st.sampled_from([-4, -3, -2, 1, 2, 3]),
+            st.booleans(),
+            st.booleans(),
+            st.booleans(),
+        )
+        def check(n, twins, rng, mu, nonmain, regular_only, maximal_only):
+            h = random_graph_with_twins(n, twins, rng)
+            assume(eig_multiplicity(h, mu) == 0)
+            assembled.clear()
+            try:
+                rep = maximal_extensions(
+                    h, mu, nonmain=nonmain, regular_only=regular_only,
+                    maximal_only=maximal_only, budget=4096,
+                )
+            except BudgetExceededError:
+                assume(False)
+            oracle = unreduced_extensions(h, mu, nonmain, regular_only, maximal_only)
+            assert rep.to_json() == oracle.to_json()
+            assert [m.witness for m in rep.maximal_graphs] == [
+                m.witness for m in oracle.maximal_graphs
+            ]
+            if maximal_only:
+                table = build_compat_graph(h, mu, rep.candidates)
+                reduced.append(len(assembled) < len(maximal_cliques(table)))
+
+        check()
+        assert any(reduced)
 
 
 class TestDegreeBalance:
