@@ -3,8 +3,8 @@
 Graphs are accepted either as graph6 strings or as the named constructions
 "split:s,t" (clique joined to isolated vertices) and "cocktail:p"
 (complement of p disjoint edges), so experiments stay one-liners.  All
-output is deterministic; --threads only changes how the candidate scans are
-sharded.  Star-set search runs on one thread and ignores it.
+output is deterministic.  Every search runs on one thread: --threads is
+accepted (at least 1) and ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -117,10 +117,14 @@ def cmd_spectrum(args) -> tuple[dict, list[str], int]:
     return payload, lines, EXIT_OK
 
 
-def cmd_starsets(args) -> tuple[dict, list[str], int]:
-    # --threads is checked like the other commands' but otherwise ignored.
+def _check_threads(args) -> None:
+    """--threads must be at least 1; every search runs on one thread anyway."""
     if args.threads < 1:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
+
+
+def cmd_starsets(args) -> tuple[dict, list[str], int]:
+    _check_threads(args)
     g = load_graph(args.graph)
     mu = parse_rational(args.mu)
     stars = find_star_sets(g, mu, budget=args.budget)
@@ -143,11 +147,10 @@ def cmd_starsets(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_candidates(args) -> tuple[dict, list[str], int]:
+    _check_threads(args)
     h = load_graph(args.graph)
     mu = parse_rational(args.mu)
-    cands = enumerate_candidates(
-        h, mu, nonmain=args.nonmain, budget=args.budget, threads=args.threads
-    )
+    cands = enumerate_candidates(h, mu, nonmain=args.nonmain, budget=args.budget)
     payload = {
         "H": write_graph6(h),
         "mu": format_rational(mu),
@@ -164,6 +167,7 @@ def cmd_candidates(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_extend(args) -> tuple[dict, list[str], int]:
+    _check_threads(args)
     h = load_graph(args.graph)
     mu = parse_rational(args.mu)
     report = maximal_extensions(
@@ -172,7 +176,6 @@ def cmd_extend(args) -> tuple[dict, list[str], int]:
         nonmain=args.nonmain,
         regular_only=args.regular_only,
         budget=args.budget,
-        threads=args.threads,
         maximal_only=not args.include_nonmaximal,
     )
     payload = report.to_json()
@@ -190,7 +193,8 @@ def cmd_extend(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_theorem(args) -> tuple[dict, list[str], int]:
-    report = theorem_check(args.s, args.t_max, threads=args.threads)
+    _check_threads(args)
+    report = theorem_check(args.s, args.t_max)
     payload = report.to_json()
     lines = [f"classification check at s = {args.s}, t = 2..{args.t_max}"]
     for b in report.branches:
@@ -252,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mu=True, threads_help="search worker threads"):
+    threads_help = "at least 1, otherwise ignored: every search runs on one thread"
+
+    def add_common(p, mu=True):
         p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
         if mu:
             p.add_argument("--mu", required=True, help="rational eigenvalue, p or p/q")
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("starsets", help="exhaustive star-set search for an eigenvalue")
-    add_common(p, threads_help="at least 1, otherwise ignored: star-set search runs on one thread")
+    add_common(p)
     p.set_defaults(func=cmd_starsets)
 
     p = sub.add_parser("candidates", help="enumerate attachment candidates for a star complement")
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="run the cocktail-party classification check")
     p.add_argument("--s", type=int, required=True, help="clique size of the star complement")
     p.add_argument("--t-max", type=int, required=True, help="check t = 2..t_max with mu = -t")
-    p.add_argument("--threads", type=int, default=1, help="search worker threads")
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("explore", help="integer solutions of the two type constraints")

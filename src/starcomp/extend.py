@@ -13,8 +13,8 @@ The subset scan works in an integer form for every rational mu = p/q: with
 (mu I - A)^{-1} = Y / d from the cached resolvent_inverse and g the gcd of d
 and the entries of Y, <b, b> = mu iff b^T R b = p d/g for R = q Y/g, and
 <b, j> = -1 iff b^T R j = -q d/g.  One split-half scan covers both cases:
-in int64, sharded across threads, when mu is integral and every accumulator
-provably fits, and over Python ints, as one range, otherwise.
+in int64 when mu is integral and every accumulator provably fits, and over
+Python ints otherwise.
 Pair classes use the scaled form R' = m(mu) (mu I - A)^{-1} of
 resolvent_via_minpoly, an integer matrix for integral mu and exact rationals
 otherwise: with the candidates as the rows of a 0/1 matrix C, every scaled
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -116,8 +115,9 @@ def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
     Used for the integer forms the int64 path cannot take: non-integral mu,
     and integral mu whose accumulators could pass kernels.ACCUMULATOR_LIMIT.
     res and rj are object arrays of Python ints, so every sum stays exact.
-    perfbench/tracer.py wraps this name and kernels.subset_scan_int64, so
-    the scan is reached by its own name to count each mask once.
+    perfbench/tracer.py wraps this name and kernels.subset_scan_int64, and
+    reads lo, hi to count the masks, so the scan is reached by its own name
+    with its range as positional arguments.
     """
     return kernels._subset_scan_numpy(res, rj, want_diag, want_j, use_j, lo, hi).tolist()
 
@@ -127,7 +127,6 @@ def enumerate_candidates(
     mu,
     nonmain: bool = True,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> list[Candidate]:
     """All H-neighborhoods b with <b,b> = mu (and <b,j> = -1 when nonmain).
 
@@ -135,8 +134,6 @@ def enumerate_candidates(
     tuples.  mu in {0, -1} is rejected: there the neighborhoods stop being
     distinct and nonempty and the compatibility reading breaks down.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     mu = Fraction(mu)
     if mu in (0, -1):
         raise EngineRestrictionError(
@@ -169,44 +166,15 @@ def enumerate_candidates(
     )
 
     if bounds_ok:
-        ranges = _even_ranges(total, threads)
-        res64 = res.astype(np.int64)
-        rj64 = rj.astype(np.int64)
-
-        def scan(rng):
-            lo, hi = rng
-            return kernels.subset_scan_int64(
-                res64, rj64, np.int64(want_diag), np.int64(want_j), nonmain, lo, hi
-            ).tolist()
+        masks = kernels.subset_scan_int64(
+            res.astype(np.int64), rj.astype(np.int64),
+            np.int64(want_diag), np.int64(want_j), nonmain, 0, total,
+        ).tolist()
     else:
-        # Object arithmetic holds the GIL, so shards would only repeat the
-        # low-bit table: the Python-int scan runs as one range.
-        ranges = [(0, total)]
-
-        def scan(rng):
-            lo, hi = rng
-            return _subset_scan_exact(res, rj, want_diag, want_j, nonmain, lo, hi)
-
-    if len(ranges) == 1:
-        masks = scan(ranges[0])
-    else:
-        masks = []
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            for chunk in pool.map(scan, ranges):
-                masks.extend(chunk)
+        masks = _subset_scan_exact(res, rj, want_diag, want_j, nonmain, 0, total)
     cands = [_mask_to_candidate(m, n) for m in masks]
     cands.sort(key=lambda c: c.vertices)
     return cands
-
-
-def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Even ranges covering [0, total): at most `parts` of them, and no more
-    than there are scan blocks of 2^LOW_BITS * HIGH_BLOCK masks, so no
-    shard recomputes the low-bit table for a handful of masks."""
-    block = kernels.HIGH_BLOCK << kernels.LOW_BITS
-    parts = max(1, min(parts, -(-total // block)))
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 @dataclass(frozen=True, eq=False)  # numpy fields: compare by identity
@@ -266,12 +234,21 @@ def pair_class(h: Graph, mu, u: Candidate, v: Candidate) -> PairClass:
     return build_compat_graph(h, mu, [u, v]).pair(0, 1)
 
 
-def _bron_kerbosch(neighbors: list[set[int]], n: int) -> list[tuple[int, ...]]:
-    """Maximal cliques with max-degree pivoting; deterministic order."""
+def _bron_kerbosch(
+    neighbors: list[set[int]], n: int, limit: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """Maximal cliques with max-degree pivoting; deterministic order.
+
+    Raises BudgetExceededError as soon as more than `limit` are found.
+    """
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: list[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
+            if len(cliques) == limit:
+                raise BudgetExceededError(
+                    f"more than {limit} maximal cliques exceeds budget {limit}"
+                )
             cliques.append(tuple(sorted(r)))
             return
         pivot = max(
@@ -286,13 +263,14 @@ def _bron_kerbosch(neighbors: list[set[int]], n: int) -> list[tuple[int, ...]]:
     return sorted(cliques)
 
 
-def maximal_cliques(table: CompatTable) -> list[tuple[int, ...]]:
-    """Maximal candidate sets that are pairwise not incompatible."""
+def maximal_cliques(table: CompatTable, limit: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """Maximal candidate sets that are pairwise not incompatible, at most
+    `limit` of them (BudgetExceededError past that)."""
     n = len(table.candidates)
     if n == 0:
         return []
     neighbors = [set(np.flatnonzero(row).tolist()) for row in table.compat]
-    return _bron_kerbosch(neighbors, n)
+    return _bron_kerbosch(neighbors, n, limit)
 
 
 def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
@@ -442,7 +420,6 @@ def maximal_extensions(
     nonmain: bool = True,
     regular_only: bool = False,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     maximal_only: bool = True,
 ) -> ExtensionReport:
     """Enumerate the maximal graphs having H as a star complement for mu.
@@ -451,9 +428,10 @@ def maximal_extensions(
     lexicographically smallest witness) and optionally filtered to regular
     graphs.  Regularity is an isomorphism invariant, so the filter runs
     before the canonical form and leaves the same survivors and witnesses.
-    With maximal_only=False every nonempty clique is reported, not just the
-    maximal ones; their count, sum(2^|c| - 1) over the maximal cliques c,
-    must not exceed budget.
+    budget bounds the 2^|V(H)| subset scan and the number of maximal
+    cliques.  With maximal_only=False every nonempty clique is reported, not
+    just the maximal ones; their count, sum(2^|c| - 1) over the maximal
+    cliques c, must not exceed budget either.
 
     Only the first clique of each orbit under the twin transpositions of H
     is assembled.  Each orbit lies inside one isomorphism class, so the
@@ -464,9 +442,9 @@ def maximal_extensions(
     An H without twins keeps every clique.
     """
     mu = Fraction(mu)
-    cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget, threads=threads)
+    cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget)
     table = build_compat_graph(h, mu, cands)
-    cliques = maximal_cliques(table)
+    cliques = maximal_cliques(table, budget)
     if not maximal_only:
         subcliques = sum((1 << len(c)) - 1 for c in cliques)
         if subcliques > budget:

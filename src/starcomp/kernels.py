@@ -11,8 +11,10 @@ tabulated over the low LOW_BITS bits once and combined with blocks of high
 patterns by one small matrix product each.  Its buffers take the dtype of R,
 so the same code runs in int64, once the caller has proven that every
 accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
-ints otherwise.  Each shard [i0, i1) of the Gray-code index space yields the
-same set of masks in either arithmetic.
+ints otherwise.  Every range [i0, i1) of the Gray-code index space yields
+the same set of masks in either arithmetic.  The engine scans the whole
+space in one call; the range stays in the signature because
+perfbench/tracer.py reads it to count the masks each call scans.
 
 The elimination runs over Python ints, so every rank and inverse is exact
 whatever the size of the entries; in pure Python it beats an interpreted
@@ -40,8 +42,7 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
 
     res is a symmetric int64 or object array and rj its row sums; every
     buffer takes res.dtype, so object arrays of Python ints stay exact.
-    Disjoint ranges [i0, i1) partition the mask space, so the scan can be
-    sharded across workers.
+    Disjoint ranges [i0, i1) partition the mask space.
 
     A mask b splits into its low L = min(n, LOW_BITS) bits l and its high
     bits h, so that

@@ -148,6 +148,14 @@ class Polynomial:
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, ascending."""
+        return self.factor_rational()[0]
+
+    def factor_rational(self) -> tuple[list[tuple[Fraction, int]], "Polynomial"]:
+        """(rational roots with multiplicities, ascending, root-free residual).
+
+        Each root is divided out as often as it occurs while it is counted,
+        so the quotient left at the end is the residual.
+        """
         if self.degree < 0:
             raise ValueError("zero polynomial has every root")
         poly = self
@@ -182,16 +190,7 @@ class Polynomial:
                         mult += 1
                     if mult:
                         roots.append((cand, mult))
-        return sorted(roots)
-
-    def factor_rational(self) -> tuple[list[tuple[Fraction, int]], "Polynomial"]:
-        """(rational roots with multiplicities, root-free residual factor)."""
-        roots = self.rational_roots()
-        residual = self
-        for r, m in roots:
-            for _ in range(m):
-                residual, _ = divmod(residual, Polynomial([-r, 1]))
-        return roots, residual
+        return sorted(roots), poly
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -331,21 +330,6 @@ def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
                 acc -= row[j] * y[j][col]
             y[i][col] = acc // piv
     return y, d
-
-
-def invert_exact(m) -> np.ndarray:
-    """Exact inverse of a square rational matrix; raises SingularResolventError.
-
-    With s clearing the denominators, M^{-1} = s (sM)^{-1} = s Y / d.
-    """
-    rows, scale = _as_int_rows(m)
-    y, d = _inverse_scaled(rows)
-    n = len(rows)
-    inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for col in range(n):
-            inv[i, col] = Fraction(y[i][col] * scale, d)
-    return inv
 
 
 # ---------------------------------------------------------------------------

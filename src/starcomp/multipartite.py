@@ -45,6 +45,7 @@ from .linalg import (
     format_rational,
     resolvent_bilinear,
 )
+from .starsets import DEFAULT_BUDGET, BudgetExceededError
 
 
 class MuIsSplitEigenvalueError(ValueError):
@@ -336,24 +337,28 @@ def _expected_spectrum_poly(s: int) -> Polynomial:
     return Polynomial.from_roots(roots)
 
 
-def theorem_check(s: int, t_max: int, threads: int = 1) -> TheoremReport:
+def theorem_check(s: int, t_max: int) -> TheoremReport:
     """Run the classification for mu = -t over t = 2..t_max at clique size s.
 
     Expected outcome: for t = 2 exactly one regular maximal graph, the
     cocktail-party graph on 2s + 2 vertices (2s-regular, star set of size s,
     spectrum {2s, 0^{s+1}, (-2)^s}, degree balance consistent); for every
     t >= 3 no regular maximal graph at all.  Any failed check is reported as
-    a counterexample rather than raised.
+    a counterexample rather than raised.  The largest branch's subset scan
+    is checked against DEFAULT_BUDGET before any branch runs.
     """
     if s < 2 or t_max < 2:
         raise ValueError("theorem check requires s >= 2 and t_max >= 2")
+    n = s + t_max
+    if 1 << n > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"2^{n} = {1 << n} subsets exceeds budget {DEFAULT_BUDGET}"
+        )
     branches = []
     for t in range(2, t_max + 1):
         mu = Fraction(-t)
         h = make_complete_split(s, t)
-        report = maximal_extensions(
-            h, mu, nonmain=True, regular_only=True, threads=threads
-        )
+        report = maximal_extensions(h, mu, nonmain=True, regular_only=True)
         checks: list[tuple[str, bool, str]] = []
         g6 = None
         if t == 2:

@@ -61,6 +61,29 @@ def fraction_rank(rows) -> int:
     return r
 
 
+def fraction_inverse(m) -> np.ndarray:
+    """Inverse by plain Gauss-Jordan elimination over Fraction; the inverse
+    oracle.  Raises ZeroDivisionError on a singular matrix."""
+    n = len(m)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        out[i, :] = aug[i][n:]
+    return out
+
+
 def identity_matrix(n: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=object)
     for i in range(n):

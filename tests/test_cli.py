@@ -171,7 +171,7 @@ class TestTheorem:
                 ),
             ),
         )
-        monkeypatch.setattr(cli, "theorem_check", lambda s, t_max, threads=1: fake)
+        monkeypatch.setattr(cli, "theorem_check", lambda s, t_max: fake)
         code, text = run_text(capsys, "theorem", "--s", "2", "--t-max", "2")
         assert code == EXIT_VERIFICATION
         assert "FAIL" in text
@@ -316,9 +316,11 @@ class TestErrors:
 
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, capsys):
-        # starsets runs on one thread: it accepts --threads and ignores it.
+        # every command that takes --threads accepts it and ignores it
         for argv in (
+            ["candidates", "--graph", "split:5,3", "--mu", "-3", "--nonmain"],
             ["extend", "--graph", "split:3,2", "--mu", "-2", "--nonmain"],
+            ["theorem", "--s", "3", "--t-max", "4"],
             ["starsets", "--graph", "cocktail:4", "--mu=-2"],
         ):
             outputs = set()

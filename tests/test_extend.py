@@ -1,17 +1,22 @@
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from starcomp import (
+    BlockSpec,
     Graph,
     PairClass,
     assemble_graph,
     build_compat_graph,
     cycle_graph,
     degree_balance,
+    diag_constraint,
     eig_multiplicity,
     enumerate_candidates,
     is_isomorphic,
@@ -19,7 +24,9 @@ from starcomp import (
     make_cocktail,
     make_complete_split,
     maximal_extensions,
+    nonmain_constraint,
     pair_class,
+    parse_graph6,
     path_graph,
     relabel,
     resolvent_bilinear,
@@ -81,14 +88,6 @@ class TestEnumerateCandidates:
         got = [c.vertices for c in enumerate_candidates(h, mu, nonmain=False)]
         assert got == exhaustive_candidates(h, mu, False)
 
-    def test_rational_mu_exact_path_threaded(self):
-        # the Fraction-based scan shards the same way as the int64 kernel
-        h = cycle_graph(5)
-        mu = Fraction(5, 2)
-        single = enumerate_candidates(h, mu, nonmain=False, threads=1)
-        for threads in (2, 4, 7):
-            assert enumerate_candidates(h, mu, nonmain=False, threads=threads) == single
-
     def test_candidates_distinct_nonempty(self):
         for h, mu in [
             (make_complete_split(2, 2), -2),
@@ -109,64 +108,29 @@ class TestEnumerateCandidates:
         with pytest.raises(BudgetExceededError):
             enumerate_candidates(make_cocktail(5), -3, budget=100)
 
-    def test_thread_determinism(self):
-        h = make_complete_split(3, 2)
-        base = [c.vertices for c in enumerate_candidates(h, -2)]
-        for threads in (2, 5, 8):
-            got = [
-                c.vertices for c in enumerate_candidates(h, -2, threads=threads)
-            ]
-            assert got == base
-
     @pytest.mark.parametrize("nonmain", [False, True])
     @pytest.mark.parametrize("s,t,mu", [
         (6, 6, -2), (6, 5, -2), (5, 6, 2), (5, 3, -3),
         (13, 5, 1), (14, 4, -4), (16, 2, -2), (15, 4, -4),
     ])
-    def test_thread_determinism_across_blocks(self, s, t, mu, nonmain):
-        # up to 2^16 masks the scan runs as one shard whatever the thread
-        # count; from 2^18 masks on, 3 threads cut the mask space at indices
-        # that are neither powers of two nor multiples of the split-half
-        # scan's 2^LOW_BITS blocks
+    def test_split_candidates_across_blocks(self, s, t, mu, nonmain):
+        # from 2^18 masks on the int64 scan runs over many blocks of
+        # 2^LOW_BITS * HIGH_BLOCK masks; on K_s + tK_1 the candidates are
+        # exactly the neighbourhoods of the types (a, b) that solve the closed
+        # type constraints, C(s, a) C(t, b) of each
         h = make_complete_split(s, t)
-        base = enumerate_candidates(h, mu, nonmain=nonmain, threads=1)
-        assert base or s + t < 18
-        for threads in (2, 3):
-            assert enumerate_candidates(h, mu, nonmain=nonmain, threads=threads) == base
-
-    @pytest.mark.parametrize("s,t,threads,workers", [
-        (14, 4, 10**6, 4), (16, 3, 10**6, 8), (16, 3, 5, 5), (6, 6, 10**6, None),
-    ])
-    def test_threads_capped_by_scan_blocks(self, monkeypatch, s, t, threads, workers):
-        # a huge --threads asks for at most one worker per block of
-        # 2^LOW_BITS * HIGH_BLOCK masks; the stand-in pool starts no thread
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        h = make_complete_split(s, t)
-        base = enumerate_candidates(h, -t, threads=1)
-        monkeypatch.setattr(extend_module, "ThreadPoolExecutor", SerialPool)
-        assert enumerate_candidates(h, -t, threads=threads) == base
-        block = kernels.HIGH_BLOCK << kernels.LOW_BITS
-        assert requested == ([] if workers is None else [workers])
-        assert all(w <= -(-(1 << h.n) // block) for w in requested)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            enumerate_candidates(make_complete_split(2, 2), -2, threads=threads)
+        spec = BlockSpec(s, t)
+        want = {
+            (a, b): comb(s, a) * comb(t, b)
+            for a in range(s + 1)
+            for b in range(t + 1)
+            if diag_constraint(spec, mu, a, b) == 0
+            and (not nonmain or nonmain_constraint(spec, mu, a, b) == 0)
+        }
+        cands = enumerate_candidates(h, mu, nonmain=nonmain)
+        assert cands or s + t < 18
+        assert Counter(c.split_type(s) for c in cands) == want
+        assert [c.vertices for c in cands] == sorted({c.vertices for c in cands})
 
     @pytest.mark.parametrize("nonmain", [False, True])
     @pytest.mark.parametrize(
@@ -190,11 +154,11 @@ class TestEnumerateCandidates:
                             spy("int64", kernels.subset_scan_int64))
         monkeypatch.setattr(extend_module, "_subset_scan_exact",
                             spy("exact", extend_module._subset_scan_exact))
-        fast = enumerate_candidates(h, mu, nonmain=nonmain, threads=3)
+        fast = enumerate_candidates(h, mu, nonmain=nonmain)
         assert set(calls) == {"int64"}
         calls.clear()
         monkeypatch.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
-        exact = enumerate_candidates(h, mu, nonmain=nonmain, threads=3)
+        exact = enumerate_candidates(h, mu, nonmain=nonmain)
         assert set(calls) == {"exact"}
         assert exact == fast
         if s + t <= 8:
@@ -285,6 +249,16 @@ class TestCompatTable:
                 if i != j:
                     assert table.pair(i, j) is PairClass.INCOMPATIBLE
         assert maximal_cliques(table) == [(i,) for i in range(5)]
+        assert maximal_cliques(table, 5) == [(i,) for i in range(5)]
+        with pytest.raises(BudgetExceededError, match="^more than 4 maximal cliques exceeds budget 4$"):
+            maximal_cliques(table, 4)
+
+    def test_clique_budget_stops_the_search(self):
+        # 40 candidates on 8 vertices with more than 200 000 maximal cliques:
+        # Bron-Kerbosch stops at the budget instead of listing them all
+        h = parse_graph6("G]~MUO")
+        with pytest.raises(BudgetExceededError, match="more than 4096 maximal cliques"):
+            maximal_extensions(h, 1, nonmain=True, budget=4096)
 
     @pytest.mark.parametrize("mu", [-2, Fraction(-5, 2)])
     def test_table_matches_exact_values(self, mu):
@@ -520,41 +494,6 @@ class TestMaximalExtensions:
             m for m in full.maximal_graphs if m.regular is not None
         )
 
-    def test_thread_invariance(self):
-        h = make_complete_split(3, 2)
-        base = maximal_extensions(h, -2, nonmain=True).to_json()
-        for threads in (2, 8):
-            assert maximal_extensions(h, -2, nonmain=True, threads=threads).to_json() == base
-
-    def test_thread_determinism_random(self, monkeypatch):
-        # Shards of at least 2^10 masks, so that the scan of H on 12-13
-        # vertices really splits into three ranges.
-        from hypothesis import assume, given, settings, strategies as st
-
-        monkeypatch.setattr(kernels, "HIGH_BLOCK", 1)
-
-        @settings(max_examples=25, deadline=None)
-        @given(
-            st.integers(12, 13),
-            st.randoms(use_true_random=False),
-            st.sampled_from([-3, -2, 1, 2, 3]),
-            st.booleans(),
-        )
-        def check(n, rng, mu, nonmain):
-            assert len(extend_module._even_ranges(1 << n, 3)) == 3
-            h = random_graph(n, rng)
-            assume(eig_multiplicity(h, mu) == 0)
-            # A few candidates: some graphs to report, and a small clique list.
-            assume(1 <= len(enumerate_candidates(h, mu, nonmain=nonmain)) <= 16)
-            runs = [
-                maximal_extensions(h, mu, nonmain=nonmain, threads=k).to_json()
-                for k in (1, 2, 3)
-            ]
-            assert runs[1] == runs[0] and runs[2] == runs[0]
-
-        check()
-
-
 class TestOrbitReduction:
     @pytest.fixture
     def assembled(self, monkeypatch):
@@ -639,11 +578,14 @@ class TestOrbitReduction:
 
     def test_matches_unreduced_oracle(self, assembled):
         # random H with planted true and false twins, under every filter setting
-        from hypothesis import assume, given, settings, strategies as st
+        from hypothesis import assume, example, given, settings, strategies as st
 
         reduced = []
 
         @settings(max_examples=80, deadline=None)
+        # a fixed H on which the reduction assembles 2 of 4 maximal cliques,
+        # so the check below never depends on what Hypothesis happens to draw
+        @example(2, 2, random.Random(0), 1, False, False, True)
         @given(
             st.integers(1, 5),
             st.integers(1, 3),

@@ -25,11 +25,12 @@ from starcomp import (
     resolvent_bilinear,
     resolvent_via_minpoly,
 )
-from starcomp.linalg import _root_bound, invert_exact, resolvent_inverse
+from starcomp.linalg import _as_int_rows, _inverse_scaled, _root_bound, resolvent_inverse
 
 from conftest import (
     euclid_poly_gcd,
     faddeev_leverrier_char_poly,
+    fraction_inverse,
     identity_matrix,
     krylov_min_poly,
     leibniz_char_poly,
@@ -253,6 +254,7 @@ class TestRankMultiplicity:
 
 class TestInvertExact:
     def test_random_rational_matrices(self):
+        # the Bareiss inverse of the integer-scaled rows sM: M^{-1} = s Y / d
         rng = random.Random(41)
         inverted = singular = 0
         for _ in range(200):
@@ -260,12 +262,19 @@ class TestInvertExact:
             m = random_rational_matrix(n, rng)
             if n >= 2 and rng.random() < 0.2:
                 m[n - 1] = m[0] * Fraction(rng.randint(-3, 3), 2)  # dependent rows
+            rows, scale = _as_int_rows(m)
             if rank(m) < n:
                 with pytest.raises(SingularResolventError):
-                    invert_exact(m)
+                    _inverse_scaled(rows)
+                with pytest.raises(ZeroDivisionError):
+                    fraction_inverse(m)
                 singular += 1
                 continue
-            inv = invert_exact(m)
+            y, d = _inverse_scaled(rows)
+            inv = np.empty((n, n), dtype=object)
+            for i in range(n):
+                inv[i, :] = [Fraction(v * scale, d) for v in y[i]]
+            assert (inv == fraction_inverse(m)).all()
             assert (m @ inv == identity_matrix(n)).all()
             assert (inv @ m == identity_matrix(n)).all()
             inverted += 1
@@ -378,7 +387,7 @@ class TestResolvent:
             trials += 1
             m_mu = krylov_min_poly(adjacency_matrix(g))(mu)
             shifted = mu * identity_matrix(g.n) - adjacency_matrix(g)
-            direct = invert_exact(shifted) * m_mu
+            direct = fraction_inverse(shifted) * m_mu
             assert (direct == minpoly_scaled_resolvent(g, mu)).all()
 
     def test_bilinear_matches_scaled_matrix(self):
@@ -430,7 +439,7 @@ class TestResolvent:
                 y, d = resolvent_inverse(g, mu)
                 assert y.shape == (n, n) and not y.flags.writeable
                 assert all(type(v) is int for v in y.reshape(-1))
-                assert (y * Fraction(1, d) == invert_exact(shifted)).all()
+                assert (y * Fraction(1, d) == fraction_inverse(shifted)).all()
                 det = faddeev_leverrier_char_poly(shifted * mu.denominator)(0) * (-1) ** n
                 assert d == abs(det) > 0
                 checked["integral" if mu.denominator == 1 else "rational"] += 1

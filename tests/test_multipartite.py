@@ -27,6 +27,7 @@ from starcomp import (
     theorem_check,
 )
 from starcomp.multipartite import MuIsSplitEigenvalueError
+from starcomp.starsets import BudgetExceededError
 
 from conftest import krylov_min_poly
 
@@ -350,6 +351,25 @@ class TestTheorem:
     def test_validation(self):
         with pytest.raises(ValueError):
             theorem_check(1, 3)
+
+    def test_budget_checked_before_any_branch(self, monkeypatch):
+        # 2^(s + t_max) is the largest branch's subset scan: past the
+        # default budget nothing runs; at 2^23 the branches start
+        import starcomp.multipartite as multipartite
+
+        calls = []
+
+        def refuse(h, *args, **kwargs):
+            calls.append(h.n)
+            raise AssertionError("a branch ran")
+
+        monkeypatch.setattr(multipartite, "maximal_extensions", refuse)
+        with pytest.raises(BudgetExceededError, match=r"^2\^24 = 16777216 subsets exceeds budget 10000000$"):
+            theorem_check(12, 12)
+        assert calls == []
+        with pytest.raises(AssertionError, match="a branch ran"):
+            theorem_check(12, 11)
+        assert calls == [14]
 
 
 class TestExplorer:
