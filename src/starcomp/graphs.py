@@ -4,9 +4,14 @@ Vertices are the contiguous indices 0..n-1 and graphs are immutable values,
 so they hash, compare, and are safe to share.  The only wire format is
 graph6 (6-bit encoding, bias 63), implemented bit-exactly.
 
-Canonical forms use individualization-refinement with pruning by discovered
-automorphisms; the supported bound is n <= 64, far above anything the search
-engine produces.
+Canonical forms use individualization-refinement.  Every pair of leaves with
+equal codes yields an automorphism, and the search prunes with it as nauty
+does: it backjumps to the two leaves' deepest common ancestor, and it skips a
+child lying in the orbit of an explored sibling under the automorphisms found
+so far that fix the node's prefix.  Both rules skip only automorphic images
+of explored subtrees, so the minimum code, and with it the canonical graph6,
+is the one the unpruned tree gives.  The supported bound is n <= 64, far
+above anything the search engine produces.
 """
 
 from __future__ import annotations
@@ -337,20 +342,44 @@ def _encode(adj: np.ndarray, position: list[int]) -> int:
     return code
 
 
+def _root(parent: list[int], v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _canon_search(g: Graph) -> tuple[int, list[int]]:
     """Minimum adjacency code over the individualization-refinement tree.
 
     Each leaf is a discrete coloring; two leaves with equal codes induce an
-    automorphism, which is recorded and used to skip branches that are images
-    of already-explored ones under an automorphism fixing the current prefix.
+    automorphism, which is recorded and prunes the tree in two ways:
+
+    - Backjump.  If a leaf's code equals the best code, let k be the length
+      of the common prefix of the two leaves' individualized vertices.  The
+      induced automorphism fixes that prefix pointwise and maps the best
+      leaf's branch at depth k onto the current one, so the current branch
+      is the image of one already explored: every frame deeper than k
+      returns, and the node at depth k goes on with its next child.
+    - Orbit pruning.  A node skips child w when w lies in the orbit of an
+      explored sibling under the group generated by the recorded
+      automorphisms that fix the node's prefix pointwise.
+
+    Both rules skip only automorphic images of explored subtrees, which hold
+    the same multiset of leaf codes, so the minimum code is unchanged; the
+    code fixes the relabeled adjacency, so the graph6 built from whichever
+    minimal leaf is kept is unchanged too.
     """
     n = g.n
     adj = g.adj
     neighbors = [g.neighbors(v) for v in range(n)]
-    best: list = [None, None]  # [code, position]
+    best: list = [None, None, ()]  # [code, position, individualized prefix]
     autos: list[list[int]] = []
 
-    def dfs(colors: list[int], fixed: tuple[int, ...]) -> None:
+    def dfs(colors: list[int], fixed: tuple[int, ...]) -> int:
+        """Search the subtree; return the depth the search resumes at."""
+        depth = len(fixed)
         colors = _refine(neighbors, colors)
         classes: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -363,8 +392,7 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
         if target is None:
             code = _encode(adj, colors)
             if best[0] is None or code < best[0]:
-                best[0] = code
-                best[1] = colors[:]
+                best[:] = [code, colors[:], fixed]
             elif code == best[0]:
                 # colors and best[1] are two labelings with equal codes; the
                 # induced vertex map is an automorphism worth remembering.
@@ -375,18 +403,37 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
                 for v in range(n):
                     sigma[v] = at_best[colors[v]]
                 autos.append(sigma)
-            return
+                k = 0
+                while fixed[k] == best[2][k]:
+                    k += 1
+                return k
+            return depth
         explored: list[int] = []
+        # Orbits of the recorded automorphisms fixing `fixed`, as a union-find
+        # forest over the vertices; built once autos is nonempty and extended
+        # only by the automorphisms recorded since.
+        parent: Optional[list[int]] = None
+        seen = 0
         for w in target:
-            skip = False
-            for sigma in autos:
-                if all(sigma[x] == x for x in fixed) and sigma[w] in explored:
-                    skip = True
-                    break
+            if seen < len(autos):
+                if parent is None:
+                    parent = list(range(n))
+                for sigma in autos[seen:]:
+                    if all(sigma[x] == x for x in fixed):
+                        for v in range(n):
+                            a, b = _root(parent, v), _root(parent, sigma[v])
+                            if a != b:
+                                parent[a] = b
+                seen = len(autos)
+            if parent is not None:
+                r = _root(parent, w)
+                if any(_root(parent, u) == r for u in explored):
+                    continue
             explored.append(w)
-            if skip:
-                continue
-            dfs(_individualize(colors, w), fixed + (w,))
+            back = dfs(_individualize(colors, w), fixed + (w,))
+            if back < depth:
+                return back
+        return depth
 
     dfs([0] * n, ())
     return best[0], best[1]

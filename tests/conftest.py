@@ -9,8 +9,9 @@ as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
 by evaluating the bilinear form on every subset, brute-force star-set
 extension search by building every possible graph and counting eigenvalue
 multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
-and maximal extensions without the symmetry reduction, assembling every
-clique.
+maximal extensions without the symmetry reduction, assembling every
+clique, and canonical codes from the whole individualization-refinement
+tree with no automorphism pruning.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from starcomp import (
     resolvent_bilinear,
 )
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
+from starcomp.graphs import _encode, _individualize, _refine
 
 
 def fraction_rank(rows) -> int:
@@ -140,6 +142,29 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+def unpruned_canon_code(g: Graph) -> tuple[int, list[int]]:
+    """Minimum adjacency code over every leaf of the individualization-
+    refinement tree that graphs._canon_search walks (same refinement, same
+    target cell: the first smallest nontrivial cell), with no automorphism
+    pruning and no backjump.  Returns the code and the first leaf (vertex ->
+    position) attaining it.  The tree has at least |Aut(g)| leaves."""
+    neighbors = [g.neighbors(v) for v in range(g.n)]
+
+    def leaves(colors):
+        colors = _refine(neighbors, colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        split = [cells[c] for c in sorted(cells) if len(cells[c]) > 1]
+        if not split:
+            yield _encode(g.adj, colors), colors
+            return
+        for w in min(split, key=len):
+            yield from leaves(_individualize(colors, w))
+
+    return min(leaves([0] * g.n), key=lambda leaf: leaf[0])
 
 
 def leibniz_char_poly(adj) -> Polynomial:

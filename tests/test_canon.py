@@ -1,7 +1,10 @@
+import math
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starcomp import (
     Graph,
@@ -10,15 +13,27 @@ from starcomp import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     is_isomorphic,
     make_cocktail,
+    make_complete_split,
     matching_graph,
+    maximal_extensions,
+    parse_graph6,
     path_graph,
     relabel,
+    write_graph6,
 )
-from starcomp.graphs import CACHE_SIZE, UnsupportedSizeError
+from starcomp.graphs import CACHE_SIZE, UnsupportedSizeError, _canon_search
 
-from conftest import brute_isomorphic, random_graph
+from conftest import (
+    brute_isomorphic,
+    random_graph,
+    random_graph_with_twins,
+    unpruned_canon_code,
+)
+
+PETERSEN = parse_graph6("IheA@GUAo")
 
 
 def shuffled(g, rng):
@@ -136,3 +151,95 @@ def test_networkx_vf2_cross_check():
         nh = nx.Graph(h.edges())
         nh.add_nodes_from(range(h.n))
         assert is_isomorphic(g, h) == nx.is_isomorphic(ng, nh)
+
+
+def hypercube(d: int) -> Graph:
+    edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    return Graph(1 << d, edges)
+
+
+def disjoint_cliques(sizes) -> Graph:
+    g = empty_graph(0)
+    for k in sizes:
+        g = disjoint_union(g, complete_graph(k))
+    return g
+
+
+# The unpruned tree has at least |Aut| leaves: 2^p p! for cocktail:p and
+# s! t! for split:s,t, so the symmetric families stay below about 4000.
+SPLIT_SIZES = [
+    (s, t)
+    for s in range(1, 7)
+    for t in range(1, 7)
+    if math.factorial(s) * math.factorial(t) <= 2880
+]
+
+symmetric_graphs = st.one_of(
+    st.builds(make_cocktail, st.integers(1, 5)),
+    st.sampled_from(SPLIT_SIZES).map(lambda size: make_complete_split(*size)),
+    st.just(PETERSEN),
+    st.just(hypercube(4)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(disjoint_cliques),
+)
+
+# Unions of cycles are 2-regular, so refinement leaves non-automorphic
+# vertices in one cell: siblings differ, and a wrong backjump or orbit
+# rule skips subtrees holding smaller codes.
+cycle_unions = (
+    st.lists(st.integers(3, 6), min_size=2, max_size=3)
+    .filter(lambda lengths: sum(lengths) <= 13)
+    .map(lambda lengths: reduce(disjoint_union, map(cycle_graph, lengths)))
+)
+
+
+# Random graphs come from seeded G(n, 1/2) draws, which are nearly always
+# asymmetric; Hypothesis-driven coin flips shrink towards K_n, whose tree
+# has n! leaves.
+seeds = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@settings(max_examples=80, deadline=None)
+# labelings on which a backjump to the root loses the minimum code
+@example(reduce(disjoint_union, map(cycle_graph, (3, 3, 4))), random.Random(0))
+@example(complement(reduce(disjoint_union, map(cycle_graph, (3, 4, 5)))), random.Random(3))
+@given(
+    st.one_of(
+        st.builds(random_graph, st.integers(0, 12), seeds),
+        st.builds(random_graph_with_twins, st.integers(1, 7), st.integers(0, 4), seeds),
+        symmetric_graphs,
+        cycle_unions,
+        cycle_unions.map(complement),
+    ),
+    seeds,
+)
+def test_pruned_search_matches_unpruned_tree(g, rng):
+    g = shuffled(g, rng)
+    code, leaf = unpruned_canon_code(g)
+    assert _canon_search(g)[0] == code
+    assert canonical_form(g) == write_graph6(relabel(g, leaf)).encode("ascii")
+
+
+# Canonical bytes recorded before the search gained its backjump and orbit
+# rules.  They order the maximal graphs in every report, so they must not
+# change with the pruning.
+PINNED_FORMS = [
+    (make_cocktail(9), b"Q~~~~~~~v|~n}~|~|~}~~n~|~~w"),
+    (
+        make_complete_split(17, 17),
+        b"a??????????????????????B~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~w",
+    ),
+    (PETERSEN, b"IQosb?K?w"),
+]
+
+
+@pytest.mark.parametrize("g,form", PINNED_FORMS, ids=["cocktail:9", "split:17,17", "petersen"])
+def test_pinned_canonical_bytes(g, form):
+    assert canonical_form(g) == form
+
+
+def test_pinned_extend_maximal_graphs():
+    report = maximal_extensions(make_complete_split(8, 3), -3, nonmain=False)
+    assert [m.canonical for m in report.maximal_graphs] == [
+        b"K?\\~~~~~~~~~",
+        b"L}q||}~^z~n~^~",
+    ]
