@@ -26,10 +26,10 @@ MAX_VERTICES = 1 << 16
 CANON_MAX_VERTICES = 64
 
 # Entries kept by each graph-keyed cache: canonical_form here and the
-# (graph, mu)-keyed resolvent caches in linalg.  Star-set certificates key
-# the resolvent by every complement they test, and extension runs canonise
-# every assembled graph, so the caches are bounded rather than kept for the
-# life of the process.
+# (graph, mu)-keyed resolvent and eig_multiplicity caches in linalg.
+# Star-set certificates key the resolvent by every complement they test,
+# and extension runs canonise and rank every assembled graph, so the caches
+# are bounded rather than kept for the life of the process.
 CACHE_SIZE = 256
 
 

@@ -1,10 +1,10 @@
 """Integer hot-loop kernels: one subset scan and one Bareiss elimination.
 
 Two kernels dominate search runtime: fraction-free (Bareiss) elimination of
-small integer matrices, used for "is mu an eigenvalue of G - X" rank tests
-inside subset searches and for exact inverses, and a scan over all vertex
-subsets for the masks b with b^T R b on target, used for
-attachment-candidate enumeration.
+small integer matrices, used for eigenvalue multiplicities, the eigenspace
+basis whose row-matroid bases are the star sets, and exact inverses, and a
+scan over all vertex subsets for the masks b with b^T R b on target, used
+for attachment-candidate enumeration.
 
 The subset scan is one split-half numpy pass: the quadratic form is
 tabulated over the low LOW_BITS bits once and combined with blocks of high

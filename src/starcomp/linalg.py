@@ -332,6 +332,36 @@ def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     return y, d
 
 
+def _null_space(rows: list[list[int]]) -> list[list[int]]:
+    """An integer basis U of the null space of an integer row list M with n
+    columns, as n rows of k = n - rank(M) entries: M U = 0 and rank U = k.
+
+    Bareiss forward elimination leaves M in echelon form.  Each free column
+    f gives the solution with x_f = 1 and every other free entry 0, solved
+    for the pivot entries by Fraction back-substitution and scaled to a
+    primitive integer vector; these solutions are the columns of U.  Only
+    the pivot entries are Fractions, so the cost is O(n) per column when M
+    has small rank.
+    """
+    n = len(rows[0]) if rows else 0
+    m = [r[:] for r in rows]
+    rank_m = kernels._bareiss(m, n)
+    pivots = [next(j for j, v in enumerate(m[i]) if v) for i in range(rank_m)]
+    free = sorted(set(range(n)) - set(pivots))
+    cols = []
+    for f in free:
+        x = [0] * n
+        x[f] = 1
+        for i in range(rank_m - 1, -1, -1):
+            c, row = pivots[i], m[i]
+            x[c] = Fraction(-sum(row[j] * x[j] for j in range(c + 1, n)), row[c])
+        scale = lcm(*(x[c].denominator for c in pivots))
+        ints = [int(v * scale) for v in x]
+        content = gcd(*ints)
+        cols.append([v // content for v in ints])
+    return [[col[v] for col in cols] for v in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Characteristic and minimal polynomials
 # ---------------------------------------------------------------------------
@@ -423,8 +453,11 @@ def _shifted_int_matrix(g: Graph, mu: Fraction) -> list[list[int]]:
     return rows
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def eig_multiplicity(g: Graph, mu) -> int:
-    """Multiplicity of mu as an adjacency eigenvalue: n - rank(A - mu I)."""
+    """Multiplicity of mu as an adjacency eigenvalue: n - rank(A - mu I),
+    cached per (graph, mu) like resolvent_inverse, since every star-set
+    certificate for G asks for the same rank."""
     return g.n - _int_rank(_shifted_int_matrix(g, Fraction(mu)))
 
 

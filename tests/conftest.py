@@ -6,9 +6,9 @@ search, characteristic polynomials by Leibniz expansion over all
 permutations and by Faddeev-LeVerrier over Fractions, minimal polynomials by Krylov elimination on the powers of A, the scaled
 resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
-by evaluating the bilinear form on every subset, brute-force star-set
-extension search by building every possible graph and counting eigenvalue
-multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
+by evaluating the bilinear form on every subset, star sets by ranking
+every complement, brute-force star-set extension search by building every
+possible graph and counting eigenvalue multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
 maximal extensions without the symmetry reduction, assembling every
 clique, and canonical codes from the whole individualization-refinement
 tree with no automorphism pruning.
@@ -303,6 +303,22 @@ def block_residual(g: Graph, mu, star) -> np.ndarray | None:
     a_x = adj[np.ix_(star, star)]
     b = adj[np.ix_(comp, star)]
     return mu * identity_matrix(len(star)) - a_x - b.T @ inv @ b
+
+
+def complement_rank_star_sets(g: Graph, mu) -> list[tuple[int, ...]]:
+    """Every k-subset X (k the multiplicity of mu) in combinations order
+    whose complement has full Fraction rank in A - mu I, that is with mu not
+    an eigenvalue of G - X; no eigenspace basis is formed."""
+    mu = Fraction(mu)
+    shifted = [[int(v) - (mu if i == j else 0) for j, v in enumerate(r)]
+               for i, r in enumerate(g.adj)]
+    k = g.n - fraction_rank(shifted)
+    hits = []
+    for star in combinations(range(g.n), k):
+        keep = [v for v in range(g.n) if v not in star]
+        if fraction_rank([[shifted[i][j] for j in keep] for i in keep]) == len(keep):
+            hits.append(star)
+    return hits
 
 
 def exhaustive_candidates(h: Graph, mu, nonmain: bool) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -329,3 +330,14 @@ class TestDeterminism:
                 assert code == EXIT_OK
                 outputs.add(capsys.readouterr().out)
             assert len(outputs) == 1
+
+    # Star-set reports recorded before the search enumerated row-matroid
+    # bases; they list star sets in combinations order.
+    @pytest.mark.parametrize("graph, mu, digest", [
+        ("cocktail:6", "-2", "98dbde78548691c5080143be9827a9916e5dc4808fa036f13f38ca4192bca790"),
+        ("IheA@GUAo", "1", "ea7352febcf1f59f8e4eb75e6b3870c3e6413a6c4d96df5b57ee5a211f752efb"),
+    ], ids=["cocktail:6", "petersen"])
+    def test_starsets_bytes_pinned(self, capsys, graph, mu, digest):
+        code = main(["--format", "json", "starsets", "--graph", graph, f"--mu={mu}"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -25,12 +25,21 @@ from starcomp import (
     resolvent_bilinear,
     resolvent_via_minpoly,
 )
-from starcomp.linalg import _as_int_rows, _inverse_scaled, _root_bound, resolvent_inverse
+from starcomp.graphs import CACHE_SIZE
+from starcomp.linalg import (
+    _as_int_rows,
+    _inverse_scaled,
+    _null_space,
+    _root_bound,
+    _shifted_int_matrix,
+    resolvent_inverse,
+)
 
 from conftest import (
     euclid_poly_gcd,
     faddeev_leverrier_char_poly,
     fraction_inverse,
+    fraction_rank,
     identity_matrix,
     krylov_min_poly,
     leibniz_char_poly,
@@ -250,6 +259,44 @@ class TestRankMultiplicity:
             for value, mult in roots:
                 assert eig_multiplicity(g, value) == mult
                 assert char_poly(adjacency_matrix(g))(value) == 0
+
+    def test_multiplicity_cache_is_bounded(self):
+        assert eig_multiplicity.cache_info().maxsize == CACHE_SIZE
+        g = make_cocktail(4)
+        first = eig_multiplicity(g, -2)
+        hits = eig_multiplicity.cache_info().hits
+        assert eig_multiplicity(g, Fraction(-2)) == first == 3
+        assert eig_multiplicity.cache_info().hits == hits + 1
+
+
+class TestNullSpace:
+    @staticmethod
+    def check(m, k):
+        u = _null_space(m)
+        assert len(u) == len(m[0]) and all(len(row) == k for row in u)
+        assert all(type(v) is int for row in u for v in row)
+        assert all(
+            sum(a * row[col] for a, row in zip(r, u)) == 0 for r in m for col in range(k)
+        )
+        assert fraction_rank(u) == k
+
+    def test_eigenspaces(self):
+        # M U = 0 for M = qA - pI, with k = multiplicity of mu columns
+        rng = random.Random(12)
+        graphs = [make_cocktail(4), make_complete_split(3, 2), path_graph(5)]
+        graphs += [random_graph(rng.randint(1, 8), rng) for _ in range(20)]
+        for g in graphs:
+            for mu in range(-g.n, g.n + 1):
+                self.check(_shifted_int_matrix(g, Fraction(mu)), eig_multiplicity(g, mu))
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            if rows >= 2 and rng.random() < 0.3:
+                m[-1] = [2 * a - b for a, b in zip(m[0], m[1])]  # dependent row
+            self.check(m, cols - fraction_rank(m))
 
 
 class TestInvertExact:

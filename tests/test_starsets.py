@@ -5,6 +5,7 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcomp import (
     BudgetExceededError,
@@ -23,12 +24,19 @@ from starcomp import (
     make_complete_split,
     parse_graph6,
     path_graph,
+    relabel,
     verify_star_set,
 )
 from starcomp.linalg import resolvent_inverse
 from starcomp.starsets import _scaled_residual, substar_check
 
-from conftest import block_residual, fraction_rank, random_graph
+from conftest import (
+    block_residual,
+    complement_rank_star_sets,
+    fraction_rank,
+    random_graph,
+    random_graph_with_twins,
+)
 
 PETERSEN = parse_graph6("IheA@GUAo")
 
@@ -202,6 +210,37 @@ class TestFindStarSets:
             ]
             assert all(hoods)
             assert len(set(hoods)) == len(hoods)
+
+
+seeds = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_graph, st.integers(0, 9), seeds, st.sampled_from([0.25, 0.5, 0.75])),
+        # twins give large multiplicities at 0 and -1
+        st.builds(random_graph_with_twins, st.integers(1, 5), st.integers(0, 4), seeds),
+        st.builds(make_cocktail, st.integers(1, 5)),
+        st.builds(make_complete_split, st.integers(1, 4), st.integers(1, 4)),
+        st.just(PETERSEN),
+    ),
+    seeds,
+)
+def test_basis_search_matches_complement_ranks(g, rng):
+    # Same tuples in the same order as ranking every complement, at every
+    # integral mu in [-n, n]; labels are shuffled so the order is tested on
+    # more than one labelling of each structured graph.
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    for mu in range(-g.n, g.n + 1):
+        expected = complement_rank_star_sets(g, mu)
+        if expected == [()]:  # multiplicity 0: only the empty set passes
+            with pytest.raises(NotAnEigenvalueError):
+                find_star_sets(g, mu)
+        else:
+            assert find_star_sets(g, mu) == expected, mu
 
 
 class TestEigenspace:
