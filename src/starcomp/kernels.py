@@ -1,12 +1,12 @@
 """Integer hot-loop kernels: one subset scan and one Bareiss elimination.
 
-Two kernels dominate search runtime: fraction-free (Bareiss) elimination of
-small integer matrices, used for eigenvalue multiplicities, the eigenspace
-basis whose row-matroid bases are the star sets, and exact inverses, and a
-scan over all vertex subsets for the masks b with b^T R b on target, used
-for attachment-candidate enumeration.
+Fraction-free (Bareiss) elimination over Python ints is exact for entries
+of any size and, in pure Python, beats an interpreted int64 elimination.
+Rank, inverse, null space and the main/non-main test share one Bareiss
+echelon and one integer back-substitution (linalg._back_substitute).
 
-The subset scan is one split-half numpy pass: the quadratic form is
+The subset scan finds the masks b with b^T R b on target, for attachment
+candidates, in one split-half numpy pass: the quadratic form is
 tabulated over the low LOW_BITS bits once and combined with blocks of high
 patterns by one small matrix product each.  Its buffers take the dtype of R,
 so the same code runs in int64, once the caller has proven that every
@@ -15,10 +15,6 @@ ints otherwise.  Every range [i0, i1) of the Gray-code index space yields
 the same set of masks in either arithmetic.  The engine scans the whole
 space in one call; the range stays in the signature because
 perfbench/tracer.py reads it to count the masks each call scans.
-
-The elimination runs over Python ints, so every rank and inverse is exact
-whatever the size of the entries; in pure Python it beats an interpreted
-int64 elimination, and there is no compiled variant.
 """
 
 from __future__ import annotations
@@ -96,20 +92,21 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
 subset_scan_int64 = _subset_scan_numpy
 
 
-def _bareiss(m: list[list[int]], pivot_cols: int) -> int:
-    """Fraction-free forward elimination of an integer row list, in place.
+def _bareiss(m: list[list[int]], pivot_cols: int) -> list[int]:
+    """Fraction-free forward elimination of an integer row list, in place:
+    the one echelon form behind every rank, inverse, null space and
+    main/non-main test.
 
     Pivots are sought in the first `pivot_cols` columns; later columns are
-    carried along.  Every division is exact, so entries stay Python ints and
-    never overflow.  Returns the number of pivots, the rank of the leading
-    `pivot_cols` columns.
+    carried along.  Every division is exact, so entries stay Python ints.
+    Returns the pivot columns, top row first: their count is the rank.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
-    r = 0
+    pivots: list[int] = []
     for c in range(pivot_cols):
-        if r == nr:
+        if (r := len(pivots)) == nr:
             break
         p = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if p is None:
@@ -124,8 +121,8 @@ def _bareiss(m: list[list[int]], pivot_cols: int) -> int:
                 row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
             row_i[c] = 0
         prev = piv
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 # perfbench/tracer.py wraps this name to count rank calls.
@@ -133,7 +130,7 @@ def try_int_rank(rows: list[list[int]]) -> int:
     """Exact rank of an integer row list: Bareiss over Python ints on a copy."""
     if not rows or not rows[0]:
         return 0
-    return _bareiss([r[:] for r in rows], len(rows[0]))
+    return len(_bareiss([r[:] for r in rows], len(rows[0])))
 
 
 # perfbench/child.py reads BACKEND and calls warmup(); nothing is compiled.

@@ -1,17 +1,15 @@
 """Exact rational linear algebra over graph adjacency matrices.
 
-Everything here is exact: scalars are Python ints and fractions.Fraction,
-matrices are numpy object arrays, and the work is done on integer-scaled
-matrices so rationals only appear in the final result.  One Bareiss forward
-pass over Python ints, kernels._bareiss, serves both rank and inversion.
-The characteristic polynomial is Berkowitz's division-free method over
-Python ints, and the minimal polynomial of a symmetric matrix is its
-squarefree part.  Eigenvalue multiplicity and the main/non-main
-classification are ranks.  The resolvent (mu I - A)^{-1} is computed in one
-place, resolvent_inverse, and cached as an integer pair (Y, d) with
-(mu I - A)^{-1} = Y / d; the bilinear form <x, y> = x^T (mu I - A)^{-1} y
-and the scaled form m(mu) (mu I - A)^{-1} used by the extension engine are
-derived from it.
+Scalars are Python ints and fractions.Fraction, matrices numpy object
+arrays, and the work is done on integer-scaled matrices, so rationals appear
+only in final results.  Rank, inverse, null space and the main/non-main test
+share one Bareiss echelon (kernels._bareiss) and one integer
+back-substitution (_back_substitute).  The characteristic polynomial is
+Berkowitz's division-free method over Python ints, and the minimal
+polynomial of a symmetric matrix is its squarefree part.  The resolvent
+(mu I - A)^{-1} = Y / d is computed in one place, resolvent_inverse, and
+cached as the integer pair (Y, d); the bilinear form x^T (mu I - A)^{-1} y
+and the extension engine's scaled form m(mu) (mu I - A)^{-1} derive from it.
 """
 
 from __future__ import annotations
@@ -309,57 +307,61 @@ def rank(m) -> int:
     return _int_rank(_as_int_rows(m)[0])
 
 
-def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(Y, d) with d > 0 and N^{-1} = Y / d, for a square integer row list N.
+def _back_substitute(m: list[list[int]], pivots: list[int], rhs: list[list[int]]) -> list[list[int]]:
+    """X with sum_j m[i][pivots[j]] X[j] = rhs[i] on the echelon rows of
+    kernels._bareiss, for all right-hand sides at once, bottom row first.
+    Each rhs is a multiple of the last pivot d, so X is integral by Cramer's
+    rule and every division by a pivot is exact."""
+    x: list[list[int]] = [[]] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        row, acc = m[i], rhs[i][:]
+        for j in range(i + 1, len(pivots)):
+            c = row[pivots[j]]
+            if c:
+                xj = x[j]
+                for t in range(len(acc)):
+                    acc[t] -= c * xj[t]
+        piv = row[pivots[i]]
+        x[i] = [a // piv for a in acc]
+    return x
 
-    Bareiss forward elimination of [N | I] leaves the last pivot d = det N
-    up to sign, and d N^{-1} is an integer matrix, so back-substitution stays
-    in exact integer division.  Raises SingularResolventError.
-    """
+
+def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(Y, d) with d > 0 and N^{-1} = Y / d, for a square integer row list N:
+    the echelon form of [N | I] back-substituted against d times the carried
+    identity, d = |det N|.  Raises SingularResolventError."""
     n = len(rows)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if kernels._bareiss(aug, n) < n:
+    pivots = kernels._bareiss(aug, n)
+    if len(pivots) < n:
         raise SingularResolventError("matrix is singular")
-    d = abs(aug[n - 1][n - 1]) if n else 1
-    y = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row, piv = aug[i], aug[i][i]
-        for col in range(n):
-            acc = d * row[n + col]
-            for j in range(i + 1, n):
-                acc -= row[j] * y[j][col]
-            y[i][col] = acc // piv
-    return y, d
+    d = abs(aug[-1][n - 1]) if n else 1
+    return _back_substitute(aug, pivots, [[d * v for v in row[n:]] for row in aug]), d
 
 
 def _null_space(rows: list[list[int]]) -> list[list[int]]:
     """An integer basis U of the null space of an integer row list M with n
     columns, as n rows of k = n - rank(M) entries: M U = 0 and rank U = k.
 
-    Bareiss forward elimination leaves M in echelon form.  Each free column
-    f gives the solution with x_f = 1 and every other free entry 0, solved
-    for the pivot entries by Fraction back-substitution and scaled to a
-    primitive integer vector; these solutions are the columns of U.  Only
-    the pivot entries are Fractions, so the cost is O(n) per column when M
-    has small rank.
+    Column t solves the echelon form of M with x_f = d (the last pivot) for
+    the t-th free column f and 0 on the other free columns, over its content.
     """
     n = len(rows[0]) if rows else 0
     m = [r[:] for r in rows]
-    rank_m = kernels._bareiss(m, n)
-    pivots = [next(j for j, v in enumerate(m[i]) if v) for i in range(rank_m)]
+    pivots = kernels._bareiss(m, n)
+    d = abs(m[len(pivots) - 1][pivots[-1]]) if pivots else 1
     free = sorted(set(range(n)) - set(pivots))
-    cols = []
-    for f in free:
-        x = [0] * n
-        x[f] = 1
-        for i in range(rank_m - 1, -1, -1):
-            c, row = pivots[i], m[i]
-            x[c] = Fraction(-sum(row[j] * x[j] for j in range(c + 1, n)), row[c])
-        scale = lcm(*(x[c].denominator for c in pivots))
-        ints = [int(v * scale) for v in x]
-        content = gcd(*ints)
-        cols.append([v // content for v in ints])
-    return [[col[v] for col in cols] for v in range(n)]
+    x = _back_substitute(m, pivots, [[-d * m[i][f] for f in free] for i in range(len(pivots))])
+    u = [[0] * len(free) for _ in range(n)]
+    for t, f in enumerate(free):
+        content = gcd(d, *(xs[t] for xs in x))
+        u[f][t] = d // content
+        if content > 1:
+            for xs in x:
+                xs[t] //= content
+    for c, xs in zip(pivots, x):
+        u[c] = xs
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ def _shifted_int_matrix(g: Graph, mu: Fraction) -> list[list[int]]:
     """q*A - p*I for mu = p/q: integer matrix with the rank of A - mu*I."""
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    rows = [[q * int(v) for v in r] for r in g.adj]
+    rows = [[q * v for v in r] for r in g.adj.tolist()]
     for i in range(g.n):
         rows[i][i] -= p
     return rows
@@ -462,20 +464,15 @@ def eig_multiplicity(g: Graph, mu) -> int:
 
 
 def is_nonmain(g: Graph, mu) -> bool:
-    """True iff the eigenspace of mu is orthogonal to the all-ones vector.
-
-    By symmetry of A, this is equivalent to the all-ones vector lying in the
-    column space of A - mu I, tested by comparing ranks of the matrix and its
-    augmentation.
-    """
+    """True iff the eigenspace of mu is orthogonal to the all-ones vector j,
+    that is (A being symmetric) j lies in the column space of A - mu I: the
+    echelon form of [qA - pI | q j] carries 0 in every row below the rank."""
     mu = Fraction(mu)
-    rows = _shifted_int_matrix(g, mu)
-    base = _int_rank(rows)
-    if g.n - base == 0:
+    aug = [row + [mu.denominator] for row in _shifted_int_matrix(g, mu)]
+    rank_m = len(kernels._bareiss(aug, g.n))
+    if rank_m == g.n:
         raise NotAnEigenvalueError(f"{format_rational(mu)} is not an eigenvalue")
-    q = mu.denominator
-    augmented = [row + [q] for row in rows]
-    return _int_rank(augmented) == base
+    return not any(row[g.n] for row in aug[rank_m:])
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ d (pI - qA_X) = q B^T Y B, one object product over the 0/1 matrix B.
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
 nonsingular (Cvetkovic, Rowlinson & Simic, Eigenspaces of Graphs, 1997,
-ch. 7).  U comes from one Bareiss elimination of qA - pI over Python ints
-(kernels._bareiss), and the rows are then reduced fraction-free.
+ch. 7).  U, with the multiplicity as its column count, comes from the one
+Bareiss echelon and integer back-substitution that rank, inverse, null
+space and the main/non-main test share; its rows are reduced fraction-free.
 """
 
 from __future__ import annotations
@@ -111,12 +112,18 @@ def _scaled_residual(g: Graph, mu: Fraction, star, comp, y, d) -> np.ndarray:
     return d * (p * np.identity(len(star), dtype=object) - q * a_x) - q * (b.T @ y @ b)
 
 
-def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
-    """Evaluate all three star-set checks exactly; never raises on invalid X."""
-    mu = Fraction(mu)
+def _star_tuple(g: Graph, star_set: Sequence[int]) -> tuple[int, ...]:
+    """The sorted distinct vertices of star_set; ValueError if any is not in G."""
     star = tuple(sorted(set(int(v) for v in star_set)))
     if star and not (0 <= star[0] and star[-1] < g.n):
         raise ValueError(f"star set {star} out of range for n={g.n}")
+    return star
+
+
+def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
+    """Evaluate all three star-set checks exactly; never raises on invalid X."""
+    mu = Fraction(mu)
+    star = _star_tuple(g, star_set)
     multiplicity = eig_multiplicity(g, mu)
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
@@ -159,17 +166,18 @@ def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int
     """All star sets for mu, in lexicographic order: the row-matroid bases
     of an exact eigenspace basis.
 
-    With U an n x k integer basis of the null space of qA - pI (k the
-    multiplicity of mu = p/q), X is a star set exactly when the k x k
-    row-minor U[X] is nonsingular.  The search takes vertices in ascending
-    order, depth first, and carries every later vertex's row reduced
-    against the rows chosen so far; a vertex whose row reduces to zero is
-    dropped, so no dependent partial set is extended, and a branch stops
-    once fewer independent vertices are left than it still needs.  Refuses
-    up front if C(n, k) exceeds the budget.
+    With U an n x k integer basis of the null space of qA - pI (k, its
+    column count, the multiplicity of mu = p/q), X is a star set exactly
+    when the k x k row-minor U[X] is nonsingular.  The search takes vertices
+    in ascending order, depth first, and carries every later vertex's row
+    reduced against the rows chosen so far; a vertex whose row reduces to
+    zero is dropped, so no dependent partial set is extended, and a branch
+    stops once fewer independent vertices are left than it still needs.
+    Refuses up front if C(n, k) exceeds the budget.
     """
     mu = Fraction(mu)
-    k = eig_multiplicity(g, mu)
+    basis = _null_space(_shifted_int_matrix(g, mu))
+    k = len(basis[0]) if basis else 0
     if k == 0:
         raise NotAnEigenvalueError(
             f"{format_rational(mu)} is not an eigenvalue; no star set exists"
@@ -179,8 +187,6 @@ def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int
         raise BudgetExceededError(
             f"C({g.n},{k}) = {total} subsets exceeds budget {budget}"
         )
-    basis = _null_space(_shifted_int_matrix(g, mu))
-    assert all(len(row) == k for row in basis), "null space is not k-dimensional"
     # Depth first with an explicit stack, so k is not bounded by the
     # recursion limit.  A frame is (star, rows, i): rows holds each later
     # vertex whose row, reduced against star's rows, is nonzero, in
@@ -242,14 +248,12 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
 
 def substar_check(g: Graph, mu, star_set: Sequence[int], removed: Sequence[int]) -> bool:
     """Whether X \\ U remains a star set for mu in G \\ U (U a proper subset of X)."""
-    star = set(int(v) for v in star_set)
+    star = set(_star_tuple(g, star_set))
     drop = set(int(v) for v in removed)
     if not drop <= star:
         raise ValueError("removed vertices must lie inside the star set")
     if drop == star:
         raise ValueError("removed set must be a proper subset of the star set")
     keep = [v for v in range(g.n) if v not in drop]
-    relabel = {v: i for i, v in enumerate(keep)}
-    reduced = induced_subgraph(g, keep)
-    reduced_star = [relabel[v] for v in sorted(star - drop)]
-    return verify_star_set(reduced, mu, reduced_star).valid
+    reduced_star = [i for i, v in enumerate(keep) if v in star]
+    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star).valid

@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracles here deliberately avoid the package's own algorithms: ranks by
-Gaussian elimination over Fractions, isomorphism by backtracking permutation
-search, characteristic polynomials by Leibniz expansion over all
+The oracles here deliberately avoid the package's own algorithms: ranks and
+null spaces by Gauss-Jordan elimination over Fractions, isomorphism by
+backtracking permutation search, characteristic polynomials by Leibniz expansion over all
 permutations and by Faddeev-LeVerrier over Fractions, minimal polynomials by Krylov elimination on the powers of A, the scaled
 resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
@@ -19,8 +19,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import numpy as np
+import pytest
 
 from starcomp import (
     Graph,
@@ -33,6 +35,7 @@ from starcomp import (
     enumerate_candidates,
     induced_subgraph,
     is_regular,
+    kernels,
     make_complete_split,
     resolvent_bilinear,
 )
@@ -40,13 +43,17 @@ from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
 from starcomp.graphs import _encode, _individualize, _refine
 
 
-def fraction_rank(rows) -> int:
-    """Rank by plain Gaussian elimination over Fraction; the rank oracle."""
+def fraction_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by plain Gauss-Jordan elimination over
+    Fraction, and its pivot columns."""
     m = [[Fraction(v) for v in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    r = 0
+    pivots: list[int] = []
     for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -57,10 +64,47 @@ def fraction_rank(rows) -> int:
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def fraction_rank(rows) -> int:
+    """Rank as the pivot count of fraction_echelon; the rank oracle."""
+    return len(fraction_echelon(rows)[1])
+
+
+def fraction_null_space(rows) -> list[list[int]]:
+    """The null-space basis of an integer row list with n columns, as n rows;
+    the oracle for linalg._null_space.  Column t is the solution with x_f = 1
+    on the t-th free column f and 0 on the other free columns, read off the
+    Fraction echelon form and scaled to a primitive integer vector."""
+    m, pivots = fraction_echelon(rows)
+    n = len(rows[0]) if rows else 0
+    cols = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -m[i][f]
+        scale = lcm(*(v.denominator for v in x))
+        ints = [int(v * scale) for v in x]
+        content = gcd(*ints)
+        cols.append([v // content for v in ints])
+    return [[col[v] for col in cols] for v in range(n)]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch) -> list[int]:
+    """Records the pivot_cols argument of every kernels._bareiss call."""
+    calls: list[int] = []
+    original = kernels._bareiss
+
+    def counted(m, pivot_cols):
+        calls.append(pivot_cols)
+        return original(m, pivot_cols)
+
+    monkeypatch.setattr(kernels, "_bareiss", counted)
+    return calls
 
 
 def fraction_inverse(m) -> np.ndarray:

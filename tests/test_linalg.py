@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starcomp import (
     NotAnEigenvalueError,
@@ -39,6 +40,7 @@ from conftest import (
     euclid_poly_gcd,
     faddeev_leverrier_char_poly,
     fraction_inverse,
+    fraction_null_space,
     fraction_rank,
     identity_matrix,
     krylov_min_poly,
@@ -299,6 +301,33 @@ class TestNullSpace:
             self.check(m, cols - fraction_rank(m))
 
 
+@st.composite
+def integer_matrices(draw) -> list[list[int]]:
+    """Integer row lists of every shape, some columns zeroed and up to two
+    rows appended as integer combinations of the others."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    row = st.lists(st.integers(-9, 9), min_size=nc, max_size=nc)
+    m = draw(st.lists(row, min_size=nr, max_size=nr))
+    for c in draw(st.sets(st.integers(0, nc - 1), max_size=nc)):
+        for r in m:
+            r[c] = 0
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+        m.append([sum(a * r[c] for a, r in zip(coeffs, m)) for c in range(nc)])
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example([[0, 0, 0], [0, 0, 0]])  # rank 0
+@example([[2, 1, 0], [1, 1, 0], [0, 0, 5]])  # full rank
+@example([[0, 3, 0, -6]])  # wide, with zero columns
+@example([[1, 2], [2, 4], [3, 6], [0, 0]])  # tall, dependent rows
+@example([[4, 6, 2], [-6, -9, -3]])  # content > 1 before division
+def test_null_space_matches_fraction_oracle(m):
+    assert _null_space(m) == fraction_null_space(m)
+
+
 class TestInvertExact:
     def test_random_rational_matrices(self):
         # the Bareiss inverse of the integer-scaled rows sM: M^{-1} = s Y / d
@@ -343,6 +372,11 @@ class TestNonMain:
         with pytest.raises(NotAnEigenvalueError):
             is_nonmain(complete_graph(3), 5)
 
+    @pytest.mark.parametrize("mu", [-2, 0])
+    def test_one_elimination(self, bareiss_calls, mu):
+        assert is_nonmain(make_cocktail(3), mu) is True
+        assert len(bareiss_calls) == 1
+
     def test_regular_graphs_nonmain_below_degree(self):
         corpus = [
             make_cocktail(2),
@@ -368,6 +402,27 @@ class TestNonMain:
                     assert is_nonmain(g, value) is True
                 else:
                     assert is_nonmain(g, value) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1).map(random.Random),
+        st.sampled_from([0.25, 0.5, 0.75]),
+    )
+)
+def test_is_nonmain_matches_two_rank_oracle(g):
+    # mu is non-main iff appending q j to M = qA - pI leaves the rank alone
+    for mu, _ in char_poly(adjacency_matrix(g)).rational_roots():
+        p, q = mu.numerator, mu.denominator
+        m = [[q * int(v) - (p if i == j else 0) for j, v in enumerate(row)]
+             for i, row in enumerate(g.adj)]
+        expected = fraction_rank([row + [q] for row in m]) == fraction_rank(m)
+        assert is_nonmain(g, mu) is expected
+    with pytest.raises(NotAnEigenvalueError):
+        is_nonmain(g, Fraction(1, 2))  # a rational eigenvalue is an integer
 
 
 def Graph_cube():

@@ -175,6 +175,13 @@ class TestFindStarSets:
         with pytest.raises(NotAnEigenvalueError):
             find_star_sets(complete_graph(3), 7)
 
+    @pytest.mark.parametrize("g, mu", [(make_cocktail(4), -2), (PETERSEN, 1)])
+    def test_one_elimination(self, bareiss_calls, g, mu):
+        # the multiplicity is the null-space basis' column count, not a rank
+        eig_multiplicity.cache_clear()
+        assert find_star_sets(g, mu)
+        assert len(bareiss_calls) == 1
+
     def test_budget_error_names_count(self):
         g = make_cocktail(4)  # multiplicity of -2 is 3
         with pytest.raises(BudgetExceededError, match=r"C\(8,3\) = 56"):
@@ -294,6 +301,11 @@ class TestSubstar:
     def test_outside_rejected(self):
         with pytest.raises(ValueError):
             substar_check(make_cocktail(3), -2, (0, 2), (3,))
+
+    @pytest.mark.parametrize("star", [[0, 99], [0, -1]])
+    def test_star_out_of_range_rejected(self, star):
+        with pytest.raises(ValueError, match=r"out of range for n=6"):
+            substar_check(make_cocktail(3), -2, star, [0])
 
     def test_all_proper_subsets(self):
         g = make_cocktail(4)
