@@ -9,19 +9,18 @@ incompatible.  Maximal graphs with star complement H therefore correspond to
 maximal cliques of the "not incompatible" relation, with adjacency inside
 the added set dictated by the -1/0 split.
 
-The subset scan works in an integer form for every rational mu = p/q: with
-(mu I - A)^{-1} = Y / d from the cached resolvent_inverse and g the gcd of d
-and the entries of Y, <b, b> = mu iff b^T R b = p d/g for R = q Y/g, and
-<b, j> = -1 iff b^T R j = -q d/g.  One split-half scan covers both cases:
+The subset scan reads the cached integer pair (R, D) of resolvent_inverse,
+R = D (mu I - A)^{-1} with D mu integral: <b, b> = mu iff b^T R b = mu D,
+and <b, j> = -1 iff b^T R j = -D.  One split-half scan covers both cases:
 in int64 when mu is integral and every accumulator provably fits, and over
-Python ints otherwise.
-Pair classes use the scaled form R' = m(mu) (mu I - A)^{-1} of
-resolvent_via_minpoly, an integer matrix for integral mu and exact rationals
-otherwise: with the candidates as the rows of a 0/1 matrix C, every scaled
-pair value m(mu) <b_u, b_v> is an entry of the one product C R' C^T, compared
-against -m(mu) and 0.  build_compat_graph does this once per run and keeps C
-and the two resulting masks in a CompatTable; Bron-Kerbosch reads its rows,
-and assemble_graph slices the block adjacency of each clique out of it.
+Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D
+of resolvent_via_minpoly, an integer matrix for integral mu and exact
+rationals otherwise: with the candidates as the rows of a 0/1 matrix C,
+every scaled pair value m(mu) <b_u, b_v> is an entry of the one product
+C R' C^T, compared against -m(mu) and 0.  build_compat_graph does this once
+per run and keeps C and the two resulting masks in a CompatTable;
+Bron-Kerbosch reads its rows, and assemble_graph slices the block adjacency
+of each clique out of it.
 
 Only one clique per symmetry orbit is assembled.  A transposition of twins
 in H (equal adjacency rows, or equal rows plus the identity) is an
@@ -39,7 +38,6 @@ J. Algorithms 26 (1998)).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,7 +57,7 @@ from .linalg import (  # noqa: F401
     resolvent_inverse,
     resolvent_via_minpoly,
 )
-from .starsets import DEFAULT_BUDGET, BudgetExceededError, verify_star_set
+from .starsets import DEFAULT_BUDGET, BudgetExceededError, _vertex_tuple, verify_star_set
 
 
 class EngineRestrictionError(ValueError):
@@ -122,6 +120,14 @@ def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
     return kernels._subset_scan_numpy(res, rj, want_diag, want_j, use_j, lo, hi).tolist()
 
 
+def check_subset_budget(n: int, budget: int) -> int:
+    """2^n subsets to scan; BudgetExceededError if that exceeds budget."""
+    total = 1 << n
+    if total > budget:
+        raise BudgetExceededError(f"2^{n} = {total} subsets exceeds budget {budget}")
+    return total
+
+
 def enumerate_candidates(
     h: Graph,
     mu,
@@ -139,28 +145,23 @@ def enumerate_candidates(
         raise EngineRestrictionError(
             f"mu={format_rational(mu)} is not supported by the extension engine"
         )
-    total = 1 << h.n
-    if total > budget:
-        raise BudgetExceededError(
-            f"2^{h.n} = {total} subsets exceeds budget {budget}"
-        )
+    total = check_subset_budget(h.n, budget)
     if h.n == 0:
         return []  # <b,b> = 0 != mu for the only subset
     try:
-        y, d = resolvent_inverse(h, mu)
+        res, den = resolvent_inverse(h, mu)
     except SingularResolventError:
         # No graph can have H as a star complement for one of H's own
         # eigenvalues, so the candidate set is empty by definition.
         return []
     n = h.n
-    p, q = mu.numerator, mu.denominator
-    g = math.gcd(d, *y.reshape(-1))
-    res = (y // g) * q
     rj = res.sum(axis=1)
-    want_diag = p * (d // g)
-    want_j = -q * (d // g)
+    want_diag = int(mu * den)
+    want_j = -den
+    # Kept integral-only although int64 would fit many rational mu: every
+    # rational mu runs the exact scan, which perfbench's scan workload reaches.
     bounds_ok = (
-        q == 1
+        mu.denominator == 1
         and (n + 2) ** 2 * max(abs(v) for v in res.flat) < kernels.ACCUMULATOR_LIMIT
         and max(abs(want_diag), abs(want_j)) < kernels.ACCUMULATOR_LIMIT
     )
@@ -205,11 +206,11 @@ class CompatTable:
 
 def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
     """Classify every candidate pair with one product C R' C^T, compared
-    against -m(mu) and 0."""
+    against -m(mu) and 0.  ValueError if a candidate has a vertex outside H."""
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=object)
     for i, cand in enumerate(candidates):
-        c[i, list(cand.vertices)] = 1
+        c[i, list(_vertex_tuple(h, cand.vertices, "candidate"))] = 1
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
     compat = adjacent.copy()
     if candidates:

@@ -17,7 +17,7 @@ above anything the search engine produces.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -154,9 +154,9 @@ def make_complete_split(s: int, t: int) -> Graph:
     """
     if s < 1 or t < 1:
         raise ValueError("complete split graph needs s >= 1 and t >= 1")
-    edges = list(combinations(range(s), 2))
-    edges += [(i, s + j) for i in range(s) for j in range(t)]
-    return Graph(s + t, edges)
+    # Lazy, so Graph checks the vertex bound before any edge is listed.
+    cross = ((i, s + j) for i in range(s) for j in range(t))
+    return Graph(s + t, chain(combinations(range(s), 2), cross))
 
 
 def make_cocktail(p: int) -> Graph:

@@ -7,9 +7,9 @@ share one Bareiss echelon (kernels._bareiss) and one integer
 back-substitution (_back_substitute).  The characteristic polynomial is
 Berkowitz's division-free method over Python ints, and the minimal
 polynomial of a symmetric matrix is its squarefree part.  The resolvent
-(mu I - A)^{-1} = Y / d is computed in one place, resolvent_inverse, and
-cached as the integer pair (Y, d); the bilinear form x^T (mu I - A)^{-1} y
-and the extension engine's scaled form m(mu) (mu I - A)^{-1} derive from it.
+is computed and made integral in one place, resolvent_inverse, as the
+cached least integer pair (R, D), R = D (mu I - A)^{-1} with D mu integral,
+which the bilinear form, scan, pair table and star-set residual all read.
 """
 
 from __future__ import annotations
@@ -482,13 +482,14 @@ def is_nonmain(g: Graph, mu) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
-    """(Y, d) with d > 0 and (mu I - A(H))^{-1} = Y / d, exact, cached per
+    """The least pair (R, D): D is the least positive integer with D mu and
+    D (mu I - A(H))^{-1} integral, R = D (mu I - A(H))^{-1}, cached per
     (graph, mu).
 
-    Y is a read-only object array of Python ints: for mu = p/q it is
-    q adj(pI - qA) up to the sign of det(pI - qA), and d = |det(pI - qA)|.
-    This is the only place the resolvent is computed.  Graphs are immutable,
-    so entries never need invalidation.
+    R is a read-only object array of Python ints.  This is the only place
+    the resolvent is computed or scaled to integers; every caller asks an
+    integer question in R and D.  Graphs are immutable, so entries never
+    need invalidation.
     """
     mu = Fraction(mu)
     try:
@@ -498,23 +499,25 @@ def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
             f"{format_rational(mu)} is an eigenvalue of the complement graph"
         ) from None
     # y / d inverts qA - pI = -q (mu I - A), so (mu I - A)^{-1} = -q y / d.
+    # With g = gcd(d, y), its entries have least common denominator d / g,
+    # prime to q since det(pI - qA) = p^n mod q: D = q d / g, R = -q^2 y / g.
     q = mu.denominator
+    g = gcd(d, *(v for row in y for v in row))
     out = np.empty((h.n, h.n), dtype=object)
     for i, row in enumerate(y):
-        out[i, :] = [-q * v for v in row]
+        out[i, :] = [-q * q * (v // g) for v in row]
     out.setflags(write=False)
-    return out, d
+    return out, q * (d // g)
 
 
 def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
-    """<x, y> = x^T (mu I - A(H))^{-1} y, exactly."""
-    mu = Fraction(mu)
+    """<x, y> = x^T (mu I - A(H))^{-1} y = x^T R y / D, exactly."""
     xv = np.asarray(x, dtype=object)
     yv = np.asarray(y, dtype=object)
     if xv.shape != (h.n,) or yv.shape != (h.n,):
         raise ValueError(f"vectors must have length {h.n}")
-    inv, d = resolvent_inverse(h, mu)
-    return Fraction(sum(a * b for a, b in zip(xv, inv @ yv))) / d
+    r, den = resolvent_inverse(h, Fraction(mu))
+    return Fraction(sum(a * b for a, b in zip(xv, r @ yv)), den)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -525,14 +528,14 @@ def graph_min_poly(h: Graph) -> Polynomial:
 def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
     """The scaled resolvent m(mu) (mu I - A(H))^{-1}, m the minimal polynomial.
 
-    It is m(mu) Y / d from the cached resolvent_inverse.  Being a polynomial
+    It is m(mu) R / D from the cached resolvent_inverse.  Being a polynomial
     in A(H) with coefficients in Z[mu], it is an integer matrix whenever mu
     is an integer; its entries are then Python ints from an exact integer
     division.  Raises SingularResolventError when mu is an eigenvalue of H.
     """
     mu = Fraction(mu)
-    y, d = resolvent_inverse(h, mu)
+    r, den = resolvent_inverse(h, mu)
     m_mu = graph_min_poly(h)(mu)
     if mu.denominator == 1:
-        return int(m_mu) * y // d
-    return y * (m_mu / d)
+        return int(m_mu) * r // den
+    return r * (m_mu / den)

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .extend import Candidate, maximal_extensions
+from .extend import Candidate, check_subset_budget, maximal_extensions
 from .graphs import (
     Graph,
     is_isomorphic,
@@ -45,7 +45,7 @@ from .linalg import (
     format_rational,
     resolvent_bilinear,
 )
-from .starsets import DEFAULT_BUDGET, BudgetExceededError
+from .starsets import DEFAULT_BUDGET
 
 
 class MuIsSplitEigenvalueError(ValueError):
@@ -349,11 +349,7 @@ def theorem_check(s: int, t_max: int) -> TheoremReport:
     """
     if s < 2 or t_max < 2:
         raise ValueError("theorem check requires s >= 2 and t_max >= 2")
-    n = s + t_max
-    if 1 << n > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"2^{n} = {1 << n} subsets exceeds budget {DEFAULT_BUDGET}"
-        )
+    check_subset_budget(s + t_max, DEFAULT_BUDGET)
     branches = []
     for t in range(2, t_max + 1):
         mu = Fraction(-t)

@@ -10,12 +10,13 @@ star set exactly when mu is missing from H's spectrum and
 Certificates record the multiplicity comparison, the complement-spectrum
 check, and the residual identity as three separately evaluated exact
 checks, even though the residual is implied by the other two.  The
-multiplicity of mu in G is a rank.  The complement check is the Bareiss
-inverse of pI - qC behind the cached resolvent (mu I - C)^{-1} = Y / d, for
-mu = p/q: it succeeds exactly when mu is not an eigenvalue of C, and the
-complement is ranked only when it fails, to report its multiplicity.  The
-residual is evaluated in integers from the same pair: the identity reads
-d (pI - qA_X) = q B^T Y B, one object product over the 0/1 matrix B.
+multiplicity of mu in G is a rank.  The complement check is the cached
+resolvent pair (R, D) of linalg.resolvent_inverse, R = D (mu I - C)^{-1}
+with D mu integral: it exists exactly when mu is not an eigenvalue of C,
+and the complement is ranked only when it does not, to report its
+multiplicity.  The residual is evaluated in integers from the same pair:
+the identity reads D (mu I - A_X) = B^T R B, one object product over the
+0/1 matrix B.
 
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
@@ -103,40 +104,39 @@ class StarSetCertificate:
         return json.dumps(self.to_json())
 
 
-def _scaled_residual(g: Graph, mu: Fraction, star, comp, y, d) -> np.ndarray:
-    """d (pI - qA_X) - q B^T Y B with B = A[comp, star], an object array of
+def _scaled_residual(g: Graph, mu: Fraction, star, comp, r, den) -> np.ndarray:
+    """D (mu I - A_X) - B^T R B with B = A[comp, star], an object array of
     Python ints that is zero exactly when the star-set identity holds."""
-    p, q = mu.numerator, mu.denominator
     b = g.adj[np.ix_(comp, star)].astype(object)
     a_x = g.adj[np.ix_(star, star)].astype(object)
-    return d * (p * np.identity(len(star), dtype=object) - q * a_x) - q * (b.T @ y @ b)
+    return int(mu * den) * np.identity(len(star), dtype=object) - den * a_x - b.T @ r @ b
 
 
-def _star_tuple(g: Graph, star_set: Sequence[int]) -> tuple[int, ...]:
-    """The sorted distinct vertices of star_set; ValueError if any is not in G."""
-    star = tuple(sorted(set(int(v) for v in star_set)))
-    if star and not (0 <= star[0] and star[-1] < g.n):
-        raise ValueError(f"star set {star} out of range for n={g.n}")
-    return star
+def _vertex_tuple(g: Graph, vertices: Sequence[int], what: str = "star set") -> tuple[int, ...]:
+    """The sorted distinct vertices; ValueError naming `what` if any is not in G."""
+    out = tuple(sorted(set(int(v) for v in vertices)))
+    if out and not (0 <= out[0] and out[-1] < g.n):
+        raise ValueError(f"{what} {out} out of range for n={g.n}")
+    return out
 
 
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
     """Evaluate all three star-set checks exactly; never raises on invalid X."""
     mu = Fraction(mu)
-    star = _star_tuple(g, star_set)
+    star = _vertex_tuple(g, star_set)
     multiplicity = eig_multiplicity(g, mu)
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
     complement = induced_subgraph(g, comp)
     try:
-        y, d = resolvent_inverse(complement, mu)
+        r, den = resolvent_inverse(complement, mu)
     except SingularResolventError:
         # Only a failing certificate ranks the complement, for its report.
         comp_mult = eig_multiplicity(complement, mu)
         residual_zero = False
     else:
         comp_mult = 0
-        residual_zero = not _scaled_residual(g, mu, star, comp, y, d).any()
+        residual_zero = not _scaled_residual(g, mu, star, comp, r, den).any()
     complement_ok = comp_mult == 0
     sizes_match = multiplicity == len(star)
     return StarSetCertificate(
@@ -219,7 +219,7 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
     """Eigenspace basis reconstructed from a star set.
 
     For each u in X the vector with e_u on X and (mu I - C)^{-1} B e_u, that
-    is Y B e_u / d, on the complement is an exact eigenvector; together they
+    is R B e_u / D, on the complement is an exact eigenvector; together they
     span the eigenspace.  Every returned vector is re-checked against
     A v = mu v.
     """
@@ -230,16 +230,16 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
     star = list(cert.star_set)
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
-    y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
+    r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
     adj = g.adj.astype(object)
     b = adj[np.ix_(comp, star)]
     basis = []
     for idx in range(len(star)):
-        tail = y @ b[:, idx]
+        tail = r @ b[:, idx]
         vec = np.zeros(g.n, dtype=object)
         vec[star[idx]] = Fraction(1)
         for pos, v in zip(comp, tail):
-            vec[pos] = Fraction(v, d)
+            vec[pos] = Fraction(v, den)
         if not np.all(adj @ vec == mu * vec):
             raise AssertionError("reconstructed vector is not an eigenvector")
         basis.append(vec)
@@ -248,7 +248,7 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
 
 def substar_check(g: Graph, mu, star_set: Sequence[int], removed: Sequence[int]) -> bool:
     """Whether X \\ U remains a star set for mu in G \\ U (U a proper subset of X)."""
-    star = set(_star_tuple(g, star_set))
+    star = set(_vertex_tuple(g, star_set))
     drop = set(int(v) for v in removed)
     if not drop <= star:
         raise ValueError("removed vertices must lie inside the star set")

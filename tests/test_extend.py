@@ -209,6 +209,15 @@ class TestPairClass:
         u, _ = enumerate_candidates(h, -2, nonmain=True)
         assert pair_class(h, -2, u, u) is PairClass.INCOMPATIBLE
 
+    @pytest.mark.parametrize("bad", [(-1,), (9,), (0, 6)])
+    def test_out_of_range_candidate_rejected(self, bad):
+        # -1 would index vertex 5 and 9 would raise numpy's IndexError
+        h = make_complete_split(3, 3)
+        with pytest.raises(ValueError, match=r"out of range for n=6"):
+            pair_class(h, -3, Candidate(bad), Candidate((0,)))
+        with pytest.raises(ValueError, match=r"out of range for n=6"):
+            build_compat_graph(h, -3, [Candidate((0,)), Candidate(bad)])
+
     def test_classification_matches_exact_values(self):
         h = cycle_graph(5)
         mu = -2

@@ -21,7 +21,7 @@ from starcomp import (
     parse_graph6,
     write_graph6,
 )
-from starcomp.graphs import delete_vertices
+from starcomp.graphs import MAX_VERTICES, delete_vertices
 
 from conftest import random_graph
 
@@ -76,6 +76,11 @@ class TestCompleteSplit:
             make_complete_split(0, 2)
         with pytest.raises(ValueError):
             make_complete_split(2, 0)
+
+    def test_vertex_bound_checked_before_edges(self):
+        # the clique alone has about 2^31 edges; none may be listed first
+        with pytest.raises(ValueError, match=rf"vertex count {MAX_VERTICES + 1} outside"):
+            make_complete_split(MAX_VERTICES, 1)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", [1, 2, 3, 4])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -526,7 +527,8 @@ class TestResolvent:
         assert min(checked.values()) >= 10
 
     def test_scaled_inverse_pair(self):
-        # (Y, d): Y / d = (mu I - A)^{-1}, d = |det(pI - qA)|, Y read-only ints
+        # (R, D) is the least pair: D = lcm(q, every denominator of the
+        # inverse) and R = D (mu I - A)^{-1}, read-only Python ints
         rng = random.Random(83)
         checked = {"integral": 0, "rational": 0}
         for n in range(13):
@@ -538,11 +540,11 @@ class TestResolvent:
                     with pytest.raises(SingularResolventError):
                         resolvent_inverse(g, mu)
                     continue
-                y, d = resolvent_inverse(g, mu)
-                assert y.shape == (n, n) and not y.flags.writeable
-                assert all(type(v) is int for v in y.reshape(-1))
-                assert (y * Fraction(1, d) == fraction_inverse(shifted)).all()
-                det = faddeev_leverrier_char_poly(shifted * mu.denominator)(0) * (-1) ** n
-                assert d == abs(det) > 0
+                r, den = resolvent_inverse(g, mu)
+                assert r.shape == (n, n) and not r.flags.writeable
+                assert all(type(v) is int for v in r.reshape(-1))
+                inverse = fraction_inverse(shifted)
+                assert den == lcm(mu.denominator, *(v.denominator for v in inverse.flat))
+                assert (r == den * inverse).all()
                 checked["integral" if mu.denominator == 1 else "rational"] += 1
         assert min(checked.values()) >= 10

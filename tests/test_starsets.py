@@ -5,7 +5,7 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starcomp import (
     BudgetExceededError,
@@ -149,10 +149,10 @@ class TestResidualDifferential:
             if expected is None:
                 continue
             assert cert.residual_zero == (expected == 0).all(), star
-            y, d = resolvent_inverse(induced_subgraph(g, comp), mu)
-            got = _scaled_residual(g, mu, star, comp, y, d)
+            r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
+            got = _scaled_residual(g, mu, star, comp, r, den)
             assert got.shape == (k, k), star
-            assert np.array_equal(got, mu.denominator * d * expected), star
+            assert np.array_equal(got, den * expected), star
             assert all(type(v) is int for v in got.flat), star
             valid += cert.valid
         assert valid == (len(find_star_sets(g, mu)) if mu.denominator == 1 else 0)
@@ -248,6 +248,38 @@ def test_basis_search_matches_complement_ranks(g, rng):
                 find_star_sets(g, mu)
         else:
             assert find_star_sets(g, mu) == expected, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_graph, st.integers(0, 7), seeds, st.sampled_from([0.25, 0.5, 0.75])),
+        # twins give multiplicities above 1 at 0 and -1
+        st.builds(random_graph_with_twins, st.integers(1, 4), st.integers(0, 3), seeds),
+    ),
+    st.integers(0, 2**7 - 1),
+    st.integers(-6, 6),
+    st.sampled_from([1, 2, 3]),
+)
+@example(make_cocktail(3), 0b101, -2, 1)  # a valid star set
+@example(make_complete_split(2, 2), 0b1, -5, 2)
+def test_certificate_matches_fraction_oracles(g, mask, p, q):
+    # Every certificate field against Fraction ranks and the Fraction block
+    # residual, over integral and rational mu = p/q and arbitrary X.
+    mu = Fraction(p, q)
+    star = tuple(v for v in range(g.n) if mask >> v & 1)
+    comp = [v for v in range(g.n) if v not in star]
+    cert = verify_star_set(g, mu, star)
+    residual = block_residual(g, mu, star)
+    multiplicity = oracle_multiplicity(g, mu, range(g.n))
+    comp_mult = oracle_multiplicity(g, mu, comp)
+    assert (cert.graph, cert.mu, cert.star_set) == (g, mu, star)
+    assert cert.multiplicity == multiplicity
+    assert cert.complement_multiplicity == comp_mult
+    assert cert.sizes_match == (multiplicity == len(star))
+    assert cert.complement_ok == (comp_mult == 0) == (residual is not None)
+    assert cert.residual_zero == (residual is not None and not residual.any())
+    assert cert.valid == (cert.sizes_match and cert.complement_ok and cert.residual_zero)
 
 
 class TestEigenspace:
