@@ -15,16 +15,10 @@ import argparse
 import json
 import sys
 
-from .extend import (
-    EngineRestrictionError,
-    MuIsEigenvalueError,
-    enumerate_candidates,
-    maximal_extensions,
-)
+from .extend import enumerate_candidates, maximal_extensions
 from .graphs import Graph, Graph6Error, make_cocktail, make_complete_split, parse_graph6, write_graph6
 from .linalg import (
-    NotAnEigenvalueError,
-    SingularResolventError,
+    PreconditionError,
     adjacency_matrix,
     char_poly,
     eig_multiplicity,
@@ -32,8 +26,8 @@ from .linalg import (
     is_nonmain,
     parse_rational,
 )
-from .multipartite import MuIsSplitEigenvalueError, solution_explorer, theorem_check
-from .starsets import BudgetExceededError, find_star_sets, verify_star_set
+from .multipartite import solution_explorer, theorem_check
+from .starsets import DEFAULT_BUDGET, BudgetExceededError, find_star_sets, verify_star_set
 
 SCHEMA_VERSION = "starcomp/1"
 
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
         if mu:
             p.add_argument("--mu", required=True, help="rational eigenvalue, p or p/q")
-        p.add_argument("--budget", type=int, default=10_000_000, help="subset-test budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="subset-test budget")
         p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = sub.add_parser("spectrum", help="factored characteristic polynomial with main/non-main tags")
@@ -312,16 +306,7 @@ def _error_kind(exc: Exception) -> str:
         return "graph6-parse"
     if isinstance(exc, BudgetExceededError):
         return "budget"
-    if isinstance(
-        exc,
-        (
-            EngineRestrictionError,
-            MuIsEigenvalueError,
-            MuIsSplitEigenvalueError,
-            NotAnEigenvalueError,
-            SingularResolventError,
-        ),
-    ):
+    if isinstance(exc, PreconditionError):
         return "precondition"
     return "usage"
 

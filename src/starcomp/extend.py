@@ -46,10 +46,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, canonical_form, is_regular, write_graph6
+from .graphs import Graph, canonical_form, is_regular, vertex_set, write_graph6
 # eig_multiplicity is not called here; perfbench/tracer.py wraps
 # extend.eig_multiplicity, so the name stays importable from this module.
 from .linalg import (  # noqa: F401
+    PreconditionError,
     SingularResolventError,
     eig_multiplicity,
     format_rational,
@@ -57,14 +58,14 @@ from .linalg import (  # noqa: F401
     resolvent_inverse,
     resolvent_via_minpoly,
 )
-from .starsets import DEFAULT_BUDGET, BudgetExceededError, _vertex_tuple, verify_star_set
+from .starsets import DEFAULT_BUDGET, BudgetExceededError, verify_star_set
 
 
-class EngineRestrictionError(ValueError):
+class EngineRestrictionError(PreconditionError):
     """mu in {0, -1} is outside the engine's supported regime."""
 
 
-class MuIsEigenvalueError(ValueError):
+class MuIsEigenvalueError(PreconditionError):
     """mu must avoid the spectrum of the prescribed star complement."""
 
 
@@ -210,7 +211,7 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatT
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=object)
     for i, cand in enumerate(candidates):
-        c[i, list(_vertex_tuple(h, cand.vertices, "candidate"))] = 1
+        c[i, list(vertex_set(h, cand.vertices, "candidate"))] = 1
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
     compat = adjacent.copy()
     if candidates:

@@ -68,19 +68,31 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
-        adj = np.asarray(adj, dtype=np.uint8)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raw = np.asarray(adj)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        if not np.array_equal(adj, adj.T):
+        n = raw.shape[0]
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        try:
+            a = raw.astype(np.uint8)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError("adjacency entries must be 0 or 1") from exc
+        # The cast wraps -1 to 255 and truncates 1/2 to 0, so an entry
+        # outside 0/1 shows as a value above 1 or as a copy that differs.
+        if (n and a.max() > 1) or (
+            raw.dtype not in (np.uint8, np.bool_) and not np.array_equal(a, raw)
+        ):
+            raise ValueError("adjacency entries must be 0 or 1")
+        if not np.array_equal(a, a.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diag(adj)):
+        if np.any(np.diag(a)):
             raise ValueError("self-loops are not allowed")
         g = cls.__new__(cls)
-        a = adj.copy()
         a.setflags(write=False)
-        g.n = adj.shape[0]
+        g.n = n
         g._adj = a
-        g._hash = hash((g.n, a.tobytes()))
+        g._hash = hash((n, a.tobytes()))
         return g
 
     @property
@@ -194,12 +206,17 @@ def complement(g: Graph) -> Graph:
     return Graph.from_adjacency(adj)
 
 
+def vertex_set(g: Graph, vertices: Iterable[int], what: str = "vertex set") -> tuple[int, ...]:
+    """The sorted distinct vertices; ValueError naming `what` if any is not in g."""
+    out = tuple(sorted(set(int(v) for v in vertices)))
+    if out and not (0 <= out[0] and out[-1] < g.n):
+        raise ValueError(f"{what} {out} out of range for n={g.n}")
+    return out
+
+
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
-    vs = sorted(set(int(v) for v in vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError(f"vertex set {vs} out of range for n={g.n}")
-    idx = np.array(vs, dtype=np.intp)
+    idx = np.array(vertex_set(g, vertices), dtype=np.intp)
     return Graph.from_adjacency(g.adj[np.ix_(idx, idx)])
 
 
@@ -452,8 +469,7 @@ def canonical_form(g: Graph) -> bytes:
             f"canonical form supported up to n={CANON_MAX_VERTICES}, got n={g.n}"
         )
     _, position = _canon_search(g) if g.n else (0, [])
-    relabeled = Graph(g.n, ((position[u], position[v]) for u, v in g.edges()))
-    return write_graph6(relabeled).encode("ascii")
+    return write_graph6(relabel(g, position)).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

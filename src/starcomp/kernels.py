@@ -11,10 +11,10 @@ tabulated over the low LOW_BITS bits once and combined with blocks of high
 patterns by one small matrix product each.  Its buffers take the dtype of R,
 so the same code runs in int64, once the caller has proven that every
 accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
-ints otherwise.  Every range [i0, i1) of the Gray-code index space yields
-the same set of masks in either arithmetic.  The engine scans the whole
-space in one call; the range stays in the signature because
-perfbench/tracer.py reads it to count the masks each call scans.
+ints otherwise.  Every range [i0, i1) of mask values yields the same set
+of masks in either arithmetic.  The engine scans the whole space in one
+call; the range stays in the signature because perfbench/tracer.py reads
+it to count the masks each call scans.
 """
 
 from __future__ import annotations
@@ -33,36 +33,28 @@ HIGH_BLOCK = 64
 
 
 def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
-    """Subset bitmasks b = gray(i), i0 <= i < i1, with b^T res b == want_diag
-    (and b.rj == want_j when use_j), as an int64 array in no fixed order.
+    """Subset bitmasks b, i0 <= b < i1, with b^T res b == want_diag (and
+    b.rj == want_j when use_j), as an int64 array in no fixed order.
 
     res is a symmetric int64 or object array and rj its row sums; every
     buffer takes res.dtype, so object arrays of Python ints stay exact.
     Disjoint ranges [i0, i1) partition the mask space.
 
-    A mask b splits into its low L = min(n, LOW_BITS) bits l and its high
-    bits h, so that
+    A mask b = h 2^L + l splits into its low L = min(n, LOW_BITS) bits l and
+    its high bits h, so that
         b^T R b = q_L(l) + q_H(h) + 2 h^T R_HL l,    b.rj = j_L(l) + j_H(h).
     q_L, j_L and W = 2 R_HL B_L^T are tabulated once over all 2^L low
-    patterns, taken in Gray order (column r holds l = gray_L(r)).  A block of
-    HIGH_BLOCK high patterns then costs one matmul B_H @ W, an outer
-    sum and a compare: O(n - L) work per mask.  The <b, j> test runs on the
-    hits of the quadratic test only.
-
-    For i = c 2^L + r, gray(i) has high part gray(c) and low part
-    gray_L(r) ^ ((c & 1) << (L - 1)) = gray_L(r ^ (c & 1) (2^L - 1)), so
-    each high index c meets every column once.  Whole aligned blocks are
-    computed; each hit is mapped back to its index i and those outside
-    [i0, i1) are dropped.
+    patterns (column l holds the pattern l).  A block of HIGH_BLOCK high
+    patterns then costs one matmul B_H @ W, an outer sum and a compare:
+    O(n - L) work per mask.  The <b, j> test runs on the hits of the
+    quadratic test only.  Whole aligned blocks are computed, and hits
+    outside [i0, i1) are dropped.
     """
     n = res.shape[0]
     if i1 <= i0:
         return np.empty(0, dtype=np.int64)
     low = min(n, LOW_BITS)
-    all_low = (1 << low) - 1
-    cols = np.arange(1 << low, dtype=np.int64)
-    pats = cols ^ (cols >> 1)
-    b_low = (pats[:, None] >> np.arange(low)) & 1
+    b_low = (np.arange(1 << low, dtype=np.int64)[:, None] >> np.arange(low)) & 1
     q_low = np.einsum("ij,jk,ik->i", b_low, res[:low, :low], b_low)
     j_low = b_low @ rj[:low]
     w = np.ascontiguousarray(2 * (b_low @ res[:low, low:]).T)
@@ -73,18 +65,16 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
     hits = []
     for c0 in range(c_start, c_end, HIGH_BLOCK):
         c = np.arange(c0, min(c0 + HIGH_BLOCK, c_end), dtype=np.int64)
-        high = c ^ (c >> 1)
-        b_high = (high[:, None] >> high_shifts) & 1
+        b_high = (c[:, None] >> high_shifts) & 1
         v = np.matmul(b_high, w, out=vals[: len(c)])
         v += q_low
         v += np.einsum("ij,jk,ik->i", b_high, res[low:, low:], b_high)[:, None]
         rows, col = np.nonzero(np.equal(v, want_diag, out=ok[: len(c)]))
-        cc = c[rows]
-        idx = (cc << low) | (col ^ ((cc & 1) * all_low))
-        keep = (idx >= i0) & (idx < i1)
+        masks = (c[rows] << low) | col
+        keep = (masks >= i0) & (masks < i1)
         if use_j:
             keep &= j_low[col] + (b_high @ rj[low:])[rows] == want_j
-        hits.append(((high[rows] << low) | pats[col])[keep])
+        hits.append(masks[keep])
     return np.concatenate(hits)
 
 

@@ -25,11 +25,17 @@ from . import kernels
 from .graphs import CACHE_SIZE, Graph
 
 
-class SingularResolventError(ValueError):
+class PreconditionError(ValueError):
+    """mu breaks a precondition of the question asked: it is an eigenvalue
+    where it must not be, is none where it must be, or lies outside the
+    extension engine's regime."""
+
+
+class SingularResolventError(PreconditionError):
     """mu is an eigenvalue, so (mu I - A) is singular."""
 
 
-class NotAnEigenvalueError(ValueError):
+class NotAnEigenvalueError(PreconditionError):
     """The question requires mu to be an eigenvalue and it is not."""
 
 
@@ -296,15 +302,9 @@ def _as_int_rows(m) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-# perfbench/tracer.py wraps starsets' import of this name and kernels.try_int_rank.
-def _int_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer row list."""
-    return kernels.try_int_rank(rows)
-
-
 def rank(m) -> int:
     """Exact rank of a rational matrix (nested sequence or object array)."""
-    return _int_rank(_as_int_rows(m)[0])
+    return kernels.try_int_rank(_as_int_rows(m)[0])
 
 
 def _back_substitute(m: list[list[int]], pivots: list[int], rhs: list[list[int]]) -> list[list[int]]:
@@ -460,7 +460,7 @@ def eig_multiplicity(g: Graph, mu) -> int:
     """Multiplicity of mu as an adjacency eigenvalue: n - rank(A - mu I),
     cached per (graph, mu) like resolvent_inverse, since every star-set
     certificate for G asks for the same rank."""
-    return g.n - _int_rank(_shifted_int_matrix(g, Fraction(mu)))
+    return g.n - kernels.try_int_rank(_shifted_int_matrix(g, Fraction(mu)))
 
 
 def is_nonmain(g: Graph, mu) -> bool:

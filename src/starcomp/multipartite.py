@@ -40,6 +40,7 @@ from .graphs import (
 )
 from .linalg import (
     Polynomial,
+    PreconditionError,
     adjacency_matrix,
     char_poly,
     format_rational,
@@ -48,7 +49,7 @@ from .linalg import (
 from .starsets import DEFAULT_BUDGET
 
 
-class MuIsSplitEigenvalueError(ValueError):
+class MuIsSplitEigenvalueError(PreconditionError):
     """mu hits the spectrum of K_s + tK_1 (mu in {0,-1} or beta = 0)."""
 
 
@@ -465,16 +466,19 @@ def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
     }
     ok_types = a_vals == {s - 1} and b_vals == {2}
     ok_cd = c_vals == {x_size - 1} and d_vals == {x_size - 1}
-    balance = degree_balance(s, 2, x_size, s - 1, 2, x_size - 1, x_size - 1)
-    ok_balance = balance.consistent and balance.r_independent == 2 * s
+    measured = (a_vals, b_vals, c_vals, d_vals)
+    if all(len(vals) == 1 for vals in measured):
+        (a,), (b,), (c,), (d,) = measured
+        balance = degree_balance(s, 2, x_size, a, b, c, d)
+        ok_balance = balance.consistent and balance.r_independent == 2 * s
+        balance_detail = f"r = {balance.r_independent}/{balance.r_clique}/{balance.r_star}"
+    else:
+        ok_balance = False
+        balance_detail = "a, b, c and d are not each a single value"
     return [
         ("attachment-types", ok_types, f"a in {sorted(a_vals)}, b in {sorted(b_vals)}"),
         ("x-degrees", ok_cd, f"c in {sorted(c_vals)}, d in {sorted(d_vals)}"),
-        (
-            "degree-balance",
-            ok_balance,
-            f"r = {balance.r_independent}/{balance.r_clique}/{balance.r_star}",
-        ),
+        ("degree-balance", ok_balance, balance_detail),
     ]
 
 
@@ -528,10 +532,11 @@ def solution_explorer(
 ) -> ExplorerTable:
     """All integer types (a, b) solving both constraints over a parameter grid.
 
-    For each (s, t, mu) with mu outside {0, -1} and beta != 0, the non-main
-    relation forces b = (s - a)(mu + t)/(mu + 1) - mu per a; rows where that
-    b is non-integral are dropped (counted), and surviving (a, b) pairs are
-    kept when the diagonal quintic also vanishes.  Every emitted row is
+    For each (s, t, mu) with mu outside the spectrum of H (as coeffs
+    decides; the others are counted as skipped), the non-main relation
+    forces b = (s - a)(mu + t)/(mu + 1) - mu per a; rows where that b is
+    non-integral are dropped (counted), and surviving (a, b) pairs are kept
+    when the diagonal quintic also vanishes.  Every emitted row is
     re-verified by building one candidate of that type and evaluating the
     two bilinear values directly.
     """
@@ -545,8 +550,9 @@ def solution_explorer(
         for t in range(t_range[0], t_range[1] + 1):
             spec = BlockSpec(s, t)
             for mu in mu_list:
-                beta = mu * mu - (s - 1) * mu - s * t
-                if mu in (0, -1) or beta == 0:
+                try:
+                    coeffs(spec, mu)
+                except MuIsSplitEigenvalueError:
                     skipped += 1
                     continue
                 for a in range(0, s + 1):

@@ -36,19 +36,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, induced_subgraph, write_graph6
-# _int_rank is not called here; perfbench/tracer.py wraps starsets._int_rank
-# in every traced run, so the name stays importable from this module.
-from .linalg import (  # noqa: F401
+from . import kernels
+from .graphs import Graph, induced_subgraph, vertex_set, write_graph6
+from .linalg import (
     NotAnEigenvalueError,
     SingularResolventError,
-    _int_rank,
     _null_space,
     _shifted_int_matrix,
     eig_multiplicity,
     format_rational,
     resolvent_inverse,
 )
+
+# _int_rank is not called here; perfbench/tracer.py wraps starsets._int_rank
+# in every traced run, so the name stays importable from this module.
+_int_rank = kernels.try_int_rank
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -112,18 +114,10 @@ def _scaled_residual(g: Graph, mu: Fraction, star, comp, r, den) -> np.ndarray:
     return int(mu * den) * np.identity(len(star), dtype=object) - den * a_x - b.T @ r @ b
 
 
-def _vertex_tuple(g: Graph, vertices: Sequence[int], what: str = "star set") -> tuple[int, ...]:
-    """The sorted distinct vertices; ValueError naming `what` if any is not in G."""
-    out = tuple(sorted(set(int(v) for v in vertices)))
-    if out and not (0 <= out[0] and out[-1] < g.n):
-        raise ValueError(f"{what} {out} out of range for n={g.n}")
-    return out
-
-
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
     """Evaluate all three star-set checks exactly; never raises on invalid X."""
     mu = Fraction(mu)
-    star = _vertex_tuple(g, star_set)
+    star = vertex_set(g, star_set, "star set")
     multiplicity = eig_multiplicity(g, mu)
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
@@ -248,7 +242,7 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
 
 def substar_check(g: Graph, mu, star_set: Sequence[int], removed: Sequence[int]) -> bool:
     """Whether X \\ U remains a star set for mu in G \\ U (U a proper subset of X)."""
-    star = set(_vertex_tuple(g, star_set))
+    star = set(vertex_set(g, star_set, "star set"))
     drop = set(int(v) for v in removed)
     if not drop <= star:
         raise ValueError("removed vertices must lie inside the star set")

@@ -260,6 +260,23 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert data["error"]["kind"] == "precondition"
 
+    def test_precondition_kind_has_one_owner(self):
+        # every precondition class shares one base; other ValueErrors are usage
+        from starcomp.extend import EngineRestrictionError, MuIsEigenvalueError
+        from starcomp.linalg import NotAnEigenvalueError, SingularResolventError
+        from starcomp.multipartite import MuIsSplitEigenvalueError
+
+        for cls in (EngineRestrictionError, MuIsEigenvalueError, MuIsSplitEigenvalueError,
+                    NotAnEigenvalueError, SingularResolventError):
+            assert cli._error_kind(cls("x")) == "precondition"
+        assert cli._error_kind(ValueError("x")) == "usage"
+
+    def test_default_budget_has_one_owner(self):
+        from starcomp.starsets import DEFAULT_BUDGET
+
+        args = cli.build_parser().parse_args(["starsets", "--graph", "cocktail:3", "--mu=-2"])
+        assert args.budget == DEFAULT_BUDGET
+
     def test_text_errors_go_to_stderr(self, capsys):
         code = main(["spectrum", "--graph", "not a graph6@@"])
         captured = capsys.readouterr()

@@ -52,6 +52,32 @@ class TestGraphBasics:
         bad[0, 1] = 1  # asymmetric
         with pytest.raises(ValueError):
             Graph.from_adjacency(bad)
+        # entries other than 0 and 1, whatever the input type: 2 would write
+        # an invalid graph6 byte, and -1, 256 and 1/2 change in a uint8 cast
+        for entries in (
+            [[0, 2], [2, 0]],
+            [[0, -1], [-1, 0]],
+            np.array([[0, 256], [256, 0]]),
+            [[0.0, 0.5], [0.5, 0.0]],
+            [[0, 2**70], [2**70, 0]],
+        ):
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                Graph.from_adjacency(entries)
+        # the vertex bound of the edge-list constructor, checked before any
+        # copy of the (here zero-stride) matrix is made
+        huge = np.broadcast_to(np.uint8(0), (MAX_VERTICES + 1,) * 2)
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_adjacency(huge)
+        edge = Graph(2, [(0, 1)])
+        for ok in ([[0, 1], [1, 0]], np.array([[False, True], [True, False]]),
+                   np.array([[0, 1], [1, 0]], dtype=object)):
+            assert Graph.from_adjacency(ok) == edge
+
+    def test_induced_subgraph_checks_vertices(self):
+        g = make_cocktail(3)
+        assert induced_subgraph(g, [4, 0, 4]) == induced_subgraph(g, (0, 4))
+        with pytest.raises(ValueError, match=r"out of range for n=6"):
+            induced_subgraph(g, [0, 6])
 
 
 class TestCompleteSplit:

@@ -89,10 +89,6 @@ class TestRankKernels:
         assert kernels.try_int_rank(m) == rank(m) == fraction_rank(m)
 
 
-def gray(i):
-    return i ^ (i >> 1)
-
-
 class TestSubsetScanKernels:
     def build_case(self, rng, n):
         sym = [[0] * n for _ in range(n)]
@@ -106,11 +102,10 @@ class TestSubsetScanKernels:
         return res, rj
 
     def reference(self, res, rj, want_diag, want_j, use_j, i0=0, i1=None):
-        """Brute force over the masks gray(i), i0 <= i < i1, sorted."""
+        """Brute force over the masks i0 <= mask < i1, sorted."""
         n = res.shape[0]
         hits = []
-        for i in range(i0, (1 << n) if i1 is None else i1):
-            mask = gray(i)
+        for mask in range(i0, (1 << n) if i1 is None else i1):
             on = [v for v in range(n) if (mask >> v) & 1]
             val = sum(int(res[a, b]) for a in on for b in on)
             jv = sum(int(rj[a]) for a in on)
@@ -171,7 +166,7 @@ class TestSubsetScanKernels:
     def shard_cases(self, rng):
         """(n, res, rj, want_diag, want_j, probe, cuts) for n = 1..14: entries
         in -3..3 so that hits are common, a target hit by the mask `probe`,
-        and shard cuts at random indices that straddle the split-half blocks."""
+        and shard cuts at random masks that straddle the split-half blocks."""
         for n in range(1, 15):
             res, rj = self.build_case(rng, n)
             res //= 3
@@ -184,7 +179,7 @@ class TestSubsetScanKernels:
 
     @pytest.mark.parametrize("use_j", [False, True])
     def test_shard_contract(self, use_j):
-        # every shard [i0, i1) gets the masks gray(i), i0 <= i < i1, that the
+        # every shard [i0, i1) gets the masks i0 <= b < i1 that the
         # brute-force oracle finds, from the int64 and the Python-int scan,
         # and the shards together give the whole range
         rng = random.Random(2024 + use_j)

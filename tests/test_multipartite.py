@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -351,6 +352,22 @@ class TestTheorem:
     def test_validation(self):
         with pytest.raises(ValueError):
             theorem_check(1, 3)
+
+    def test_degree_balance_fails_on_its_own(self):
+        # the s = 4 cocktail witness with one star-star edge dropped: the
+        # measured d is no longer one value, so the balance check fails too
+        from starcomp import Graph, maximal_extensions
+        from starcomp.multipartite import _degree_balance_checks
+
+        found = maximal_extensions(make_complete_split(4, 2), -2, regular_only=True).maximal_graphs[0]
+        ok = dict((name, passed) for name, passed, _ in _degree_balance_checks(4, found))
+        assert ok == {"attachment-types": True, "x-degrees": True, "degree-balance": True}
+        u, v = found.star_vertices[:2]
+        perturbed = Graph(found.graph.n, [e for e in found.graph.edges() if e != (u, v)])
+        assert perturbed.edge_count == found.graph.edge_count - 1
+        checks = _degree_balance_checks(4, dataclasses.replace(found, graph=perturbed))
+        ok = dict((name, passed) for name, passed, _ in checks)
+        assert ok == {"attachment-types": True, "x-degrees": False, "degree-balance": False}
 
     def test_budget_checked_before_any_branch(self, monkeypatch):
         # 2^(s + t_max) is the largest branch's subset scan: past the
