@@ -6,14 +6,24 @@ Graphs are accepted either as graph6 strings or as the named constructions
 output is deterministic.  Every search runs on one thread: --threads is
 accepted (at least 1) and ignored.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+A JSON report is exactly the bytes of json.dumps(report, indent=2,
+sort_keys=True), written by write_json: with an indent set, json falls back
+to its pure-Python encoder, which would cost a scan report more than the
+scan.  Each command returns its text lines as a lazy iterable, so they are
+only formatted in text mode.
+
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .extend import enumerate_candidates, maximal_extensions
 from .graphs import Graph, Graph6Error, make_cocktail, make_complete_split, parse_graph6, write_graph6
@@ -34,6 +44,7 @@ SCHEMA_VERSION = "starcomp/1"
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class UsageError(ValueError):
@@ -78,11 +89,11 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand payloads: (json payload, text lines, exit code)
+# Subcommand payloads: (json payload, lazy text lines, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> tuple[dict, list[str], int]:
+def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
     g = load_graph(args.graph)
     poly = char_poly(adjacency_matrix(g))
     roots, residual = poly.factor_rational()
@@ -102,12 +113,15 @@ def cmd_spectrum(args) -> tuple[dict, list[str], int]:
         "roots": entries,
         "residual": residual.to_strings() if residual.degree > 0 else None,
     }
-    lines = [f"graph {write_graph6(g)} on {g.n} vertices"]
-    for e in entries:
-        tag = "main" if e["main"] else "non-main"
-        lines.append(f"  root {e['value']:>6}  multiplicity {e['multiplicity']}  {tag}")
-    if residual.degree > 0:
-        lines.append(f"  residual factor (no rational roots): {residual}")
+    lines = chain(
+        [f"graph {payload['graph6']} on {g.n} vertices"],
+        (
+            f"  root {e['value']:>6}  multiplicity {e['multiplicity']}  "
+            f"{'main' if e['main'] else 'non-main'}"
+            for e in entries
+        ),
+        [f"  residual factor (no rational roots): {residual}"] if residual.degree > 0 else [],
+    )
     return payload, lines, EXIT_OK
 
 
@@ -117,7 +131,7 @@ def _check_threads(args) -> None:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
 
 
-def cmd_starsets(args) -> tuple[dict, list[str], int]:
+def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
     g = load_graph(args.graph)
     mu = parse_rational(args.mu)
@@ -131,16 +145,18 @@ def cmd_starsets(args) -> tuple[dict, list[str], int]:
         "star_sets": [list(star) for star in stars],
         "certificates": [c.to_json() for c in certs],
     }
-    lines = [
-        f"mu = {format_rational(mu)} has multiplicity "
-        f"{payload['multiplicity']} in {write_graph6(g)}",
-        f"star sets found: {len(stars)}",
-    ]
-    lines.extend(f"  X = {list(star)}" for star in stars)
+    lines = chain(
+        [
+            f"mu = {payload['mu']} has multiplicity "
+            f"{payload['multiplicity']} in {payload['graph6']}",
+            f"star sets found: {len(stars)}",
+        ],
+        (f"  X = {list(star)}" for star in stars),
+    )
     return payload, lines, EXIT_OK
 
 
-def cmd_candidates(args) -> tuple[dict, list[str], int]:
+def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
     h = load_graph(args.graph)
     mu = parse_rational(args.mu)
@@ -152,15 +168,17 @@ def cmd_candidates(args) -> tuple[dict, list[str], int]:
         "count": len(cands),
         "candidates": [list(c.vertices) for c in cands],
     }
-    lines = [
-        f"candidate attachments to {write_graph6(h)} for mu = {format_rational(mu)}"
-        f" ({'non-main' if args.nonmain else 'unfiltered'}): {len(cands)}"
-    ]
-    lines.extend(f"  b = {list(c.vertices)}" for c in cands)
+    lines = chain(
+        [
+            f"candidate attachments to {payload['H']} for mu = {payload['mu']}"
+            f" ({'non-main' if args.nonmain else 'unfiltered'}): {len(cands)}"
+        ],
+        (f"  b = {list(c.vertices)}" for c in cands),
+    )
     return payload, lines, EXIT_OK
 
 
-def cmd_extend(args) -> tuple[dict, list[str], int]:
+def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
     h = load_graph(args.graph)
     mu = parse_rational(args.mu)
@@ -173,41 +191,43 @@ def cmd_extend(args) -> tuple[dict, list[str], int]:
         maximal_only=not args.include_nonmaximal,
     )
     payload = report.to_json()
-    lines = [
-        f"H = {write_graph6(h)}, mu = {format_rational(mu)}: "
-        f"{len(report.candidates)} candidates, "
-        f"{len(report.maximal_graphs)} graph(s)"
-    ]
-    for m in report.maximal_graphs:
-        reg = f"{m.regular}-regular" if m.regular is not None else "irregular"
-        lines.append(
-            f"  {write_graph6(m.graph)}  X = {list(m.star_vertices)}  {reg}"
-        )
+    lines = chain(
+        [
+            f"H = {payload['H']}, mu = {payload['mu']}: "
+            f"{len(report.candidates)} candidates, "
+            f"{len(report.maximal_graphs)} graph(s)"
+        ],
+        (
+            f"  {write_graph6(m.graph)}  X = {list(m.star_vertices)}  "
+            f"{'irregular' if m.regular is None else f'{m.regular}-regular'}"
+            for m in report.maximal_graphs
+        ),
+    )
     return payload, lines, EXIT_OK
 
 
-def cmd_theorem(args) -> tuple[dict, list[str], int]:
+def _branch_lines(b) -> Iterable[str]:
+    status = "PASS" if b.passed else "FAIL"
+    summary = f"unique graph {b.graph6}" if b.t == 2 and b.graph6 else f"{b.graphs_found} graphs"
+    yield f"  t={b.t} mu={format_rational(b.mu)}: {status} ({b.candidates} candidates, {summary})"
+    for name, ok, detail in b.checks:
+        if not ok:
+            yield f"    FAILED {name}: {detail}"
+
+
+def cmd_theorem(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
     report = theorem_check(args.s, args.t_max)
     payload = report.to_json()
-    lines = [f"classification check at s = {args.s}, t = 2..{args.t_max}"]
-    for b in report.branches:
-        status = "PASS" if b.passed else "FAIL"
-        summary = (
-            f"unique graph {b.graph6}" if b.t == 2 and b.graph6 else f"{b.graphs_found} graphs"
-        )
-        lines.append(
-            f"  t={b.t} mu={format_rational(b.mu)}: {status} "
-            f"({b.candidates} candidates, {summary})"
-        )
-        for name, ok, detail in b.checks:
-            if not ok:
-                lines.append(f"    FAILED {name}: {detail}")
-    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
+    lines = chain(
+        [f"classification check at s = {args.s}, t = 2..{args.t_max}"],
+        chain.from_iterable(map(_branch_lines, report.branches)),
+        ["overall: " + ("PASS" if report.passed else "FAIL")],
+    )
     return payload, lines, EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_explore(args) -> tuple[dict, list[str], int]:
+def cmd_explore(args) -> tuple[dict, Iterable[str], int]:
     s_range = parse_range(args.s)
     t_range = parse_range(args.t)
     mu_lo, mu_hi = parse_range(args.mu)
@@ -218,17 +238,19 @@ def cmd_explore(args) -> tuple[dict, list[str], int]:
         "mu_range": [mu_lo, mu_hi],
         **table.to_json(),
     }
-    lines = [
-        f"integer solutions over s={args.s}, t={args.t}, mu={args.mu} "
-        f"({len(table.rows)} rows, {table.dropped_nonintegral} dropped non-integral, "
-        f"{table.skipped_eigenvalue} skipped eigenvalue combinations)",
-        f"  {'s':>3} {'t':>3} {'mu':>5} {'a':>3} {'b':>3}  t+mu=0",
-    ]
-    for r in table.rows:
-        lines.append(
+    lines = chain(
+        [
+            f"integer solutions over s={args.s}, t={args.t}, mu={args.mu} "
+            f"({len(table.rows)} rows, {table.dropped_nonintegral} dropped non-integral, "
+            f"{table.skipped_eigenvalue} skipped eigenvalue combinations)",
+            f"  {'s':>3} {'t':>3} {'mu':>5} {'a':>3} {'b':>3}  t+mu=0",
+        ],
+        (
             f"  {r.s:>3} {r.t:>3} {format_rational(r.mu):>5} {r.a:>3} {r.b:>3}  "
             f"{'yes' if r.degenerate_linear else 'no'}"
-        )
+            for r in table.rows
+        ),
+    )
     return payload, lines, EXIT_OK
 
 
@@ -298,6 +320,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_key(key) -> str:
+    # json writes an int, float, bool or None key as the string of its JSON
+    # text and rejects other types; a one-key dump gives its bytes and errors.
+    if isinstance(key, str):
+        return _encode_str(key)
+    return json.dumps({key: 0})[1:-4]
+
+
+def write_json(obj, pad: str = "") -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), nested at `pad`.
+
+    Containers, strings, None, bools and ints are written here, a list of
+    plain ints as one join; floats and anything else go to json.dumps, so
+    their bytes and errors are json's own.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([write_json(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(
+            [f"{_write_key(k)}: {write_json(v, inner)}" for k, v in sorted(obj.items())]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(obj)
+
+
 _USAGE_ERRORS = (ValueError, BudgetExceededError)
 
 
@@ -317,21 +387,23 @@ def main(argv=None) -> int:
     try:
         payload, lines, code = args.func(args)
     except _USAGE_ERRORS as exc:
-        envelope = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"kind": _error_kind(exc), "detail": str(exc)},
-        }
-        if args.format == "json":
-            print(json.dumps(envelope, indent=2, sort_keys=True))
-        else:
-            print(f"error ({envelope['error']['kind']}): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    envelope = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
+        kind = _error_kind(exc)
+        if args.format != "json":
+            print(f"error ({kind}): {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        payload, code = {"error": {"kind": kind, "detail": str(exc)}}, EXIT_USAGE
     if args.format == "json":
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        text = write_json({"schema": SCHEMA_VERSION, "command": args.command, **payload})
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout again at exit,
+        # so point it at devnull for that flush to succeed silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -104,8 +104,28 @@ class Candidate:
         return a, len(self.vertices) - a
 
 
-def _mask_to_candidate(mask: int, n: int) -> Candidate:
-    return Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
+# Masks are decoded DECODE_BITS bits at a time, through a table of the
+# 2^DECODE_BITS vertex tuples of each chunk.
+DECODE_BITS = 10
+
+
+def _decode_masks(masks, n: int) -> list[tuple[int, ...]]:
+    """The vertex tuple of every mask below 2^n, in input order.
+
+    masks is an int64 array or a list of ints.  Entry m of the table of
+    chunk [first, first + width) lists first + i for the set bits i of m;
+    joined low chunk first, the chunks' tuples list the vertices in order.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    decoded = [()] * len(masks)
+    for first in range(0, n, DECODE_BITS):
+        width = min(DECODE_BITS, n - first)
+        table = [()]
+        for v in range(first, first + width):
+            table += [t + (v,) for t in table]
+        chunk = ((masks >> first) & ((1 << width) - 1)).tolist()
+        decoded = list(map(tuple.__add__, decoded, map(table.__getitem__, chunk)))
+    return decoded
 
 
 def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
@@ -171,12 +191,10 @@ def enumerate_candidates(
         masks = kernels.subset_scan_int64(
             res.astype(np.int64), rj.astype(np.int64),
             np.int64(want_diag), np.int64(want_j), nonmain, 0, total,
-        ).tolist()
+        )
     else:
         masks = _subset_scan_exact(res, rj, want_diag, want_j, nonmain, 0, total)
-    cands = [_mask_to_candidate(m, n) for m in masks]
-    cands.sort(key=lambda c: c.vertices)
-    return cands
+    return list(map(Candidate, sorted(_decode_masks(masks, n))))
 
 
 @dataclass(frozen=True, eq=False)  # numpy fields: compare by identity
@@ -365,7 +383,9 @@ def assemble_graph(
             f"{table.candidates[k[j]].vertices} "
             f"cannot coexist for mu={format_rational(table.mu)}"
         )
-    h, c = table.h, table.attachment[k]
+    # The attachment is an object array for the pair product; as uint8 rows
+    # the block stays uint8 and from_adjacency checks no Python objects.
+    h, c = table.h, table.attachment[k].astype(np.uint8)
     g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
     star = tuple(range(h.n, g.n))
     cert = verify_star_set(g, table.mu, star)

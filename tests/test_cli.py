@@ -1,16 +1,25 @@
 import hashlib
 import json
+import math
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import starcomp
 from starcomp import cli, disjoint_union, eig_multiplicity, make_cocktail, parse_graph6, write_graph6
-from starcomp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from starcomp.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, write_json
 
 from conftest import random_graph
+
+# The benchmark's 2^19-mask int64 scan with the <b, j> test: 5005 candidates.
+SCAN_ARGV = ["candidates", "--graph", "split:15,4", "--mu=-4", "--nonmain"]
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +367,103 @@ class TestDeterminism:
         code = main(["--format", "json", "starsets", "--graph", graph, f"--mu={mu}"])
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "7717bb7a0d60cecfb3a9c776a85fc45151f67f97abe5803876a159020f8457c0"),
+        ("text", "6921957baf66bc18b9632d2784e0f81deb3585133300787e7377cdded1fc64b3"),
+    ])
+    def test_candidates_bytes_pinned(self, capsys, fmt, digest):
+        code = main(["--format", fmt, *SCAN_ARGV])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class TestWriteJson:
+    """write_json against json.dumps(x, indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_matches_json_dumps(self):
+        from hypothesis import given, settings, strategies as st
+
+        text = st.text(
+            alphabet=st.characters() | st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\u2028é€😀')
+        )
+        ints = st.integers() | st.integers(-(1 << 100), 1 << 100)
+        floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+        scalars = st.none() | st.booleans() | ints | floats | text
+        int_lists = st.lists(ints | st.booleans(), max_size=6)
+        values = st.recursive(
+            scalars | int_lists,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(text, inner, max_size=4),
+            max_leaves=20,
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(values)
+        def check(obj):
+            assert write_json(obj) == self.reference(obj)
+
+        check()
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], {"a": {}}, [True, 1], [1, False], [0, None], (1, 2), [(), [()]],
+        {"b": 1, "a": [1, 2]}, {1: "a"}, {"x": {2: [1.5, None]}}, {None: [True]},
+        {1.5: 0, -2.5: [1]}, {math.nan: 1}, {True: {}, False: []}, 7, -0.0, "é", None,
+    ])
+    def test_edge_cases(self, obj):
+        assert write_json(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        object(), {1: 0, "a": 0}, [1, {2, 3}], {"a": b"x"}, {None: 1, "k": 2}, {(1,): 0},
+    ])
+    def test_errors_are_json_errors(self, obj):
+        with pytest.raises(Exception) as want:
+            self.reference(obj)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            write_json(obj)
+
+    def test_error_envelope(self, capsys):
+        code = main(["--format", "json", "starsets", "--graph", 'bad"é\\', "--mu=1"])
+        out = capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert out == self.reference(json.loads(out)) + "\n"
+
+
+class TestBrokenPipe:
+    @staticmethod
+    def start(*argv):
+        # stdout buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(starcomp.__file__))
+        return subprocess.Popen(
+            [sys.executable, "-m", "starcomp", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    @staticmethod
+    def finish(proc):
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert err == b""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reader_closing_early_exits_141(self, fmt):
+        # Both reports are well over a 64 KiB pipe buffer, so the writer is
+        # still writing when the reader goes, as in `starcomp ... | head -3`.
+        proc = self.start("--format", fmt, *SCAN_ARGV)
+        for _ in range(3):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        self.finish(proc)
+
+    def test_reader_gone_before_output_exits_141(self):
+        # A short report sits in stdout's buffer until the flush, which
+        # fails; the flush at interpreter exit must not fail again.
+        proc = self.start("spectrum", "--graph", "cocktail:3")
+        proc.stdout.close()
+        self.finish(proc)

@@ -66,6 +66,16 @@ class TestEnumerateCandidates:
     def test_split_2_3_no_candidates(self):
         assert enumerate_candidates(make_complete_split(2, 3), -2, nonmain=True) == []
 
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 19, 20, 23])
+    def test_mask_decode_matches_bits(self, n):
+        # chunk boundaries at 10 and 20 bits, full and empty masks included
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(500)]
+        want = [tuple(v for v in range(n) if (m >> v) & 1) for m in masks]
+        assert extend_module._decode_masks(np.array(masks, dtype=np.int64), n) == want
+        assert extend_module._decode_masks(masks, n) == want
+        assert extend_module._decode_masks(np.empty(0, dtype=np.int64), n) == []
+
     def test_split_5_3(self):
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)
@@ -292,7 +302,10 @@ class TestCompatTable:
         by_value = {-1: PairClass.ADJACENT, 0: PairClass.NONADJACENT}
         cands = enumerate_candidates(h, mu, nonmain=False)
         # arbitrary subsets as well, so that every class shows up
-        extra = [extend_module._mask_to_candidate(m % (1 << n) or 1, n) for m in extra_masks]
+        extra = [
+            Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
+            for mask in (m % (1 << n) or 1 for m in extra_masks)
+        ]
         mixed = build_compat_graph(h, mu, cands + extra)
         vecs = [c.vector(n) for c in mixed.candidates]
         for i, u in enumerate(vecs):
