@@ -56,14 +56,6 @@ from .multipartite import (
     TypeVector,
     closed_bilinear,
     coeffs,
-    corollary_ab,
-    degree_balance,
-    diag_constraint,
-    minpoly_formula,
-    nonmain_constraint,
-    power_blocks,
-    quadratic_in_a,
-    resolvent_block,
     solution_explorer,
     theorem_check,
 )

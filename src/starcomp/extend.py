@@ -98,11 +98,6 @@ class Candidate:
             vec[v] = 1
         return vec
 
-    def split_type(self, s: int) -> tuple[int, int]:
-        """(clique-side degree a, independent-side degree b) for a split H."""
-        a = sum(1 for v in self.vertices if v < s)
-        return a, len(self.vertices) - a
-
 
 # Masks are decoded DECODE_BITS bits at a time, through a table of the
 # 2^DECODE_BITS vertex tuples of each chunk.
@@ -128,17 +123,8 @@ def _decode_masks(masks, n: int) -> list[tuple[int, ...]]:
     return decoded
 
 
-def _subset_scan_exact(res, rj, want_diag, want_j, use_j, lo, hi):
-    """The split-half subset scan over Python ints, same masks as the int64 path.
-
-    Used for the integer forms the int64 path cannot take: non-integral mu,
-    and integral mu whose accumulators could pass kernels.ACCUMULATOR_LIMIT.
-    res and rj are object arrays of Python ints, so every sum stays exact.
-    perfbench/tracer.py wraps this name and kernels.subset_scan_int64, and
-    reads lo, hi to count the masks, so the scan is reached by its own name
-    with its range as positional arguments.
-    """
-    return kernels._subset_scan_numpy(res, rj, want_diag, want_j, use_j, lo, hi).tolist()
+# perfbench/tracer.py wraps this name and reads its positional i0, i1.
+_subset_scan_exact = kernels._subset_scan_numpy
 
 
 def check_subset_budget(n: int, budget: int) -> int:

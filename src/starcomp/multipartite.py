@@ -1,25 +1,27 @@
-"""Closed forms for star complements that are complete split graphs K_s + tK_1.
+"""The block resolvent of the complete split graph K_s + tK_1, the
+classification checker, and the constraint explorer.
 
 For H the join of a clique on s vertices with t isolated ones (s, t >= 2),
-everything the extension engine computes generically collapses to small
-polynomial identities in (s, t, mu):
+the minimal polynomial is m(x) = x(x+1)(x^2 - (s-1)x - st) and the scaled
+resolvent m(mu)(mu I - A)^{-1} has the block form
 
-  * minimal polynomial  m(x) = x(x+1)(x^2 - (s-1)x - st)
-  * scaled resolvent    m(mu)(mu I - A)^{-1} has the block form
-        (alpha J + beta mu I     delta J          )
-        (delta J                 gamma J + beta(mu+1) I)
-    with alpha = mu^2 + mu t, beta = mu^2 - (s-1) mu - st,
-    gamma = s(mu+1), delta = mu^2 + mu.
-  * a candidate of type (a, b) (a clique neighbors, b independent neighbors)
-    satisfies a diagonal quintic and, when mu is non-main, the linear
-    relation a(mu+t) + b(mu+1) = s(mu+t) - mu(mu+1); eliminating b leaves a
-    quadratic in a whose integer roots in [0, s] are the admissible types.
-  * when t + mu = 0 the quadratic degenerates to a linear equation and the
-    type is the constant pair (a, b) = (-mu^2 - 2mu + s - 1, t).
+    (alpha J + beta mu I     delta J               )
+    (delta J                 gamma J + beta(mu+1) I)
 
-Every closed form here is cross-checked in the test suite against the
-generic exact-arithmetic route, so a transcription slip in a coefficient
-cannot survive.
+with alpha = mu^2 + mu t, beta = mu^2 - (s-1) mu - st, gamma = s(mu+1) and
+delta = mu^2 + mu.  coeffs returns these, and closed_bilinear reads the
+scaled pair value m(mu) <b_u, b_v> of two candidates off their types (a
+neighbors in the clique, b in the independent part) and their overlaps.
+The explorer's diagonal test reads them: a type (a, b) forced by
+<b, j> = -1 is kept when its pair value with itself is mu m(mu), that is
+when <b, b> = mu.
+
+The paper's other closed forms (the minimal polynomial, the diagonal
+quintic, the non-main relation a(mu+t) + b(mu+1) = s(mu+t) - mu(mu+1), the
+quadratic in a left by eliminating b, and the forced type
+(a, b) = (-mu^2 - 2mu + s - 1, t) when t + mu = 0) are test references in
+tests/conftest.py, checked there against this module and against the
+generic exact-arithmetic route.
 """
 
 from __future__ import annotations
@@ -85,59 +87,6 @@ class TypeVector:
     b: int
 
 
-def minpoly_formula(spec: BlockSpec) -> Polynomial:
-    """x^4 + (2-s) x^3 + (1-s-st) x^2 - st x, monic of degree 4."""
-    s, t = spec.s, spec.t
-    return Polynomial([0, -s * t, 1 - s - s * t, 2 - s, 1])
-
-
-@dataclass(frozen=True)
-class PowerBlocks:
-    """J/I coefficients of the three blocks of A(H)^k."""
-
-    k: int
-    clique_j: int
-    clique_i: int
-    cross_j: int
-    indep_j: int
-    indep_i: int
-
-    def to_matrix(self, spec: BlockSpec) -> np.ndarray:
-        return _split_blocks(
-            spec, self.clique_j, self.clique_i, self.cross_j, self.indep_j, self.indep_i
-        )
-
-
-def _split_blocks(spec: BlockSpec, clique_j, clique_i, cross_j, indep_j, indep_i) -> np.ndarray:
-    """The object matrix ((clique_j J + clique_i I, cross_j J),
-    (cross_j J, indep_j J + indep_i I)) with diagonal blocks of sizes s and t."""
-    s, n = spec.s, spec.s + spec.t
-    out = np.full((n, n), cross_j, dtype=object)
-    out[:s, :s] = clique_j
-    out[s:, s:] = indep_j
-    out[range(n), range(n)] = [clique_j + clique_i] * s + [indep_j + indep_i] * spec.t
-    return out
-
-
-def power_blocks(spec: BlockSpec, k: int) -> PowerBlocks:
-    """Block coefficients of A(H)^2 and A(H)^3 in closed form."""
-    s, t = spec.s, spec.t
-    if k == 2:
-        return PowerBlocks(
-            k=2, clique_j=s + t - 2, clique_i=1, cross_j=s - 1, indep_j=s, indep_i=0
-        )
-    if k == 3:
-        return PowerBlocks(
-            k=3,
-            clique_j=s * s + 2 * s * t - 3 * s - 2 * t + 3,
-            clique_i=-1,
-            cross_j=s * s + s * t - 2 * s + 1,
-            indep_j=s * s - s,
-            indep_i=0,
-        )
-    raise ValueError("power blocks are available for k in {2, 3} only")
-
-
 def coeffs(spec: BlockSpec, mu) -> ResolventCoeffs:
     """The (alpha, beta, gamma, delta, m(mu)) tuple of the block resolvent."""
     mu = Fraction(mu)
@@ -154,12 +103,6 @@ def coeffs(spec: BlockSpec, mu) -> ResolventCoeffs:
         delta=mu * mu + mu,
         m_mu=mu * (mu + 1) * beta,
     )
-
-
-def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:
-    """m(mu)(mu I - A(H))^{-1} assembled from the closed-form blocks."""
-    c = coeffs(spec, mu)
-    return _split_blocks(spec, c.alpha, c.beta * mu, c.delta, c.gamma, c.beta * (mu + 1))
 
 
 def closed_bilinear(
@@ -185,99 +128,22 @@ def closed_bilinear(
         raise ValueError("clique-side type out of range")
     if not (0 <= b <= spec.t and 0 <= f <= spec.t):
         raise ValueError("independent-side type out of range")
-    if not (0 <= y_overlap <= min(a, e)):
+    if not (max(0, a + e - spec.s) <= y_overlap <= min(a, e)):
         raise ValueError("clique overlap out of range")
-    if not (0 <= z_overlap <= min(b, f)):
+    if not (max(0, b + f - spec.t) <= z_overlap <= min(b, f)):
         raise ValueError("independent overlap out of range")
+    return _pair_value(c, Fraction(mu), a, b, e, f, y_overlap, z_overlap)
+
+
+def _pair_value(c: ResolventCoeffs, mu: Fraction, a, b, e, f, y, z) -> Fraction:
+    """closed_bilinear's value from the coefficients c at mu, unchecked."""
     return (
         c.alpha * a * e
-        + c.beta * Fraction(mu) * y_overlap
+        + c.beta * mu * y
         + c.delta * (a * f + e * b)
         + c.gamma * b * f
-        + c.beta * (Fraction(mu) + 1) * z_overlap
+        + c.beta * (mu + 1) * z
     )
-
-
-def diag_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
-    """mu m(mu) - m(mu) <b_u, b_u> for a type-(a,b) candidate, expanded.
-
-    Zero exactly when the type satisfies the diagonal condition <b,b> = mu:
-
-        mu^5 + (2-s) mu^4 + (1-b-s-st-a) mu^3
-        + (as - 2b - 2ab + bs - st - a^2 - a) mu^2
-        + (bs - 2ab - b - a^2 t - b^2 s + ast + bst) mu - s b^2 + stb
-    """
-    mu = Fraction(mu)
-    s, t = spec.s, spec.t
-    return (
-        mu**5
-        + (2 - s) * mu**4
-        + (1 - b - s - s * t - a) * mu**3
-        + (a * s - 2 * b - 2 * a * b + b * s - s * t - a * a - a) * mu**2
-        + (b * s - 2 * a * b - b - a * a * t - b * b * s + a * s * t + b * s * t) * mu
-        - s * b * b
-        + s * t * b
-    )
-
-
-def nonmain_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
-    """a(mu+t) + b(mu+1) - [s(mu+t) - mu(mu+1)]; zero iff <b,j> = -1 holds."""
-    mu = Fraction(mu)
-    s, t = spec.s, spec.t
-    return a * (mu + t) + b * (mu + 1) - (s * (mu + t) - mu * (mu + 1))
-
-
-def quadratic_in_a(spec: BlockSpec, mu) -> Polynomial:
-    """The polynomial in a obtained by eliminating b from the two constraints.
-
-        (t + mu) a^2 + (t + 2mu - 2st - 2smu + tmu + 2mu^2) a
-        + mu - st - 2smu + s^2 t - 2smu^2 + s^2 mu + 3mu^2 + 3mu^3
-        + mu^4 - stmu
-
-    Integer roots in [0, s] are the admissible clique-side degrees, provided
-    mu is not itself an eigenvalue of H (otherwise no candidate of any type
-    exists regardless of roots).  When t + mu = 0 the leading coefficient
-    vanishes and the a-coefficient becomes mu(mu+1), leaving a linear
-    equation.  mu = -1 is rejected: the elimination divides by mu + 1.
-    """
-    mu = Fraction(mu)
-    s, t = spec.s, spec.t
-    if mu == -1:
-        raise MuIsSplitEigenvalueError(
-            f"mu=-1 is an eigenvalue of K_{s} + {t}K_1"
-        )
-    const = (
-        mu
-        - s * t
-        - 2 * s * mu
-        + s * s * t
-        - 2 * s * mu * mu
-        + s * s * mu
-        + 3 * mu * mu
-        + 3 * mu**3
-        + mu**4
-        - s * t * mu
-    )
-    linear = t + 2 * mu - 2 * s * t - 2 * s * mu + t * mu + 2 * mu * mu
-    return Polynomial([const, linear, t + mu])
-
-
-def corollary_ab(spec: BlockSpec, mu) -> Optional[TypeVector]:
-    """The forced candidate type in the t + mu = 0 regime.
-
-    a = -mu^2 - 2mu + s - 1 and b = -mu = t; returns None when that a falls
-    outside [0, s], which means no candidate of any type exists.
-    """
-    mu = Fraction(mu)
-    if spec.t + mu != 0:
-        raise ValueError("closed-form type requires t + mu = 0")
-    a = -mu * mu - 2 * mu + spec.s - 1
-    if a.denominator != 1:
-        return None
-    a = int(a)
-    if not 0 <= a <= spec.s:
-        return None
-    return TypeVector(a=a, b=spec.t)
 
 
 # ---------------------------------------------------------------------------
@@ -419,59 +285,31 @@ def theorem_check(s: int, t_max: int) -> TheoremReport:
     return TheoremReport(s=s, t_max=t_max, branches=tuple(branches))
 
 
-@dataclass(frozen=True)
-class DegreeBalance:
-    """The three degree expressions a regular completion must reconcile.
+def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
+    """Measure a, b, c, d on the assembled graph and re-derive r three ways.
 
-    For H a complete split graph with clique size s and independent part t,
-    a regular graph of degree r built over it forces
+    A regular graph of degree r over H = K_s + 2K_1 with star set X forces
         r = s + |X|            (independent-part vertex)
-        r = s - 1 + t + c      (clique vertex with c neighbors in X)
+        r = s - 1 + 2 + c      (clique vertex with c neighbors in X)
         r = a + b + d          (star-set vertex with d neighbors in X)
     """
-
-    r_independent: int
-    r_clique: int
-    r_star: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.r_independent == self.r_clique == self.r_star
-
-
-def degree_balance(
-    s: int, t: int, x_size: int, a: int, b: int, c: int, d: int
-) -> DegreeBalance:
-    return DegreeBalance(
-        r_independent=s + x_size,
-        r_clique=s - 1 + t + c,
-        r_star=a + b + d,
-    )
-
-
-def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
-    """Measure a, b, c, d on the assembled graph and re-derive r three ways."""
     g = found.graph
     star = set(found.star_vertices)
     x_size = len(star)
     clique_part = range(s)
     indep_part = range(s, s + 2)
-    a_vals = {
-        sum(1 for w in clique_part if g.has_edge(u, w)) for u in star
-    }
+    a_vals = {sum(1 for w in clique_part if g.has_edge(u, w)) for u in star}
     b_vals = {sum(1 for w in indep_part if g.has_edge(u, w)) for u in star}
     c_vals = {sum(1 for u in star if g.has_edge(w, u)) for w in clique_part}
-    d_vals = {
-        sum(1 for u2 in star if u2 != u and g.has_edge(u, u2)) for u in star
-    }
+    d_vals = {sum(1 for u2 in star if u2 != u and g.has_edge(u, u2)) for u in star}
     ok_types = a_vals == {s - 1} and b_vals == {2}
     ok_cd = c_vals == {x_size - 1} and d_vals == {x_size - 1}
     measured = (a_vals, b_vals, c_vals, d_vals)
     if all(len(vals) == 1 for vals in measured):
         (a,), (b,), (c,), (d,) = measured
-        balance = degree_balance(s, 2, x_size, a, b, c, d)
-        ok_balance = balance.consistent and balance.r_independent == 2 * s
-        balance_detail = f"r = {balance.r_independent}/{balance.r_clique}/{balance.r_star}"
+        r = (s + x_size, s + 1 + c, a + b + d)
+        ok_balance = r == (2 * s,) * 3
+        balance_detail = "r = {}/{}/{}".format(*r)
     else:
         ok_balance = False
         balance_detail = "a, b, c and d are not each a single value"
@@ -536,9 +374,9 @@ def solution_explorer(
     decides; the others are counted as skipped), the non-main relation
     forces b = (s - a)(mu + t)/(mu + 1) - mu per a; rows where that b is
     non-integral are dropped (counted), and surviving (a, b) pairs are kept
-    when the diagonal quintic also vanishes.  Every emitted row is
-    re-verified by building one candidate of that type and evaluating the
-    two bilinear values directly.
+    when their scaled pair value with themselves is mu m(mu), i.e. when
+    <b, b> = mu.  Every emitted row is re-verified by building one candidate
+    of that type and evaluating the two bilinear values directly.
     """
     if s_range[0] < 2 or t_range[0] < 2:
         raise ValueError("explorer grid requires s, t >= 2")
@@ -551,10 +389,11 @@ def solution_explorer(
             spec = BlockSpec(s, t)
             for mu in mu_list:
                 try:
-                    coeffs(spec, mu)
+                    c = coeffs(spec, mu)
                 except MuIsSplitEigenvalueError:
                     skipped += 1
                     continue
+                want_diag = mu * c.m_mu
                 for a in range(0, s + 1):
                     b = Fraction(s - a) * (mu + t) / (mu + 1) - mu
                     if b.denominator != 1:
@@ -563,7 +402,7 @@ def solution_explorer(
                     b = int(b)
                     if not 0 <= b <= t:
                         continue
-                    if diag_constraint(spec, mu, a, b) != 0:
+                    if _pair_value(c, mu, a, b, a, b, a, b) != want_diag:
                         continue
                     _verify_row(spec, mu, a, b)
                     rows.append(ExplorerRow(s=s, t=t, mu=mu, a=a, b=b))

@@ -12,6 +12,13 @@ possible graph and counting eigenvalue multiplicities, polynomial gcds by the Eu
 maximal extensions without the symmetry reduction, assembling every
 clique, and canonical codes from the whole individualization-refinement
 tree with no automorphism pruning.
+
+For H = K_s + tK_1 it also holds the paper's stated closed forms, each
+expanded by hand as the paper prints it: the minimal polynomial, the
+resolvent blocks, the diagonal quintic, the non-main linear relation, the
+quadratic in a and the forced type at t + mu = 0.  The package computes
+from the block-resolvent coefficients alone; the tests check its results
+against these formulas.
 """
 
 from __future__ import annotations
@@ -20,17 +27,22 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from starcomp import (
+    BlockSpec,
+    Candidate,
     Graph,
     Polynomial,
+    TypeVector,
     adjacency_matrix,
     assemble_graph,
     build_compat_graph,
     canonical_form,
+    coeffs,
     eig_multiplicity,
     enumerate_candidates,
     induced_subgraph,
@@ -41,6 +53,7 @@ from starcomp import (
 )
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
 from starcomp.graphs import _encode, _individualize, _refine
+from starcomp.multipartite import MuIsSplitEigenvalueError
 
 
 def fraction_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -483,3 +496,118 @@ def _attach(h: Graph, base_edges, masks, internal) -> Graph:
 
 def split_graph_corpus() -> list[Graph]:
     return [make_complete_split(s, t) for s in (2, 3) for t in (2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed forms for H = K_s + tK_1
+# ---------------------------------------------------------------------------
+
+
+def split_type(c: Candidate, s: int) -> tuple[int, int]:
+    """(clique-side degree a, independent-side degree b) for a split H."""
+    a = sum(1 for v in c.vertices if v < s)
+    return a, len(c.vertices) - a
+
+
+def minpoly_formula(spec: BlockSpec) -> Polynomial:
+    """x^4 + (2-s) x^3 + (1-s-st) x^2 - st x, monic of degree 4."""
+    s, t = spec.s, spec.t
+    return Polynomial([0, -s * t, 1 - s - s * t, 2 - s, 1])
+
+
+def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:
+    """m(mu)(mu I - A(H))^{-1} assembled from the closed-form blocks: the
+    object matrix ((alpha J + beta mu I, delta J), (delta J, gamma J +
+    beta (mu+1) I)) with diagonal blocks of sizes s and t."""
+    c = coeffs(spec, mu)
+    mu = Fraction(mu)
+    s, n = spec.s, spec.s + spec.t
+    out = np.full((n, n), c.delta, dtype=object)
+    out[:s, :s] = c.alpha
+    out[s:, s:] = c.gamma
+    out[range(n), range(n)] = (
+        [c.alpha + c.beta * mu] * s + [c.gamma + c.beta * (mu + 1)] * spec.t
+    )
+    return out
+
+
+def diag_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
+    """mu m(mu) - m(mu) <b_u, b_u> for a type-(a,b) candidate, expanded.
+
+    Zero exactly when the type satisfies the diagonal condition <b,b> = mu:
+
+        mu^5 + (2-s) mu^4 + (1-b-s-st-a) mu^3
+        + (as - 2b - 2ab + bs - st - a^2 - a) mu^2
+        + (bs - 2ab - b - a^2 t - b^2 s + ast + bst) mu - s b^2 + stb
+    """
+    mu = Fraction(mu)
+    s, t = spec.s, spec.t
+    return (
+        mu**5
+        + (2 - s) * mu**4
+        + (1 - b - s - s * t - a) * mu**3
+        + (a * s - 2 * b - 2 * a * b + b * s - s * t - a * a - a) * mu**2
+        + (b * s - 2 * a * b - b - a * a * t - b * b * s + a * s * t + b * s * t) * mu
+        - s * b * b
+        + s * t * b
+    )
+
+
+def nonmain_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
+    """a(mu+t) + b(mu+1) - [s(mu+t) - mu(mu+1)]; zero iff <b,j> = -1 holds."""
+    mu = Fraction(mu)
+    s, t = spec.s, spec.t
+    return a * (mu + t) + b * (mu + 1) - (s * (mu + t) - mu * (mu + 1))
+
+
+def quadratic_in_a(spec: BlockSpec, mu) -> Polynomial:
+    """The polynomial in a obtained by eliminating b from the two constraints.
+
+        (t + mu) a^2 + (t + 2mu - 2st - 2smu + tmu + 2mu^2) a
+        + mu - st - 2smu + s^2 t - 2smu^2 + s^2 mu + 3mu^2 + 3mu^3
+        + mu^4 - stmu
+
+    Integer roots in [0, s] are the admissible clique-side degrees, provided
+    mu is not itself an eigenvalue of H (otherwise no candidate of any type
+    exists regardless of roots).  When t + mu = 0 the leading coefficient
+    vanishes and the a-coefficient becomes mu(mu+1), leaving a linear
+    equation.  mu = -1 is rejected: the elimination divides by mu + 1.
+    """
+    mu = Fraction(mu)
+    s, t = spec.s, spec.t
+    if mu == -1:
+        raise MuIsSplitEigenvalueError(
+            f"mu=-1 is an eigenvalue of K_{s} + {t}K_1"
+        )
+    const = (
+        mu
+        - s * t
+        - 2 * s * mu
+        + s * s * t
+        - 2 * s * mu * mu
+        + s * s * mu
+        + 3 * mu * mu
+        + 3 * mu**3
+        + mu**4
+        - s * t * mu
+    )
+    linear = t + 2 * mu - 2 * s * t - 2 * s * mu + t * mu + 2 * mu * mu
+    return Polynomial([const, linear, t + mu])
+
+
+def corollary_ab(spec: BlockSpec, mu) -> Optional[TypeVector]:
+    """The forced candidate type in the t + mu = 0 regime.
+
+    a = -mu^2 - 2mu + s - 1 and b = -mu = t; returns None when that a falls
+    outside [0, s], which means no candidate of any type exists.
+    """
+    mu = Fraction(mu)
+    if spec.t + mu != 0:
+        raise ValueError("closed-form type requires t + mu = 0")
+    a = -mu * mu - 2 * mu + spec.s - 1
+    if a.denominator != 1:
+        return None
+    a = int(a)
+    if not 0 <= a <= spec.s:
+        return None
+    return TypeVector(a=a, b=spec.t)

@@ -19,7 +19,6 @@ from starcomp import (
     char_poly,
     complement,
     cycle_graph,
-    diag_constraint,
     eig_multiplicity,
     eigenspace_from_star,
     enumerate_candidates,
@@ -32,11 +31,7 @@ from starcomp import (
     matching_graph,
     maximal_extensions,
     min_poly,
-    minpoly_formula,
-    nonmain_constraint,
     path_graph,
-    quadratic_in_a,
-    resolvent_block,
     verify_star_set,
 )
 from starcomp.extend import PairClass
@@ -45,8 +40,14 @@ from starcomp.linalg import graph_min_poly
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
+    diag_constraint,
     fraction_inverse,
     identity_matrix,
+    minpoly_formula,
+    nonmain_constraint,
+    quadratic_in_a,
+    resolvent_block,
+    split_type,
 )
 
 
@@ -142,7 +143,7 @@ def test_criterion_4_forced_candidate_type():
             if 0 <= a_expected <= s:
                 assert cands, (s, t)
                 for c in cands:
-                    assert c.split_type(s) == (a_expected, t), (s, t)
+                    assert split_type(c, s) == (a_expected, t), (s, t)
             else:
                 assert cands == [], (s, t)
     finish("criterion 4 (forced candidate type)", 30.0, t0)
@@ -158,7 +159,7 @@ def test_criterion_5_constraint_consistency():
             for c in enumerate_candidates(
                 make_complete_split(s, t), mu, nonmain=True
             ):
-                a, b = c.split_type(s)
+                a, b = split_type(c, s)
                 assert diag_constraint(spec, mu, a, b) == 0
                 assert nonmain_constraint(spec, mu, a, b) == 0
     quad = quadratic_in_a(BlockSpec(2, 3), -2)

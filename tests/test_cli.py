@@ -20,6 +20,8 @@ from conftest import random_graph
 
 # The benchmark's 2^19-mask int64 scan with the <b, j> test: 5005 candidates.
 SCAN_ARGV = ["candidates", "--graph", "split:15,4", "--mu=-4", "--nonmain"]
+THEOREM_ARGV = ["theorem", "--s", "6", "--t-max", "5"]
+EXPLORE_ARGV = ["explore", "--s", "2..8", "--t", "2..8", "--mu=-10..3"]
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +376,19 @@ class TestDeterminism:
     ])
     def test_candidates_bytes_pinned(self, capsys, fmt, digest):
         code = main(["--format", fmt, *SCAN_ARGV])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # The classification at s = 6 (its t = 2 branch carries the degree
+    # balance detail) and the explorer grid, each in JSON and text.
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (THEOREM_ARGV, "json", "2a9ecc805998e414f720adb490e121e9cfbcfdbc35b47ed5bdac467282fc7ff2"),
+        (THEOREM_ARGV, "text", "684fd529b5d5462d0e518a1fb1c03f1b6508377d12b6b981756bb9f485541c6b"),
+        (EXPLORE_ARGV, "json", "ae901410a174daa774f926ee338f1d4773674290a4185665e2a6e3b69f113945"),
+        (EXPLORE_ARGV, "text", "e3a45d7a50d2c3548409392702cadfaa4354693cd6db80d3e909239d42879967"),
+    ], ids=["theorem-json", "theorem-text", "explore-json", "explore-text"])
+    def test_theorem_and_explore_bytes_pinned(self, capsys, argv, fmt, digest):
+        code = main(["--format", fmt, *argv])
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -15,8 +15,6 @@ from starcomp import (
     assemble_graph,
     build_compat_graph,
     cycle_graph,
-    degree_balance,
-    diag_constraint,
     eig_multiplicity,
     enumerate_candidates,
     is_isomorphic,
@@ -24,7 +22,6 @@ from starcomp import (
     make_cocktail,
     make_complete_split,
     maximal_extensions,
-    nonmain_constraint,
     pair_class,
     parse_graph6,
     path_graph,
@@ -48,9 +45,12 @@ from starcomp.starsets import BudgetExceededError
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
+    diag_constraint,
     exhaustive_candidates,
+    nonmain_constraint,
     random_graph,
     random_graph_with_twins,
+    split_type,
     unreduced_extensions,
 )
 
@@ -60,7 +60,7 @@ class TestEnumerateCandidates:
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
         assert [c.vertices for c in cands] == [(0, 2, 3), (1, 2, 3)]
-        assert all(c.split_type(2) == (1, 2) for c in cands)
+        assert all(split_type(c, 2) == (1, 2) for c in cands)
         assert [c.vertices for c in cands] == exhaustive_candidates(h, -2, True)
 
     def test_split_2_3_no_candidates(self):
@@ -80,7 +80,7 @@ class TestEnumerateCandidates:
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)
         assert len(cands) == 5
-        assert all(c.split_type(5) == (1, 3) for c in cands)
+        assert all(split_type(c, 5) == (1, 3) for c in cands)
         assert [c.vertices for c in cands] == exhaustive_candidates(h, -3, True)
 
     def test_generic_graph_matches_oracle(self):
@@ -139,7 +139,7 @@ class TestEnumerateCandidates:
         }
         cands = enumerate_candidates(h, mu, nonmain=nonmain)
         assert cands or s + t < 18
-        assert Counter(c.split_type(s) for c in cands) == want
+        assert Counter(split_type(c, s) for c in cands) == want
         assert [c.vertices for c in cands] == sorted({c.vertices for c in cands})
 
     @pytest.mark.parametrize("nonmain", [False, True])
@@ -639,23 +639,6 @@ class TestOrbitReduction:
 
         check()
         assert any(reduced)
-
-
-class TestDegreeBalance:
-    def test_consistent_case(self):
-        bal = degree_balance(2, 2, 2, 1, 2, 1, 1)
-        assert (bal.r_independent, bal.r_clique, bal.r_star) == (4, 4, 4)
-        assert bal.consistent
-
-    def test_inconsistent_case(self):
-        bal = degree_balance(5, 3, 1, 1, 3, 0, 0)
-        assert (bal.r_independent, bal.r_clique, bal.r_star) == (6, 7, 4)
-        assert not bal.consistent
-
-    def test_degenerate_zeros(self):
-        bal = degree_balance(3, 2, 0, 0, 0, 0, 0)
-        assert (bal.r_independent, bal.r_clique, bal.r_star) == (3, 4, 0)
-        assert not bal.consistent
 
 
 class TestOracleCompleteness:

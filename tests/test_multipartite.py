@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -12,17 +13,10 @@ from starcomp import (
     adjacency_matrix,
     closed_bilinear,
     coeffs,
-    corollary_ab,
-    diag_constraint,
     enumerate_candidates,
     make_complete_split,
     min_poly,
-    minpoly_formula,
-    nonmain_constraint,
-    power_blocks,
-    quadratic_in_a,
     resolvent_bilinear,
-    resolvent_block,
     resolvent_via_minpoly,
     solution_explorer,
     theorem_check,
@@ -30,7 +24,20 @@ from starcomp import (
 from starcomp.multipartite import MuIsSplitEigenvalueError
 from starcomp.starsets import BudgetExceededError
 
-from conftest import krylov_min_poly
+from conftest import (
+    corollary_ab,
+    diag_constraint,
+    krylov_min_poly,
+    minpoly_formula,
+    nonmain_constraint,
+    quadratic_in_a,
+    resolvent_block,
+    split_type,
+)
+
+
+def powerset(items):
+    return list(chain.from_iterable(combinations(items, k) for k in range(len(items) + 1)))
 
 
 def beta_of(s, t, mu):
@@ -55,31 +62,6 @@ class TestMinPolyFormula:
             BlockSpec(1, 2)
         with pytest.raises(ValueError):
             BlockSpec(2, 1)
-
-
-class TestPowerBlocks:
-    def test_examples_2_2(self):
-        pb2 = power_blocks(BlockSpec(2, 2), 2)
-        assert (pb2.clique_j, pb2.clique_i, pb2.cross_j, pb2.indep_j) == (2, 1, 1, 2)
-        pb3 = power_blocks(BlockSpec(2, 2), 3)
-        assert (pb3.clique_j, pb3.clique_i, pb3.cross_j, pb3.indep_j) == (5, -1, 5, 2)
-
-    def test_example_3_2(self):
-        pb = power_blocks(BlockSpec(3, 2), 2)
-        assert (pb.clique_j, pb.clique_i, pb.cross_j, pb.indep_j) == (3, 1, 2, 3)
-
-    def test_other_k_rejected(self):
-        with pytest.raises(ValueError):
-            power_blocks(BlockSpec(2, 2), 4)
-
-    def test_reconstruction_matches_matrix_power(self):
-        for s in range(2, 9):
-            for t in range(2, 9):
-                spec = BlockSpec(s, t)
-                adj = adjacency_matrix(make_complete_split(s, t))
-                square = adj @ adj
-                assert (power_blocks(spec, 2).to_matrix(spec) == square).all()
-                assert (power_blocks(spec, 3).to_matrix(spec) == square @ adj).all()
 
 
 class TestCoeffs:
@@ -158,6 +140,36 @@ class TestClosedBilinear:
             closed_bilinear(spec, -3, TypeVector(1, 1), TypeVector(1, 1), 0, -1)
         with pytest.raises(ValueError):
             closed_bilinear(spec, -3, TypeVector(4, 1), TypeVector(1, 1), 0, 0)
+        # two 2-subsets of a 2-clique share both vertices
+        with pytest.raises(ValueError, match="clique overlap"):
+            closed_bilinear(BlockSpec(2, 2), -3, TypeVector(2, 0), TypeVector(2, 0), 0, 0)
+
+    def test_every_overlap_in_bounds_is_realized(self):
+        # each (y, z) the bounds admit comes from real subsets, whose direct
+        # bilinear value the closed form reproduces
+        spec = BlockSpec(3, 2)
+        h = make_complete_split(3, 2)
+        mu = Fraction(-3)
+        m_mu = minpoly_formula(spec)(mu)
+        clique, indep = range(3), range(3, 5)
+        seen = set()
+        for ya, yb in product(powerset(clique), repeat=2):
+            for za, zb in product(powerset(indep), repeat=2):
+                u = TypeVector(len(ya), len(za))
+                v = TypeVector(len(yb), len(zb))
+                y, z = len(set(ya) & set(yb)), len(set(za) & set(zb))
+                seen.add((u, v, y, z))
+                u_vec = np.array([int(w in ya + za) for w in range(5)], dtype=object)
+                v_vec = np.array([int(w in yb + zb) for w in range(5)], dtype=object)
+                direct = resolvent_bilinear(h, mu, u_vec, v_vec)
+                assert closed_bilinear(spec, mu, u, v, y, z) == m_mu * direct
+        for a, b, e, f in product(range(4), range(3), range(4), range(3)):
+            for y, z in product(range(-1, 5), range(-1, 4)):
+                u, v = TypeVector(a, b), TypeVector(e, f)
+                if (u, v, y, z) in seen:
+                    continue
+                with pytest.raises(ValueError, match="overlap out of range"):
+                    closed_bilinear(spec, mu, u, v, y, z)
 
     def test_randomized_against_resolvent_bilinear(self):
         rng = random.Random(1234)
@@ -262,6 +274,25 @@ class TestConstraints:
             for b in range(4):
                 assert nonmain_constraint(BlockSpec(2, 3), -2, a, b) == a - b
 
+    def test_nonmain_equals_row_sum(self):
+        # j has type (s, t) and meets a type-(a, b) set in (a, b) vertices:
+        # m(mu) <b, j> + m(mu) = mu (mu + 1) times the non-main relation
+        for s in range(2, 6):
+            for t in range(2, 6):
+                spec = BlockSpec(s, t)
+                for mu in [Fraction(m) for m in range(-6, 6)] + [Fraction(-5, 2), Fraction(7, 3)]:
+                    if mu in (0, -1) or beta_of(s, t, mu) == 0:
+                        continue
+                    m_mu = minpoly_formula(spec)(mu)
+                    for a in range(s + 1):
+                        for b in range(t + 1):
+                            row = closed_bilinear(
+                                spec, mu, TypeVector(a, b), TypeVector(s, t), a, b
+                            )
+                            assert row + m_mu == mu * (mu + 1) * nonmain_constraint(
+                                spec, mu, a, b
+                            ), (s, t, mu, a, b)
+
     def test_quadratic_examples(self):
         assert quadratic_in_a(BlockSpec(2, 3), -2) == Polynomial([4, -3, 1])
         assert quadratic_in_a(BlockSpec(2, 2), -2) == Polynomial([-2, 2])
@@ -318,7 +349,7 @@ class TestCorollary:
                 else:
                     assert cands
                     for c in cands:
-                        assert c.split_type(s) == (expected.a, expected.b)
+                        assert split_type(c, s) == (expected.a, expected.b)
 
 
 class TestTheorem:
@@ -360,7 +391,9 @@ class TestTheorem:
         from starcomp.multipartite import _degree_balance_checks
 
         found = maximal_extensions(make_complete_split(4, 2), -2, regular_only=True).maximal_graphs[0]
-        ok = dict((name, passed) for name, passed, _ in _degree_balance_checks(4, found))
+        checks = _degree_balance_checks(4, found)
+        assert checks[-1] == ("degree-balance", True, "r = 8/8/8")
+        ok = dict((name, passed) for name, passed, _ in checks)
         assert ok == {"attachment-types": True, "x-degrees": True, "degree-balance": True}
         u, v = found.star_vertices[:2]
         perturbed = Graph(found.graph.n, [e for e in found.graph.edges() if e != (u, v)])
@@ -395,6 +428,10 @@ class TestExplorer:
         key_rows = {(r.s, r.t, r.mu, r.a, r.b) for r in table.rows}
         for s in (2, 3, 4):
             assert (s, 2, Fraction(-2), s - 1, 2) in key_rows
+        # at t + mu = 0 the explorer's rows are the paper's forced types
+        forced = {(r.s, r.t): TypeVector(r.a, r.b) for r in table.rows if r.degenerate_linear}
+        want = {(s, t): corollary_ab(BlockSpec(s, t), -t) for s in (2, 3, 4) for t in (2, 3, 4)}
+        assert forced == {k: v for k, v in want.items() if v is not None}
 
     def test_2_3_minus2_absent(self):
         table = solution_explorer((2, 2), (3, 3), [Fraction(-2)])
@@ -417,3 +454,28 @@ class TestExplorer:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             solution_explorer((1, 3), (2, 3), [-2])
+
+    def test_rows_solve_the_paper_constraints(self):
+        # every type in the box that satisfies the stated quintic and linear
+        # relation, at every mu outside the spectrum, and nothing else
+        mus = [Fraction(m) for m in range(-9, 5)] + [Fraction(-5, 2), Fraction(-7, 3)]
+        table = solution_explorer((2, 7), (2, 6), mus)
+        want = set()
+        skipped = 0
+        for s in range(2, 8):
+            for t in range(2, 7):
+                spec = BlockSpec(s, t)
+                for mu in mus:
+                    if mu in (0, -1) or beta_of(s, t, mu) == 0:
+                        skipped += 1
+                        continue
+                    want |= {
+                        (s, t, mu, a, b)
+                        for a in range(s + 1)
+                        for b in range(t + 1)
+                        if diag_constraint(spec, mu, a, b) == 0
+                        and nonmain_constraint(spec, mu, a, b) == 0
+                    }
+        assert {(r.s, r.t, r.mu, r.a, r.b) for r in table.rows} == want
+        assert len(table.rows) == len(want) > 10
+        assert table.skipped_eigenvalue == skipped
