@@ -4,14 +4,26 @@ Vertices are the contiguous indices 0..n-1 and graphs are immutable values,
 so they hash, compare, and are safe to share.  The only wire format is
 graph6 (6-bit encoding, bias 63), implemented bit-exactly.
 
-Canonical forms use individualization-refinement.  Every pair of leaves with
-equal codes yields an automorphism, and the search prunes with it as nauty
-does: it backjumps to the two leaves' deepest common ancestor, and it skips a
-child lying in the orbit of an explored sibling under the automorphisms found
-so far that fix the node's prefix.  Both rules skip only automorphic images
-of explored subtrees, so the minimum code, and with it the canonical graph6,
-is the one the unpruned tree gives.  The supported bound is n <= 64, far
-above anything the search engine produces.
+Canonical forms use individualization-refinement on ordered partitions: a
+list of sorted cells, with neighbourhoods held as int bitsets, so a vertex's
+neighbours in a cell are counted as one popcount.  Refinement splits each
+cell in place by its vertices' counts into the cells that changed last,
+fragments in descending order of the count vectors.  That gives the cells,
+in the same order, of the classic numbering in which a new colour is the
+rank of (old colour, sorted neighbour colours): vertices of one cell have
+one degree (the root's first round orders by ascending degree instead), and
+sorted tuples of one length order as their count vectors do, descending.
+Counts into a cell that did not change are equal across each cell, so a
+round recounts only against the fresh fragments.
+
+Every pair of leaves with equal codes yields an automorphism, and the
+search prunes with it as nauty does: it backjumps to the two leaves' deepest
+common ancestor, and it skips a child lying in the orbit of an explored
+sibling under the automorphisms found so far that fix the node's prefix.
+Both rules skip only automorphic images of explored subtrees, so the
+minimum code, and with it the canonical graph6, is the one the unpruned
+tree gives.  The supported bound is n <= 64, far above anything the search
+engine produces.
 """
 
 from __future__ import annotations
@@ -249,23 +261,22 @@ def _g6_size_bytes(n: int) -> bytes:
     raise UnsupportedSizeError(f"graph6 output for n={n} not supported")
 
 
+def _graph6(adj: np.ndarray) -> str:
+    """graph6 of an adjacency matrix, with no header."""
+    n = adj.shape[0]
+    m = n * (n - 1) // 2
+    bits = np.zeros(-(-m // 6) * 6, dtype=np.uint8)
+    # The strict lower triangle row by row is graph6's upper triangle read
+    # column by column.
+    bits[:m] = adj[np.tri(n, k=-1, dtype=bool)]
+    # Each 6-bit group packs into the top of a byte.
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
+    return (_g6_size_bytes(n) + body.tobytes()).decode("ascii")
+
+
 def write_graph6(g: Graph) -> str:
     """Encode as a graph6 string (upper triangle, column-major, 6-bit groups)."""
-    n = g.n
-    out = bytearray(_g6_size_bytes(n))
-    bits = []
-    adj = g.adj
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(int(adj[i, j]))
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k : k + 6]:
-            v = (v << 1) | b
-        out.append(v + 63)
-    return out.decode("ascii")
+    return _graph6(g.adj)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -320,46 +331,68 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _refine(neighbors: list[tuple[int, ...]], colors: list[int]) -> list[int]:
-    """Stable color refinement: split classes by multisets of neighbor colors.
+def _bitsets(adj: np.ndarray) -> list[int]:
+    """Neighbourhoods as ints: bit u of entry v is set when u ~ v."""
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
-    New color ids are assigned from the sorted signature order, so they depend
-    only on the structure of the partition, never on vertex labels.
+
+def _refine(nbr: list[int], cells: list[list[int]], changed: list[int]) -> list[list[int]]:
+    """Split ordered cells until the partition is equitable.
+
+    `changed` holds the indices of the cells made by the last step; every
+    cell's vertices already agree on their counts into all other cells.  A
+    round counts each vertex's neighbours in the changed cells and splits
+    its cell, in place, into fragments by descending count vector.  The
+    fragments are the next round's changed cells.
     """
-    n = len(colors)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in neighbors[v])))
-            for v in range(n)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sigs[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+    while changed:
+        masks = [sum(1 << v for v in cells[i]) for i in changed]
+        out: list[list[int]] = []
+        changed = []
+        for cell in cells:
+            if len(cell) > 1:
+                # The count vector packed 7 bits a count (a count is at
+                # most CANON_MAX_VERTICES - 1), so ints order as vectors do.
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    row = nbr[v]
+                    key = 0
+                    for m in masks:
+                        key = key << 7 | (row & m).bit_count()
+                    groups.setdefault(key, []).append(v)
+                if len(groups) > 1:
+                    for key in sorted(groups, reverse=True):
+                        changed.append(len(out))
+                        out.append(groups[key])
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
 
 
-def _individualize(colors: list[int], w: int) -> list[int]:
-    sigs = [(colors[v], 1 if v == w else 0) for v in range(len(colors))]
-    order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-    return [order[sigs[v]] for v in range(len(colors))]
+def _initial_cells(nbr: list[int]) -> list[list[int]]:
+    """The root's partition: cells of ascending degree, then refined."""
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(nbr):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return _refine(nbr, cells, list(range(len(cells))) if len(cells) > 1 else [])
 
 
-def _encode(adj: np.ndarray, position: list[int]) -> int:
-    """Adjacency bits packed as one big int, read in canonical position order."""
-    n = len(position)
-    vert_at = [0] * n
-    for v, p in enumerate(position):
-        vert_at[p] = v
-    code = 0
-    for i in range(n):
-        vi = vert_at[i]
-        for j in range(i + 1, n):
-            code = (code << 1) | int(adj[vi, vert_at[j]])
-    return code
+def _individualize(nbr: list[int], cells: list[list[int]], i: int, w: int) -> list[list[int]]:
+    """Split w off cells[i] into the cell right after it, then refine."""
+    rest = [v for v in cells[i] if v != w]
+    return _refine(nbr, cells[:i] + [rest, [w]] + cells[i + 1 :], [i, i + 1])
 
 
-def _root(parent: list[int], v: int) -> int:
+def _encode(adj: np.ndarray, order: list[int], upper: tuple[np.ndarray, np.ndarray]) -> bytes:
+    """Upper-triangle adjacency bits, row by row in `order`, packed big-endian."""
+    at = np.array(order, dtype=np.intp)
+    return np.packbits(adj[at[upper[0]], at[upper[1]]]).tobytes()
+
+
+def _root(parent: dict[int, int], v: int) -> int:
     """Union-find root of v, halving the path on the way."""
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -367,11 +400,47 @@ def _root(parent: list[int], v: int) -> int:
     return v
 
 
+def _merge_orbits(
+    parent: dict[int, int],
+    autos: list[tuple[list[int], int]],
+    fixed: tuple[int, ...],
+    cell: list[int],
+) -> None:
+    """Join v and sigma[v] in the union-find over `cell`, for each recorded
+    automorphism (sigma, mask of the vertices sigma moves) that fixes every
+    vertex of `fixed`.
+
+    Such an automorphism maps each cell of the node's partition onto
+    itself, so the forest covers the target cell only; one that moves a
+    prefix vertex is skipped.
+    """
+    prefix = sum(1 << x for x in fixed)
+    for sigma, moved in autos:
+        if moved & prefix:
+            continue
+        for v in cell:
+            u = sigma[v]
+            if u != v:
+                a, b = _root(parent, v), _root(parent, u)
+                if a != b:
+                    parent[a] = b
+
+
 def _canon_search(g: Graph) -> tuple[int, list[int]]:
     """Minimum adjacency code over the individualization-refinement tree.
 
-    Each leaf is a discrete coloring; two leaves with equal codes induce an
-    automorphism, which is recorded and prunes the tree in two ways:
+    A node is an ordered partition into sorted cells, refined until
+    equitable (_refine); the root starts from the cells of ascending degree,
+    and a child individualizes a vertex w of the first smallest nontrivial
+    cell (the target), splitting it into [cell - w, {w}].  As the module
+    docstring shows, these are the cells, in order, of the classic colour
+    numbering, so the tree and its leaves are the ones that numbering
+    gives.  A leaf's code is the upper triangle of the adjacency in cell
+    order, packed into bytes of one length per graph, so bytes order as the
+    codes do.
+
+    Each pair of leaves with equal codes induces an automorphism, which is
+    recorded and prunes the tree in two ways:
 
     - Backjump.  If a leaf's code equals the best code, let k be the length
       of the common prefix of the two leaves' individualized vertices.  The
@@ -381,79 +450,71 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
       returns, and the node at depth k goes on with its next child.
     - Orbit pruning.  A node skips child w when w lies in the orbit of an
       explored sibling under the group generated by the recorded
-      automorphisms that fix the node's prefix pointwise.
+      automorphisms that fix the node's prefix pointwise (_merge_orbits).
 
     Both rules skip only automorphic images of explored subtrees, which hold
     the same multiset of leaf codes, so the minimum code is unchanged; the
     code fixes the relabeled adjacency, so the graph6 built from whichever
-    minimal leaf is kept is unchanged too.
+    minimal leaf is kept is unchanged too.  Returns the code as an int and
+    that leaf's vertex order (position -> vertex).
     """
     n = g.n
     adj = g.adj
-    neighbors = [g.neighbors(v) for v in range(n)]
-    best: list = [None, None, ()]  # [code, position, individualized prefix]
-    autos: list[list[int]] = []
+    nbr = _bitsets(adj)
+    upper = np.triu_indices(n, 1)
+    best: list = [None, None, ()]  # [code, order, individualized prefix]
+    autos: list[tuple[list[int], int]] = []
 
-    def dfs(colors: list[int], fixed: tuple[int, ...]) -> int:
+    def dfs(cells: list[list[int]], fixed: tuple[int, ...]) -> int:
         """Search the subtree; return the depth the search resumes at."""
         depth = len(fixed)
-        colors = _refine(neighbors, colors)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(classes):
-            cell = classes[c]
-            if len(cell) > 1 and (target is None or len(cell) < len(target)):
-                target = cell
-        if target is None:
-            code = _encode(adj, colors)
+        target = -1
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and (target < 0 or len(cell) < len(cells[target])):
+                target = i
+        if target < 0:
+            order = [cell[0] for cell in cells]
+            code = _encode(adj, order, upper)
             if best[0] is None or code < best[0]:
-                best[:] = [code, colors[:], fixed]
+                best[:] = [code, order, fixed]
             elif code == best[0]:
-                # colors and best[1] are two labelings with equal codes; the
+                # order and best[1] are two labelings with equal codes; the
                 # induced vertex map is an automorphism worth remembering.
-                at_best = [0] * n
-                for v, p in enumerate(best[1]):
-                    at_best[p] = v
                 sigma = [0] * n
-                for v in range(n):
-                    sigma[v] = at_best[colors[v]]
-                autos.append(sigma)
+                for v, u in zip(order, best[1]):
+                    sigma[v] = u
+                moved = sum(1 << v for v in range(n) if sigma[v] != v)
+                autos.append((sigma, moved))
                 k = 0
                 while fixed[k] == best[2][k]:
                     k += 1
                 return k
             return depth
+        cell = cells[target]
         explored: list[int] = []
-        # Orbits of the recorded automorphisms fixing `fixed`, as a union-find
-        # forest over the vertices; built once autos is nonempty and extended
-        # only by the automorphisms recorded since.
-        parent: Optional[list[int]] = None
+        # Orbits on the target cell of the recorded automorphisms fixing
+        # `fixed`; built once autos is nonempty and extended only by the
+        # automorphisms recorded since.
+        parent: Optional[dict[int, int]] = None
         seen = 0
-        for w in target:
+        for w in cell:
             if seen < len(autos):
                 if parent is None:
-                    parent = list(range(n))
-                for sigma in autos[seen:]:
-                    if all(sigma[x] == x for x in fixed):
-                        for v in range(n):
-                            a, b = _root(parent, v), _root(parent, sigma[v])
-                            if a != b:
-                                parent[a] = b
+                    parent = {v: v for v in cell}
+                _merge_orbits(parent, autos[seen:], fixed, cell)
                 seen = len(autos)
             if parent is not None:
                 r = _root(parent, w)
                 if any(_root(parent, u) == r for u in explored):
                     continue
             explored.append(w)
-            back = dfs(_individualize(colors, w), fixed + (w,))
+            back = dfs(_individualize(nbr, cells, target, w), fixed + (w,))
             if back < depth:
                 return back
         return depth
 
-    dfs([0] * n, ())
-    return best[0], best[1]
+    dfs(_initial_cells(nbr), ())
+    return int.from_bytes(best[0], "big") >> (-len(upper[0]) % 8), best[1]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -468,8 +529,8 @@ def canonical_form(g: Graph) -> bytes:
         raise UnsupportedSizeError(
             f"canonical form supported up to n={CANON_MAX_VERTICES}, got n={g.n}"
         )
-    _, position = _canon_search(g) if g.n else (0, [])
-    return write_graph6(relabel(g, position)).encode("ascii")
+    _, order = _canon_search(g)
+    return _graph6(g.adj[np.ix_(order, order)]).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

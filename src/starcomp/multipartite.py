@@ -372,11 +372,12 @@ def solution_explorer(
 
     For each (s, t, mu) with mu outside the spectrum of H (as coeffs
     decides; the others are counted as skipped), the non-main relation
-    forces b = (s - a)(mu + t)/(mu + 1) - mu per a; rows where that b is
-    non-integral are dropped (counted), and surviving (a, b) pairs are kept
-    when their scaled pair value with themselves is mu m(mu), i.e. when
-    <b, b> = mu.  Every emitted row is re-verified by building one candidate
-    of that type and evaluating the two bilinear values directly.
+    forces b = (s - a)(mu + t)/(mu + 1) - mu per a (one integer divmod);
+    rows where that b is non-integral are dropped (counted), and surviving
+    (a, b) pairs are kept when their scaled pair value with themselves is
+    mu m(mu), i.e. when <b, b> = mu.  Every emitted row is re-verified by
+    building one candidate of that type and evaluating the two bilinear
+    values directly.
     """
     if s_range[0] < 2 or t_range[0] < 2:
         raise ValueError("explorer grid requires s, t >= 2")
@@ -394,12 +395,13 @@ def solution_explorer(
                     skipped += 1
                     continue
                 want_diag = mu * c.m_mu
+                # b over the one denominator q (p + q), for mu = p/q
+                p, q = mu.numerator, mu.denominator
                 for a in range(0, s + 1):
-                    b = Fraction(s - a) * (mu + t) / (mu + 1) - mu
-                    if b.denominator != 1:
+                    b, r = divmod((s - a) * (p + t * q) * q - p * (p + q), q * (p + q))
+                    if r:
                         dropped += 1
                         continue
-                    b = int(b)
                     if not 0 <= b <= t:
                         continue
                     if _pair_value(c, mu, a, b, a, b, a, b) != want_diag:

@@ -11,7 +11,9 @@ every complement, brute-force star-set extension search by building every
 possible graph and counting eigenvalue multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
 maximal extensions without the symmetry reduction, assembling every
 clique, and canonical codes from the whole individualization-refinement
-tree with no automorphism pruning.
+tree with no automorphism pruning, refined by the classic colour numbering
+(each round re-ranks every vertex by its old colour and sorted neighbour
+colours) instead of the package's ordered cells.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -52,7 +54,6 @@ from starcomp import (
     resolvent_bilinear,
 )
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
-from starcomp.graphs import _encode, _individualize, _refine
 from starcomp.multipartite import MuIsSplitEigenvalueError
 
 
@@ -201,20 +202,71 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
+# Colour refinement by the classic numbering: a vertex's new colour is the
+# rank of (old colour, sorted neighbour colours).  graphs._canon_search
+# refines ordered cells instead and must give the same partitions in the
+# same order; these are the oracle it is checked against.
+
+
+def _refine(neighbors: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Stable color refinement: split classes by multisets of neighbor colors.
+
+    New color ids are assigned from the sorted signature order, so they depend
+    only on the structure of the partition, never on vertex labels.
+    """
+    n = len(colors)
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in neighbors[v])))
+            for v in range(n)
+        ]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [order[sigs[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _individualize(colors: list[int], w: int) -> list[int]:
+    sigs = [(colors[v], 1 if v == w else 0) for v in range(len(colors))]
+    order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return [order[sigs[v]] for v in range(len(colors))]
+
+
+def colour_cells(colors: list[int]) -> list[list[int]]:
+    """The colour classes in colour order, each sorted."""
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
+def _encode(adj: np.ndarray, position: list[int]) -> int:
+    """Adjacency bits packed as one big int, read in canonical position order."""
+    n = len(position)
+    vert_at = [0] * n
+    for v, p in enumerate(position):
+        vert_at[p] = v
+    code = 0
+    for i in range(n):
+        vi = vert_at[i]
+        for j in range(i + 1, n):
+            code = (code << 1) | int(adj[vi, vert_at[j]])
+    return code
+
+
 def unpruned_canon_code(g: Graph) -> tuple[int, list[int]]:
     """Minimum adjacency code over every leaf of the individualization-
-    refinement tree that graphs._canon_search walks (same refinement, same
-    target cell: the first smallest nontrivial cell), with no automorphism
-    pruning and no backjump.  Returns the code and the first leaf (vertex ->
-    position) attaining it.  The tree has at least |Aut(g)| leaves."""
+    refinement tree that graphs._canon_search walks (same partitions, here
+    from the colour numbering, same target cell: the first smallest
+    nontrivial cell), with no automorphism pruning and no backjump.
+    Returns the code and the first leaf (vertex -> position) attaining it.
+    The tree has at least |Aut(g)| leaves."""
     neighbors = [g.neighbors(v) for v in range(g.n)]
 
     def leaves(colors):
         colors = _refine(neighbors, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        split = [cells[c] for c in sorted(cells) if len(cells[c]) > 1]
+        split = [cell for cell in colour_cells(colors) if len(cell) > 1]
         if not split:
             yield _encode(g.adj, colors), colors
             return

@@ -24,10 +24,24 @@ from starcomp import (
     relabel,
     write_graph6,
 )
-from starcomp.graphs import CACHE_SIZE, UnsupportedSizeError, _canon_search
+from starcomp import graphs
+from starcomp.graphs import (
+    CACHE_SIZE,
+    CANON_MAX_VERTICES,
+    UnsupportedSizeError,
+    _bitsets,
+    _canon_search,
+    _individualize,
+    _initial_cells,
+    _merge_orbits,
+    _root,
+)
 
 from conftest import (
+    _individualize as colour_individualize,
+    _refine as colour_refine,
     brute_isomorphic,
+    colour_cells,
     random_graph,
     random_graph_with_twins,
     unpruned_canon_code,
@@ -217,6 +231,102 @@ def test_pruned_search_matches_unpruned_tree(g, rng):
     code, leaf = unpruned_canon_code(g)
     assert _canon_search(g)[0] == code
     assert canonical_form(g) == write_graph6(relabel(g, leaf)).encode("ascii")
+
+
+@settings(max_examples=60, deadline=None)
+# n = CANON_MAX_VERTICES, where the counts packed into a refinement key
+# reach their widest
+@example(make_complete_split(CANON_MAX_VERTICES // 2, CANON_MAX_VERTICES // 2), random.Random(0))
+@given(
+    st.one_of(
+        st.builds(random_graph, st.integers(0, 14), seeds, st.sampled_from([0.2, 0.5])),
+        st.builds(random_graph_with_twins, st.integers(1, 7), st.integers(0, 6), seeds),
+        cycle_unions,
+        cycle_unions.map(complement),
+    ),
+    seeds,
+)
+def test_ordered_cells_match_colour_refinement(g, rng):
+    # The root's cells, and those after individualising each vertex of the
+    # target cell, are the colour classes of the colour-numbering oracle in
+    # colour order.  The walk goes down the first child until the cells are
+    # discrete, so every depth is checked.
+    g = shuffled(g, rng)
+    neighbors = [g.neighbors(v) for v in range(g.n)]
+    nbr = _bitsets(g.adj)
+    colors = colour_refine(neighbors, [0] * g.n)
+    cells = _initial_cells(nbr)
+    assert cells == colour_cells(colors)
+    while len(cells) < g.n:
+        target = min(
+            (i for i, cell in enumerate(cells) if len(cell) > 1), key=lambda i: len(cells[i])
+        )
+        for w in cells[target]:
+            child = colour_refine(neighbors, colour_individualize(colors, w))
+            assert _individualize(nbr, cells, target, w) == colour_cells(child)
+        w = cells[target][0]
+        colors = colour_refine(neighbors, colour_individualize(colors, w))
+        cells = _individualize(nbr, cells, target, w)
+
+
+def recorded(sigma):
+    """An automorphism as the search records it: (sigma, moved-vertex mask)."""
+    return sigma, sum(1 << v for v, u in enumerate(sigma) if u != v)
+
+
+def test_orbits_skip_automorphisms_moving_the_prefix():
+    # In C_4 with vertex 0 individualized, the target cell is {1, 3}.  The
+    # half-turn maps it onto itself but moves 0, so it must not join 1 and
+    # 3; the reflection through 0 fixes 0 and does.
+    c4 = cycle_graph(4)
+    half_turn, reflection = [2, 3, 0, 1], [0, 3, 2, 1]
+    for sigma in (half_turn, reflection):
+        assert relabel(c4, sigma) == c4
+    parent = {1: 1, 3: 3}
+    _merge_orbits(parent, [recorded(half_turn)], (0,), [1, 3])
+    assert _root(parent, 1) != _root(parent, 3)
+    _merge_orbits(parent, [recorded(reflection)], (0,), [1, 3])
+    assert _root(parent, 1) == _root(parent, 3)
+
+
+def used_automorphisms(g):
+    """(sigma, node prefix, target cell) for every recorded automorphism
+    that _canon_search hands to _merge_orbits and that fixes the prefix."""
+    calls = []
+
+    def spy(parent, autos, fixed, cell):
+        calls.append((list(autos), fixed, list(cell)))
+        return _merge_orbits(parent, autos, fixed, cell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_merge_orbits", spy)
+        _canon_search(g)
+    used = []
+    for autos, fixed, cell in calls:
+        for sigma, moved in autos:
+            assert recorded(sigma) == (sigma, moved)
+            if all(sigma[x] == x for x in fixed):
+                used.append((sigma, fixed, cell))
+    return used
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(symmetric_graphs, cycle_unions, cycle_unions.map(complement)), seeds)
+def test_used_automorphisms_map_the_target_cell_onto_itself(g, rng):
+    # Every recorded automorphism that fixes a node's prefix, and so joins
+    # orbits there, is an automorphism of g and maps the node's target cell
+    # onto itself: the union-find over that cell alone sees whole orbits.
+    g = shuffled(g, rng)
+    for sigma, fixed, cell in used_automorphisms(g):
+        assert relabel(g, sigma) == g
+        assert sorted(sigma[v] for v in cell) == cell
+
+
+def test_petersen_search_uses_automorphisms():
+    # the property above is not vacuous: Petersen's search joins orbits
+    # below the root as well as at it
+    depths = {len(fixed) for _, fixed, _ in used_automorphisms(PETERSEN)}
+    assert 0 in depths and max(depths) > 0
 
 
 # Canonical bytes recorded before the search gained its backjump and orbit

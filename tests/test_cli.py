@@ -392,6 +392,18 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    # The benchmark's classify workload (s = 8, t = 2..6) and a larger run
+    # (s = 12, t = 2..8): each ends in the 2(s + 1)-vertex cocktail-party
+    # graph, canonised twice, so the bytes pin the canonical forms as well.
+    @pytest.mark.parametrize("s, t_max, digest", [
+        (8, 6, "02a3cbc055ba8c34c9619d638b762bd3789d6db9fad2b65f0523915cc4ed462c"),
+        (12, 8, "cfa93fef4b1dddba75d1071f839934b9ea6e53f34ccd67b92df8fa1447af08ee"),
+    ], ids=["s8", "s12"])
+    def test_classification_bytes_pinned(self, capsys, s, t_max, digest):
+        code = main(["--format", "json", "theorem", "--s", str(s), "--t-max", str(t_max)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestWriteJson:
     """write_json against json.dumps(x, indent=2, sort_keys=True)."""

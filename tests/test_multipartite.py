@@ -451,6 +451,24 @@ class TestExplorer:
         table = solution_explorer((2, 3), (2, 3), [Fraction(-5, 2)])
         assert all(isinstance(r.b, int) for r in table.rows)
 
+    def test_dropped_count_matches_fraction_division(self):
+        # the explorer takes the forced b from one integer divmod; it drops
+        # exactly the types whose b is a non-integral Fraction, at integral
+        # and rational mu alike
+        mus = [Fraction(m) for m in range(-9, 5)] + [Fraction(-5, 2), Fraction(7, 3)]
+        table = solution_explorer((2, 7), (2, 6), mus)
+        dropped = 0
+        for s in range(2, 8):
+            for t in range(2, 7):
+                for mu in mus:
+                    if mu in (0, -1) or beta_of(s, t, mu) == 0:
+                        continue
+                    dropped += sum(
+                        ((s - a) * (mu + t) / (mu + 1) - mu).denominator != 1
+                        for a in range(s + 1)
+                    )
+        assert table.dropped_nonintegral == dropped > 0
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             solution_explorer((1, 3), (2, 3), [-2])
