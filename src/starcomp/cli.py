@@ -335,8 +335,9 @@ def write_json(obj, pad: str = "") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), nested at `pad`.
 
     Containers, strings, None, bools and ints are written here, a list of
-    plain ints as one join; floats and anything else go to json.dumps, so
-    their bytes and errors are json's own.
+    plain ints as one join and a list of such lists as one join of those;
+    floats and anything else go to json.dumps, so their bytes and errors are
+    json's own.  A bool or an int or list subclass takes the general path.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -355,6 +356,14 @@ def write_json(obj, pad: str = "") -> str:
             return "[]"
         if all(type(x) is int for x in obj):
             body = sep.join(map(int.__repr__, obj))
+        elif set(map(type, obj)) <= {list, tuple} and set(
+            map(type, chain.from_iterable(obj))
+        ) <= {int}:
+            deeper = inner + "  "
+            head, row_sep, tail = f"[\n{deeper}", ",\n" + deeper, f"\n{inner}]"
+            body = sep.join(
+                [head + row_sep.join(map(int.__repr__, row)) + tail if row else "[]" for row in obj]
+            )
         else:
             body = sep.join([write_json(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{pad}]"

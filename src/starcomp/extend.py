@@ -17,7 +17,10 @@ Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D
 of resolvent_via_minpoly, an integer matrix for integral mu and exact
 rationals otherwise: with the candidates as the rows of a 0/1 matrix C,
 every scaled pair value m(mu) <b_u, b_v> is an entry of the one product
-C R' C^T, compared against -m(mu) and 0.  build_compat_graph does this once
+C R' C^T, compared against -m(mu) and 0.  For integral mu that product runs
+in int64 when kernels.int_dtype, the scan's overflow rule, proves that
+every entry and m(mu) fit, and over Python ints otherwise; the masks are
+the same either way.  build_compat_graph does this once
 per run and keeps C and the two resulting masks in a CompatTable;
 Bron-Kerbosch reads its rows, and assemble_graph slices the block adjacency
 of each clique out of it.
@@ -167,13 +170,7 @@ def enumerate_candidates(
     want_j = -den
     # Kept integral-only although int64 would fit many rational mu: every
     # rational mu runs the exact scan, which perfbench's scan workload reaches.
-    bounds_ok = (
-        mu.denominator == 1
-        and (n + 2) ** 2 * max(abs(v) for v in res.flat) < kernels.ACCUMULATOR_LIMIT
-        and max(abs(want_diag), abs(want_j)) < kernels.ACCUMULATOR_LIMIT
-    )
-
-    if bounds_ok:
+    if mu.denominator == 1 and kernels.int_dtype(res, want_diag, want_j) is np.int64:
         masks = kernels.subset_scan_int64(
             res.astype(np.int64), rj.astype(np.int64),
             np.int64(want_diag), np.int64(want_j), nonmain, 0, total,
@@ -187,10 +184,12 @@ def enumerate_candidates(
 class CompatTable:
     """Candidates of one (H, mu) with every pair classified once.
 
-    attachment holds the candidates' 0/1 rows; adjacent[i, j] says that the
-    pair value is -1 and compat[i, j] that it is -1 or 0.  Both masks are
-    read-only and False on the diagonal: a candidate only ever pairs with
-    itself as the same vertex.
+    attachment holds the candidates' 0/1 rows as uint8; adjacent[i, j] says
+    that the pair value is -1 and compat[i, j] that it is -1 or 0.  The
+    values come from C R' C^T, in int64 when kernels.int_dtype proves the
+    bound and over Python ints otherwise.  All three arrays are read-only,
+    and both masks are False on the diagonal: a candidate only ever pairs
+    with itself as the same vertex.
     """
 
     h: Graph
@@ -211,9 +210,11 @@ class CompatTable:
 
 def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
     """Classify every candidate pair with one product C R' C^T, compared
-    against -m(mu) and 0.  ValueError if a candidate has a vertex outside H."""
+    against -m(mu) and 0, in the dtype kernels.int_dtype proves safe for an
+    integral mu and over Python ints otherwise.  ValueError if a candidate
+    has a vertex outside H."""
     mu = Fraction(mu)
-    c = np.zeros((len(candidates), h.n), dtype=object)
+    c = np.zeros((len(candidates), h.n), dtype=np.uint8)
     for i, cand in enumerate(candidates):
         c[i, list(vertex_set(h, cand.vertices, "candidate"))] = 1
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
@@ -225,8 +226,14 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatT
             raise MuIsEigenvalueError(
                 f"mu={format_rational(mu)} is an eigenvalue of the star complement"
             ) from None
-        values = c @ res @ c.T
-        adjacent = values == -graph_min_poly(h)(mu)
+        m_mu = graph_min_poly(h)(mu)
+        dtype = object
+        if mu.denominator == 1:  # then R' and m(mu) are integers
+            m_mu = int(m_mu)
+            dtype = kernels.int_dtype(res, m_mu)
+        cm = c.astype(dtype)
+        values = cm @ res.astype(dtype) @ cm.T
+        adjacent = values == -m_mu
         compat = adjacent | (values == 0)
         np.fill_diagonal(adjacent, False)
         np.fill_diagonal(compat, False)
@@ -369,9 +376,7 @@ def assemble_graph(
             f"{table.candidates[k[j]].vertices} "
             f"cannot coexist for mu={format_rational(table.mu)}"
         )
-    # The attachment is an object array for the pair product; as uint8 rows
-    # the block stays uint8 and from_adjacency checks no Python objects.
-    h, c = table.h, table.attachment[k].astype(np.uint8)
+    h, c = table.h, table.attachment[k]
     g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
     star = tuple(range(h.n, g.n))
     cert = verify_star_set(g, table.mu, star)

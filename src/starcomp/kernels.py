@@ -1,4 +1,5 @@
-"""Integer hot-loop kernels: one subset scan and one Bareiss elimination.
+"""Integer hot-loop kernels: one subset scan, one overflow rule and one
+Bareiss elimination.
 
 Fraction-free (Bareiss) elimination over Python ints is exact for entries
 of any size and, in pure Python, beats an interpreted int64 elimination.
@@ -9,10 +10,12 @@ The subset scan finds the masks b with b^T R b on target, for attachment
 candidates, in one split-half numpy pass: the quadratic form is
 tabulated over the low LOW_BITS bits once and combined with blocks of high
 patterns by one small matrix product each.  Its buffers take the dtype of R,
-so the same code runs in int64, once the caller has proven that every
+so the same code runs in int64, once int_dtype has proven that every
 accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
 ints otherwise.  Every range [i0, i1) of mask values yields the same set
-of masks in either arithmetic.  The engine scans the whole space in one
+of masks in either arithmetic.  The pair table of extend.build_compat_graph,
+C R' C^T over the candidates' 0/1 rows C, takes its dtype from the same
+int_dtype rule.  The engine scans the whole space in one
 call; the range stays in the signature because perfbench/tracer.py reads
 it to count the masks each call scans.
 """
@@ -21,9 +24,30 @@ from __future__ import annotations
 
 import numpy as np
 
-# Callers run the subset scan in int64 only when they have proven that every
-# accumulator and target stays below this; otherwise they pass Python ints.
+# int_dtype allows int64 only when every accumulator and target stays below
+# this; its callers, the subset scan of extend.enumerate_candidates and the
+# pair table of extend.build_compat_graph, use Python ints otherwise.
 ACCUMULATOR_LIMIT = 1 << 62
+
+
+def int_dtype(mat: np.ndarray, *targets: int):
+    """np.int64 when the 0/1 forms of the integer matrix mat provably fit,
+    object (Python ints) otherwise.
+
+    A form u^T mat v with 0/1 vectors u, v of length n, and each partial sum
+    on the way to it, adds at most n^2 entries of mat, so it is at most
+    n^2 max|mat| in size.  The rule keeps (n + 2)^2 max|mat|, with a margin
+    over that, and every target compared against the forms below
+    ACCUMULATOR_LIMIT.
+    """
+    n = mat.shape[0]
+    peak = max((abs(v) for v in mat.flat), default=0)
+    if (n + 2) ** 2 * peak < ACCUMULATOR_LIMIT and all(
+        abs(t) < ACCUMULATOR_LIMIT for t in targets
+    ):
+        return np.int64
+    return object
+
 
 # Split-half numpy scan: the low LOW_BITS bits are tabulated once and
 # HIGH_BLOCK high patterns are scanned per block, so the per-block buffers

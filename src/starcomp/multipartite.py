@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -199,9 +200,14 @@ class TheoremReport:
 
 
 def _expected_spectrum_poly(s: int) -> Polynomial:
-    """(x - 2s) x^{s+1} (x + 2)^s: spectrum {2s, 0^{s+1}, (-2)^s}."""
-    roots = [2 * s] + [0] * (s + 1) + [-2] * s
-    return Polynomial.from_roots(roots)
+    """(x - 2s) x^{s+1} (x + 2)^s: spectrum {2s, 0^{s+1}, (-2)^s}.
+
+    x^{s+1} (x + 2)^s has the coefficient C(s, k) 2^{s-k} at x^{s+1+k};
+    multiplying by x - 2s shifts that list up one degree and subtracts 2s
+    times it.
+    """
+    p = [0] * (s + 1) + [comb(s, k) << (s - k) for k in range(s + 1)]
+    return Polynomial([a - 2 * s * b for a, b in zip([0] + p, p + [0])])
 
 
 def theorem_check(s: int, t_max: int) -> TheoremReport:

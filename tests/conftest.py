@@ -17,8 +17,9 @@ colours) instead of the package's ordered cells.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
-resolvent blocks, the diagonal quintic, the non-main linear relation, the
-quadratic in a and the forced type at t + mu = 0.  The package computes
+cocktail-party spectrum as a product over its roots, the resolvent blocks,
+the diagonal quintic, the non-main linear relation, the quadratic in a and
+the forced type at t + mu = 0.  The package computes
 from the block-resolvent coefficients alone; the tests check its results
 against these formulas.
 """
@@ -565,6 +566,12 @@ def minpoly_formula(spec: BlockSpec) -> Polynomial:
     """x^4 + (2-s) x^3 + (1-s-st) x^2 - st x, monic of degree 4."""
     s, t = spec.s, spec.t
     return Polynomial([0, -s * t, 1 - s - s * t, 2 - s, 1])
+
+
+def expected_spectrum_from_roots(s: int) -> Polynomial:
+    """The cocktail-party graph CP(s + 1)'s characteristic polynomial,
+    (x - 2s) x^{s+1} (x + 2)^s, multiplied out from its 2s + 2 roots."""
+    return Polynomial.from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
 
 
 def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:

@@ -22,6 +22,7 @@ from conftest import random_graph
 SCAN_ARGV = ["candidates", "--graph", "split:15,4", "--mu=-4", "--nonmain"]
 THEOREM_ARGV = ["theorem", "--s", "6", "--t-max", "5"]
 EXPLORE_ARGV = ["explore", "--s", "2..8", "--t", "2..8", "--mu=-10..3"]
+EXTEND_ARGV = ["extend", "--graph", "split:10,3", "--mu=-3"]
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +393,17 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    # 420 candidates in main mode: a pair table of 420 x 420 values, each
+    # classified in int64, and the graphs assembled from its masks.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "d350fa7819a29092567a16334f4532ec24054936b5ad8a230afd899cedfafa10"),
+        ("text", "2871b301009451dffa3b7495beb0bf14f1ee901cedd0288162c4bc050a2d995a"),
+    ])
+    def test_extend_bytes_pinned(self, capsys, fmt, digest):
+        code = main(["--format", fmt, *EXTEND_ARGV])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     # The benchmark's classify workload (s = 8, t = 2..6) and a larger run
     # (s = 12, t = 2..8): each ends in the 2(s + 1)-vertex cocktail-party
     # graph, canonised twice, so the bytes pin the canonical forms as well.
@@ -441,6 +453,7 @@ class TestWriteJson:
         [], {}, (), [[]], {"a": {}}, [True, 1], [1, False], [0, None], (1, 2), [(), [()]],
         {"b": 1, "a": [1, 2]}, {1: "a"}, {"x": {2: [1.5, None]}}, {None: [True]},
         {1.5: 0, -2.5: [1]}, {math.nan: 1}, {True: {}, False: []}, 7, -0.0, "é", None,
+        [[1, 2], [], (3,)], [[]], [(), [-1 << 70]], [[1], [True]], [[0], [None]], [[1], 2],
     ])
     def test_edge_cases(self, obj):
         assert write_json(obj) == self.reference(obj)

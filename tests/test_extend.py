@@ -356,6 +356,71 @@ class TestCompatTable:
 
         check()
 
+    @staticmethod
+    def int64_and_exact_tables(monkeypatch, h, mu, cands):
+        """Build the table as the overflow rule chooses and again with int64
+        ruled out, require equal fields, and return the dtypes that
+        kernels.int_dtype chose for the two builds (none for a rational mu)."""
+        chosen = []
+        real = kernels.int_dtype
+
+        def spy(*args):
+            chosen.append(real(*args))
+            return chosen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "int_dtype", spy)
+            fast = build_compat_graph(h, mu, cands)
+            m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+            exact = build_compat_graph(h, mu, cands)
+        for field in ("attachment", "adjacent", "compat"):
+            assert np.array_equal(getattr(fast, field), getattr(exact, field)), field
+        assert fast.attachment.dtype == exact.attachment.dtype == np.uint8
+        return chosen
+
+    @pytest.mark.parametrize("nonmain", [False, True])
+    @pytest.mark.parametrize("s,t,mu", [(2, 2, -2), (6, 2, -2), (5, 3, -3), (7, 3, -3), (3, 5, 1)])
+    def test_int64_table_matches_exact_table(self, monkeypatch, s, t, mu, nonmain):
+        h = make_complete_split(s, t)
+        cands = enumerate_candidates(h, mu, nonmain=nonmain)
+        assert cands
+        assert self.int64_and_exact_tables(monkeypatch, h, mu, cands) == [np.int64, object]
+
+    def test_int64_table_matches_exact_table_on_cycle(self, monkeypatch):
+        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        chosen = self.int64_and_exact_tables(monkeypatch, cycle_graph(5), -2, cands)
+        assert chosen == [np.int64, object]
+
+    def test_rational_mu_table_is_exact(self, monkeypatch):
+        # R' holds Fractions for a rational mu: the overflow rule is not asked
+        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        for h in (cycle_graph(5), make_complete_split(4, 8)):
+            assert self.int64_and_exact_tables(monkeypatch, h, Fraction(-5, 2), cands) == []
+
+    def test_int64_table_matches_exact_table_random(self, monkeypatch):
+        # random H (n <= 7), integral mu outside spec(H), arbitrary extra subsets
+        from hypothesis import assume, given, settings, strategies as st
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            st.integers(1, 7),
+            st.randoms(use_true_random=False),
+            st.integers(-4, 4),
+            st.lists(st.integers(1, 127), min_size=1, max_size=6),
+        )
+        def check(n, rng, mu, extra):
+            assume(mu not in (0, -1))
+            h = random_graph(n, rng)
+            assume(eig_multiplicity(h, mu) == 0)
+            cands = enumerate_candidates(h, mu, nonmain=False) + [
+                Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
+                for mask in (m % (1 << n) or 1 for m in extra)
+            ]
+            chosen = self.int64_and_exact_tables(monkeypatch, h, mu, cands)
+            assert chosen == [np.int64, object]
+
+        check()
+
 
 class TestAssemble:
     def test_both_candidates_build_octahedron(self):

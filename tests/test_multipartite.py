@@ -27,6 +27,7 @@ from starcomp.starsets import BudgetExceededError
 from conftest import (
     corollary_ab,
     diag_constraint,
+    expected_spectrum_from_roots,
     krylov_min_poly,
     minpoly_formula,
     nonmain_constraint,
@@ -401,6 +402,12 @@ class TestTheorem:
         checks = _degree_balance_checks(4, dataclasses.replace(found, graph=perturbed))
         ok = dict((name, passed) for name, passed, _ in checks)
         assert ok == {"attachment-types": True, "x-degrees": False, "degree-balance": False}
+
+    def test_expected_spectrum_matches_its_roots(self):
+        from starcomp.multipartite import _expected_spectrum_poly
+
+        for s in range(2, 21):
+            assert _expected_spectrum_poly(s) == expected_spectrum_from_roots(s), s
 
     def test_budget_checked_before_any_branch(self, monkeypatch):
         # 2^(s + t_max) is the largest branch's subset scan: past the
