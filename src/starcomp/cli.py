@@ -166,7 +166,7 @@ def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
         "mu": format_rational(mu),
         "nonmain": args.nonmain,
         "count": len(cands),
-        "candidates": [list(c.vertices) for c in cands],
+        "candidates": [c.vertices for c in cands],  # write_json takes the tuples
     }
     lines = chain(
         [

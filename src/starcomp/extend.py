@@ -11,8 +11,10 @@ the added set dictated by the -1/0 split.
 
 The subset scan reads the cached integer pair (R, D) of resolvent_inverse,
 R = D (mu I - A)^{-1} with D mu integral: <b, b> = mu iff b^T R b = mu D,
-and <b, j> = -1 iff b^T R j = -D.  One split-half scan covers both cases:
-in int64 when mu is integral and every accumulator provably fits, and over
+and <b, j> = -1 iff b^T R j = -D.  One scan covers both cases, with the
+form over the low 16 bits of a mask tabulated by doubling and one add and
+one compare per pattern of the remaining bits, with no matrix product: in
+int64 when mu is integral and every intermediate provably fits, and over
 Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D
 of resolvent_via_minpoly, an integer matrix for integral mu and exact
 rationals otherwise: with the candidates as the rows of a 0/1 matrix C,

@@ -251,6 +251,9 @@ def is_regular(g: Graph) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# The 64 valid graph6 bytes, and a table that removes their bias of 63.
+_G6_BYTES = bytes(range(63, 127))
+_G6_UNBIAS = bytes((b - 63) % 256 for b in range(256))
 
 
 def _g6_size_bytes(n: int) -> bytes:
@@ -280,27 +283,31 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string; raises Graph6Error with a byte offset on defects."""
+    """Decode a graph6 string; raises Graph6Error with a byte offset on defects.
+
+    The bytes are checked and unbiased by bytes.translate, and the body's
+    6-bit groups are unpacked in one numpy pass to fill the strict lower
+    triangle row by row, the inverse of _graph6.
+    """
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER) :]
     data = text.encode("ascii", errors="replace")
     if len(data) == 0:
         raise Graph6Error("empty graph6 string", 0)
-    for pos, byte in enumerate(data):
-        if byte < 63 or byte > 126:
-            raise Graph6Error(f"invalid graph6 byte {byte!r}", pos)
+    if data.translate(None, _G6_BYTES):
+        pos, byte = next((i, b) for i, b in enumerate(data) if not 63 <= b <= 126)
+        raise Graph6Error(f"invalid graph6 byte {byte!r}", pos)
     if data[0] == 126:
         if len(data) < 2 or data[1] == 126:
             raise Graph6Error("graph6 size prefix for n > 258047 not supported", 0)
         if len(data) < 4:
             raise Graph6Error("truncated graph6 size prefix", len(data))
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
         body_offset = 4
     else:
         n = data[0] - 63
-        body = data[1:]
         body_offset = 1
+    body = data[body_offset:]
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
@@ -310,20 +317,15 @@ def parse_graph6(text: str) -> Graph:
             f"graph6 body has {len(body)} bytes, expected {expect} for n={n}",
             body_offset + min(len(body), expect),
         )
+    # Each group sits in the low six bits of its byte, most significant first.
+    groups = np.frombuffer(body.translate(_G6_UNBIAS), dtype=np.uint8)
+    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
+    padding = np.flatnonzero(bits[nbits:])
+    if len(padding):
+        raise Graph6Error("nonzero padding bit", body_offset + (nbits + int(padding[0])) // 6)
     adj = np.zeros((n, n), dtype=np.uint8)
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6]
-            bit = (byte - 63) >> (5 - k % 6) & 1
-            adj[i, j] = bit
-            adj[j, i] = bit
-            k += 1
-    while k < 6 * len(body):
-        if (body[k // 6] - 63) >> (5 - k % 6) & 1:
-            raise Graph6Error("nonzero padding bit", body_offset + k // 6)
-        k += 1
-    return Graph.from_adjacency(adj)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return Graph.from_adjacency(adj | adj.T)
 
 
 # ---------------------------------------------------------------------------

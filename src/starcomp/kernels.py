@@ -7,24 +7,24 @@ Rank, inverse, null space and the main/non-main test share one Bareiss
 echelon and one integer back-substitution (linalg._back_substitute).
 
 The subset scan finds the masks b with b^T R b on target, for attachment
-candidates, in one split-half numpy pass: the quadratic form is
-tabulated over the low LOW_BITS bits once and combined with blocks of high
-patterns by one small matrix product each.  Its buffers take the dtype of R,
-so the same code runs in int64, once int_dtype has proven that every
-accumulator stays below ACCUMULATOR_LIMIT, and on object arrays of Python
-ints otherwise.  Every range [i0, i1) of mask values yields the same set
-of masks in either arithmetic.  The pair table of extend.build_compat_graph,
-C R' C^T over the candidates' 0/1 rows C, takes its dtype from the same
-int_dtype rule.  The engine scans the whole space in one
-call; the range stays in the signature because perfbench/tracer.py reads
-it to count the masks each call scans.
+candidates, in one numpy pass with no matrix product: the form over the
+low LOW_BITS and inner INNER_BITS bits of a mask is tabulated once by
+doubling, and each pattern of the outer bits costs one add of a row to
+that table and one compare against a column.  Its buffers take the dtype
+of R, so the same code runs in int64, once int_dtype has proven that every
+intermediate fits, and on object arrays of Python ints otherwise.  Every
+range [i0, i1) of mask values yields the same set of masks in either
+arithmetic.  The pair table of extend.build_compat_graph, C R' C^T over the
+candidates' 0/1 rows C, takes its dtype from the same int_dtype rule.  The
+engine scans the whole space in one call; the range stays in the signature
+because perfbench/tracer.py reads it to count the masks each call scans.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# int_dtype allows int64 only when every accumulator and target stays below
+# int_dtype allows int64 only when every partial form and target stays below
 # this; its callers, the subset scan of extend.enumerate_candidates and the
 # pair table of extend.build_compat_graph, use Python ints otherwise.
 ACCUMULATOR_LIMIT = 1 << 62
@@ -36,9 +36,11 @@ def int_dtype(mat: np.ndarray, *targets: int):
 
     A form u^T mat v with 0/1 vectors u, v of length n, and each partial sum
     on the way to it, adds at most n^2 entries of mat, so it is at most
-    n^2 max|mat| in size.  The rule keeps (n + 2)^2 max|mat|, with a margin
-    over that, and every target compared against the forms below
-    ACCUMULATOR_LIMIT.
+    n^2 max|mat| in size.  The subset scan also compares partial forms
+    against a target minus another partial form, so every intermediate it
+    and the pair table hold obeys |target| + n^2 max|mat| < 2^63.  The rule
+    keeps (n + 2)^2 max|mat|, with a margin over n^2 max|mat|, and every
+    target below ACCUMULATOR_LIMIT = 2^62, which gives that bound.
     """
     n = mat.shape[0]
     peak = max((abs(v) for v in mat.flat), default=0)
@@ -49,11 +51,11 @@ def int_dtype(mat: np.ndarray, *targets: int):
     return object
 
 
-# Split-half numpy scan: the low LOW_BITS bits are tabulated once and
-# HIGH_BLOCK high patterns are scanned per block, so the per-block buffers
-# hold at most 2^LOW_BITS * HIGH_BLOCK = 2^16 entries.
+# A mask b = (o << (L + I)) | (h << L) | l splits into its low L = LOW_BITS
+# bits l, its inner I = INNER_BITS bits h and its outer bits o.  The table
+# over (h, l) and each block buffer hold at most 2^(L + I) = 2^16 entries.
 LOW_BITS = 10
-HIGH_BLOCK = 64
+INNER_BITS = 6
 
 
 def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
@@ -64,41 +66,58 @@ def _subset_scan_numpy(res, rj, want_diag, want_j, use_j, i0, i1):
     buffer takes res.dtype, so object arrays of Python ints stay exact.
     Disjoint ranges [i0, i1) partition the mask space.
 
-    A mask b = h 2^L + l splits into its low L = min(n, LOW_BITS) bits l and
-    its high bits h, so that
-        b^T R b = q_L(l) + q_H(h) + 2 h^T R_HL l,    b.rj = j_L(l) + j_H(h).
-    q_L, j_L and W = 2 R_HL B_L^T are tabulated once over all 2^L low
-    patterns (column l holds the pattern l).  A block of HIGH_BLOCK high
-    patterns then costs one matmul B_H @ W, an outer sum and a compare:
-    O(n - L) work per mask.  The <b, j> test runs on the hits of the
-    quadratic test only.  Whole aligned blocks are computed, and hits
-    outside [i0, i1) are dropped.
+    With b = (o << (L + I)) | (h << L) | l as above,
+        b^T R b = P[h, l] + row_o[l] + col_o[h],
+    where P[h, l] is the form of (h << L) | l, row_o[l] = q(o) + 2 o^T R l
+    and col_o[h] = 2 o^T R h.  P is built by doubling: adding vertex v to
+    a set S adds R[v, v] + 2 sum_{u in S} R[u, v], so each new bit costs
+    one add over the half of the table it fills, with no product.  Each
+    outer pattern o then costs one add of row_o to P, one compare against
+    the column want_diag - col_o and one flatnonzero.  The <b, j> test runs
+    on the hits only, as three table lookups.  Whole outer patterns are
+    scanned, and hits outside [i0, i1) are dropped.
     """
     n = res.shape[0]
     if i1 <= i0:
         return np.empty(0, dtype=np.int64)
     low = min(n, LOW_BITS)
-    b_low = (np.arange(1 << low, dtype=np.int64)[:, None] >> np.arange(low)) & 1
-    q_low = np.einsum("ij,jk,ik->i", b_low, res[:low, :low], b_low)
-    j_low = b_low @ rj[:low]
-    w = np.ascontiguousarray(2 * (b_low @ res[:low, low:]).T)
-    high_shifts = np.arange(n - low, dtype=np.int64)
-    c_start, c_end = i0 >> low, ((i1 - 1) >> low) + 1
-    vals = np.empty((min(HIGH_BLOCK, c_end - c_start), 1 << low), dtype=res.dtype)
-    ok = np.empty(vals.shape, dtype=bool)
+    split = min(n, low + INNER_BITS)
+    # lin[l, v] = sum_{u in l} R[u, v]; q_low[l] = l^T R l; j_low[l] = l.rj
+    lin = np.zeros((1 << low, n), dtype=res.dtype)
+    q_low = np.zeros(1 << low, dtype=res.dtype)
+    j_low = q_low.copy()
+    for u in range(low):
+        k = 1 << u
+        q_low[k : 2 * k] = q_low[:k] + (2 * lin[:k, u] + res[u, u])
+        j_low[k : 2 * k] = j_low[:k] + rj[u]
+        lin[k : 2 * k] = lin[:k] + res[u]
+    # the same over the inner bits h, with P[h, l] in place of q_low
+    table = np.empty((1 << (split - low), 1 << low), dtype=res.dtype)
+    table[0] = q_low
+    inner = np.zeros((len(table), n), dtype=res.dtype)
+    j_inner = np.zeros(len(table), dtype=res.dtype)
+    for v in range(low, split):
+        k = 1 << (v - low)
+        np.add(table[:k], 2 * lin[:, v], out=table[k : 2 * k])
+        table[k : 2 * k] += (2 * inner[:k, v] + res[v, v])[:, None]
+        j_inner[k : 2 * k] = j_inner[:k] + rj[v]
+        inner[k : 2 * k] = inner[:k] + res[v]
+    lin_out = 2 * lin[:, split:]
+    inner_out = 2 * inner[:, split:]
+    vals = np.empty(table.shape, dtype=res.dtype)
+    ok = np.empty(table.shape, dtype=bool)
     hits = []
-    for c0 in range(c_start, c_end, HIGH_BLOCK):
-        c = np.arange(c0, min(c0 + HIGH_BLOCK, c_end), dtype=np.int64)
-        b_high = (c[:, None] >> high_shifts) & 1
-        v = np.matmul(b_high, w, out=vals[: len(c)])
-        v += q_low
-        v += np.einsum("ij,jk,ik->i", b_high, res[low:, low:], b_high)[:, None]
-        rows, col = np.nonzero(np.equal(v, want_diag, out=ok[: len(c)]))
-        masks = (c[rows] << low) | col
-        keep = (masks >= i0) & (masks < i1)
+    for o in range(i0 >> split, ((i1 - 1) >> split) + 1):
+        on = [i for i in range(n - split) if o >> i & 1]
+        verts = [split + i for i in on]
+        np.add(table, lin_out[:, on].sum(axis=1) + res[np.ix_(verts, verts)].sum(), out=vals)
+        col = want_diag - inner_out[:, on].sum(axis=1)
+        masks = np.flatnonzero(np.equal(vals, col[:, None], out=ok)) + (o << split)
+        masks = masks[(masks >= i0) & (masks < i1)]
         if use_j:
-            keep &= j_low[col] + (b_high @ rj[low:])[rows] == want_j
-        hits.append(masks[keep])
+            l, h = masks & ((1 << low) - 1), (masks >> low) & (len(table) - 1)
+            masks = masks[j_low[l] + j_inner[h] + rj[verts].sum() == want_j]
+        hits.append(masks)
     return np.concatenate(hits)
 
 

@@ -7,8 +7,8 @@ permutations and by Faddeev-LeVerrier over Fractions, minimal polynomials by Kry
 resolvent as a polynomial in A instead of an inverse, the star-set residual
 as the Fraction block product B^T (mu I - C)^{-1} B, attachment candidates
 by evaluating the bilinear form on every subset, star sets by ranking
-every complement, brute-force star-set extension search by building every
-possible graph and counting eigenvalue multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
+every complement, graph6 decoded bit by bit, brute-force star-set
+extension search by building every possible graph and counting eigenvalue multiplicities, polynomial gcds by the Euclidean algorithm over Fractions,
 maximal extensions without the symmetry reduction, assembling every
 clique, and canonical codes from the whole individualization-refinement
 tree with no automorphism pruning, refined by the classic colour numbering
@@ -55,6 +55,7 @@ from starcomp import (
     resolvent_bilinear,
 )
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
+from starcomp.graphs import MAX_VERTICES, Graph6Error
 from starcomp.multipartite import MuIsSplitEigenvalueError
 
 
@@ -172,6 +173,54 @@ def random_graph_with_twins(n: int, twins: int, rng: random.Random) -> Graph:
             adj[u].append(bit)
         adj.append(row + [False])
     return Graph.from_adjacency(np.array(adj, dtype=np.uint8))
+
+
+def bitwise_parse_graph6(text: str) -> Graph:
+    """graph6 decoded bit by bit in Python, with the package's error
+    messages and byte offsets: the oracle for graphs.parse_graph6."""
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<") :]
+    data = text.encode("ascii", errors="replace")
+    if len(data) == 0:
+        raise Graph6Error("empty graph6 string", 0)
+    for pos, byte in enumerate(data):
+        if byte < 63 or byte > 126:
+            raise Graph6Error(f"invalid graph6 byte {byte!r}", pos)
+    if data[0] == 126:
+        if len(data) < 2 or data[1] == 126:
+            raise Graph6Error("graph6 size prefix for n > 258047 not supported", 0)
+        if len(data) < 4:
+            raise Graph6Error("truncated graph6 size prefix", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+        body_offset = 4
+    else:
+        n = data[0] - 63
+        body = data[1:]
+        body_offset = 1
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", 0)
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(body) != expect:
+        raise Graph6Error(
+            f"graph6 body has {len(body)} bytes, expected {expect} for n={n}",
+            body_offset + min(len(body), expect),
+        )
+    adj = np.zeros((n, n), dtype=np.uint8)
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = body[k // 6]
+            bit = (byte - 63) >> (5 - k % 6) & 1
+            adj[i, j] = bit
+            adj[j, i] = bit
+            k += 1
+    while k < 6 * len(body):
+        if (body[k // 6] - 63) >> (5 - k % 6) & 1:
+            raise Graph6Error("nonzero padding bit", body_offset + k // 6)
+        k += 1
+    return Graph.from_adjacency(adj)
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

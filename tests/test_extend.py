@@ -124,8 +124,8 @@ class TestEnumerateCandidates:
         (13, 5, 1), (14, 4, -4), (16, 2, -2), (15, 4, -4),
     ])
     def test_split_candidates_across_blocks(self, s, t, mu, nonmain):
-        # from 2^18 masks on the int64 scan runs over many blocks of
-        # 2^LOW_BITS * HIGH_BLOCK masks; on K_s + tK_1 the candidates are
+        # from 2^17 masks the int64 scan runs over several outer blocks of
+        # 2^(LOW_BITS + INNER_BITS) masks; on K_s + tK_1 the candidates are
         # exactly the neighbourhoods of the types (a, b) that solve the closed
         # type constraints, C(s, a) C(t, b) of each
         h = make_complete_split(s, t)

@@ -23,7 +23,7 @@ from starcomp import (
 )
 from starcomp.graphs import MAX_VERTICES, delete_vertices
 
-from conftest import random_graph
+from conftest import bitwise_parse_graph6, random_graph
 
 
 class TestGraphBasics:
@@ -247,6 +247,63 @@ class TestGraph6:
     def test_round_trip_random(self, n, rnd):
         g = random_graph(n, rnd)
         assert parse_graph6(write_graph6(g)) == g
+
+    @staticmethod
+    def decode_both(text):
+        """The graph, or the Graph6Error's (message, offset), from the package
+        decoder and from the bit-by-bit oracle."""
+        out = []
+        for parse in (parse_graph6, bitwise_parse_graph6):
+            try:
+                out.append(parse(text))
+            except Graph6Error as err:
+                out.append((str(err), err.offset))
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 64), st.randoms(use_true_random=False))
+    def test_matches_bitwise_decoder(self, n, rnd):
+        # the numpy decoder against the bit-by-bit oracle: the round trip,
+        # one corrupted byte anywhere, and a truncated or extended body
+        g = random_graph(n, rnd)
+        text = write_graph6(g)
+        assert self.decode_both(text) == [g, g]
+        pos = rnd.randrange(len(text))
+        for byte in (rnd.randrange(256), rnd.randrange(63, 127)):
+            bad = text[:pos] + chr(byte) + text[pos + 1 :]
+            ours, oracle = self.decode_both(bad)
+            assert ours == oracle, bad
+        for bad in (text[:-1], text + "?", text + "~"):
+            ours, oracle = self.decode_both(bad)
+            assert ours == oracle, bad
+
+    def test_every_byte_matches_bitwise_decoder(self):
+        # each of the 256 code points in the size prefix, the body and the
+        # last byte of a short and of a long-form string: the bytes just
+        # outside 63..126 are rejected with the same offset, and non-ASCII
+        # ones are replaced by '?' in both
+        for text in (write_graph6(cycle_graph(7)), write_graph6(cycle_graph(70))):
+            for pos in (0, 1, 2, len(text) - 1):
+                for byte in range(256):
+                    bad = text[:pos] + chr(byte) + text[pos + 1 :]
+                    ours, oracle = self.decode_both(bad)
+                    assert ours == oracle, (pos, byte)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 10, 19, 62, 63, 65])
+    def test_corrupted_padding_matches_bitwise_decoder(self, n):
+        # every padding bit of the last body byte, set alone and together
+        # with the last edge bit: the same message and byte offset
+        text = write_graph6(empty_graph(n))
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        assert pad, n
+        last = ord(text[-1]) - 63
+        for k in range(nbits, nbits + pad):
+            for extra in (0, 1 << (5 - (nbits - 1) % 6)):
+                bad = text[:-1] + chr((last | extra | 1 << (5 - k % 6)) + 63)
+                ours, oracle = self.decode_both(bad)
+                offset = len(text) - 1
+                assert ours == oracle == (f"nonzero padding bit (byte offset {offset})", offset)
 
     def test_networkx_cross_check(self):
         nx = pytest.importorskip("networkx")

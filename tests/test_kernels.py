@@ -89,6 +89,11 @@ class TestRankKernels:
         assert kernels.try_int_rank(m) == rank(m) == fraction_rank(m)
 
 
+# (LOW_BITS, INNER_BITS) splits the scan tests run under: at n <= 14 the
+# small ones give scans with inner bits and many outer blocks
+SCAN_TIERS = [(2, 1), (3, 2), (kernels.LOW_BITS, kernels.INNER_BITS)]
+
+
 class TestSubsetScanKernels:
     def build_case(self, rng, n):
         sym = [[0] * n for _ in range(n)]
@@ -166,7 +171,10 @@ class TestSubsetScanKernels:
     def shard_cases(self, rng):
         """(n, res, rj, want_diag, want_j, probe, cuts) for n = 1..14: entries
         in -3..3 so that hits are common, a target hit by the mask `probe`,
-        and shard cuts at random masks that straddle the split-half blocks."""
+        and shard cuts at random masks and around the edges of the low,
+        inner and outer tiers of every SCAN_TIERS split."""
+        edges = {(m << b) + d for low, inner in SCAN_TIERS for b in (low, low + inner)
+                 for m in (1, 3) for d in (-1, 1)}
         for n in range(1, 15):
             res, rj = self.build_case(rng, n)
             res //= 3
@@ -174,40 +182,96 @@ class TestSubsetScanKernels:
             probe = rng.randrange(1 << n)
             bits = np.array([(probe >> v) & 1 for v in range(n)], dtype=np.int64)
             total = 1 << n
-            cuts = sorted({0, total, *(rng.randrange(total + 1) for _ in range(3))})
+            cuts = {0, total, *(rng.randrange(total + 1) for _ in range(3))}
+            cuts = sorted(cuts | {e for e in edges if e < total})
             yield n, res, rj, int(bits @ res @ bits), int(bits @ rj), probe, cuts
 
+    @staticmethod
+    def tiers(monkeypatch):
+        """Each SCAN_TIERS split in turn, set on the kernel module."""
+        for low, inner in SCAN_TIERS:
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "LOW_BITS", low)
+                m.setattr(kernels, "INNER_BITS", inner)
+                yield low, inner
+
     @pytest.mark.parametrize("use_j", [False, True])
-    def test_shard_contract(self, use_j):
+    def test_shard_contract(self, monkeypatch, use_j):
         # every shard [i0, i1) gets the masks i0 <= b < i1 that the
         # brute-force oracle finds, from the int64 and the Python-int scan,
-        # and the shards together give the whole range
+        # under every tier split, and the shards together give the whole range
         rng = random.Random(2024 + use_j)
         for n, res, rj, want_diag, want_j, probe, cuts in self.shard_cases(rng):
             args = (res, rj, want_diag, want_j, use_j)
-            union = set()
-            for i0, i1 in zip(cuts, cuts[1:]):
-                int64, exact = self.scans(*args, i0, i1)
-                assert int64 == exact == self.reference(*args, i0, i1), (n, i0, i1)
-                union.update(int64)
-            assert probe in union
-            assert sorted(union) == self.scans(*args, 0, 1 << n)[1]
+            shards = [(i0, i1, self.reference(*args, i0, i1)) for i0, i1 in zip(cuts, cuts[1:])]
+            for tier in self.tiers(monkeypatch):
+                union = set()
+                for i0, i1, ref in shards:
+                    int64, exact = self.scans(*args, i0, i1)
+                    assert int64 == exact == ref, (tier, n, i0, i1)
+                    union.update(int64)
+                assert probe in union
+                assert sorted(union) == self.scans(*args, 0, 1 << n)[1]
 
     @pytest.mark.parametrize("use_j", [False, True])
-    def test_python_int_scan_is_exact_beyond_int64(self, use_j):
-        # R, rj and both targets scaled by 2^80 keep the same hits; any cast
-        # of the Python-int path to int64 would overflow and lose them
+    def test_python_int_scan_is_exact_beyond_int64(self, monkeypatch, use_j):
+        # R, rj and both targets scaled by 2^80 keep the same hits under
+        # every tier split; any cast of the Python-int path to int64 would
+        # overflow and lose them
         scale = 1 << 80
         rng = random.Random(77 + use_j)
         for n, res, rj, want_diag, want_j, probe, cuts in self.shard_cases(rng):
             big_res = res.astype(object) * scale
             big_rj = rj.astype(object) * scale
-            for i0, i1 in zip(cuts, cuts[1:]):
-                int64, _ = self.scans(res, rj, want_diag, want_j, use_j, i0, i1)
-                exact = _subset_scan_exact(
-                    big_res, big_rj, want_diag * scale, want_j * scale, use_j, i0, i1
-                )
-                assert sorted(exact) == int64, (n, i0, i1)
+            for tier in self.tiers(monkeypatch):
+                for i0, i1 in zip(cuts, cuts[1:]):
+                    int64, _ = self.scans(res, rj, want_diag, want_j, use_j, i0, i1)
+                    exact = _subset_scan_exact(
+                        big_res, big_rj, want_diag * scale, want_j * scale, use_j, i0, i1
+                    )
+                    assert sorted(exact) == int64, (tier, n, i0, i1)
+
+    @pytest.mark.parametrize("use_j", [False, True])
+    def test_int64_scan_at_the_overflow_edge(self, monkeypatch, use_j):
+        # (n + 2)^2 max|R| just below ACCUMULATOR_LIMIT and targets up to
+        # +-(ACCUMULATOR_LIMIT - 1), which int_dtype still accepts: every
+        # intermediate stays within |target| + n^2 max|R| < 2^63, so the
+        # int64 scan returns the masks of the Python-int scan and of the
+        # brute-force oracle
+        limit = kernels.ACCUMULATOR_LIMIT
+        n = 11
+        peak = (limit - 1) // (n + 2) ** 2
+        assert (n + 2) ** 2 * (peak + 1) >= limit
+        edge = np.full((n, n), peak, dtype=np.int64)
+        assert kernels.int_dtype(edge, limit - 1, -(limit - 1)) is np.int64
+        edge[0, 0] += 1
+        assert kernels.int_dtype(edge) is object
+        assert kernels.int_dtype(edge[:-1, :-1], limit) is object
+        rng = random.Random(63 + use_j)
+        # entries +-peak (peak - 1 on some of the diagonal) in the sign
+        # pattern of one vertex against the rest, and its negation: forms
+        # reach about +-(n - 1)^2 peak, over half the limit, and cancel too
+        sign = [1] * n
+        sign[rng.randrange(n)] = -1
+        base = [[sign[i] * sign[j] * (peak - rng.randrange(2) * (i == j)) for j in range(n)]
+                for i in range(n)]
+        positive = sum(1 << v for v in range(n) if sign[v] > 0)
+        for flip in (1, -1):
+            sym = [[flip * v for v in row] for row in base]
+            res = np.array(sym, dtype=np.int64)
+            rj = res.sum(axis=1)
+            forms = [sum(sym[a][b] for a in range(n) for b in range(n) if probe >> a & probe >> b & 1)
+                     for probe in (positive, (1 << n) - 1)]
+            assert flip * forms[0] > limit // 2
+            want_j = int(rj[[v for v in range(n) if positive >> v & 1]].sum())
+            for want_diag in (*forms, limit - 1, -(limit - 1), forms[0] - flip * peak):
+                assert kernels.int_dtype(res, want_diag, want_j) is np.int64
+                args = (res, rj, want_diag, want_j, use_j)
+                ref = self.reference(*args)
+                assert ref or want_diag not in forms[:1]
+                for tier in self.tiers(monkeypatch):
+                    int64, exact = self.scans(*args, 0, 1 << n)
+                    assert int64 == exact == ref, (tier, flip, want_diag)
 
 
 def test_backend_reports_something():
