@@ -60,7 +60,7 @@ class UnsupportedSizeError(ValueError):
 class Graph:
     """Immutable simple graph: vertex count plus a symmetric 0/1 adjacency matrix."""
 
-    __slots__ = ("n", "_adj", "_hash")
+    __slots__ = ("n", "_adj", "_hash", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0 or n > MAX_VERTICES:
@@ -73,10 +73,19 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u, v] = 1
             adj[v, u] = 1
-        adj.setflags(write=False)
-        self.n = n
-        self._adj = adj
-        self._hash = hash((n, adj.tobytes()))
+        self._set(adj)
+
+    def _set(self, a: np.ndarray) -> None:
+        a.setflags(write=False)
+        self.n, self._adj, self._g6 = a.shape[0], a, None  # _g6: see write_graph6
+        self._hash = hash((self.n, a.tobytes()))
+
+    @classmethod
+    def _of(cls, a: np.ndarray) -> "Graph":
+        """Wrap, unchecked and uncopied, a valid graph's uint8 adjacency."""
+        g = cls.__new__(cls)
+        g._set(a)
+        return g
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "Graph":
@@ -100,12 +109,7 @@ class Graph:
             raise ValueError("adjacency matrix must be symmetric")
         if np.any(np.diag(a)):
             raise ValueError("self-loops are not allowed")
-        g = cls.__new__(cls)
-        a.setflags(write=False)
-        g.n = n
-        g._adj = a
-        g._hash = hash((n, a.tobytes()))
-        return g
+        return cls._of(a)
 
     @property
     def adj(self) -> np.ndarray:
@@ -229,7 +233,7 @@ def vertex_set(g: Graph, vertices: Iterable[int], what: str = "vertex set") -> t
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
     idx = np.array(vertex_set(g, vertices), dtype=np.intp)
-    return Graph.from_adjacency(g.adj[np.ix_(idx, idx)])
+    return Graph._of(g.adj[idx][:, idx])
 
 
 def delete_vertices(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -278,8 +282,11 @@ def _graph6(adj: np.ndarray) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode as a graph6 string (upper triangle, column-major, 6-bit groups)."""
-    return _graph6(g.adj)
+    """Encode as a graph6 string (upper triangle, column-major, 6-bit groups),
+    kept on the immutable graph after the first call."""
+    if g._g6 is None:
+        g._g6 = _graph6(g.adj)
+    return g._g6
 
 
 def parse_graph6(text: str) -> Graph:

@@ -14,10 +14,10 @@ that table and one compare against a column.  Its buffers take the dtype
 of R, so the same code runs in int64, once int_dtype has proven that every
 intermediate fits, and on object arrays of Python ints otherwise.  Every
 range [i0, i1) of mask values yields the same set of masks in either
-arithmetic.  The pair table of extend.build_compat_graph, C R' C^T over the
-candidates' 0/1 rows C, takes its dtype from the same int_dtype rule.  The
-engine scans the whole space in one call; the range stays in the signature
-because perfbench/tracer.py reads it to count the masks each call scans.
+arithmetic.  The pair table C R' C^T of extend.build_compat_graph and the
+star-set residual B^T R B take their dtype from the same int_dtype rule.
+One call scans the whole space; the range stays in the signature for
+perfbench/tracer.py, which reads it to count the masks each call scans.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 # int_dtype allows int64 only when every partial form and target stays below
-# this; its callers, the subset scan of extend.enumerate_candidates and the
-# pair table of extend.build_compat_graph, use Python ints otherwise.
+# this; its callers, the subset scan, the pair table of build_compat_graph
+# and the star-set residual, use Python ints otherwise.
 ACCUMULATOR_LIMIT = 1 << 62
 
 
@@ -43,7 +43,7 @@ def int_dtype(mat: np.ndarray, *targets: int):
     target below ACCUMULATOR_LIMIT = 2^62, which gives that bound.
     """
     n = mat.shape[0]
-    peak = max((abs(v) for v in mat.flat), default=0)
+    peak = max(map(abs, mat.flat), default=0)
     if (n + 2) ** 2 * peak < ACCUMULATOR_LIMIT and all(
         abs(t) < ACCUMULATOR_LIMIT for t in targets
     ):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -392,9 +393,9 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
         c = [row[k] for row in a[:k]]
         col = [1, -a[k][k]]
         for step in range(k):
-            col.append(-sum(x * y for x, y in zip(r, c)))
+            col.append(-sum(map(mul, r, c)))
             if step < k - 1:
-                c = [sum(x * y for x, y in zip(row, c)) for row in sub]
+                c = [sum(map(mul, row, c)) for row in sub]
         poly = [
             sum(col[j] * poly[i - j] for j in range(max(0, i - k), i + 1))
             for i in range(k + 2)

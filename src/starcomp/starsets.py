@@ -15,8 +15,9 @@ resolvent pair (R, D) of linalg.resolvent_inverse, R = D (mu I - C)^{-1}
 with D mu integral: it exists exactly when mu is not an eigenvalue of C,
 and the complement is ranked only when it does not, to report its
 multiplicity.  The residual is evaluated in integers from the same pair:
-the identity reads D (mu I - A_X) = B^T R B, one object product over the
-0/1 matrix B.
+the identity reads D (mu I - A_X) = B^T R B.  Each entry of B^T R B is a
+0/1 form of R, so the product runs in int64 when kernels.int_dtype, the
+subset scan's overflow rule, proves that it fits, and in Python ints otherwise.
 
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
@@ -107,11 +108,15 @@ class StarSetCertificate:
 
 
 def _scaled_residual(g: Graph, mu: Fraction, star, comp, r, den) -> np.ndarray:
-    """D (mu I - A_X) - B^T R B with B = A[comp, star], an object array of
-    Python ints that is zero exactly when the star-set identity holds."""
-    b = g.adj[np.ix_(comp, star)].astype(object)
-    a_x = g.adj[np.ix_(star, star)].astype(object)
-    return int(mu * den) * np.identity(len(star), dtype=object) - den * a_x - b.T @ r @ b
+    """D (mu I - A_X) - B^T R B with B = A[comp, star], zero exactly when the
+    star-set identity holds, in the dtype kernels.int_dtype(R, D mu, D) chose."""
+    d_mu = int(mu * den)
+    dtype = kernels.int_dtype(r, d_mu, den)
+    rows = g.adj[list(star)]  # A[X, :], so B^T = A[X, comp]
+    bt = rows[:, comp]
+    lhs = rows[:, star].astype(dtype) * -den
+    np.fill_diagonal(lhs, d_mu)  # A_X has a zero diagonal
+    return lhs - bt @ r.astype(dtype) @ bt.T
 
 
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:

@@ -361,11 +361,15 @@ class TestDeterminism:
             assert len(outputs) == 1
 
     # Star-set reports recorded before the search enumerated row-matroid
-    # bases; they list star sets in combinations order.
+    # bases, and the Petersen ones at mu = -2 (185 star sets) and mu = 3
+    # (10) before the residual ran in int64; they list star sets in
+    # combinations order.
     @pytest.mark.parametrize("graph, mu, digest", [
         ("cocktail:6", "-2", "98dbde78548691c5080143be9827a9916e5dc4808fa036f13f38ca4192bca790"),
         ("IheA@GUAo", "1", "ea7352febcf1f59f8e4eb75e6b3870c3e6413a6c4d96df5b57ee5a211f752efb"),
-    ], ids=["cocktail:6", "petersen"])
+        ("IheA@GUAo", "-2", "51d289c45c1a72d540e512aae7da182e6fd0fa569898fac7b49eed6259716a8f"),
+        ("IheA@GUAo", "3", "e8274e02fcd8c38f239e20b109e273a9e706d7a76abb51ee28757ac6cfee9827"),
+    ], ids=["cocktail:6", "petersen", "petersen--2", "petersen-3"])
     def test_starsets_bytes_pinned(self, capsys, graph, mu, digest):
         code = main(["--format", "json", "starsets", "--graph", graph, f"--mu={mu}"])
         assert code == EXIT_OK

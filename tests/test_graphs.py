@@ -80,6 +80,33 @@ class TestGraphBasics:
             induced_subgraph(g, [0, 6])
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.randoms(use_true_random=False), st.data())
+    def test_induced_subgraph_matches_from_adjacency(self, n, rnd, data):
+        # induced_subgraph wraps its slice without validating it again; it must
+        # give the graph the validating constructor builds from the same slice
+        g = random_graph(n, rnd)
+        picked = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+        for vertices in (sorted(picked), [], list(range(n))):
+            idx = np.array(vertices, dtype=np.intp)
+            sub = induced_subgraph(g, vertices)
+            ref = Graph.from_adjacency(g.adj[np.ix_(idx, idx)])
+            assert sub == ref and hash(sub) == hash(ref)
+            assert sub.n == len(vertices)
+            assert sub.adj.dtype == np.uint8 and not sub.adj.flags.writeable
+            assert sub.adj.tobytes() == ref.adj.tobytes()
+            assert write_graph6(sub) == write_graph6(ref)
+
+    def test_graph6_kept_on_graph(self):
+        g = make_cocktail(4)
+        twin = Graph.from_adjacency(g.adj)
+        before = hash(g)
+        first = write_graph6(g)
+        assert write_graph6(g) is first
+        assert first == write_graph6(twin) == "G]~v~w"
+        assert g == twin and hash(g) == before == hash(twin)
+
+
 class TestCompleteSplit:
     def test_2_2(self):
         g = make_complete_split(2, 2)

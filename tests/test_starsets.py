@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from starcomp import (
     relabel,
     verify_star_set,
 )
+from starcomp import kernels
 from starcomp.linalg import resolvent_inverse
 from starcomp.starsets import _scaled_residual, substar_check
 
@@ -153,9 +155,73 @@ class TestResidualDifferential:
             got = _scaled_residual(g, mu, star, comp, r, den)
             assert got.shape == (k, k), star
             assert np.array_equal(got, den * expected), star
-            assert all(type(v) is int for v in got.flat), star
+            assert got.dtype == kernels.int_dtype(r, int(mu * den), den), star
             valid += cert.valid
         assert valid == (len(find_star_sets(g, mu)) if mu.denominator == 1 else 0)
+
+
+class TestResidualInt64:
+    # The residual in the dtype kernels.int_dtype chooses against the same
+    # residual with int64 ruled out, on every k-subset: star sets, sets whose
+    # complement has mu as an eigenvalue and sets with a nonzero residual.
+    @staticmethod
+    def int64_and_exact_dtypes(monkeypatch, g, mu, k):
+        """Certify every k-subset as the overflow rule chooses and again over
+        Python ints, require equal certificates field by field, and return
+        the number of valid ones and the dtypes chosen for the two passes."""
+        chosen = []
+        real = kernels.int_dtype
+
+        def spy(*args):
+            chosen.append(real(*args))
+            return chosen[-1]
+
+        subsets = list(combinations(range(g.n), k))
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "int_dtype", spy)
+            fast = [verify_star_set(g, mu, x) for x in subsets]
+            m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+            exact = [verify_star_set(g, mu, x) for x in subsets]
+        for a, b in zip(fast, exact):
+            for field in dataclasses.fields(a):
+                assert getattr(a, field.name) == getattr(b, field.name), (a.star_set, field.name)
+        half = len(chosen) // 2
+        return sum(c.valid for c in fast), chosen[:half], chosen[half:]
+
+    @pytest.mark.parametrize("g, mu", [
+        (PETERSEN, 1), (PETERSEN, -2), (PETERSEN, 3), (make_cocktail(4), -2),
+    ], ids=["petersen-1", "petersen--2", "petersen-3", "cocktail4--2"])
+    def test_every_subset(self, monkeypatch, g, mu):
+        k = eig_multiplicity(g, mu)
+        valid, fast, exact = self.int64_and_exact_dtypes(monkeypatch, g, mu, k)
+        assert valid == len(find_star_sets(g, mu))
+        assert fast and set(fast) == {np.int64}
+        assert len(exact) == len(fast) and set(exact) == {object}
+
+    def test_random_graphs(self, monkeypatch):
+        # monkeypatch.context() undoes each example's patches, so the one
+        # fixture serves every example
+        @settings(max_examples=40, deadline=None)
+        @given(
+            st.integers(1, 7),
+            st.integers(0, 2**16),
+            st.integers(-3, 3),
+            st.integers(1, 3),
+            st.integers(0, 7),
+        )
+        @example(n=5, seed=3, p=1, q=2, k=2)  # rational mu: every residual nonzero
+        @example(n=6, seed=1, p=0, q=1, k=3)
+        def check(n, seed, p, q, k):
+            g = random_graph(n, random.Random(seed))
+            mu = Fraction(p, q)
+            k = min(k, n)  # any size, the multiplicity of mu or not
+            valid, fast, exact = self.int64_and_exact_dtypes(monkeypatch, g, mu, k)
+            if k != eig_multiplicity(g, mu):
+                assert valid == 0
+            assert set(fast) <= {np.int64}
+            assert len(exact) == len(fast) and set(exact) <= {object}
+
+        check()
 
 
 class TestFindStarSets:
