@@ -23,10 +23,11 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .extend import enumerate_candidates, maximal_extensions
-from .graphs import Graph, Graph6Error, make_cocktail, make_complete_split, parse_graph6, write_graph6
+from .extend import check_subset_budget, enumerate_candidates, maximal_extensions
+from .graphs import MAX_VERTICES, Graph, Graph6Error, make_cocktail, make_complete_split
+from .graphs import parse_graph6, write_graph6
 from .linalg import (
     PreconditionError,
     adjacency_matrix,
@@ -57,19 +58,23 @@ def _version() -> str:
     return __version__
 
 
-def load_graph(spec: str) -> Graph:
-    """graph6 string or a named construction ("split:s,t", "cocktail:p")."""
+def load_graph(spec: str, budget: Optional[int] = None) -> Graph:
+    """graph6, "split:s,t" or "cocktail:p"; a construction with 2^n > budget is refused unbuilt."""
     if spec.startswith("split:"):
         try:
             s, t = (int(x) for x in spec[len("split:") :].split(","))
         except ValueError as exc:
             raise UsageError(f"bad split construction {spec!r}: want split:s,t") from exc
+        if budget is not None and min(s, t) >= 1 and s + t <= MAX_VERTICES:
+            check_subset_budget(s + t, budget)
         return make_complete_split(s, t)
     if spec.startswith("cocktail:"):
         try:
             p = int(spec[len("cocktail:") :])
         except ValueError as exc:
             raise UsageError(f"bad cocktail construction {spec!r}: want cocktail:p") from exc
+        if budget is not None and 1 <= p <= MAX_VERTICES // 2:
+            check_subset_budget(2 * p, budget)
         return make_cocktail(p)
     return parse_graph6(spec)
 
@@ -158,7 +163,7 @@ def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
 
 def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
-    h = load_graph(args.graph)
+    h = load_graph(args.graph, args.budget)
     mu = parse_rational(args.mu)
     cands = enumerate_candidates(h, mu, nonmain=args.nonmain, budget=args.budget)
     payload = {
@@ -180,7 +185,7 @@ def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
 
 def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
     _check_threads(args)
-    h = load_graph(args.graph)
+    h = load_graph(args.graph, args.budget)
     mu = parse_rational(args.mu)
     report = maximal_extensions(
         h,

@@ -11,21 +11,19 @@ the added set dictated by the -1/0 split.
 
 The subset scan reads the cached integer pair (R, D) of resolvent_inverse,
 R = D (mu I - A)^{-1} with D mu integral: <b, b> = mu iff b^T R b = mu D,
-and <b, j> = -1 iff b^T R j = -D.  One scan covers both cases, with the
-form over the low 16 bits of a mask tabulated by doubling and one add and
-one compare per pattern of the remaining bits, with no matrix product: in
+and <b, j> = -1 iff b^T R j = -D.  One scan (kernels) covers both cases, in
 int64 when mu is integral and every intermediate provably fits, and over
-Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D
-of resolvent_via_minpoly, an integer matrix for integral mu and exact
-rationals otherwise: with the candidates as the rows of a 0/1 matrix C,
+Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D of
+resolvent_via_minpoly: with the candidates as the rows of a 0/1 matrix C,
 every scaled pair value m(mu) <b_u, b_v> is an entry of the one product
-C R' C^T, compared against -m(mu) and 0.  For integral mu that product runs
-in int64 when kernels.int_dtype, the scan's overflow rule, proves that
-every entry and m(mu) fit, and over Python ints otherwise; the masks are
-the same either way.  build_compat_graph does this once
-per run and keeps C and the two resulting masks in a CompatTable;
-Bron-Kerbosch reads its rows, and assemble_graph slices the block adjacency
-of each clique out of it.
+C R' C^T, compared against -m(mu) and 0, under the same rule.
+build_compat_graph does this once per run and keeps C and the two masks in
+a CompatTable; assemble_graph slices each clique's block adjacency from it.
+
+The clique stage runs on the compat rows packed into ints (graphs._bitsets):
+Bron-Kerbosch with pivoting (CACM 16 (1973), Algorithm 457) finds the
+maximal cliques, and with maximal_only=False a depth-first walk over the
+same rows lists every nonempty clique.
 
 Only one clique per symmetry orbit is assembled.  A transposition of twins
 in H (equal adjacency rows, or equal rows plus the identity) is an
@@ -45,13 +43,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, canonical_form, is_regular, vertex_set, write_graph6
+from .graphs import Graph, _bitsets, canonical_form, is_regular, vertex_set, write_graph6
 # eig_multiplicity is not called here; perfbench/tracer.py wraps
 # extend.eig_multiplicity, so the name stays importable from this module.
 from .linalg import (  # noqa: F401
@@ -89,13 +86,6 @@ class Candidate:
     """Prospective star-set vertex, identified by its H-neighborhood."""
 
     vertices: tuple[int, ...]
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
 
     def vector(self, n: int) -> np.ndarray:
         vec = np.zeros(n, dtype=object)
@@ -187,11 +177,9 @@ class CompatTable:
     """Candidates of one (H, mu) with every pair classified once.
 
     attachment holds the candidates' 0/1 rows as uint8; adjacent[i, j] says
-    that the pair value is -1 and compat[i, j] that it is -1 or 0.  The
-    values come from C R' C^T, in int64 when kernels.int_dtype proves the
-    bound and over Python ints otherwise.  All three arrays are read-only,
-    and both masks are False on the diagonal: a candidate only ever pairs
-    with itself as the same vertex.
+    that the pair value is -1 and compat[i, j] that it is -1 or 0.  All
+    three arrays are read-only, and both masks are False on the diagonal: a
+    candidate only ever pairs with itself as the same vertex.
     """
 
     h: Graph
@@ -249,43 +237,54 @@ def pair_class(h: Graph, mu, u: Candidate, v: Candidate) -> PairClass:
     return build_compat_graph(h, mu, [u, v]).pair(0, 1)
 
 
-def _bron_kerbosch(
-    neighbors: list[set[int]], n: int, limit: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """Maximal cliques with max-degree pivoting; deterministic order.
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        yield (low := mask & -mask).bit_length() - 1
+        mask ^= low
 
-    Raises BudgetExceededError as soon as more than `limit` are found.
-    """
+
+def maximal_cliques(table: CompatTable, limit: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """Maximal candidate sets that are pairwise not incompatible, sorted, at
+    most `limit` of them (BudgetExceededError past that): Bron-Kerbosch on
+    the compat rows as ints, pivoting on the first vertex of P | X with the
+    most neighbours in P and branching in bit order."""
+    nbr = _bitsets(table.compat)
+    index = list(range(len(nbr))).__getitem__  # one int object per candidate
     cliques: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
+    def expand(r: int, p: int, x: int) -> None:
+        if not p | x:
             if len(cliques) == limit:
                 raise BudgetExceededError(
                     f"more than {limit} maximal cliques exceeds budget {limit}"
                 )
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(
-            sorted(p | x), key=lambda v: len(p & neighbors[v])
-        )
-        for v in sorted(p - neighbors[pivot]):
-            expand(r + [v], p & neighbors[v], x & neighbors[v])
-            p.remove(v)
-            x.add(v)
+            cliques.append(tuple(map(index, _bits(r))))
+        elif p:
+            pivot = max(_bits(p | x), key=lambda v: (p & nbr[v]).bit_count())
+            for v in _bits(p & ~nbr[pivot]):
+                expand(r | 1 << v, p & nbr[v], x & nbr[v])
+                p, x = p ^ 1 << v, x | 1 << v
 
-    expand([], set(range(n)), set())
+    if nbr:
+        expand(0, (1 << len(nbr)) - 1, 0)
     return sorted(cliques)
 
 
-def maximal_cliques(table: CompatTable, limit: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """Maximal candidate sets that are pairwise not incompatible, at most
-    `limit` of them (BudgetExceededError past that)."""
-    n = len(table.candidates)
-    if n == 0:
-        return []
-    neighbors = [set(np.flatnonzero(row).tolist()) for row in table.compat]
-    return _bron_kerbosch(neighbors, n, limit)
+def all_cliques(table: CompatTable) -> list[tuple[int, ...]]:
+    """Every nonempty clique of the compat rows, once each and in lexicographic
+    order: a depth-first walk that extends a clique only by higher bits."""
+    nbr = _bitsets(table.compat)
+    index = list(range(len(nbr)))
+    out: list[tuple[int, ...]] = []
+
+    def walk(r: tuple[int, ...], cand: int) -> None:
+        for v in _bits(cand):
+            out.append(r + (index[v],))
+            walk(out[-1], cand & nbr[v] & -2 << v)
+
+    walk((), (1 << len(nbr)) - 1)
+    return out
 
 
 def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
@@ -337,7 +336,7 @@ def _orbit_representatives(
     generator's images, sorted the same way, must be exactly those rows, and
     the sort then says which clique maps to which.  A missing image raises.
     """
-    masks = [c.mask for c in table.candidates]
+    masks = _bitsets(table.attachment)  # each candidate's H-neighbourhood
     index = {m: i for i, m in enumerate(masks)}
     perms = []
     for u, v in generators:
@@ -366,7 +365,8 @@ def assemble_graph(
     the new set is the table's -1/0 split.
 
     The graph is the block adjacency ((A(H), C_K^T), (C_K, ADJ_K)), sliced
-    from the table's attachment matrix and adjacent mask.  The result is
+    from the table's attachment rows (0/1) and adjacent mask (symmetric, no
+    diagonal), so it is a graph and is wrapped unchecked.  The result is
     re-verified as a star-set certificate before returning.
     """
     k = np.asarray(clique, dtype=np.intp)
@@ -379,7 +379,7 @@ def assemble_graph(
             f"cannot coexist for mu={format_rational(table.mu)}"
         )
     h, c = table.h, table.attachment[k]
-    g = Graph.from_adjacency(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
+    g = Graph._of(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
     star = tuple(range(h.n, g.n))
     cert = verify_star_set(g, table.mu, star)
     if not cert.valid:
@@ -449,12 +449,10 @@ def maximal_extensions(
     cliques c, must not exceed budget either.
 
     Only the first clique of each orbit under the twin transpositions of H
-    is assembled.  Each orbit lies inside one isomorphism class, so the
-    lexicographically smallest witness of every class is the first of its
-    orbit and the report does not change.  With maximal_only=False the
-    orbits are taken after the sub-cliques are listed, since the first
-    sub-clique of a class need not lie in an orbit's first maximal clique.
-    An H without twins keeps every clique.
+    is assembled, which keeps every witness (module docstring).  With
+    maximal_only=False the orbits are taken after the sub-cliques are
+    listed, since the first sub-clique of a class need not lie in an orbit's
+    first maximal clique.  An H without twins keeps every clique.
     """
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget)
@@ -467,11 +465,7 @@ def maximal_extensions(
                 f"{subcliques} sub-cliques of {len(cliques)} maximal cliques "
                 f"exceeds budget {budget}"
             )
-        seen = set()
-        for clique in cliques:
-            for size in range(1, len(clique) + 1):
-                seen.update(combinations(clique, size))
-        cliques = sorted(seen)
+        cliques = all_cliques(table)
     cliques = _orbit_representatives(table, cliques, twin_transpositions(h))
     by_canon: dict[bytes, MaximalGraph] = {}
     for clique in cliques:

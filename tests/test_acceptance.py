@@ -203,7 +203,7 @@ def _engine_patterns(h, mu, k):
     for idxs in combinations(range(len(cands)), k):
         if all(table.compatible(i, j) for i, j in combinations(idxs, 2)):
             cliques.append(idxs)
-            masks = tuple(cands[i].mask for i in idxs)
+            masks = tuple(sum(1 << v for v in cands[i].vertices) for i in idxs)
             adjacency = frozenset(
                 (a, b)
                 for a, b in combinations(range(k), 2)

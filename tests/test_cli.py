@@ -251,6 +251,33 @@ class TestErrors:
         code, data = run_json(capsys, *argv, "--budget", "180")
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["candidates", "extend"])
+    @pytest.mark.parametrize("spec, name, n", [
+        ("split:3,2", "make_complete_split", 5),
+        ("cocktail:3", "make_cocktail", 6),
+    ], ids=["split", "cocktail"])
+    def test_construction_refused_before_it_is_built(
+        self, capsys, monkeypatch, schema, command, spec, name, n
+    ):
+        # one subset past the budget: the scan's error, and no graph built
+        real = getattr(cli, name)
+
+        def unbuilt(*args):
+            raise AssertionError("construction built past the budget")
+
+        monkeypatch.setattr(cli, name, unbuilt)
+        argv = [command, "--graph", spec, "--mu=-2", "--budget"]
+        code, data = run_json(capsys, *argv, str((1 << n) - 1))
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"] == {
+            "kind": "budget",
+            "detail": f"2^{n} = {1 << n} subsets exceeds budget {(1 << n) - 1}",
+        }
+        monkeypatch.setattr(cli, name, real)
+        code, data = run_json(capsys, *argv, str(1 << n))
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("argv", [
         ["candidates", "--graph", "split:2,2", "--mu=-2"],
         ["extend", "--graph", "split:2,2", "--mu=-2"],
@@ -405,6 +432,19 @@ class TestDeterminism:
     ])
     def test_extend_bytes_pinned(self, capsys, fmt, digest):
         code = main(["--format", fmt, *EXTEND_ARGV])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # Every nonempty clique below split:4,2's 12 maximal cliques at mu = -2,
+    # one per twin orbit assembled: 18 graphs, recorded while the sub-cliques
+    # were still listed through a set of combinations.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "546b4b7f3eacb23433c36481bb2e063f71a54fbfaa0fd7994a5ef54771e4ae58"),
+        ("text", "30a4648774b7059a356e17bcb9a9873ed88961f2f89d431ca655b37a6fdc5e44"),
+    ])
+    def test_include_nonmaximal_bytes_pinned(self, capsys, fmt, digest):
+        argv = ["extend", "--graph", "split:4,2", "--mu=-2", "--include-nonmaximal"]
+        code = main(["--format", fmt, *argv])
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -28,6 +28,7 @@ from starcomp import (
     relabel,
     resolvent_bilinear,
     verify_star_set,
+    write_graph6,
 )
 import starcomp.extend as extend_module
 from starcomp import kernels
@@ -446,6 +447,26 @@ class TestAssemble:
         g, star = assemble_graph(build_compat_graph(h, -2, cands), ())
         assert g == h and star == ()
 
+    @pytest.mark.parametrize("h, mu, nonmain", [
+        (make_complete_split(2, 2), -2, True),
+        (make_complete_split(4, 2), -2, False),
+        (cycle_graph(5), -2, False),
+        (path_graph(4), -3, False),
+    ], ids=["split:2,2", "split:4,2", "C5", "P4"])
+    def test_block_is_the_checked_graph(self, h, mu, nonmain):
+        # the block is wrapped unchecked; from_adjacency of the same block
+        # accepts it and gives an equal graph with the same hash and graph6
+        table = build_compat_graph(h, mu, enumerate_candidates(h, mu, nonmain=nonmain))
+        for clique in [()] + maximal_cliques(table):
+            g, _ = assemble_graph(table, clique)
+            k = np.asarray(clique, dtype=np.intp)
+            c = table.attachment[k]
+            checked = Graph.from_adjacency(
+                np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]])
+            )
+            assert g == checked and hash(g) == hash(checked)
+            assert write_graph6(g) == write_graph6(checked)
+
     def test_incompatible_rejected(self):
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)
@@ -546,7 +567,7 @@ class TestMaximalExtensions:
         def untouched(*args):
             raise AssertionError("sub-cliques materialised past the budget")
 
-        monkeypatch.setattr(extend_module, "combinations", untouched)
+        monkeypatch.setattr(extend_module, "all_cliques", untouched)
         monkeypatch.setattr(extend_module, "assemble_graph", untouched)
         with pytest.raises(BudgetExceededError, match="180 sub-cliques"):
             maximal_extensions(h, -2, nonmain=False, maximal_only=False, budget=threshold - 1)
@@ -717,7 +738,7 @@ class TestOracleCompleteness:
             if all(
                 table.compatible(i, j) for i, j in combinations(idxs, 2)
             ):
-                masks = tuple(cands[i].mask for i in idxs)
+                masks = tuple(sum(1 << v for v in cands[i].vertices) for i in idxs)
                 adjacency = frozenset(
                     (a, b)
                     for a, b in combinations(range(k), 2)

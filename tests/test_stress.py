@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from starcomp import (
@@ -29,7 +30,15 @@ from starcomp import (
     verify_star_set,
     write_graph6,
 )
-from starcomp.extend import CompatTable, PairClass, build_compat_graph, maximal_cliques
+from starcomp.extend import (
+    Candidate,
+    CompatTable,
+    PairClass,
+    all_cliques,
+    build_compat_graph,
+    maximal_cliques,
+)
+from starcomp.starsets import BudgetExceededError
 
 from conftest import brute_isomorphic, fraction_rank, random_graph
 
@@ -146,13 +155,20 @@ class TestGraph6LongForm:
         assert parse_graph6(back) == g
 
 
+def naive_cliques(neighbors, n):
+    """Every clique, the empty one included, by filtering every subset;
+    oracle for n <= 16."""
+    return [
+        set(sub)
+        for size in range(n + 1)
+        for sub in combinations(range(n), size)
+        if all(b in neighbors[a] for a, b in combinations(sub, 2))
+    ]
+
+
 def naive_maximal_cliques(neighbors, n):
     """All maximal cliques by filtering every subset; oracle for n <= 16."""
-    cliques = []
-    for size in range(n + 1):
-        for sub in combinations(range(n), size):
-            if all(b in neighbors[a] for a, b in combinations(sub, 2)):
-                cliques.append(set(sub))
+    cliques = naive_cliques(neighbors, n)
     maximal = [
         tuple(sorted(c))
         for c in cliques
@@ -161,21 +177,63 @@ def naive_maximal_cliques(neighbors, n):
     return sorted(set(maximal))
 
 
+def relation_table(neighbors, n):
+    """A CompatTable on n one-vertex candidates whose compat mask is the
+    symmetric relation `neighbors`; only compat is read by the clique stage."""
+    compat = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        compat[a, list(neighbors[a])] = True
+    return CompatTable(
+        Graph(1), Fraction(1), tuple(Candidate((0,)) for _ in range(n)),
+        np.ones((n, 1), dtype=np.uint8), np.zeros((n, n), dtype=bool), compat,
+    )
+
+
+def random_relation(n, rng, p=0.5):
+    neighbors = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    return neighbors
+
+
 class TestBronKerboschStress:
     def test_against_naive_enumeration(self):
         rng = random.Random(12)
         for _ in range(60):
             n = rng.randint(0, 10)
-            neighbors = [set() for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.5:
-                        neighbors[i].add(j)
-                        neighbors[j].add(i)
-            classes_naive = naive_maximal_cliques(neighbors, n)
-            from starcomp.extend import _bron_kerbosch
+            neighbors = random_relation(n, rng)
+            # no candidates, no cliques: not even the empty one
+            want = naive_maximal_cliques(neighbors, n) if n else []
+            assert maximal_cliques(relation_table(neighbors, n)) == want
 
-            assert _bron_kerbosch(neighbors, n) == classes_naive
+    def test_clique_lists_and_limit_against_naive(self):
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            st.integers(1, 10),
+            st.randoms(use_true_random=False),
+            st.sampled_from([0.2, 0.5, 0.8]),
+        )
+        def check(n, rng, p):
+            neighbors = random_relation(n, rng, p)
+            table = relation_table(neighbors, n)
+            every = sorted(tuple(sorted(c)) for c in naive_cliques(neighbors, n) if c)
+            assert all_cliques(table) == every
+            maximal = naive_maximal_cliques(neighbors, n)
+            count = len(maximal)
+            assert maximal_cliques(table, count) == maximal
+            below = count - 1
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^more than {below} maximal cliques exceeds budget {below}$",
+            ):
+                maximal_cliques(table, below)
+
+        check()
 
 
 class TestBigIntegerFallback:
