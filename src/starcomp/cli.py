@@ -9,7 +9,10 @@ accepted (at least 1) and ignored.
 A JSON report is exactly the bytes of json.dumps(report, indent=2,
 sort_keys=True), written by write_json: with an indent set, json falls back
 to its pure-Python encoder, which would cost a scan report more than the
-scan.  Each command returns its text lines as a lazy iterable, so they are
+scan.  A list of int rows, such as the candidates or the star sets, is
+written in one pass: one str.join of the rows, each row one join of its
+ints' texts from an int-to-text table, driven by map, so no Python code
+runs per row or per int.  Each command returns its text lines as a lazy iterable, so they are
 only formatted in text mode.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
@@ -22,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from .extend import check_subset_budget, enumerate_candidates, maximal_extensions
@@ -328,6 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+# The texts of ints below this in magnitude are kept once made.
+INT_TEXT_KEPT = 1 << 12
+
+
+class _IntText(dict):
+    """Each int's JSON text, int.__repr__, kept once made for a small int."""
+
+    def __missing__(self, key: int) -> str:
+        text = int.__repr__(key)
+        if -INT_TEXT_KEPT < key < INT_TEXT_KEPT:
+            self[key] = text
+        return text
+
+
+# Looks up by value, so True would read "1": only exact ints may be passed.
+_int_text = _IntText().__getitem__
+
+
 def _write_key(key) -> str:
     # json writes an int, float, bool or None key as the string of its JSON
     # text and rejects other types; a one-key dump gives its bytes and errors.
@@ -339,10 +360,12 @@ def _write_key(key) -> str:
 def write_json(obj, pad: str = "") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), nested at `pad`.
 
-    Containers, strings, None, bools and ints are written here, a list of
-    plain ints as one join and a list of such lists as one join of those;
-    floats and anything else go to json.dumps, so their bytes and errors are
-    json's own.  A bool or an int or list subclass takes the general path.
+    Containers, strings, None, bools and ints are written here; floats and
+    anything else go to json.dumps, so their bytes and errors are json's
+    own.  A list of plain ints is one join of their texts, and a list of
+    nonempty such lists or tuples one join of the rows' joins, at C speed.
+    An empty row, a bool, an int or list subclass or a nested value takes
+    the general path, one write_json per item.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -360,15 +383,19 @@ def write_json(obj, pad: str = "") -> str:
         if not obj:
             return "[]"
         if all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
-        elif set(map(type, obj)) <= {list, tuple} and set(
-            map(type, chain.from_iterable(obj))
-        ) <= {int}:
+            body = sep.join(map(_int_text, obj))
+        elif (
+            set(map(type, obj)) <= {list, tuple}
+            and all(obj)
+            and set(map(type, chain.from_iterable(obj))) <= {int}
+        ):
+            # Nonempty rows of plain ints: one join of the rows, each row
+            # one join of its ints' texts, all of it run by map and join.
             deeper = inner + "  "
-            head, row_sep, tail = f"[\n{deeper}", ",\n" + deeper, f"\n{inner}]"
-            body = sep.join(
-                [head + row_sep.join(map(int.__repr__, row)) + tail if row else "[]" for row in obj]
+            rows = f"\n{inner}],\n{inner}[\n{deeper}".join(
+                map(f",\n{deeper}".join, map(map, repeat(_int_text), obj))
             )
+            body = f"[\n{deeper}{rows}\n{inner}]"
         else:
             body = sep.join([write_json(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{pad}]"

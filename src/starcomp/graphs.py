@@ -29,7 +29,7 @@ engine produces.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -182,9 +182,14 @@ def make_complete_split(s: int, t: int) -> Graph:
     """
     if s < 1 or t < 1:
         raise ValueError("complete split graph needs s >= 1 and t >= 1")
-    # Lazy, so Graph checks the vertex bound before any edge is listed.
-    cross = ((i, s + j) for i in range(s) for j in range(t))
-    return Graph(s + t, chain(combinations(range(s), 2), cross))
+    n = s + t
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[:s] = 1
+    adj[:, :s] = 1
+    np.fill_diagonal(adj[:s, :s], 0)
+    return Graph._of(adj)
 
 
 def make_cocktail(p: int) -> Graph:

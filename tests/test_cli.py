@@ -240,6 +240,16 @@ class TestErrors:
         assert data["error"]["kind"] == "budget"
         assert "C(8,3)" in data["error"]["detail"]
 
+    def test_budget_past_decimal_conversion(self, capsys, schema):
+        # 2^20001 has more decimal digits than Python converts by default
+        code, data = run_json(capsys, "candidates", "--graph", "split:20000,1", "--mu=1")
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"] == {
+            "kind": "budget",
+            "detail": "2^20001 subsets exceeds budget 10000000",
+        }
+
     def test_include_nonmaximal_budget(self, capsys, schema):
         # 180 sub-cliques over a 2^6 subset scan
         argv = ["extend", "--graph", "split:4,2", "--mu=-2", "--include-nonmaximal"]
@@ -498,7 +508,9 @@ class TestWriteJson:
         {"b": 1, "a": [1, 2]}, {1: "a"}, {"x": {2: [1.5, None]}}, {None: [True]},
         {1.5: 0, -2.5: [1]}, {math.nan: 1}, {True: {}, False: []}, 7, -0.0, "é", None,
         [[1, 2], [], (3,)], [[]], [(), [-1 << 70]], [[1], [True]], [[0], [None]], [[1], 2],
-    ])
+        [[0], [], [1]], [(5,)], [[-3, 1 << 70]], [[True, 1]], [[1], [2.5]],
+        [list(range(k % 7 + 1, k % 7 + 1 + k % 5 + 1)) for k in range(5000)],
+    ], ids=lambda obj: None if len(repr(obj)) < 40 else "5000-rows")
     def test_edge_cases(self, obj):
         assert write_json(obj) == self.reference(obj)
 

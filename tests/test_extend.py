@@ -77,6 +77,37 @@ class TestEnumerateCandidates:
         assert extend_module._decode_masks(masks, n) == want
         assert extend_module._decode_masks(np.empty(0, dtype=np.int64), n) == []
 
+    def test_lex_order_matches_sorted_tuples(self):
+        # three decode chunks at n = 23; the first and last vertex alone,
+        # the full set and every single vertex in each draw
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.integers(1, 23).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(1, (1 << n) - 1), max_size=300))
+        ))
+        def check(args):
+            n, drawn = args
+            masks = list(drawn | {1, 1 << (n - 1), (1 << n) - 1} | {1 << v for v in range(n)})
+            random.Random(len(masks)).shuffle(masks)
+            ordered = extend_module._lex_order(np.array(masks, dtype=np.int64), n)
+            assert extend_module._decode_masks(ordered, n) == sorted(
+                extend_module._decode_masks(masks, n)
+            )
+
+        check()
+
+    def test_relabelled_split_matches_oracle(self):
+        # the twin classes straddle the vertex order, so the ordering sees
+        # masks that are not intervals: 385 and 60 candidates
+        perm = list(range(11))
+        random.Random(6).shuffle(perm)
+        h = relabel(make_complete_split(6, 5), perm)
+        for mu, nonmain in [(-2, False), (1, True)]:
+            got = [c.vertices for c in enumerate_candidates(h, mu, nonmain=nonmain)]
+            assert got == exhaustive_candidates(h, mu, nonmain)
+            assert len(got) == {-2: 385, 1: 60}[mu]
+
     def test_split_5_3(self):
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)

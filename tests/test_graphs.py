@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -131,9 +132,27 @@ class TestCompleteSplit:
             make_complete_split(2, 0)
 
     def test_vertex_bound_checked_before_edges(self):
-        # the clique alone has about 2^31 edges; none may be listed first
-        with pytest.raises(ValueError, match=rf"vertex count {MAX_VERTICES + 1} outside"):
-            make_complete_split(MAX_VERTICES, 1)
+        # the matrix would take 4 GiB; nothing of it may be allocated first
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"vertex count {MAX_VERTICES + 1} outside"):
+                make_complete_split(MAX_VERTICES, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_matches_edge_list(self, s, t):
+        cross = [(i, s + j) for i in range(s) for j in range(t)]
+        want = Graph(s + t, [*combinations(range(s), 2), *cross])
+        g = make_complete_split(s, t)
+        assert g.adj.tobytes() == want.adj.tobytes()
+        assert write_graph6(g) == write_graph6(want)
+        assert g == want and not g.adj.flags.writeable
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
