@@ -7,13 +7,10 @@ graph.  All linear algebra is exact; nothing is ever rounded.
 """
 
 from .extend import (
-    Candidate,
-    PairClass,
     assemble_graph,
     build_compat_graph,
     enumerate_candidates,
     maximal_extensions,
-    pair_class,
 )
 from .graphs import (
     Graph,

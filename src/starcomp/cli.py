@@ -174,14 +174,14 @@ def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
         "mu": format_rational(mu),
         "nonmain": args.nonmain,
         "count": len(cands),
-        "candidates": [c.vertices for c in cands],  # write_json takes the tuples
+        "candidates": cands,
     }
     lines = chain(
         [
             f"candidate attachments to {payload['H']} for mu = {payload['mu']}"
             f" ({'non-main' if args.nonmain else 'unfiltered'}): {len(cands)}"
         ],
-        (f"  b = {list(c.vertices)}" for c in cands),
+        (f"  b = {list(c)}" for c in cands),
     )
     return payload, lines, EXIT_OK
 

@@ -3,7 +3,8 @@
 Given H and a rational mu outside its spectrum, every vertex that could join
 a star set is determined by its H-neighborhood b, which must satisfy
 <b, b> = mu under the resolvent bilinear form; for a non-main mu also
-<b, j> = -1.  Two candidates u, v can coexist exactly when <b_u, b_v> is -1
+<b, j> = -1.  A candidate is just b, written as its ascending tuple of
+Python ints.  Two candidates u, v can coexist exactly when <b_u, b_v> is -1
 (the new vertices are adjacent) or 0 (nonadjacent); any other value is
 incompatible.  Maximal graphs with star complement H therefore correspond to
 maximal cliques of the "not incompatible" relation, with adjacency inside
@@ -18,7 +19,9 @@ resolvent_via_minpoly: with the candidates as the rows of a 0/1 matrix C,
 every scaled pair value m(mu) <b_u, b_v> is an entry of the one product
 C R' C^T, compared against -m(mu) and 0, under the same rule.
 build_compat_graph does this once per run and keeps C and the two masks in
-a CompatTable; assemble_graph slices each clique's block adjacency from it.
+a CompatTable: the masks are the only record of the pair classes (adjacent,
+and compat = adjacent or nonadjacent), and assemble_graph slices each
+clique's block adjacency from them.
 
 The clique stage runs on the compat rows packed into ints (graphs._bitsets):
 Bron-Kerbosch with pivoting (CACM 16 (1973), Algorithm 457) finds the
@@ -40,7 +43,6 @@ J. Algorithms 26 (1998)).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,25 +75,6 @@ class MuIsEigenvalueError(PreconditionError):
 
 class IncompatiblePairError(ValueError):
     """A candidate pair with a bilinear value other than -1 or 0 was combined."""
-
-
-class PairClass(enum.Enum):
-    ADJACENT = "adjacent"
-    NONADJACENT = "nonadjacent"
-    INCOMPATIBLE = "incompatible"
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """Prospective star-set vertex, identified by its H-neighborhood."""
-
-    vertices: tuple[int, ...]
-
-    def vector(self, n: int) -> np.ndarray:
-        vec = np.zeros(n, dtype=object)
-        for v in self.vertices:
-            vec[v] = 1
-        return vec
 
 
 # Masks are decoded DECODE_BITS bits at a time, through a table of the
@@ -176,7 +159,7 @@ def enumerate_candidates(
     mu,
     nonmain: bool = True,
     budget: int = DEFAULT_BUDGET,
-) -> list[Candidate]:
+) -> list[tuple[int, ...]]:
     """All H-neighborhoods b with <b,b> = mu (and <b,j> = -1 when nonmain).
 
     Exhausts the 2^|V(H)| subsets.  The candidates come in lexicographic
@@ -212,7 +195,7 @@ def enumerate_candidates(
         )
     else:
         masks = _subset_scan_exact(res, rj, want_diag, want_j, nonmain, 0, total)
-    return list(map(Candidate, _decode_masks(_lex_order(masks, n), n)))
+    return _decode_masks(_lex_order(masks, n), n)
 
 
 @dataclass(frozen=True, eq=False)  # numpy fields: compare by identity
@@ -227,21 +210,16 @@ class CompatTable:
 
     h: Graph
     mu: Fraction
-    candidates: tuple[Candidate, ...]
+    candidates: tuple[tuple[int, ...], ...]
     attachment: np.ndarray
     adjacent: np.ndarray
     compat: np.ndarray
-
-    def pair(self, i: int, j: int) -> PairClass:
-        if self.adjacent[i, j]:
-            return PairClass.ADJACENT
-        return PairClass.NONADJACENT if self.compat[i, j] else PairClass.INCOMPATIBLE
 
     def compatible(self, i: int, j: int) -> bool:
         return bool(self.compat[i, j])
 
 
-def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatTable:
+def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> CompatTable:
     """Classify every candidate pair with one product C R' C^T, compared
     against -m(mu) and 0, in the dtype kernels.int_dtype proves safe for an
     integral mu and over Python ints otherwise.  ValueError if a candidate
@@ -249,7 +227,7 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatT
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=np.uint8)
     for i, cand in enumerate(candidates):
-        c[i, list(vertex_set(h, cand.vertices, "candidate"))] = 1
+        c[i, list(vertex_set(h, cand, "candidate"))] = 1
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
     compat = adjacent.copy()
     if candidates:
@@ -273,11 +251,6 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[Candidate]) -> CompatT
     for m in (c, adjacent, compat):
         m.setflags(write=False)
     return CompatTable(h, mu, tuple(candidates), c, adjacent, compat)
-
-
-def pair_class(h: Graph, mu, u: Candidate, v: Candidate) -> PairClass:
-    """Classify a candidate pair by the exact scaled bilinear value."""
-    return build_compat_graph(h, mu, [u, v]).pair(0, 1)
 
 
 def _bits(mask: int):
@@ -410,15 +383,19 @@ def assemble_graph(
     The graph is the block adjacency ((A(H), C_K^T), (C_K, ADJ_K)), sliced
     from the table's attachment rows (0/1) and adjacent mask (symmetric, no
     diagonal), so it is a graph and is wrapped unchecked.  The result is
-    re-verified as a star-set certificate before returning.
+    re-verified as a star-set certificate before returning.  ValueError if
+    an index is outside [0, len(table.candidates)), negative ones included.
     """
     k = np.asarray(clique, dtype=np.intp)
+    if ((k < 0) | (k >= len(table.candidates))).any():
+        raise ValueError(
+            f"clique {k.tolist()} has an index outside [0, {len(table.candidates)})"
+        )
     bad = np.argwhere(np.triu(~table.compat[np.ix_(k, k)], 1))
     if len(bad):
         i, j = bad[0]  # argwhere is row-major: the first pair in (i, j) order
         raise IncompatiblePairError(
-            f"candidates {table.candidates[k[i]].vertices} and "
-            f"{table.candidates[k[j]].vertices} "
+            f"candidates {table.candidates[k[i]]} and {table.candidates[k[j]]} "
             f"cannot coexist for mu={format_rational(table.mu)}"
         )
     h, c = table.h, table.attachment[k]
@@ -455,7 +432,7 @@ class ExtensionReport:
     nonmain: bool
     regular_only: bool
     maximal_only: bool
-    candidates: tuple[Candidate, ...]
+    candidates: tuple[tuple[int, ...], ...]
     maximal_graphs: tuple[MaximalGraph, ...]
 
     def to_json(self) -> dict:

@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .extend import Candidate, check_subset_budget, maximal_extensions
+from .extend import check_subset_budget, maximal_extensions
 from .graphs import (
     Graph,
     is_isomorphic,
@@ -423,8 +423,8 @@ def solution_explorer(
 def _verify_row(spec: BlockSpec, mu: Fraction, a: int, b: int) -> None:
     """Re-check a solution row against the generic bilinear form."""
     h = spec.graph()
-    cand = Candidate(tuple(range(a)) + tuple(range(spec.s, spec.s + b)))
-    vec = cand.vector(h.n)
+    vec = np.zeros(h.n, dtype=object)
+    vec[:a] = vec[spec.s : spec.s + b] = 1
     ones = np.ones(h.n, dtype=object)
     diag = resolvent_bilinear(h, mu, vec, vec)
     row_sum = resolvent_bilinear(h, mu, vec, ones)

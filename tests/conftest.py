@@ -37,7 +37,6 @@ import pytest
 
 from starcomp import (
     BlockSpec,
-    Candidate,
     Graph,
     Polynomial,
     TypeVector,
@@ -605,10 +604,10 @@ def split_graph_corpus() -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def split_type(c: Candidate, s: int) -> tuple[int, int]:
+def split_type(c: tuple[int, ...], s: int) -> tuple[int, int]:
     """(clique-side degree a, independent-side degree b) for a split H."""
-    a = sum(1 for v in c.vertices if v < s)
-    return a, len(c.vertices) - a
+    a = sum(1 for v in c if v < s)
+    return a, len(c) - a
 
 
 def minpoly_formula(spec: BlockSpec) -> Polynomial:

@@ -34,7 +34,6 @@ from starcomp import (
     path_graph,
     verify_star_set,
 )
-from starcomp.extend import PairClass
 from starcomp.linalg import graph_min_poly
 
 from conftest import (
@@ -203,11 +202,11 @@ def _engine_patterns(h, mu, k):
     for idxs in combinations(range(len(cands)), k):
         if all(table.compatible(i, j) for i, j in combinations(idxs, 2)):
             cliques.append(idxs)
-            masks = tuple(sum(1 << v for v in cands[i].vertices) for i in idxs)
+            masks = tuple(sum(1 << v for v in cands[i]) for i in idxs)
             adjacency = frozenset(
                 (a, b)
                 for a, b in combinations(range(k), 2)
-                if table.pair(idxs[a], idxs[b]) is PairClass.ADJACENT
+                if table.adjacent[idxs[a], idxs[b]]
             )
             patterns.add(attachment_pattern(masks, adjacency))
     return table, cliques, patterns

@@ -11,7 +11,6 @@ import pytest
 from starcomp import (
     BlockSpec,
     Graph,
-    PairClass,
     assemble_graph,
     build_compat_graph,
     cycle_graph,
@@ -22,7 +21,6 @@ from starcomp import (
     make_cocktail,
     make_complete_split,
     maximal_extensions,
-    pair_class,
     parse_graph6,
     path_graph,
     relabel,
@@ -33,7 +31,6 @@ from starcomp import (
 import starcomp.extend as extend_module
 from starcomp import kernels
 from starcomp.extend import (
-    Candidate,
     EngineRestrictionError,
     IncompatiblePairError,
     MuIsEigenvalueError,
@@ -60,9 +57,9 @@ class TestEnumerateCandidates:
     def test_split_2_2(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        assert [c.vertices for c in cands] == [(0, 2, 3), (1, 2, 3)]
+        assert cands == [(0, 2, 3), (1, 2, 3)]
         assert all(split_type(c, 2) == (1, 2) for c in cands)
-        assert [c.vertices for c in cands] == exhaustive_candidates(h, -2, True)
+        assert cands == exhaustive_candidates(h, -2, True)
 
     def test_split_2_3_no_candidates(self):
         assert enumerate_candidates(make_complete_split(2, 3), -2, nonmain=True) == []
@@ -74,8 +71,22 @@ class TestEnumerateCandidates:
         masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(500)]
         want = [tuple(v for v in range(n) if (m >> v) & 1) for m in masks]
         assert extend_module._decode_masks(np.array(masks, dtype=np.int64), n) == want
-        assert extend_module._decode_masks(masks, n) == want
+        decoded = extend_module._decode_masks(masks, n)
+        assert decoded == want
+        assert all(type(v) is int for t in decoded for v in t)
         assert extend_module._decode_masks(np.empty(0, dtype=np.int64), n) == []
+
+    @pytest.mark.parametrize("scan", ["int64", "exact"])
+    def test_candidates_are_ascending_tuples_of_plain_ints(self, monkeypatch, scan):
+        # the rows cli.write_json writes in one pass: a list of nonempty
+        # tuples of plain ints (no numpy scalars), each strictly ascending
+        if scan == "exact":
+            monkeypatch.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+        cands = enumerate_candidates(make_complete_split(6, 5), -2, nonmain=False)
+        assert type(cands) is list and len(cands) == 385
+        assert all(type(c) is tuple and c for c in cands)
+        assert all(type(v) is int for c in cands for v in c)
+        assert all(a < b for c in cands for a, b in zip(c, c[1:]))
 
     def test_lex_order_matches_sorted_tuples(self):
         # three decode chunks at n = 23; the first and last vertex alone,
@@ -104,7 +115,7 @@ class TestEnumerateCandidates:
         random.Random(6).shuffle(perm)
         h = relabel(make_complete_split(6, 5), perm)
         for mu, nonmain in [(-2, False), (1, True)]:
-            got = [c.vertices for c in enumerate_candidates(h, mu, nonmain=nonmain)]
+            got = enumerate_candidates(h, mu, nonmain=nonmain)
             assert got == exhaustive_candidates(h, mu, nonmain)
             assert len(got) == {-2: 385, 1: 60}[mu]
 
@@ -113,21 +124,18 @@ class TestEnumerateCandidates:
         cands = enumerate_candidates(h, -3, nonmain=True)
         assert len(cands) == 5
         assert all(split_type(c, 5) == (1, 3) for c in cands)
-        assert [c.vertices for c in cands] == exhaustive_candidates(h, -3, True)
+        assert cands == exhaustive_candidates(h, -3, True)
 
     def test_generic_graph_matches_oracle(self):
         for h, mu in [(cycle_graph(5), -2), (path_graph(4), -2), (cycle_graph(5), 3)]:
             for nonmain in (True, False):
-                got = [
-                    c.vertices
-                    for c in enumerate_candidates(h, mu, nonmain=nonmain)
-                ]
+                got = enumerate_candidates(h, mu, nonmain=nonmain)
                 assert got == exhaustive_candidates(h, mu, nonmain)
 
     def test_rational_mu_exact_path(self):
         h = cycle_graph(5)
         mu = Fraction(5, 2)
-        got = [c.vertices for c in enumerate_candidates(h, mu, nonmain=False)]
+        got = enumerate_candidates(h, mu, nonmain=False)
         assert got == exhaustive_candidates(h, mu, False)
 
     def test_candidates_distinct_nonempty(self):
@@ -137,8 +145,8 @@ class TestEnumerateCandidates:
             (cycle_graph(5), -2),
         ]:
             cands = enumerate_candidates(h, mu, nonmain=False)
-            assert all(c.vertices for c in cands)
-            assert len({c.vertices for c in cands}) == len(cands)
+            assert all(cands)
+            assert len(set(cands)) == len(cands)
 
     def test_mu_zero_and_minus_one_rejected(self):
         with pytest.raises(EngineRestrictionError):
@@ -172,7 +180,7 @@ class TestEnumerateCandidates:
         cands = enumerate_candidates(h, mu, nonmain=nonmain)
         assert cands or s + t < 18
         assert Counter(split_type(c, s) for c in cands) == want
-        assert [c.vertices for c in cands] == sorted({c.vertices for c in cands})
+        assert cands == sorted(set(cands))
 
     @pytest.mark.parametrize("nonmain", [False, True])
     @pytest.mark.parametrize(
@@ -204,7 +212,7 @@ class TestEnumerateCandidates:
         assert set(calls) == {"exact"}
         assert exact == fast
         if s + t <= 8:
-            assert [c.vertices for c in exact] == exhaustive_candidates(h, mu, nonmain)
+            assert exact == exhaustive_candidates(h, mu, nonmain)
 
     def test_exact_and_int64_scans_find_candidates(self):
         # the differential cases above are not all vacuous
@@ -238,43 +246,29 @@ class TestEnumerateCandidates:
 class TestPairClass:
     def test_split_2_2_pair_adjacent(self):
         h = make_complete_split(2, 2)
-        u, v = enumerate_candidates(h, -2, nonmain=True)
-        assert pair_class(h, -2, u, v) is PairClass.ADJACENT
+        table = build_compat_graph(h, -2, enumerate_candidates(h, -2, nonmain=True))
+        assert table.adjacent[0, 1] and table.compat[0, 1]
 
     def test_split_5_3_incompatible(self):
         h = make_complete_split(5, 3)
-        cands = enumerate_candidates(h, -3, nonmain=True)
-        assert pair_class(h, -3, cands[0], cands[1]) is PairClass.INCOMPATIBLE
+        table = build_compat_graph(h, -3, enumerate_candidates(h, -3, nonmain=True)[:2])
+        assert not table.compat[0, 1]
 
     def test_self_pair_incompatible(self):
         h = make_complete_split(2, 2)
         u, _ = enumerate_candidates(h, -2, nonmain=True)
-        assert pair_class(h, -2, u, u) is PairClass.INCOMPATIBLE
+        # <b, b> = mu = -2: two copies of one candidate cannot coexist
+        table = build_compat_graph(h, -2, [u, u])
+        assert not table.compat.any() and not table.adjacent.any()
 
     @pytest.mark.parametrize("bad", [(-1,), (9,), (0, 6)])
     def test_out_of_range_candidate_rejected(self, bad):
         # -1 would index vertex 5 and 9 would raise numpy's IndexError
         h = make_complete_split(3, 3)
         with pytest.raises(ValueError, match=r"out of range for n=6"):
-            pair_class(h, -3, Candidate(bad), Candidate((0,)))
+            build_compat_graph(h, -3, [bad, (0,)])
         with pytest.raises(ValueError, match=r"out of range for n=6"):
-            build_compat_graph(h, -3, [Candidate((0,)), Candidate(bad)])
-
-    def test_classification_matches_exact_values(self):
-        h = cycle_graph(5)
-        mu = -2
-        cands = enumerate_candidates(h, mu, nonmain=False)
-        ones = np.ones(h.n, dtype=object)
-        for u in cands:
-            for v in cands:
-                value = resolvent_bilinear(h, mu, u.vector(h.n), v.vector(h.n))
-                cls = pair_class(h, mu, u, v)
-                if value == -1:
-                    assert cls is PairClass.ADJACENT
-                elif value == 0:
-                    assert cls is PairClass.NONADJACENT
-                else:
-                    assert cls is PairClass.INCOMPATIBLE
+            build_compat_graph(h, -3, [(0,), bad])
 
 
 class TestCompatTable:
@@ -282,9 +276,7 @@ class TestCompatTable:
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
         table = build_compat_graph(h, -2, cands)
-        assert table.pair(0, 1) is PairClass.ADJACENT
-        assert table.pair(1, 0) is PairClass.ADJACENT
-        assert table.pair(0, 0) is PairClass.INCOMPATIBLE
+        assert table.adjacent.tolist() == table.compat.tolist() == [[False, True], [True, False]]
 
     def test_empty(self):
         table = build_compat_graph(make_complete_split(2, 2), -2, [])
@@ -298,7 +290,7 @@ class TestCompatTable:
         for i in range(5):
             for j in range(5):
                 if i != j:
-                    assert table.pair(i, j) is PairClass.INCOMPATIBLE
+                    assert not table.compat[i, j]
         assert maximal_cliques(table) == [(i,) for i in range(5)]
         assert maximal_cliques(table, 5) == [(i,) for i in range(5)]
         with pytest.raises(BudgetExceededError, match="^more than 4 maximal cliques exceeds budget 4$"):
@@ -313,16 +305,20 @@ class TestCompatTable:
 
     @pytest.mark.parametrize("mu", [-2, Fraction(-5, 2)])
     def test_table_matches_exact_values(self, mu):
-        # the one-product table, entry by entry, against resolvent_bilinear
+        # the one-product table, entry by entry, against resolvent_bilinear:
+        # every 1..3-subset of C_5, then C_5's five candidates at mu = -2
+        # (none at a rational mu)
         h = cycle_graph(5)
-        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
+        cands += enumerate_candidates(h, mu, nonmain=False)
+        assert len(cands) == 25 + 5 * (mu == -2)
         table = build_compat_graph(h, mu, cands)
-        by_value = {-1: PairClass.ADJACENT, 0: PairClass.NONADJACENT}
-        for i, u in enumerate(cands):
-            for j, v in enumerate(cands):
-                value = resolvent_bilinear(h, mu, u.vector(5), v.vector(5))
-                want = by_value.get(value, PairClass.INCOMPATIBLE) if i != j else PairClass.INCOMPATIBLE
-                assert table.pair(i, j) is want
+        assert [tuple(np.flatnonzero(row)) for row in table.attachment] == cands
+        for i in range(len(cands)):
+            for j in range(len(cands)):
+                value = resolvent_bilinear(h, mu, table.attachment[i], table.attachment[j])
+                assert table.adjacent[i, j] == (i != j and value == -1)
+                assert table.compat[i, j] == (i != j and value in (-1, 0))
 
     @staticmethod
     def compare_with_bilinear(h, mu, extra_masks=()):
@@ -330,22 +326,19 @@ class TestCompatTable:
         maximal clique's assembled graph against the table; return the
         number of star-vertex pairs and edges the assemblies checked."""
         n = h.n
-        incompatible = PairClass.INCOMPATIBLE
-        by_value = {-1: PairClass.ADJACENT, 0: PairClass.NONADJACENT}
         cands = enumerate_candidates(h, mu, nonmain=False)
         # arbitrary subsets as well, so that every class shows up
         extra = [
-            Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
+            tuple(v for v in range(n) if (mask >> v) & 1)
             for mask in (m % (1 << n) or 1 for m in extra_masks)
         ]
         mixed = build_compat_graph(h, mu, cands + extra)
-        vecs = [c.vector(n) for c in mixed.candidates]
+        vecs = [np.isin(range(n), c).astype(np.uint8) for c in mixed.candidates]
         for i, u in enumerate(vecs):
             for j, v in enumerate(vecs):
                 value = resolvent_bilinear(h, mu, u, v)
-                want = by_value.get(value, incompatible) if i != j else incompatible
-                assert mixed.pair(i, j) is want
-                assert mixed.compatible(i, j) is (want is not incompatible)
+                assert mixed.adjacent[i, j] == (i != j and value == -1)
+                assert mixed.compatible(i, j) is (i != j and value in (-1, 0))
         table = build_compat_graph(h, mu, cands)
         pairs = edges = 0
         for clique in maximal_cliques(table):
@@ -353,9 +346,9 @@ class TestCompatTable:
             assert star == tuple(range(n, n + len(clique)))
             assert np.array_equal(g.adj[:n, :n], h.adj)
             for a, i in enumerate(clique):
-                assert np.array_equal(g.adj[n + a, :n], cands[i].vector(n))
+                assert np.array_equal(g.adj[n + a, :n], np.isin(range(n), cands[i]))
                 for b, j in enumerate(clique[a + 1:], a + 1):
-                    adjacent = table.pair(i, j) is PairClass.ADJACENT
+                    adjacent = bool(table.adjacent[i, j])
                     assert bool(g.adj[n + a, n + b]) is adjacent
                     pairs += 1
                     edges += adjacent
@@ -419,13 +412,13 @@ class TestCompatTable:
         assert self.int64_and_exact_tables(monkeypatch, h, mu, cands) == [np.int64, object]
 
     def test_int64_table_matches_exact_table_on_cycle(self, monkeypatch):
-        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
         chosen = self.int64_and_exact_tables(monkeypatch, cycle_graph(5), -2, cands)
         assert chosen == [np.int64, object]
 
     def test_rational_mu_table_is_exact(self, monkeypatch):
         # R' holds Fractions for a rational mu: the overflow rule is not asked
-        cands = [Candidate(c) for k in (1, 2, 3) for c in combinations(range(5), k)]
+        cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
         for h in (cycle_graph(5), make_complete_split(4, 8)):
             assert self.int64_and_exact_tables(monkeypatch, h, Fraction(-5, 2), cands) == []
 
@@ -445,7 +438,7 @@ class TestCompatTable:
             h = random_graph(n, rng)
             assume(eig_multiplicity(h, mu) == 0)
             cands = enumerate_candidates(h, mu, nonmain=False) + [
-                Candidate(tuple(v for v in range(n) if (mask >> v) & 1))
+                tuple(v for v in range(n) if (mask >> v) & 1)
                 for mask in (m % (1 << n) or 1 for m in extra)
             ]
             chosen = self.int64_and_exact_tables(monkeypatch, h, mu, cands)
@@ -498,6 +491,18 @@ class TestAssemble:
             assert g == checked and hash(g) == hash(checked)
             assert write_graph6(g) == write_graph6(checked)
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_table_rejected(self, index):
+        # -1 would wrap to the last candidate and 3 raise numpy's IndexError
+        h = make_complete_split(3, 2)
+        table = build_compat_graph(h, -2, enumerate_candidates(h, -2, nonmain=True))
+        assert len(table.candidates) == 3
+        message = f"clique [{index}] has an index outside [0, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assemble_graph(table, [index])
+        with pytest.raises(ValueError, match="outside"):
+            assemble_graph(table, [0, index])
+
     def test_incompatible_rejected(self):
         h = make_complete_split(5, 3)
         cands = enumerate_candidates(h, -3, nonmain=True)
@@ -507,15 +512,16 @@ class TestAssemble:
     def test_incompatible_reports_first_pair(self):
         # the error names the first incompatible pair in (i, j) order
         h = make_complete_split(2, 2)
-        chosen = enumerate_candidates(h, -2, nonmain=True) + [Candidate((0,)), Candidate((1,))]
-        vecs = [c.vector(h.n) for c in chosen]
+        chosen = enumerate_candidates(h, -2, nonmain=True) + [(0,), (1,)]
+        table = build_compat_graph(h, -2, chosen)
+        vecs = table.attachment
         i, j = next(
             (i, j) for i, j in combinations(range(len(chosen)), 2)
             if resolvent_bilinear(h, -2, vecs[i], vecs[j]) not in (-1, 0)
         )
-        message = f"candidates {chosen[i].vertices} and {chosen[j].vertices} cannot"
+        message = f"candidates {chosen[i]} and {chosen[j]} cannot"
         with pytest.raises(IncompatiblePairError, match=re.escape(message)):
-            assemble_graph(build_compat_graph(h, -2, chosen), range(len(chosen)))
+            assemble_graph(table, range(len(chosen)))
 
 
 class TestMuInSpectrum:
@@ -531,14 +537,9 @@ class TestMuInSpectrum:
     )
     def test_pair_class_and_assemble_reject_eigenvalue(self, h, mu):
         assert eig_multiplicity(h, mu) > 0
-        u, v = Candidate((0,)), Candidate((1, 2))
-        message = "is an eigenvalue of the star complement"
-        with pytest.raises(MuIsEigenvalueError, match=message):
-            pair_class(h, mu, u, v)
-        with pytest.raises(MuIsEigenvalueError, match=message):
-            assemble_graph(build_compat_graph(h, mu, [u, v]), (0, 1))
-        with pytest.raises(MuIsEigenvalueError, match=message):
-            build_compat_graph(h, mu, [u, v])
+        # the table, which every pair class and assembly reads, refuses mu
+        with pytest.raises(MuIsEigenvalueError, match="is an eigenvalue of the star complement"):
+            build_compat_graph(h, mu, [(0,), (1, 2)])
 
 
 class TestMaximalExtensions:
@@ -769,11 +770,11 @@ class TestOracleCompleteness:
             if all(
                 table.compatible(i, j) for i, j in combinations(idxs, 2)
             ):
-                masks = tuple(sum(1 << v for v in cands[i].vertices) for i in idxs)
+                masks = tuple(sum(1 << v for v in cands[i]) for i in idxs)
                 adjacency = frozenset(
                     (a, b)
                     for a, b in combinations(range(k), 2)
-                    if table.pair(idxs[a], idxs[b]) is PairClass.ADJACENT
+                    if table.adjacent[idxs[a], idxs[b]]
                 )
                 out.add(attachment_pattern(masks, adjacency))
         return out

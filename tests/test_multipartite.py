@@ -11,6 +11,7 @@ from starcomp import (
     Polynomial,
     TypeVector,
     adjacency_matrix,
+    build_compat_graph,
     closed_bilinear,
     coeffs,
     enumerate_candidates,
@@ -204,11 +205,8 @@ class TestClosedBilinear:
 
 class TestPairClassAgreement:
     def test_pair_class_matches_closed_form(self):
-        # the generic pairwise classification and the split-graph closed form
-        # must sort every pair into the same bucket
-        from starcomp import Candidate, pair_class
-        from starcomp.extend import PairClass
-
+        # the generic pairwise classification (the two masks of a table) and
+        # the split-graph closed form must sort every pair into the same bucket
         rng = random.Random(55)
         done = 0
         while done < 120:
@@ -223,8 +221,7 @@ class TestPairClassAgreement:
             y2 = set(rng.sample(range(s), rng.randint(0, s)))
             z1 = set(rng.sample(range(s, s + t), rng.randint(0, t)))
             z2 = set(rng.sample(range(s, s + t), rng.randint(0, t)))
-            u = Candidate(tuple(sorted(y1 | z1)))
-            v = Candidate(tuple(sorted(y2 | z2)))
+            u, v = tuple(sorted(y1 | z1)), tuple(sorted(y2 | z2))
             scaled = closed_bilinear(
                 spec,
                 mu,
@@ -234,13 +231,9 @@ class TestPairClassAgreement:
                 len(z1 & z2),
             )
             m_mu = minpoly_formula(spec)(mu)
-            if scaled == -m_mu:
-                expected = PairClass.ADJACENT
-            elif scaled == 0:
-                expected = PairClass.NONADJACENT
-            else:
-                expected = PairClass.INCOMPATIBLE
-            assert pair_class(h, mu, u, v) is expected
+            table = build_compat_graph(h, mu, [u, v])
+            assert table.adjacent[0, 1] == (scaled == -m_mu)
+            assert table.compat[0, 1] == (scaled in (-m_mu, 0))
 
 
 class TestConstraints:

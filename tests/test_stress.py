@@ -31,9 +31,7 @@ from starcomp import (
     write_graph6,
 )
 from starcomp.extend import (
-    Candidate,
     CompatTable,
-    PairClass,
     all_cliques,
     build_compat_graph,
     maximal_cliques,
@@ -184,7 +182,7 @@ def relation_table(neighbors, n):
     for a in range(n):
         compat[a, list(neighbors[a])] = True
     return CompatTable(
-        Graph(1), Fraction(1), tuple(Candidate((0,)) for _ in range(n)),
+        Graph(1), Fraction(1), ((0,),) * n,
         np.ones((n, 1), dtype=np.uint8), np.zeros((n, n), dtype=bool), compat,
     )
 
