@@ -270,6 +270,21 @@ class TestPairClass:
         with pytest.raises(ValueError, match=r"out of range for n=6"):
             build_compat_graph(h, -3, [(0,), bad])
 
+    def test_classification_matches_exact_values(self):
+        # C_5's five candidates at mu = -2: each pair's class, read from the
+        # table's masks, against resolvent_bilinear; a candidate with itself
+        # has <b, b> = mu and is incompatible
+        h = cycle_graph(5)
+        mu = -2
+        cands = enumerate_candidates(h, mu, nonmain=False)
+        assert len(cands) == 5
+        table = build_compat_graph(h, mu, cands)
+        for i in range(len(cands)):
+            for j in range(len(cands)):
+                value = resolvent_bilinear(h, mu, table.attachment[i], table.attachment[j])
+                assert table.adjacent[i, j] == (value == -1)
+                assert table.compat[i, j] == (value in (-1, 0))
+
 
 class TestCompatTable:
     def test_2_2_table(self):
@@ -305,13 +320,9 @@ class TestCompatTable:
 
     @pytest.mark.parametrize("mu", [-2, Fraction(-5, 2)])
     def test_table_matches_exact_values(self, mu):
-        # the one-product table, entry by entry, against resolvent_bilinear:
-        # every 1..3-subset of C_5, then C_5's five candidates at mu = -2
-        # (none at a rational mu)
+        # the one-product table, entry by entry, against resolvent_bilinear
         h = cycle_graph(5)
         cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
-        cands += enumerate_candidates(h, mu, nonmain=False)
-        assert len(cands) == 25 + 5 * (mu == -2)
         table = build_compat_graph(h, mu, cands)
         assert [tuple(np.flatnonzero(row)) for row in table.attachment] == cands
         for i in range(len(cands)):
