@@ -15,19 +15,26 @@ ints' texts from an int-to-text table, driven by map, so no Python code
 runs per row or per int.  Each command returns its text lines as a lazy iterable, so they are
 only formatted in text mode.
 
+The command line is read from one table, COMMANDS, which also writes the
+usage and the help: --opt value or --opt=value (a dash-led value needs the =
+form unless it is a negative number), unique prefixes, the last repetition
+winning, --format before the command, -h on every command.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
 SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from itertools import chain, repeat
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
+from . import __version__
 from .extend import check_subset_budget, enumerate_candidates, maximal_extensions
 from .graphs import MAX_VERTICES, Graph, Graph6Error, make_cocktail, make_complete_split
 from .graphs import parse_graph6, write_graph6
@@ -53,12 +60,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by 
 
 class UsageError(ValueError):
     pass
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def load_graph(spec: str, budget: Optional[int] = None) -> Graph:
@@ -133,14 +134,17 @@ def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _check_threads(args) -> None:
-    """--threads must be at least 1; every search runs on one thread anyway."""
+def _check_counts(args) -> None:
+    """--threads must be at least 1 (every search runs on one thread anyway) and --budget,
+    on the commands that take it, at least 0."""
     if args.threads < 1:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
+    if getattr(args, "budget", 0) < 0:
+        raise ValueError(f"budget must be at least 0, got {args.budget}")
 
 
 def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
-    _check_threads(args)
+    _check_counts(args)
     g = load_graph(args.graph)
     mu = parse_rational(args.mu)
     stars = find_star_sets(g, mu, budget=args.budget)
@@ -165,7 +169,7 @@ def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
 
 
 def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
-    _check_threads(args)
+    _check_counts(args)
     h = load_graph(args.graph, args.budget)
     mu = parse_rational(args.mu)
     cands = enumerate_candidates(h, mu, nonmain=args.nonmain, budget=args.budget)
@@ -187,7 +191,7 @@ def cmd_candidates(args) -> tuple[dict, Iterable[str], int]:
 
 
 def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
-    _check_threads(args)
+    _check_counts(args)
     h = load_graph(args.graph, args.budget)
     mu = parse_rational(args.mu)
     report = maximal_extensions(
@@ -224,7 +228,7 @@ def _branch_lines(b) -> Iterable[str]:
 
 
 def cmd_theorem(args) -> tuple[dict, Iterable[str], int]:
-    _check_threads(args)
+    _check_counts(args)
     report = theorem_check(args.s, args.t_max)
     payload = report.to_json()
     lines = chain(
@@ -263,69 +267,147 @@ def cmd_explore(args) -> tuple[dict, Iterable[str], int]:
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Driver: one table is the grammar, the usage and the help
 # ---------------------------------------------------------------------------
 
+_GRAPH = ("--graph", str, None, "graph6 string, split:s,t, or cocktail:p")
+_THREADS = ("--threads", int, 1, "at least 1, otherwise ignored: every search runs on one thread")
+_SEARCH = (_GRAPH, ("--mu", str, None, "rational eigenvalue, p or p/q"),
+           ("--budget", int, DEFAULT_BUDGET, "subset-test budget"), _THREADS)
+_NONMAIN = ("--nonmain", bool, False, "require <b, j> = -1")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="starcomp",
-        description="Exact star-complement toolkit for graph eigenvalue structure.",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, help line and options; the None entry is the command line before
+# the command.  An option is (name, type, default, help): str, int or a tuple of the values
+# allowed take a value, bool is a flag, and a default of None makes the option required.
+COMMANDS = {
+    None: (None, "Exact star-complement toolkit for graph eigenvalue structure.", (
+        ("--format", ("text", "json"), "text", "output format"),
+        ("--version", "version", False, "print the version and exit"))),
+    "spectrum": (cmd_spectrum, "factored characteristic polynomial with main/non-main tags",
+                 (_GRAPH,)),
+    "starsets": (cmd_starsets, "exhaustive star-set search for an eigenvalue", _SEARCH),
+    "candidates": (cmd_candidates, "enumerate attachment candidates for a star complement",
+                   (*_SEARCH, _NONMAIN)),
+    "extend": (cmd_extend, "maximal graphs with the given star complement", (
+        *_SEARCH, _NONMAIN, ("--regular-only", bool, False, "keep only regular graphs"),
+        ("--include-nonmaximal", bool, False,
+         "also report graphs from non-maximal candidate cliques (counted against --budget)"))),
+    "theorem": (cmd_theorem, "run the cocktail-party classification check", (
+        ("--s", int, None, "clique size of the star complement"),
+        ("--t-max", int, None, "check t = 2..t_max with mu = -t"), _THREADS)),
+    "explore": (cmd_explore, "integer solutions of the two type constraints", (
+        ("--s", str, None, "clique-size range lo..hi (lo >= 2)"),
+        ("--t", str, None, "independent-part range lo..hi (lo >= 2)"),
+        ("--mu", str, None, "integer eigenvalue range lo..hi"))),
+}
+_HELP = ("-h, --help", "help", False, "print this help and exit")
 
-    threads_help = "at least 1, otherwise ignored: every search runs on one thread"
+# A dash-led argument is an option, known or not, unless it is "-", holds a
+# space or is a negative number by this pattern, the standard library's.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def add_common(p, mu=True):
-        p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
-        if mu:
-            p.add_argument("--mu", required=True, help="rational eigenvalue, p or p/q")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="subset-test budget")
-        p.add_argument("--threads", type=int, default=1, help=threads_help)
 
-    p = sub.add_parser("spectrum", help="factored characteristic polynomial with main/non-main tags")
-    p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
-    p.set_defaults(func=cmd_spectrum)
+def _spell(option) -> str:
+    name, kind = option[:2]
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {name[2:].upper().replace('-', '_')}" if kind in (str, int) else name
 
-    p = sub.add_parser("starsets", help="exhaustive star-set search for an eigenvalue")
-    add_common(p)
-    p.set_defaults(func=cmd_starsets)
 
-    p = sub.add_parser("candidates", help="enumerate attachment candidates for a star complement")
-    add_common(p)
-    p.add_argument("--nonmain", action="store_true", help="require <b, j> = -1")
-    p.set_defaults(func=cmd_candidates)
+def _usage(command: Optional[str]) -> str:
+    words = [_spell(o) if o[2] is None else f"[{_spell(o)}]" for o in COMMANDS[command][2]]
+    head = "starcomp" if command is None else f"starcomp {command}"
+    return f"usage: {head} [-h] {' '.join(words)}" + (" COMMAND ..." if command is None else "")
 
-    p = sub.add_parser("extend", help="maximal graphs with the given star complement")
-    add_common(p)
-    p.add_argument("--nonmain", action="store_true", help="require <b, j> = -1")
-    p.add_argument("--regular-only", action="store_true", help="keep only regular graphs")
-    p.add_argument(
-        "--include-nonmaximal",
-        action="store_true",
-        help="also report graphs from non-maximal candidate cliques (counted against --budget)",
-    )
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("theorem", help="run the cocktail-party classification check")
-    p.add_argument("--s", type=int, required=True, help="clique size of the star complement")
-    p.add_argument("--t-max", type=int, required=True, help="check t = 2..t_max with mu = -t")
-    p.add_argument("--threads", type=int, default=1, help=threads_help)
-    p.set_defaults(func=cmd_theorem)
+def _help(command: Optional[str]) -> str:
+    _, blurb, options = COMMANDS[command]
+    rows = [(name, c[1]) for name, c in COMMANDS.items() if name and command is None]
+    rows += [(_spell(o), o[3]) for o in (_HELP, *options)]
+    width = 2 + max(len(left) for left, _ in rows)
+    return "\n".join([_usage(command), "", blurb, "", *(f"  {a:<{width}}{b}" for a, b in rows)])
 
-    p = sub.add_parser("explore", help="integer solutions of the two type constraints")
-    p.add_argument("--s", required=True, help="clique-size range lo..hi (lo >= 2)")
-    p.add_argument("--t", required=True, help="independent-part range lo..hi (lo >= 2)")
-    p.add_argument("--mu", required=True, help="integer eigenvalue range lo..hi")
-    p.set_defaults(func=cmd_explore)
 
-    return parser
+def _fail(command: Optional[str], message: str):
+    prog = "starcomp" if command is None else f"starcomp {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _read(arg: str, table: dict, command: Optional[str]):
+    """None if arg is a value, else (option, its "=" text or None); option "" if unknown."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in table:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in table:
+        return name, value
+    if arg[1] != "-":  # -hh... repeats -h; any other tail is a value given to -h
+        hits = ["-h"] if arg[1] == "h" else []
+        eq, value = arg.strip("h") != "-", arg[2:]
+    else:  # a unique prefix names its option
+        hits = [n for n in table if n.startswith(name)]
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else ("", None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv as a namespace: format, command, func (its handler) and one attribute per option
+    of the command (--t-max is t_max); SystemExit 0 after -h or --version, 2 after a usage
+    error.  All arguments are read against the options before the command, and those after
+    it against the command's, before any is applied; stray values, unknown options and all
+    from "--" on are an error once every option is applied."""
+    args, ns, extras, seen = list(argv), SimpleNamespace(format="text", command=None), [], set()
+    end = args.index("--") if "--" in args else len(args)
+    command, table = None, {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in COMMANDS[None][2]}}
+    hits, i = [_read(arg, table, None) for arg in args[:end]], 0
+    while i < end:
+        hit, i = hits[i], i + 1
+        if hit is None and command is None:
+            if args[i - 1] not in COMMANDS:
+                _fail(None, f"invalid command {args[i - 1]!r}: starcomp -h lists them")
+            ns.command = command = args[i - 1]
+            ns.func, _, options = COMMANDS[command]
+            table = {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in options}}
+            ns.__dict__.update((o[0][2:].replace("-", "_"), o[2]) for o in options)
+            hits[i:] = [_read(arg, table, command) for arg in args[i:end]]
+            continue
+        if hit is None or not hit[0]:
+            extras.append(args[i - 1])
+            continue
+        (name, value), kind = hit, table[hit[0]][1]
+        if kind in (bool, "help", "version"):
+            if value is not None:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            if kind is not bool:
+                print(_help(command) if kind == "help" else f"starcomp {__version__}")
+                raise SystemExit(EXIT_OK)
+            value = True
+        elif value is None:
+            if i == end or hits[i] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            value, i = args[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"argument {name}: invalid int value: {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            _fail(command, f"argument {name}: {value!r} is not one of {', '.join(kind)}")
+        setattr(ns, name[2:].replace("-", "_"), value)
+        seen.add(name)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [o[0] for o in COMMANDS[command][2] if o[2] is None and o[0] not in seen]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras or end < len(args):
+        _fail(None, f"unrecognized arguments: {' '.join(extras + args[end:])}")
+    return ns
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -423,8 +505,7 @@ def _error_kind(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         payload, lines, code = args.func(args)
     except _USAGE_ERRORS as exc:

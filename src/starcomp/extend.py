@@ -223,11 +223,13 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> C
     """Classify every candidate pair with one product C R' C^T, compared
     against -m(mu) and 0, in the dtype kernels.int_dtype proves safe for an
     integral mu and over Python ints otherwise.  ValueError if a candidate
-    has a vertex outside H."""
+    has a vertex outside H or is not strictly ascending (its row's order)."""
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=np.uint8)
     for i, cand in enumerate(candidates):
-        c[i, list(vertex_set(h, cand, "candidate"))] = 1
+        if (row := vertex_set(h, cand, "candidate")) != tuple(cand):
+            raise ValueError(f"candidate {tuple(cand)} is not strictly ascending")
+        c[i, list(row)] = 1
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
     compat = adjacent.copy()
     if candidates:

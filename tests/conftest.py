@@ -13,7 +13,9 @@ maximal extensions without the symmetry reduction, assembling every
 clique, and canonical codes from the whole individualization-refinement
 tree with no automorphism pruning, refined by the classic colour numbering
 (each round re-ranks every vertex by its old colour and sorted neighbour
-colours) instead of the package's ordered cells.
+colours) instead of the package's ordered cells.  The command line is parsed
+by the argparse parser the package was first built with, instead of its own
+table.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -26,6 +28,7 @@ against these formulas.
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -53,9 +56,19 @@ from starcomp import (
     make_complete_split,
     resolvent_bilinear,
 )
+from starcomp import __version__
+from starcomp.cli import (
+    cmd_candidates,
+    cmd_explore,
+    cmd_extend,
+    cmd_spectrum,
+    cmd_starsets,
+    cmd_theorem,
+)
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
 from starcomp.graphs import MAX_VERTICES, Graph6Error
 from starcomp.multipartite import MuIsSplitEigenvalueError
+from starcomp.starsets import DEFAULT_BUDGET
 
 
 def fraction_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -597,6 +610,76 @@ def _attach(h: Graph, base_edges, masks, internal) -> Graph:
 
 def split_graph_corpus() -> list[Graph]:
     return [make_complete_split(s, t) for s in (2, 3) for t in (2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The command line as argparse built it
+# ---------------------------------------------------------------------------
+
+
+def _version() -> str:
+    return __version__
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="starcomp",
+        description="Exact star-complement toolkit for graph eigenvalue structure.",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {_version()}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    threads_help = "at least 1, otherwise ignored: every search runs on one thread"
+
+    def add_common(p, mu=True):
+        p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
+        if mu:
+            p.add_argument("--mu", required=True, help="rational eigenvalue, p or p/q")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="subset-test budget")
+        p.add_argument("--threads", type=int, default=1, help=threads_help)
+
+    p = sub.add_parser("spectrum", help="factored characteristic polynomial with main/non-main tags")
+    p.add_argument("--graph", required=True, help="graph6 string, split:s,t, or cocktail:p")
+    p.set_defaults(func=cmd_spectrum)
+
+    p = sub.add_parser("starsets", help="exhaustive star-set search for an eigenvalue")
+    add_common(p)
+    p.set_defaults(func=cmd_starsets)
+
+    p = sub.add_parser("candidates", help="enumerate attachment candidates for a star complement")
+    add_common(p)
+    p.add_argument("--nonmain", action="store_true", help="require <b, j> = -1")
+    p.set_defaults(func=cmd_candidates)
+
+    p = sub.add_parser("extend", help="maximal graphs with the given star complement")
+    add_common(p)
+    p.add_argument("--nonmain", action="store_true", help="require <b, j> = -1")
+    p.add_argument("--regular-only", action="store_true", help="keep only regular graphs")
+    p.add_argument(
+        "--include-nonmaximal",
+        action="store_true",
+        help="also report graphs from non-maximal candidate cliques (counted against --budget)",
+    )
+    p.set_defaults(func=cmd_extend)
+
+    p = sub.add_parser("theorem", help="run the cocktail-party classification check")
+    p.add_argument("--s", type=int, required=True, help="clique size of the star complement")
+    p.add_argument("--t-max", type=int, required=True, help="check t = 2..t_max with mu = -t")
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
+    p.set_defaults(func=cmd_theorem)
+
+    p = sub.add_parser("explore", help="integer solutions of the two type constraints")
+    p.add_argument("--s", required=True, help="clique-size range lo..hi (lo >= 2)")
+    p.add_argument("--t", required=True, help="independent-part range lo..hi (lo >= 2)")
+    p.add_argument("--mu", required=True, help="integer eigenvalue range lo..hi")
+    p.set_defaults(func=cmd_explore)
+
+    return parser
 
 
 # ---------------------------------------------------------------------------

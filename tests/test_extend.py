@@ -270,6 +270,13 @@ class TestPairClass:
         with pytest.raises(ValueError, match=r"out of range for n=6"):
             build_compat_graph(h, -3, [(0,), bad])
 
+    @pytest.mark.parametrize("bad", [(3, 1, 1), (1, 0)])
+    def test_unsorted_candidate_rejected(self, bad):
+        # its attachment row would be {1, 3} or {0, 1}, not the tuple kept
+        h = cycle_graph(5)
+        with pytest.raises(ValueError, match=re.escape(f"candidate {bad} is not strictly ascending")):
+            build_compat_graph(h, -2, [bad, (0,)])
+
     def test_classification_matches_exact_values(self):
         # C_5's five candidates at mu = -2: each pair's class, read from the
         # table's masks, against resolvent_bilinear; a candidate with itself
