@@ -20,10 +20,13 @@ Every pair of leaves with equal codes yields an automorphism, and the
 search prunes with it as nauty does: it backjumps to the two leaves' deepest
 common ancestor, and it skips a child lying in the orbit of an explored
 sibling under the automorphisms found so far that fix the node's prefix.
-Both rules skip only automorphic images of explored subtrees, so the
-minimum code, and with it the canonical graph6, is the one the unpruned
-tree gives.  The supported bound is n <= 64, far above anything the search
-engine produces.
+It also skips a child that is a twin of an explored sibling: the two share
+an open or a closed neighbourhood, so swapping them is an automorphism that
+fixes every other vertex.  K_s + tK_1 is two twin classes, and the graphs
+built on it keep large ones.  All three rules skip only automorphic images
+of explored subtrees, so the minimum code, and with it the canonical
+graph6, is the one the unpruned tree gives.  The supported bound is
+n <= 64, far above anything the search engine produces.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._adj, other._adj)
+        return self is other or self.n == other.n and self._adj.tobytes() == other._adj.tobytes()
 
     def __hash__(self) -> int:
         return self._hash
@@ -239,11 +242,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
     idx = np.array(vertex_set(g, vertices), dtype=np.intp)
     return Graph._of(g.adj[idx][:, idx])
-
-
-def delete_vertices(g: Graph, vertices: Sequence[int]) -> Graph:
-    drop = set(int(v) for v in vertices)
-    return induced_subgraph(g, [v for v in range(g.n) if v not in drop])
 
 
 def is_regular(g: Graph) -> Optional[int]:
@@ -465,9 +463,14 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
     - Orbit pruning.  A node skips child w when w lies in the orbit of an
       explored sibling under the group generated by the recorded
       automorphisms that fix the node's prefix pointwise (_merge_orbits).
+    - Twin pruning.  A node skips child w when an explored sibling u is a
+      twin of w (one open or one closed neighbourhood, found once per
+      graph).  Both lie in the nontrivial target cell, so neither is in
+      the prefix, and the transposition (u w) is an automorphism that
+      fixes the prefix and maps u's subtree onto w's.
 
-    Both rules skip only automorphic images of explored subtrees, which hold
-    the same multiset of leaf codes, so the minimum code is unchanged; the
+    All three rules skip only automorphic images of explored subtrees, which
+    hold the same multiset of leaf codes, so the minimum code is unchanged; the
     code fixes the relabeled adjacency, so the graph6 built from whichever
     minimal leaf is kept is unchanged too.  Returns the code as an int and
     that leaf's vertex order (position -> vertex).
@@ -475,6 +478,13 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
     n = g.n
     adj = g.adj
     nbr = _bitsets(adj)
+    # twin[v]: the first vertex with v's open or closed neighbourhood (an
+    # open one never equals a closed one, so one dict holds both).
+    first: dict[int, int] = {}
+    twin = []
+    for v, row in enumerate(nbr):
+        twin.append(first.get(row, first.get(row | 1 << v, v)))
+        first[row] = first[row | 1 << v] = twin[v]
     upper = np.triu_indices(n, 1)
     best: list = [None, None, ()]  # [code, order, individualized prefix]
     autos: list[tuple[list[int], int]] = []
@@ -512,6 +522,8 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
         parent: Optional[dict[int, int]] = None
         seen = 0
         for w in cell:
+            if any(twin[u] == twin[w] for u in explored):
+                continue
             if seen < len(autos):
                 if parent is None:
                     parent = {v: v for v in cell}

@@ -244,15 +244,3 @@ def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarr
         basis.append(vec)
     return basis
 
-
-def substar_check(g: Graph, mu, star_set: Sequence[int], removed: Sequence[int]) -> bool:
-    """Whether X \\ U remains a star set for mu in G \\ U (U a proper subset of X)."""
-    star = set(vertex_set(g, star_set, "star set"))
-    drop = set(int(v) for v in removed)
-    if not drop <= star:
-        raise ValueError("removed vertices must lie inside the star set")
-    if drop == star:
-        raise ValueError("removed set must be a proper subset of the star set")
-    keep = [v for v in range(g.n) if v not in drop]
-    reduced_star = [i for i, v in enumerate(keep) if v in star]
-    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star).valid

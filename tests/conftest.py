@@ -15,7 +15,8 @@ tree with no automorphism pruning, refined by the classic colour numbering
 (each round re-ranks every vertex by its old colour and sorted neighbour
 colours) instead of the package's ordered cells.  The command line is parsed
 by the argparse parser the package was first built with, instead of its own
-table.
+table.  Two helpers that only tests call live here too: deleting vertices,
+and the sub-star-set check built on the package's certificate.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -55,6 +56,7 @@ from starcomp import (
     kernels,
     make_complete_split,
     resolvent_bilinear,
+    verify_star_set,
 )
 from starcomp import __version__
 from starcomp.cli import (
@@ -66,7 +68,7 @@ from starcomp.cli import (
     cmd_theorem,
 )
 from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
-from starcomp.graphs import MAX_VERTICES, Graph6Error
+from starcomp.graphs import MAX_VERTICES, Graph6Error, vertex_set
 from starcomp.multipartite import MuIsSplitEigenvalueError
 from starcomp.starsets import DEFAULT_BUDGET
 
@@ -185,6 +187,11 @@ def random_graph_with_twins(n: int, twins: int, rng: random.Random) -> Graph:
             adj[u].append(bit)
         adj.append(row + [False])
     return Graph.from_adjacency(np.array(adj, dtype=np.uint8))
+
+
+def delete_vertices(g: Graph, vertices) -> Graph:
+    drop = set(int(v) for v in vertices)
+    return induced_subgraph(g, [v for v in range(g.n) if v not in drop])
 
 
 def bitwise_parse_graph6(text: str) -> Graph:
@@ -490,6 +497,19 @@ def complement_rank_star_sets(g: Graph, mu) -> list[tuple[int, ...]]:
         if fraction_rank([[shifted[i][j] for j in keep] for i in keep]) == len(keep):
             hits.append(star)
     return hits
+
+
+def substar_check(g: Graph, mu, star_set, removed) -> bool:
+    """Whether X \\ U remains a star set for mu in G \\ U (U a proper subset of X)."""
+    star = set(vertex_set(g, star_set, "star set"))
+    drop = set(int(v) for v in removed)
+    if not drop <= star:
+        raise ValueError("removed vertices must lie inside the star set")
+    if drop == star:
+        raise ValueError("removed set must be a proper subset of the star set")
+    keep = [v for v in range(g.n) if v not in drop]
+    reduced_star = [i for i, v in enumerate(keep) if v in star]
+    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star).valid
 
 
 def exhaustive_candidates(h: Graph, mu, nonmain: bool) -> list[tuple[int, ...]]:

@@ -20,11 +20,12 @@ from starcomp import (
     make_complete_split,
     matching_graph,
     parse_graph6,
+    relabel,
     write_graph6,
 )
-from starcomp.graphs import MAX_VERTICES, delete_vertices
+from starcomp.graphs import MAX_VERTICES
 
-from conftest import bitwise_parse_graph6, random_graph
+from conftest import bitwise_parse_graph6, delete_vertices, random_graph
 
 
 class TestGraphBasics:
@@ -97,6 +98,34 @@ class TestGraphBasics:
             assert sub.adj.dtype == np.uint8 and not sub.adj.flags.writeable
             assert sub.adj.tobytes() == ref.adj.tobytes()
             assert write_graph6(sub) == write_graph6(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.randoms(use_true_random=False), st.booleans())
+    def test_equality_tracks_adjacency_across_constructors(self, n, rnd, same):
+        # Graphs built from an edge list, a validated matrix, an induced
+        # slice and a relabelling compare equal, and then hash equal, exactly
+        # when their adjacency matrices match.  Small random graphs often
+        # coincide, so equal but distinct objects are drawn as well.
+        def built(g):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            inverse = sorted(range(g.n), key=perm.__getitem__)
+            padded = disjoint_union(g, Graph(2, [(0, 1)]))
+            return [
+                Graph(g.n, g.edges()),
+                Graph.from_adjacency(g.adj.astype(bool)),
+                induced_subgraph(padded, range(g.n)),
+                relabel(relabel(g, perm), inverse),
+            ]
+
+        g = random_graph(n, rnd)
+        h = g if same else random_graph(n + rnd.randint(0, 1), rnd)
+        graphs = built(g) + built(h)
+        for a in graphs:
+            for b in graphs:
+                assert (a == b) == np.array_equal(a.adj, b.adj)
+                if a == b:
+                    assert hash(a) == hash(b)
 
     def test_graph6_kept_on_graph(self):
         g = make_cocktail(4)

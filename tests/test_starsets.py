@@ -30,7 +30,7 @@ from starcomp import (
 )
 from starcomp import kernels
 from starcomp.linalg import resolvent_inverse
-from starcomp.starsets import _scaled_residual, substar_check
+from starcomp.starsets import _scaled_residual
 
 from conftest import (
     block_residual,
@@ -38,6 +38,7 @@ from conftest import (
     fraction_rank,
     random_graph,
     random_graph_with_twins,
+    substar_check,
 )
 
 PETERSEN = parse_graph6("IheA@GUAo")
