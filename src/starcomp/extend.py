@@ -50,7 +50,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, _bitsets, canonical_form, is_regular, vertex_set, write_graph6
+from .graphs import Graph, _bitsets, _twin_classes, canonical_form, is_regular, vertex_set
+from .graphs import write_graph6
 # eig_multiplicity is not called here; perfbench/tracer.py wraps
 # extend.eig_multiplicity, so the name stays importable from this module.
 from .linalg import (  # noqa: F401
@@ -308,20 +309,17 @@ def all_cliques(table: CompatTable) -> list[tuple[int, ...]]:
 def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
     """Transpositions of twins in H, each an automorphism of H.
 
-    u and v are false twins when their adjacency rows are equal and true
-    twins when their rows plus the identity are.  Within each class of equal
-    rows the transpositions of consecutive members are returned; they
-    generate the symmetric group of the class, so for K_s + tK_1 they
-    generate all of S_s x S_t.
+    u and v are twins when their open or their closed neighbourhoods are
+    equal (graphs._twin_classes).  Within each twin class the transpositions
+    of consecutive members are returned; they generate the symmetric group
+    of the class, so for K_s + tK_1 they generate all of S_s x S_t.
     """
     pairs = []
-    for rows in (h.adj, h.adj + np.eye(h.n, dtype=h.adj.dtype)):
-        last: dict[bytes, int] = {}
-        for v in range(h.n):
-            key = rows[v].tobytes()
-            if key in last:
-                pairs.append((last[key], v))
-            last[key] = v
+    last: dict[int, int] = {}
+    for v, first in enumerate(_twin_classes(_bitsets(h.adj))):
+        if first in last:
+            pairs.append((last[first], v))
+        last[first] = v
     return pairs
 
 

@@ -349,6 +349,19 @@ def _bitsets(adj: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
+def _twin_classes(nbr: list[int]) -> list[int]:
+    """For each vertex v, the first vertex with v's open or closed
+    neighbourhood, from the neighbourhood bitsets: two vertices are twins
+    exactly when they get the same one.  An open neighbourhood never equals
+    a closed one, so one dict holds both kinds of key."""
+    first: dict[int, int] = {}
+    twin = []
+    for v, row in enumerate(nbr):
+        twin.append(first.get(row, first.get(row | 1 << v, v)))
+        first[row] = first[row | 1 << v] = twin[v]
+    return twin
+
+
 def _refine(nbr: list[int], cells: list[list[int]], changed: list[int]) -> list[list[int]]:
     """Split ordered cells until the partition is equitable.
 
@@ -478,13 +491,7 @@ def _canon_search(g: Graph) -> tuple[int, list[int]]:
     n = g.n
     adj = g.adj
     nbr = _bitsets(adj)
-    # twin[v]: the first vertex with v's open or closed neighbourhood (an
-    # open one never equals a closed one, so one dict holds both).
-    first: dict[int, int] = {}
-    twin = []
-    for v, row in enumerate(nbr):
-        twin.append(first.get(row, first.get(row | 1 << v, v)))
-        first[row] = first[row | 1 << v] = twin[v]
+    twin = _twin_classes(nbr)
     upper = np.triu_indices(n, 1)
     best: list = [None, None, ()]  # [code, order, individualized prefix]
     autos: list[tuple[list[int], int]] = []

@@ -1,22 +1,25 @@
-"""Exact rational linear algebra over graph adjacency matrices.
+"""Exact linear algebra over integer matrices: graph adjacency matrices.
 
-Scalars are Python ints and fractions.Fraction, matrices numpy object
-arrays, and the work is done on integer-scaled matrices, so rationals appear
-only in final results.  Rank, inverse, null space and the main/non-main test
-share one Bareiss echelon (kernels._bareiss) and one integer
+Matrices hold Python ints (numpy object arrays or row lists).  The
+characteristic and minimal polynomials of an integer matrix are monic with
+integer coefficients, so by the rational root theorem every rational
+eigenvalue is an integer; a rational mu = p/q enters only as the integer
+matrix qA - pI, and Fractions appear only in results.  Rank
+(kernels.try_int_rank), inverse, null space and the main/non-main test share
+one Bareiss echelon (kernels._bareiss); the last three also share one integer
 back-substitution (_back_substitute).  The characteristic polynomial is
 Berkowitz's division-free method over Python ints, and the minimal
-polynomial of a symmetric matrix is its squarefree part.  The resolvent
-is computed and made integral in one place, resolvent_inverse, as the
-cached least integer pair (R, D), R = D (mu I - A)^{-1} with D mu integral,
-which the bilinear form, scan, pair table and star-set residual all read.
+polynomial of a symmetric matrix is its squarefree part.  The resolvent is
+computed and made integral in one place, resolvent_inverse, as the cached
+least integer pair (R, D), R = D (mu I - A)^{-1} with D mu integral, which
+the bilinear form, scan, pair table and star-set residual all read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -78,10 +81,6 @@ class Polynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
@@ -130,20 +129,6 @@ class Polynomial:
                 rem[k - d + i] -= factor * other.coeffs[i]
         return Polynomial(q), Polynomial(rem)
 
-    def divides(self, other: "Polynomial") -> bool:
-        _, r = divmod(other, self)
-        return r.degree < 0
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor; the zero polynomial only for 0 and 0."""
-        (a,), _ = _as_int_rows([self.coeffs])
-        (b,), _ = _as_int_rows([other.coeffs])
-        g = _int_poly_gcd(a, b)
-        return Polynomial([Fraction(c, g[-1]) for c in g])
-
     @classmethod
     def from_roots(cls, roots: Sequence) -> "Polynomial":
         poly = cls([1])
@@ -151,18 +136,21 @@ class Polynomial:
             poly = poly * cls([-Fraction(r), 1])
         return poly
 
-    def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities, ascending."""
-        return self.factor_rational()[0]
-
     def factor_rational(self) -> tuple[list[tuple[Fraction, int]], "Polynomial"]:
-        """(rational roots with multiplicities, ascending, root-free residual).
+        """(rational roots with multiplicities, ascending, root-free residual)
+        of a monic polynomial with integer coefficients; raises ValueError
+        on any other.
 
-        Each root is divided out as often as it occurs while it is counted,
-        so the quotient left at the end is the residual.
+        By the rational root theorem each rational root is an integer that
+        divides the lowest nonzero coefficient, and it lies within Fujiwara's
+        bound, which is O(n) for the characteristic polynomial of an
+        adjacency matrix.  Each root is divided out as often as it occurs
+        while it is counted, so the quotient left at the end is the residual.
         """
         if self.degree < 0:
             raise ValueError("zero polynomial has every root")
+        if self.coeffs[-1] != 1 or any(c.denominator != 1 for c in self.coeffs):
+            raise ValueError(f"{self} is not a monic integer polynomial")
         poly = self
         roots: list[tuple[Fraction, int]] = []
         mult0 = 0
@@ -172,23 +160,11 @@ class Polynomial:
         if mult0:
             roots.append((Fraction(0), mult0))
         if poly.degree >= 1:
-            # x = y / t turns f = x^d + c_(d-1) x^(d-1) + ... + c_0 into the
-            # monic t^d f(y / t), with integer coefficients t^k c_(d-k) once
-            # each denominator divides t^k (t = s for char_poly(A / s)).  Its
-            # rational roots are integers: divisors of its constant term
-            # within its root bound, which is O(n) for an adjacency matrix.
-            d = poly.degree
-            cs = [c / poly.coeffs[-1] for c in poly.coeffs]
-            t = 1
-            for k in range(1, d + 1):
-                den = cs[d - k].denominator
-                r = _ceil_root(den, k)
-                t = lcm(t, r if r**k % den == 0 else den)
-            monic = [int(c * t ** (d - j)) for j, c in enumerate(cs)]
+            monic = [int(c) for c in poly.coeffs]
             for y in range(1, _root_bound(monic) + 1):
                 if monic[0] % y:
                     continue
-                for cand in (Fraction(y, t), Fraction(-y, t)):
+                for cand in (Fraction(y), Fraction(-y)):
                     mult = 0
                     while poly(cand) == 0:
                         poly, _ = divmod(poly, Polynomial([-cand, 1]))
@@ -291,23 +267,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return g.adj.astype(object)
 
 
-def _as_int_rows(m) -> tuple[list[list[int]], int]:
-    """Clear denominators: integer row list plus the (positive) scale used."""
-    rows = [list(r) for r in m]
-    scale = 1
-    for r in rows:
-        for v in r:
-            d = Fraction(v).denominator
-            scale = scale * d // gcd(scale, d)
-    out = [[int(v * scale) for v in r] for r in rows]
-    return out, scale
-
-
-def rank(m) -> int:
-    """Exact rank of a rational matrix (nested sequence or object array)."""
-    return kernels.try_int_rank(_as_int_rows(m)[0])
-
-
 def _back_substitute(m: list[list[int]], pivots: list[int], rhs: list[list[int]]) -> list[list[int]]:
     """X with sum_j m[i][pivots[j]] X[j] = rhs[i] on the echelon rows of
     kernels._bareiss, for all right-hand sides at once, bottom row first.
@@ -370,11 +329,17 @@ def _null_space(rows: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _square_object(m, what: str) -> np.ndarray:
+def _square_int_rows(m, what: str) -> list[list[int]]:
+    """The rows of a square matrix with integral entries, as Python ints;
+    raises ValueError on any other matrix."""
     arr = np.asarray(m, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} needs a square matrix")
-    return arr
+    rows = arr.tolist()
+    ints = [[int(v) for v in row] for row in rows]
+    if ints != rows:
+        raise ValueError(f"{what} needs an integer matrix")
+    return ints
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:
@@ -403,42 +368,27 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
     return poly[::-1]
 
 
-def _unscale(coeffs: list[int], scale: int) -> Polynomial:
-    """The polynomial of M from the integer one of sM, low degree first: its
-    roots are those of sM divided by s, so coefficient j is divided by
-    s^(deg - j)."""
-    if scale == 1:
-        return Polynomial(coeffs)
-    deg = len(coeffs) - 1
-    return Polynomial([Fraction(c, scale ** (deg - j)) for j, c in enumerate(coeffs)])
-
-
 def char_poly(m) -> Polynomial:
-    """Characteristic polynomial det(xI - M), monic, exact.
-
-    Berkowitz over the integer matrix sM that clears M's denominators; the
-    coefficient of x^{n-k} in det(xI - sM) is s^k times the one of M.
-    """
-    rows, scale = _as_int_rows(_square_object(m, "characteristic polynomial"))
-    return _unscale(_berkowitz(rows), scale)
+    """Characteristic polynomial det(xI - M) of a square integer matrix,
+    by Berkowitz; raises ValueError on any other input."""
+    return Polynomial(_berkowitz(_square_int_rows(m, "characteristic polynomial")))
 
 
 def min_poly(m) -> Polynomial:
-    """Minimal polynomial of a symmetric rational matrix; raises ValueError
+    """Minimal polynomial of a symmetric integer matrix; raises ValueError
     on any other input.
 
     A symmetric matrix is diagonalizable, so its minimal polynomial is the
     squarefree part of its characteristic polynomial, char / gcd(char, char').
-    Computed on sM over the integers, where the monic char has a monic
-    primitive gcd with its derivative and the division is exact.
+    The monic char has a monic primitive gcd with its derivative, so the
+    division is exact over the integers.
     """
-    arr = _square_object(m, "minimal polynomial")
-    if not (arr == arr.T).all():
+    rows = _square_int_rows(m, "minimal polynomial")
+    if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("minimal polynomial needs a symmetric matrix")
-    rows, scale = _as_int_rows(arr)
     cp = _berkowitz(rows)
     slope = [i * c for i, c in enumerate(cp)][1:]
-    return _unscale(_monic_quotient(cp, _int_poly_gcd(cp, slope)), scale)
+    return Polynomial(_monic_quotient(cp, _int_poly_gcd(cp, slope)))
 
 
 # ---------------------------------------------------------------------------

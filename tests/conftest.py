@@ -39,26 +39,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from starcomp import (
-    BlockSpec,
-    Graph,
-    Polynomial,
-    TypeVector,
-    adjacency_matrix,
-    assemble_graph,
-    build_compat_graph,
-    canonical_form,
-    coeffs,
-    eig_multiplicity,
-    enumerate_candidates,
-    induced_subgraph,
-    is_regular,
-    kernels,
-    make_complete_split,
-    resolvent_bilinear,
-    verify_star_set,
-)
-from starcomp import __version__
+from starcomp import __version__, kernels
 from starcomp.cli import (
     cmd_candidates,
     cmd_explore,
@@ -67,10 +48,27 @@ from starcomp.cli import (
     cmd_starsets,
     cmd_theorem,
 )
-from starcomp.extend import ExtensionReport, MaximalGraph, maximal_cliques
-from starcomp.graphs import MAX_VERTICES, Graph6Error, vertex_set
-from starcomp.multipartite import MuIsSplitEigenvalueError
-from starcomp.starsets import DEFAULT_BUDGET
+from starcomp.extend import (
+    ExtensionReport,
+    MaximalGraph,
+    assemble_graph,
+    build_compat_graph,
+    enumerate_candidates,
+    maximal_cliques,
+)
+from starcomp.graphs import (
+    Graph,
+    Graph6Error,
+    MAX_VERTICES,
+    canonical_form,
+    induced_subgraph,
+    is_regular,
+    make_complete_split,
+    vertex_set,
+)
+from starcomp.linalg import Polynomial, adjacency_matrix, eig_multiplicity, resolvent_bilinear
+from starcomp.multipartite import BlockSpec, MuIsSplitEigenvalueError, TypeVector, coeffs
+from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
 
 def fraction_echelon(rows) -> tuple[list[list[Fraction]], list[int]]:

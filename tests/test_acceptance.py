@@ -10,31 +10,33 @@ from itertools import combinations
 
 import pytest
 
-from starcomp import (
-    BlockSpec,
-    Polynomial,
-    adjacency_matrix,
+from starcomp.extend import (
     assemble_graph,
     build_compat_graph,
-    char_poly,
+    enumerate_candidates,
+    maximal_extensions,
+)
+from starcomp.graphs import (
     complement,
     cycle_graph,
-    eig_multiplicity,
-    eigenspace_from_star,
-    enumerate_candidates,
-    find_star_sets,
     induced_subgraph,
     is_isomorphic,
     is_regular,
     make_cocktail,
     make_complete_split,
     matching_graph,
-    maximal_extensions,
-    min_poly,
     path_graph,
-    verify_star_set,
 )
-from starcomp.linalg import graph_min_poly
+from starcomp.linalg import (
+    Polynomial,
+    adjacency_matrix,
+    char_poly,
+    eig_multiplicity,
+    graph_min_poly,
+    min_poly,
+)
+from starcomp.multipartite import BlockSpec
+from starcomp.starsets import eigenspace_from_star, find_star_sets, verify_star_set
 
 from conftest import (
     attachment_pattern,

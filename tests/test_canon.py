@@ -6,8 +6,19 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starcomp import (
+from starcomp import graphs
+from starcomp.extend import maximal_extensions
+from starcomp.graphs import (
+    CACHE_SIZE,
+    CANON_MAX_VERTICES,
     Graph,
+    UnsupportedSizeError,
+    _bitsets,
+    _canon_search,
+    _individualize,
+    _initial_cells,
+    _merge_orbits,
+    _root,
     canonical_form,
     complement,
     complete_graph,
@@ -18,23 +29,10 @@ from starcomp import (
     make_cocktail,
     make_complete_split,
     matching_graph,
-    maximal_extensions,
     parse_graph6,
     path_graph,
     relabel,
     write_graph6,
-)
-from starcomp import graphs
-from starcomp.graphs import (
-    CACHE_SIZE,
-    CANON_MAX_VERTICES,
-    UnsupportedSizeError,
-    _bitsets,
-    _canon_search,
-    _individualize,
-    _initial_cells,
-    _merge_orbits,
-    _root,
 )
 
 from conftest import (

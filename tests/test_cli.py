@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import starcomp
-from starcomp import cli, disjoint_union, eig_multiplicity, make_cocktail, parse_graph6, write_graph6
+from starcomp import cli
 from starcomp.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, write_json
+from starcomp.graphs import disjoint_union, make_cocktail, parse_graph6, write_graph6
+from starcomp.linalg import eig_multiplicity
 
 from conftest import build_parser, random_graph
 
@@ -25,6 +27,7 @@ SCAN_ARGV = ["candidates", "--graph", "split:15,4", "--mu=-4", "--nonmain"]
 THEOREM_ARGV = ["theorem", "--s", "6", "--t-max", "5"]
 EXPLORE_ARGV = ["explore", "--s", "2..8", "--t", "2..8", "--mu=-10..3"]
 EXTEND_ARGV = ["extend", "--graph", "split:10,3", "--mu=-3"]
+C14 = "MhCGGC@?G?_@?@_?_"  # the 14-cycle in graph6
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +150,7 @@ class TestExtend:
         assert len(data["maximal"]) == 1
         entry = data["maximal"][0]
         assert entry["regular"] == 4
-        from starcomp import is_isomorphic
+        from starcomp.graphs import is_isomorphic
 
         assert is_isomorphic(parse_graph6(entry["graph6"]), make_cocktail(3))
 
@@ -482,6 +485,21 @@ class TestDeterminism:
     ], ids=["s8", "s12"])
     def test_classification_bytes_pinned(self, capsys, s, t_max, digest):
         code = main(["--format", "json", "theorem", "--s", str(s), "--t-max", str(t_max)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # The spectrum of the cocktail-party graph CP(10) (three integer roots)
+    # and of C_14 (roots -2 and 2 and a degree-12 residual factor), each in
+    # JSON and text, recorded while char_poly and factor_rational still took
+    # rational input.
+    @pytest.mark.parametrize("graph, fmt, digest", [
+        ("cocktail:10", "json", "aaed121c880bad2868c6005ec86b016871daf1b3407e1814b11d83dbb4eab240"),
+        ("cocktail:10", "text", "524949afe1f6c45eccd45a7b5dbd9d3e1678732af149acfbefec1917496a5f28"),
+        (C14, "json", "519fbadd90738ca4d5a1cbba168a380e074886d2ffea2875fa9eb2ec3c4674af"),
+        (C14, "text", "e3c0444c122df40ab84a2a09bb4bdc0792b613b4b73fb3bba28b17c58bf5c99c"),
+    ], ids=["cocktail10-json", "cocktail10-text", "c14-json", "c14-text"])
+    def test_spectrum_bytes_pinned(self, capsys, graph, fmt, digest):
+        code = main(["--format", fmt, "spectrum", "--graph", graph])
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

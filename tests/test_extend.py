@@ -8,26 +8,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from starcomp import (
-    BlockSpec,
-    Graph,
-    assemble_graph,
-    build_compat_graph,
-    cycle_graph,
-    eig_multiplicity,
-    enumerate_candidates,
-    is_isomorphic,
-    is_regular,
-    make_cocktail,
-    make_complete_split,
-    maximal_extensions,
-    parse_graph6,
-    path_graph,
-    relabel,
-    resolvent_bilinear,
-    verify_star_set,
-    write_graph6,
-)
 import starcomp.extend as extend_module
 from starcomp import kernels
 from starcomp.extend import (
@@ -35,10 +15,28 @@ from starcomp.extend import (
     IncompatiblePairError,
     MuIsEigenvalueError,
     _orbit_representatives,
+    assemble_graph,
+    build_compat_graph,
+    enumerate_candidates,
     maximal_cliques,
+    maximal_extensions,
     twin_transpositions,
 )
-from starcomp.starsets import BudgetExceededError
+from starcomp.graphs import (
+    Graph,
+    cycle_graph,
+    is_isomorphic,
+    is_regular,
+    make_cocktail,
+    make_complete_split,
+    parse_graph6,
+    path_graph,
+    relabel,
+    write_graph6,
+)
+from starcomp.linalg import eig_multiplicity, resolvent_bilinear
+from starcomp.multipartite import BlockSpec
+from starcomp.starsets import BudgetExceededError, verify_star_set
 
 from conftest import (
     attachment_pattern,
@@ -823,7 +821,7 @@ class TestOracleCompleteness:
         def check(edge_bits, mu):
             pairs = list(combinations(range(4), 2))
             h_edges = [pairs[i] for i in range(6) if (edge_bits >> i) & 1]
-            from starcomp import Graph
+            from starcomp.graphs import Graph
 
             h = Graph(4, h_edges)
             if eig_multiplicity(h, mu) > 0:

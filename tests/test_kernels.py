@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starcomp import Graph, eig_multiplicity, kernels, rank
+from starcomp import kernels
 from starcomp.extend import _subset_scan_exact
+from starcomp.graphs import Graph
+from starcomp.linalg import eig_multiplicity
 
 from conftest import fraction_rank, random_graph
 
@@ -30,21 +32,21 @@ def rank_deficient_matrix(rng, rows, cols, bound):
 
 class TestRankKernels:
     def test_backends_agree_with_reference(self):
-        # the public rank matches plain Fraction elimination
+        # the one rank, try_int_rank, matches plain Fraction elimination
         rng = random.Random(5)
         for _ in range(60):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = random_int_matrix(rng, rows, cols)
-            assert rank(m) == fraction_rank(m)
+            assert kernels.try_int_rank(m) == fraction_rank(m)
 
     def test_rank_deficient(self):
         m = [[1, 2, 3], [2, 4, 6], [0, 0, 0]]
-        assert rank(m) == 1
+        assert kernels.try_int_rank(m) == 1
 
     @pytest.mark.parametrize("bits", [30, 62, 80])
     def test_ranks_match_fraction_oracle(self, bits):
-        # rank, kernels.try_int_rank and eig_multiplicity against Fraction
+        # kernels.try_int_rank and eig_multiplicity against Fraction
         # elimination, with entries past int64 at 2^80: one exact elimination
         # whatever the size of the entries, never None
         bound = 1 << bits
@@ -59,15 +61,13 @@ class TestRankKernels:
                 expected = fraction_rank(m)
                 assert kernels.try_int_rank(m) == expected
                 assert m == copy
-                assert rank(m) == expected
         for _ in range(10):
             g = random_graph(rng.randint(1, 6), rng)
             for mu in (-2, 0, 1, Fraction(rng.randint(-bound, bound), rng.randint(1, bound))):
                 shifted = [[int(v) - (mu if i == j else 0) for j, v in enumerate(r)]
                            for i, r in enumerate(g.adj)]
                 assert eig_multiplicity(g, mu) == g.n - fraction_rank(shifted)
-        assert kernels.try_int_rank([]) == kernels.try_int_rank([[]]) == 0
-        assert rank([]) == fraction_rank([]) == 0
+        assert kernels.try_int_rank([]) == kernels.try_int_rank([[]]) == fraction_rank([]) == 0
         assert eig_multiplicity(Graph(0), -2) == 0
 
     def test_public_rank_exact_on_huge_entries(self):
@@ -78,7 +78,7 @@ class TestRankKernels:
             [rng.randint(-3, 3) * shift + rng.randint(-3, 3) for _ in range(5)]
             for _ in range(5)
         ]
-        assert rank(m) == fraction_rank(m)
+        assert kernels.try_int_rank(m) == fraction_rank(m)
 
     def test_growth_triggers_internal_bailout(self):
         # entries just under 2^30 whose Bareiss minors grow far past int64:
@@ -86,7 +86,7 @@ class TestRankKernels:
         rng = random.Random(77)
         base = (1 << 30) - 7
         m = [[rng.randint(base - 40, base) for _ in range(6)] for _ in range(6)]
-        assert kernels.try_int_rank(m) == rank(m) == fraction_rank(m)
+        assert kernels.try_int_rank(m) == fraction_rank(m)
 
 
 # (LOW_BITS, INNER_BITS) splits the scan tests run under: at n <= 14 the

@@ -6,23 +6,24 @@ from itertools import chain, combinations, product
 import numpy as np
 import pytest
 
-from starcomp import (
-    BlockSpec,
+from starcomp.extend import build_compat_graph, enumerate_candidates
+from starcomp.graphs import make_complete_split
+from starcomp.linalg import (
     Polynomial,
-    TypeVector,
     adjacency_matrix,
-    build_compat_graph,
-    closed_bilinear,
-    coeffs,
-    enumerate_candidates,
-    make_complete_split,
     min_poly,
     resolvent_bilinear,
     resolvent_via_minpoly,
+)
+from starcomp.multipartite import (
+    BlockSpec,
+    MuIsSplitEigenvalueError,
+    TypeVector,
+    closed_bilinear,
+    coeffs,
     solution_explorer,
     theorem_check,
 )
-from starcomp.multipartite import MuIsSplitEigenvalueError
 from starcomp.starsets import BudgetExceededError
 
 from conftest import (
@@ -358,7 +359,7 @@ class TestTheorem:
         t2 = report.branches[0]
         assert t2.graphs_found == 1
         assert t2.graph6 is not None
-        from starcomp import is_isomorphic, make_cocktail, parse_graph6
+        from starcomp.graphs import is_isomorphic, make_cocktail, parse_graph6
 
         assert is_isomorphic(parse_graph6(t2.graph6), make_cocktail(4))
 
@@ -381,7 +382,8 @@ class TestTheorem:
     def test_degree_balance_fails_on_its_own(self):
         # the s = 4 cocktail witness with one star-star edge dropped: the
         # measured d is no longer one value, so the balance check fails too
-        from starcomp import Graph, maximal_extensions
+        from starcomp.extend import maximal_extensions
+        from starcomp.graphs import Graph
         from starcomp.multipartite import _degree_balance_checks
 
         found = maximal_extensions(make_complete_split(4, 2), -2, regular_only=True).maximal_graphs[0]

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starcomp import (
-    BudgetExceededError,
-    InvalidStarSetError,
-    NotAnEigenvalueError,
-    adjacency_matrix,
+from starcomp import kernels
+from starcomp.graphs import (
     complete_graph,
     cycle_graph,
-    eig_multiplicity,
-    eigenspace_from_star,
-    find_star_sets,
     induced_subgraph,
     is_isomorphic,
     is_regular,
@@ -26,11 +20,21 @@ from starcomp import (
     parse_graph6,
     path_graph,
     relabel,
+)
+from starcomp.linalg import (
+    NotAnEigenvalueError,
+    adjacency_matrix,
+    eig_multiplicity,
+    resolvent_inverse,
+)
+from starcomp.starsets import (
+    BudgetExceededError,
+    InvalidStarSetError,
+    _scaled_residual,
+    eigenspace_from_star,
+    find_star_sets,
     verify_star_set,
 )
-from starcomp import kernels
-from starcomp.linalg import resolvent_inverse
-from starcomp.starsets import _scaled_residual
 
 from conftest import (
     block_residual,

@@ -12,31 +12,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from starcomp import (
+from starcomp.extend import CompatTable, all_cliques, build_compat_graph, maximal_cliques
+from starcomp.graphs import (
     Graph,
     canonical_form,
     complement,
-    complete_graph,
     cycle_graph,
     disjoint_union,
-    eig_multiplicity,
-    find_star_sets,
     is_isomorphic,
     join,
     make_cocktail,
     make_complete_split,
     parse_graph6,
     relabel,
-    verify_star_set,
     write_graph6,
 )
-from starcomp.extend import (
-    CompatTable,
-    all_cliques,
-    build_compat_graph,
-    maximal_cliques,
-)
-from starcomp.starsets import BudgetExceededError
+from starcomp.linalg import eig_multiplicity
+from starcomp.starsets import BudgetExceededError, find_star_sets, verify_star_set
 
 from conftest import brute_isomorphic, fraction_rank, random_graph
 
@@ -273,7 +265,7 @@ class TestOrderInvariance:
     def test_candidate_order_does_not_change_results(self):
         h = make_complete_split(3, 2)
         mu = Fraction(-2)
-        from starcomp import assemble_graph, enumerate_candidates
+        from starcomp.extend import assemble_graph, enumerate_candidates
 
         cands = enumerate_candidates(h, mu, nonmain=True)
         baseline = None
