@@ -40,12 +40,13 @@ from .graphs import MAX_VERTICES, Graph, Graph6Error, make_cocktail, make_comple
 from .graphs import parse_graph6, write_graph6
 from .linalg import (
     PreconditionError,
-    adjacency_matrix,
     char_poly,
     eig_multiplicity,
     format_rational,
+    integer_roots,
     is_nonmain,
     parse_rational,
+    poly_text,
 )
 from .multipartite import solution_explorer, theorem_check
 from .starsets import DEFAULT_BUDGET, BudgetExceededError, find_star_sets, verify_star_set
@@ -104,8 +105,8 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
     g = load_graph(args.graph)
-    poly = char_poly(adjacency_matrix(g))
-    roots, residual = poly.factor_rational()
+    poly = char_poly(g.adj)
+    roots, residual = integer_roots(poly)
     entries = []
     for value, mult in roots:
         entries.append(
@@ -118,9 +119,9 @@ def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
     payload = {
         "graph6": write_graph6(g),
         "n": g.n,
-        "char_poly": poly.to_strings(),
+        "char_poly": [str(c) for c in poly],
         "roots": entries,
-        "residual": residual.to_strings() if residual.degree > 0 else None,
+        "residual": [str(c) for c in residual] if len(residual) > 1 else None,
     }
     lines = chain(
         [f"graph {payload['graph6']} on {g.n} vertices"],
@@ -129,7 +130,8 @@ def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
             f"{'main' if e['main'] else 'non-main'}"
             for e in entries
         ),
-        [f"  residual factor (no rational roots): {residual}"] if residual.degree > 0 else [],
+        [f"  residual factor (no rational roots): {poly_text(residual)}"]
+        if payload["residual"] else [],
     )
     return payload, lines, EXIT_OK
 

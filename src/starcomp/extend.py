@@ -60,6 +60,7 @@ from .linalg import (  # noqa: F401
     eig_multiplicity,
     format_rational,
     graph_min_poly,
+    poly_eval,
     resolvent_inverse,
     resolvent_via_minpoly,
 )
@@ -240,7 +241,7 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> C
             raise MuIsEigenvalueError(
                 f"mu={format_rational(mu)} is an eigenvalue of the star complement"
             ) from None
-        m_mu = graph_min_poly(h)(mu)
+        m_mu = poly_eval(graph_min_poly(h), mu)
         dtype = object
         if mu.denominator == 1:  # then R' and m(mu) are integers
             m_mu = int(m_mu)

@@ -293,7 +293,8 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string; raises Graph6Error with a byte offset on defects.
+    """Decode a graph6 string; raises Graph6Error with a byte offset on defects,
+    a non-ASCII character among them.
 
     The bytes are checked and unbiased by bytes.translate, and the body's
     6-bit groups are unpacked in one numpy pass to fill the strict lower
@@ -301,7 +302,10 @@ def parse_graph6(text: str) -> Graph:
     """
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER) :]
-    data = text.encode("ascii", errors="replace")
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     if len(data) == 0:
         raise Graph6Error("empty graph6 string", 0)
     if data.translate(None, _G6_BYTES):

@@ -1,10 +1,12 @@
 """Exact linear algebra over integer matrices: graph adjacency matrices.
 
-Matrices hold Python ints (numpy object arrays or row lists).  The
-characteristic and minimal polynomials of an integer matrix are monic with
-integer coefficients, so by the rational root theorem every rational
-eigenvalue is an integer; a rational mu = p/q enters only as the integer
-matrix qA - pI, and Fractions appear only in results.  Rank
+Matrices hold integers (numpy object arrays, row lists or a graph's uint8
+adjacency), read as Python ints.  The characteristic and minimal
+polynomials of an integer matrix are monic with integer coefficients, held
+as tuples of Python ints, low degree first.  By the rational root theorem
+every rational eigenvalue is an integer (integer_roots); a rational
+mu = p/q enters only as the integer matrix qA - pI, and Fractions appear
+only in results.  Rank
 (kernels.try_int_rank), inverse, null space and the main/non-main test share
 one Bareiss echelon (kernels._bareiss); the last three also share one integer
 back-substitution (_back_substitute).  The characteristic polynomial is
@@ -61,143 +63,70 @@ def format_rational(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials (exact coefficients, low degree first)
+# Polynomials: tuples of Python ints, low degree first
 # ---------------------------------------------------------------------------
 
 
-class Polynomial:
-    """Dense polynomial with exact rational coefficients c0..cd."""
+def poly_eval(coeffs: Sequence[int], x):
+    """The polynomial at x by Horner: an int at an int x, a Fraction at a Fraction."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+def integer_roots(coeffs: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """(integer roots with multiplicities, ascending, root-free residual) of a
+    monic polynomial with integer coefficients; raises ValueError on any other.
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+    By the rational root theorem every rational root is an integer that
+    divides the lowest nonzero coefficient, and it lies within Fujiwara's
+    bound, which is O(n) for the characteristic polynomial of an adjacency
+    matrix.  Each root is divided out as often as it occurs while it is
+    counted, so the quotient left at the end is the residual.
+    """
+    if not coeffs:
+        raise ValueError("zero polynomial has every root")
+    poly = [int(c) for c in coeffs]
+    if poly != list(coeffs) or poly[-1] != 1:
+        raise ValueError(f"{poly_text(coeffs)} is not a monic integer polynomial")
+    mult0 = next(i for i, c in enumerate(poly) if c)
+    roots = [(0, mult0)] if mult0 else []
+    poly = poly[mult0:]
+    for y in range(1, _root_bound(poly) + 1):
+        if poly[0] % y:
+            continue
+        for cand in (y, -y):
+            mult = 0
+            while poly_eval(poly, cand) == 0:
+                poly = _monic_quotient(poly, [-cand, 1])
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    return sorted(roots), tuple(poly)
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.degree < 0:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            factor = rem[k] / lead
-            if factor == 0:
-                continue
-            q[k - d] = factor
-            for i in range(d + 1):
-                rem[k - d + i] -= factor * other.coeffs[i]
-        return Polynomial(q), Polynomial(rem)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence) -> "Polynomial":
-        poly = cls([1])
-        for r in roots:
-            poly = poly * cls([-Fraction(r), 1])
-        return poly
-
-    def factor_rational(self) -> tuple[list[tuple[Fraction, int]], "Polynomial"]:
-        """(rational roots with multiplicities, ascending, root-free residual)
-        of a monic polynomial with integer coefficients; raises ValueError
-        on any other.
-
-        By the rational root theorem each rational root is an integer that
-        divides the lowest nonzero coefficient, and it lies within Fujiwara's
-        bound, which is O(n) for the characteristic polynomial of an
-        adjacency matrix.  Each root is divided out as often as it occurs
-        while it is counted, so the quotient left at the end is the residual.
-        """
-        if self.degree < 0:
-            raise ValueError("zero polynomial has every root")
-        if self.coeffs[-1] != 1 or any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError(f"{self} is not a monic integer polynomial")
-        poly = self
-        roots: list[tuple[Fraction, int]] = []
-        mult0 = 0
-        while poly.coeff(0) == 0 and poly.degree > 0:
-            poly = Polynomial(poly.coeffs[1:])
-            mult0 += 1
-        if mult0:
-            roots.append((Fraction(0), mult0))
-        if poly.degree >= 1:
-            monic = [int(c) for c in poly.coeffs]
-            for y in range(1, _root_bound(monic) + 1):
-                if monic[0] % y:
-                    continue
-                for cand in (Fraction(y), Fraction(-y)):
-                    mult = 0
-                    while poly(cand) == 0:
-                        poly, _ = divmod(poly, Polynomial([-cand, 1]))
-                        mult += 1
-                    if mult:
-                        roots.append((cand, mult))
-        return sorted(roots), poly
-
-    def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
-    def __repr__(self) -> str:
-        if self.degree < 0:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = (
-                "1" if (mag == 1 and k == 0)
-                else "" if mag == 1
-                else format_rational(mag)
-            )
-            if k > 0:
-                xs = "x" if k == 1 else f"x^{k}"
-                term = f"{term}*{xs}" if term else xs
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+def poly_text(coeffs: Sequence) -> str:
+    """The polynomial as text, highest degree first: "x^4 - 5*x^2 - 4*x"."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        term = (
+            "1" if (mag == 1 and k == 0)
+            else "" if mag == 1
+            else format_rational(mag)
+        )
+        if k > 0:
+            xs = "x" if k == 1 else f"x^{k}"
+            term = f"{term}*{xs}" if term else xs
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -260,11 +189,6 @@ def _root_bound(monic: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # Exact matrices
 # ---------------------------------------------------------------------------
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Adjacency matrix as an exact (object dtype, Python int) array."""
-    return g.adj.astype(object)
 
 
 def _back_substitute(m: list[list[int]], pivots: list[int], rhs: list[list[int]]) -> list[list[int]]:
@@ -368,13 +292,13 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
     return poly[::-1]
 
 
-def char_poly(m) -> Polynomial:
+def char_poly(m) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - M) of a square integer matrix,
     by Berkowitz; raises ValueError on any other input."""
-    return Polynomial(_berkowitz(_square_int_rows(m, "characteristic polynomial")))
+    return tuple(_berkowitz(_square_int_rows(m, "characteristic polynomial")))
 
 
-def min_poly(m) -> Polynomial:
+def min_poly(m) -> tuple[int, ...]:
     """Minimal polynomial of a symmetric integer matrix; raises ValueError
     on any other input.
 
@@ -388,7 +312,7 @@ def min_poly(m) -> Polynomial:
         raise ValueError("minimal polynomial needs a symmetric matrix")
     cp = _berkowitz(rows)
     slope = [i * c for i, c in enumerate(cp)][1:]
-    return Polynomial(_monic_quotient(cp, _int_poly_gcd(cp, slope)))
+    return tuple(_monic_quotient(cp, _int_poly_gcd(cp, slope)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +396,8 @@ def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def graph_min_poly(h: Graph) -> Polynomial:
-    return min_poly(adjacency_matrix(h))
+def graph_min_poly(h: Graph) -> tuple[int, ...]:
+    return min_poly(h.adj)
 
 
 def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
@@ -486,7 +410,7 @@ def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
     """
     mu = Fraction(mu)
     r, den = resolvent_inverse(h, mu)
-    m_mu = graph_min_poly(h)(mu)
+    m_mu = poly_eval(graph_min_poly(h), mu)
     if mu.denominator == 1:
         return int(m_mu) * r // den
     return r * (m_mu / den)

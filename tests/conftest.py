@@ -15,7 +15,10 @@ tree with no automorphism pruning, refined by the classic colour numbering
 (each round re-ranks every vertex by its old colour and sorted neighbour
 colours) instead of the package's ordered cells.  The command line is parsed
 by the argparse parser the package was first built with, instead of its own
-table.  Two helpers that only tests call live here too: deleting vertices,
+table.  The polynomial oracles hold a polynomial as a tuple of Fractions,
+low degree first, and use the few operations defined here (poly_trim,
+poly_add, poly_mul, poly_divmod, poly_from_roots, poly_at), not the
+package's.  Two helpers that only tests call live here too: deleting vertices,
 and the sub-star-set check built on the package's certificate.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
@@ -66,7 +69,7 @@ from starcomp.graphs import (
     make_complete_split,
     vertex_set,
 )
-from starcomp.linalg import Polynomial, adjacency_matrix, eig_multiplicity, resolvent_bilinear
+from starcomp.linalg import eig_multiplicity, resolvent_bilinear
 from starcomp.multipartite import BlockSpec, MuIsSplitEigenvalueError, TypeVector, coeffs
 from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
@@ -197,7 +200,10 @@ def bitwise_parse_graph6(text: str) -> Graph:
     messages and byte offsets: the oracle for graphs.parse_graph6."""
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
-    data = text.encode("ascii", errors="replace")
+    for pos, char in enumerate(text):
+        if ord(char) > 127:
+            raise Graph6Error(f"non-ASCII character {char!r}", pos)
+    data = text.encode("ascii")
     if len(data) == 0:
         raise Graph6Error("empty graph6 string", 0)
     for pos, byte in enumerate(data):
@@ -343,20 +349,67 @@ def unpruned_canon_code(g: Graph) -> tuple[int, list[int]]:
     return min(leaves([0] * g.n), key=lambda leaf: leaf[0])
 
 
-def leibniz_char_poly(adj) -> Polynomial:
+def poly_trim(coeffs) -> tuple[Fraction, ...]:
+    """A polynomial over Fractions, low degree first: the coefficients as
+    Fractions with the trailing zeros dropped, the zero polynomial ().  It
+    compares equal to the package's tuple of ints for the same polynomial."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def poly_mul(a, b) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(quotient, remainder) of schoolbook long division over Fractions."""
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(poly_trim(a))
+    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = factor = rem[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= factor * c
+    return poly_trim(q), poly_trim(rem)
+
+
+def poly_from_roots(roots) -> tuple[Fraction, ...]:
+    """prod (x - r) over the roots, multiplied out."""
+    poly = (Fraction(1),)
+    for r in roots:
+        poly = poly_mul(poly, (-Fraction(r), 1))
+    return poly
+
+
+def poly_at(poly, x) -> Fraction:
+    """The polynomial at x, summing c_k x^k term by term."""
+    x = Fraction(x)
+    return sum((c * x**k for k, c in enumerate(poly)), Fraction(0))
+
+
+def leibniz_char_poly(adj) -> tuple[Fraction, ...]:
     """det(xI - A) by summing over all permutations; independent of
     Berkowitz and Faddeev-LeVerrier.  Only sensible for n <= 7."""
     arr = np.asarray(adj, dtype=object)
     n = arr.shape[0]
-    x = Polynomial([0, 1])
     entries = [
-        [
-            x - Polynomial([arr[i, j]]) if i == j else Polynomial([-arr[i, j]])
-            for j in range(n)
-        ]
+        [(-arr[i, j], 1) if i == j else (-arr[i, j],) for j in range(n)]
         for i in range(n)
     ]
-    total = Polynomial([])
+    total: tuple[Fraction, ...] = ()
     for perm in permutations(range(n)):
         sign = 1
         seen = [False] * n
@@ -371,14 +424,14 @@ def leibniz_char_poly(adj) -> Polynomial:
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        term = Polynomial([sign])
+        term = (Fraction(sign),)
         for i in range(n):
-            term = term * entries[i][perm[i]]
-        total = total + term
+            term = poly_mul(term, entries[i][perm[i]])
+        total = poly_add(total, term)
     return total
 
 
-def faddeev_leverrier_char_poly(m) -> Polynomial:
+def faddeev_leverrier_char_poly(m) -> tuple[Fraction, ...]:
     """det(xI - M) by the Faddeev-LeVerrier recurrence over Fractions:
     M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k."""
     arr = np.asarray(m, dtype=object)
@@ -391,17 +444,17 @@ def faddeev_leverrier_char_poly(m) -> Polynomial:
         cs.append(ck)
         for i in range(n):
             aux[i, i] += ck
-    return Polynomial(list(reversed(cs)))
+    return poly_trim(reversed(cs))
 
 
-def krylov_min_poly(m) -> Polynomial:
+def krylov_min_poly(m) -> tuple[Fraction, ...]:
     """Minimal polynomial from the first linear dependence among I, M, M^2,
     ..., by Fraction elimination on the vectorized powers, tracking the
     combination so the dependence is read off directly.  Any square M."""
     arr = np.asarray(m, dtype=object)
     n = arr.shape[0]
     if n == 0:
-        return Polynomial([1])
+        return (Fraction(1),)
     basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
     power = identity_matrix(n)
     k = 0
@@ -417,7 +470,7 @@ def krylov_min_poly(m) -> Polynomial:
                 combo[i] -= f * c
         pivot = next((i for i, v in enumerate(vec) if v != 0), None)
         if pivot is None:
-            return Polynomial(combo)
+            return poly_trim(combo)
         inv = 1 / vec[pivot]
         vec = [v * inv for v in vec]
         combo_n = [c * inv for c in combo]
@@ -426,15 +479,14 @@ def krylov_min_poly(m) -> Polynomial:
         k += 1
 
 
-def euclid_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+def euclid_poly_gcd(a, b) -> tuple[Fraction, ...]:
     """Monic gcd by the Euclidean remainder sequence over Fractions, built on
-    Polynomial.__divmod__ rather than the package's integer pseudo-remainder
-    gcd; the zero polynomial only for 0 and 0."""
-    while b.degree >= 0:
-        a, b = b, divmod(a, b)[1]
-    if a.degree < 0:
-        return a
-    return Polynomial([c / a.coeffs[-1] for c in a.coeffs])
+    poly_divmod rather than the package's integer pseudo-remainder gcd; the
+    zero polynomial only for 0 and 0."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
 
 
 def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
@@ -449,13 +501,13 @@ def minpoly_scaled_resolvent(h: Graph, mu) -> np.ndarray:
     n = h.n
     if n == 0:
         return np.zeros((0, 0), dtype=object)
-    adj = adjacency_matrix(h)
+    adj = h.adj.astype(object)
     m = krylov_min_poly(adj)
-    d = m.degree - 1
+    d = len(m) - 2
     a = [Fraction(0)] * (d + 1)
     a[d] = Fraction(1)
     for j in range(d - 1, -1, -1):
-        a[j] = mu * a[j + 1] + m.coeff(j + 1)
+        a[j] = mu * a[j + 1] + m[j + 1]
     out = identity_matrix(n) * a[d]
     for j in range(d - 1, -1, -1):
         out = out @ adj
@@ -471,11 +523,11 @@ def block_residual(g: Graph, mu, star) -> np.ndarray | None:
     star = sorted(star)
     comp = [v for v in range(g.n) if v not in set(star)]
     h = induced_subgraph(g, comp)
-    m_mu = krylov_min_poly(adjacency_matrix(h))(mu)
+    m_mu = poly_at(krylov_min_poly(h.adj), mu)
     if m_mu == 0:
         return None
     inv = minpoly_scaled_resolvent(h, mu) / m_mu
-    adj = adjacency_matrix(g)
+    adj = g.adj.astype(object)
     a_x = adj[np.ix_(star, star)]
     b = adj[np.ix_(comp, star)]
     return mu * identity_matrix(len(star)) - a_x - b.T @ inv @ b
@@ -711,16 +763,16 @@ def split_type(c: tuple[int, ...], s: int) -> tuple[int, int]:
     return a, len(c) - a
 
 
-def minpoly_formula(spec: BlockSpec) -> Polynomial:
+def minpoly_formula(spec: BlockSpec) -> tuple[Fraction, ...]:
     """x^4 + (2-s) x^3 + (1-s-st) x^2 - st x, monic of degree 4."""
     s, t = spec.s, spec.t
-    return Polynomial([0, -s * t, 1 - s - s * t, 2 - s, 1])
+    return poly_trim([0, -s * t, 1 - s - s * t, 2 - s, 1])
 
 
-def expected_spectrum_from_roots(s: int) -> Polynomial:
+def expected_spectrum_from_roots(s: int) -> tuple[Fraction, ...]:
     """The cocktail-party graph CP(s + 1)'s characteristic polynomial,
     (x - 2s) x^{s+1} (x + 2)^s, multiplied out from its 2s + 2 roots."""
-    return Polynomial.from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
+    return poly_from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
 
 
 def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:
@@ -768,7 +820,7 @@ def nonmain_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
     return a * (mu + t) + b * (mu + 1) - (s * (mu + t) - mu * (mu + 1))
 
 
-def quadratic_in_a(spec: BlockSpec, mu) -> Polynomial:
+def quadratic_in_a(spec: BlockSpec, mu) -> tuple[Fraction, ...]:
     """The polynomial in a obtained by eliminating b from the two constraints.
 
         (t + mu) a^2 + (t + 2mu - 2st - 2smu + tmu + 2mu^2) a
@@ -800,7 +852,7 @@ def quadratic_in_a(spec: BlockSpec, mu) -> Polynomial:
         - s * t * mu
     )
     linear = t + 2 * mu - 2 * s * t - 2 * s * mu + t * mu + 2 * mu * mu
-    return Polynomial([const, linear, t + mu])
+    return poly_trim([const, linear, t + mu])
 
 
 def corollary_ab(spec: BlockSpec, mu) -> Optional[TypeVector]:

@@ -214,6 +214,14 @@ class TestErrors:
         schema.validate(data)
         assert data["error"]["kind"] == "graph6-parse"
 
+    def test_non_ascii_graph6(self, capsys, schema):
+        # a non-ASCII character is refused where it stands, not read as '?'
+        code, data = run_json(capsys, "spectrum", "--graph", "A\u00e9")
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"]["kind"] == "graph6-parse"
+        assert data["error"]["detail"].endswith("(byte offset 1)")
+
     def test_bad_mu(self, capsys):
         code, data = run_json(
             capsys, "starsets", "--graph", "cocktail:3", "--mu", "1.5"
@@ -488,16 +496,25 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    # The spectrum of the cocktail-party graph CP(10) (three integer roots)
-    # and of C_14 (roots -2 and 2 and a degree-12 residual factor), each in
-    # JSON and text, recorded while char_poly and factor_rational still took
-    # rational input.
+    # The spectrum of the cocktail-party graph CP(10) (three integer roots),
+    # of C_14 (roots -2 and 2 and a degree-12 residual factor), of the graphs
+    # on no vertex (the constant 1) and on one (only the root 0), and of the
+    # Petersen graph (three roots, no residual), each in JSON and text,
+    # recorded while char_poly returned Fraction coefficients and the roots
+    # were found over Fractions.
     @pytest.mark.parametrize("graph, fmt, digest", [
         ("cocktail:10", "json", "aaed121c880bad2868c6005ec86b016871daf1b3407e1814b11d83dbb4eab240"),
         ("cocktail:10", "text", "524949afe1f6c45eccd45a7b5dbd9d3e1678732af149acfbefec1917496a5f28"),
         (C14, "json", "519fbadd90738ca4d5a1cbba168a380e074886d2ffea2875fa9eb2ec3c4674af"),
         (C14, "text", "e3c0444c122df40ab84a2a09bb4bdc0792b613b4b73fb3bba28b17c58bf5c99c"),
-    ], ids=["cocktail10-json", "cocktail10-text", "c14-json", "c14-text"])
+        ("?", "json", "ce3a23d679b660c74cd1a25f93a7ec3b6562c12b1fefe0fbaa411486ae5fa4e8"),
+        ("?", "text", "cae3a15e8215bbca16172991c9013b8c0725d54dea6f38528f1e219593b5e63e"),
+        ("@", "json", "39bd02b33deddd7b6bbc983b8a4a140684ae9e545f8025f87ea2f837200ab640"),
+        ("@", "text", "e5740584a22da791d8fc58260385e67d056eab310ce5311d37f53950b9c6baf9"),
+        ("IheA@GUAo", "json", "2e11a5e8ee2ec37427c90b76517f4fb2627a24113d4bb3294494f0cbb4f4d9cb"),
+        ("IheA@GUAo", "text", "f96ec723716b878415fb064218c046c009b5d36e06b9b655a91ab8c59dda2dbe"),
+    ], ids=["cocktail10-json", "cocktail10-text", "c14-json", "c14-text", "n0-json", "n0-text",
+            "n1-json", "n1-text", "petersen-json", "petersen-text"])
     def test_spectrum_bytes_pinned(self, capsys, graph, fmt, digest):
         code = main(["--format", fmt, "spectrum", "--graph", graph])
         assert code == EXIT_OK

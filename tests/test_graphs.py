@@ -289,6 +289,17 @@ class TestGraph6:
             parse_graph6("E   ")
         assert err.value.offset == 1
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("A\u00e9", 1), ("\u00e9", 0), (">>graph6<<A\u00e9", 1)],
+        ids=["second", "first", "after-header"],
+    )
+    def test_non_ascii_rejected(self, text, offset):
+        # each non-ASCII character used to become '?', a valid graph6 byte
+        with pytest.raises(Graph6Error, match="non-ASCII character '\u00e9'") as err:
+            parse_graph6(text)
+        assert err.value.offset == offset
+
     def test_truncated_body(self):
         with pytest.raises(Graph6Error):
             parse_graph6("E~~")
@@ -355,8 +366,8 @@ class TestGraph6:
     def test_every_byte_matches_bitwise_decoder(self):
         # each of the 256 code points in the size prefix, the body and the
         # last byte of a short and of a long-form string: the bytes just
-        # outside 63..126 are rejected with the same offset, and non-ASCII
-        # ones are replaced by '?' in both
+        # outside 63..126 are rejected with the same offset, and the
+        # non-ASCII ones (128..255) as non-ASCII characters, in both
         for text in (write_graph6(cycle_graph(7)), write_graph6(cycle_graph(70))):
             for pos in (0, 1, 2, len(text) - 1):
                 for byte in range(256):

@@ -18,19 +18,21 @@ from starcomp.graphs import (
 )
 from starcomp.linalg import (
     NotAnEigenvalueError,
-    Polynomial,
     SingularResolventError,
     _inverse_scaled,
+    _monic_quotient,
     _null_space,
     _root_bound,
     _shifted_int_matrix,
-    adjacency_matrix,
     char_poly,
     eig_multiplicity,
     format_rational,
+    integer_roots,
     is_nonmain,
     min_poly,
     parse_rational,
+    poly_eval,
+    poly_text,
     resolvent_bilinear,
     resolvent_inverse,
     resolvent_via_minpoly,
@@ -46,6 +48,10 @@ from conftest import (
     krylov_min_poly,
     leibniz_char_poly,
     minpoly_scaled_resolvent,
+    poly_at,
+    poly_divmod,
+    poly_from_roots,
+    poly_mul,
     random_graph,
 )
 
@@ -58,45 +64,54 @@ def random_rational_matrix(n: int, rng: random.Random) -> np.ndarray:
     return m
 
 
+# Root-free factors over the integers: irreducible quadratics and a cubic
+# with no integer root, each monic.
+ROOT_FREE = [(-2, 0, 1), (1, 0, 1), (-4, -1, 1), (1, 1, 0, 1)]
+
+
 class TestPolynomial:
     def test_repr(self):
-        assert str(Polynomial([0, -4, -5, 0, 1])) == "x^4 - 5*x^2 - 4*x"
+        assert poly_text((0, -4, -5, 0, 1)) == "x^4 - 5*x^2 - 4*x"
+        assert poly_text((0, -1)) == "-x"
+        assert poly_text((1,)) == "1"
+        assert poly_text(()) == "0"
 
     def test_eval(self):
-        p = Polynomial([1, 2, 3])
-        assert p(Fraction(1, 2)) == 1 + 1 + Fraction(3, 4)
+        got = poly_eval((1, 2, 3), Fraction(1, 2))
+        assert got == 1 + 1 + Fraction(3, 4) and type(got) is Fraction
+        assert poly_eval((1, 2, 3), -2) == 9
+        assert poly_eval((), Fraction(1, 2)) == 0
 
     def test_divmod(self):
-        p = Polynomial.from_roots([1, 2, 3])
-        q, r = divmod(p, Polynomial([-2, 1]))
-        assert r.degree < 0
-        assert q == Polynomial.from_roots([1, 3])
+        # the package's one polynomial division, which integer_roots uses to
+        # divide out each root: an exact quotient by a monic divisor
+        p = [int(c) for c in poly_from_roots([1, 2, 3])]
+        assert _monic_quotient(p, [-2, 1]) == list(poly_from_roots([1, 3]))
+        assert _monic_quotient(p, p) == [1]
 
     def test_rational_roots(self):
-        p = Polynomial.from_roots([0, 0, -2, 3])
-        assert p.factor_rational()[0] == [
-            (Fraction(-2), 1),
-            (Fraction(0), 2),
-            (Fraction(3), 1),
-        ]
+        p = poly_from_roots([0, 0, -2, 3])
+        assert integer_roots(p)[0] == [(-2, 1), (0, 2), (3, 1)]
         # a root far out, a repeated one and an irreducible factor
-        p = Polynomial.from_roots([-1000, 7, -5, 12, 12]) * Polynomial([1, 0, 1])
-        assert p.factor_rational()[0] == [
-            (Fraction(-1000), 1),
-            (Fraction(-5), 1),
-            (Fraction(7), 1),
-            (Fraction(12), 2),
-        ]
+        p = poly_mul(poly_from_roots([-1000, 7, -5, 12, 12]), (1, 0, 1))
+        assert integer_roots(p)[0] == [(-1000, 1), (-5, 1), (7, 1), (12, 2)]
+        assert all(type(r) is int for r, _ in integer_roots(p)[0])
 
     @pytest.mark.parametrize(
-        "poly",
-        [Polynomial([-4, 2]), Polynomial([Fraction(-1, 2), 1])],  # 2x - 4, x - 1/2
-        ids=["non-monic", "non-integral"],
+        "poly, match",
+        [
+            ((), "zero polynomial"),
+            ((-4, 2), "not a monic integer polynomial"),  # 2x - 4
+            ((Fraction(-1, 2), 1), "not a monic integer polynomial"),  # x - 1/2
+            ((0.5, 1), "not a monic integer polynomial"),  # x + 0.5
+            ((1, 0), "not a monic integer polynomial"),  # 0x + 1, a zero lead
+        ],
+        ids=["zero", "non-monic", "non-integral", "float", "zero-lead"],
     )
-    def test_factor_rational_needs_monic_integer(self, poly):
+    def test_integer_roots_needs_monic_integer(self, poly, match):
         # the rational root theorem search holds for monic integer polynomials
-        with pytest.raises(ValueError, match="not a monic integer polynomial"):
-            poly.factor_rational()
+        with pytest.raises(ValueError, match=match):
+            integer_roots(poly)
 
     def test_root_bound_rounds_each_root_up_exactly(self):
         # 2 max_k ceil(|c_(d-k)|^(1/k)), low degree first
@@ -107,11 +122,32 @@ class TestPolynomial:
         assert _root_bound([0, 0, 1]) == 0
         assert _root_bound([1]) == 0
 
-    def test_factor_rational_residual(self):
-        p = Polynomial([-4, -1, 1]) * Polynomial.from_roots([0, -1])  # x^2-x-4 times x(x+1)
-        roots, residual = p.factor_rational()
-        assert roots == [(Fraction(-1), 1), (Fraction(0), 1)]
-        assert residual == Polynomial([-4, -1, 1])
+    def test_integer_roots_residual(self):
+        p = poly_mul((-4, -1, 1), poly_from_roots([0, -1]))  # x^2-x-4 times x(x+1)
+        roots, residual = integer_roots(p)
+        assert roots == [(-1, 1), (0, 1)]
+        assert residual == (-4, -1, 1)
+        assert integer_roots((1,)) == ([], (1,))  # a constant: no roots, residual 1
+        assert integer_roots((0, 0, 1)) == ([(0, 2)], (1,))
+        assert integer_roots(poly_from_roots([3, -3, 3])) == ([(-3, 1), (3, 2)], (1,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-40, 40), st.integers(1, 4), max_size=6),
+        st.lists(st.sampled_from(ROOT_FREE), max_size=2),
+    )
+    def test_integer_roots_differential(self, roots, factors):
+        # the drawn roots with their multiplicities, 0 and negative ones
+        # included, times root-free factors: the roots come back ascending and
+        # the residual is the product of the factors
+        residual = (Fraction(1),)
+        for f in factors:
+            residual = poly_mul(residual, f)
+        drawn = [r for r, m in roots.items() for _ in range(m)]
+        p = poly_mul(poly_from_roots(drawn), residual)
+        got, rest = integer_roots(tuple(int(c) for c in p))
+        assert got == sorted(roots.items())
+        assert rest == residual and all(type(c) is int for c in rest)
 
     def test_parse_format_rational(self):
         assert parse_rational("-5/2") == Fraction(-5, 2)
@@ -125,15 +161,15 @@ class TestPolynomial:
 
 class TestCharPoly:
     def test_k2(self):
-        assert char_poly(adjacency_matrix(complete_graph(2))) == Polynomial([-1, 0, 1])
+        assert char_poly(complete_graph(2).adj) == (-1, 0, 1)
 
     def test_octahedron_vs_leibniz(self):
-        adj = adjacency_matrix(make_cocktail(3))
+        adj = make_cocktail(3).adj
         assert char_poly(adj) == leibniz_char_poly(adj)
-        assert char_poly(adj) == Polynomial.from_roots([4, 0, 0, 0, -2, -2])
+        assert char_poly(adj) == poly_from_roots([4, 0, 0, 0, -2, -2])
 
     def test_zero_matrix(self):
-        assert char_poly(np.zeros((3, 3), dtype=object)) == Polynomial([0, 0, 0, 1])
+        assert char_poly(np.zeros((3, 3), dtype=object)) == (0, 0, 0, 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -143,49 +179,45 @@ class TestCharPoly:
         rng = random.Random(17)
         for _ in range(15):
             g = random_graph(rng.randint(1, 6), rng)
-            adj = adjacency_matrix(g)
+            adj = g.adj
             assert char_poly(adj) == leibniz_char_poly(adj)
 
     def test_differential_against_faddeev_leverrier(self):
         rng = random.Random(29)
         for n in range(17):
             for _ in range(2):
-                adj = adjacency_matrix(random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.8])))
+                adj = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.8])).adj
                 assert char_poly(adj) == faddeev_leverrier_char_poly(adj)
 
 
 class TestMinPoly:
     def test_split_2_2(self):
-        m = min_poly(adjacency_matrix(make_complete_split(2, 2)))
-        assert m == Polynomial([0, -4, -5, 0, 1])
+        assert min_poly(make_complete_split(2, 2).adj) == (0, -4, -5, 0, 1)
 
     def test_identity(self):
-        assert min_poly(identity_matrix(3)) == Polynomial([-1, 1])
+        assert min_poly(identity_matrix(3)) == (-1, 1)
 
     def test_k3(self):
-        assert min_poly(adjacency_matrix(complete_graph(3))) == Polynomial([-2, -1, 1])
+        assert min_poly(complete_graph(3).adj) == (-2, -1, 1)
 
     def test_divides_char_poly_and_squarefree(self):
         rng = random.Random(23)
         for _ in range(20):
             g = random_graph(rng.randint(1, 7), rng)
-            adj = adjacency_matrix(g)
-            mp, cp = min_poly(adj), char_poly(adj)
-            assert divmod(cp, mp)[1].degree < 0
-            assert mp.coeffs[-1] == 1
+            mp, cp = min_poly(g.adj), char_poly(g.adj)
+            assert poly_divmod(cp, mp)[1] == ()
+            assert mp[-1] == 1 and all(type(c) is int for c in mp + cp)
             # adjacency matrices are symmetric, so the minimal polynomial is
             # the squarefree part of the characteristic polynomial
-            slope = Polynomial([i * c for i, c in enumerate(cp.coeffs)][1:])
-            squarefree, rem = divmod(cp, euclid_poly_gcd(cp, slope))
-            assert rem.degree < 0
-            assert mp == Polynomial(
-                [c / squarefree.coeffs[-1] for c in squarefree.coeffs]
-            )
+            slope = [i * c for i, c in enumerate(cp)][1:]
+            squarefree, rem = poly_divmod(cp, euclid_poly_gcd(cp, slope))
+            assert rem == ()
+            assert mp == tuple(c / squarefree[-1] for c in squarefree)
 
 
     def test_zero_and_empty(self):
-        assert min_poly(np.zeros((3, 3), dtype=object)) == Polynomial([0, 1])
-        assert min_poly(np.zeros((0, 0), dtype=object)) == Polynomial([1])
+        assert min_poly(np.zeros((3, 3), dtype=object)) == (0, 1)
+        assert min_poly(np.zeros((0, 0), dtype=object)) == (1,)
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -197,7 +229,7 @@ class TestMinPoly:
         rng = random.Random(61)
         for n in range(13):
             for _ in range(3):
-                adj = adjacency_matrix(random_graph(n, rng, p=rng.choice([0.2, 0.5, 0.8])))
+                adj = random_graph(n, rng, p=rng.choice([0.2, 0.5, 0.8])).adj
                 assert min_poly(adj) == krylov_min_poly(adj)
 
 
@@ -237,11 +269,11 @@ class TestRankMultiplicity:
         rng = random.Random(31)
         for _ in range(15):
             g = random_graph(rng.randint(1, 7), rng)
-            roots, _ = char_poly(adjacency_matrix(g)).factor_rational()
+            roots, _ = integer_roots(char_poly(g.adj))
             assert sum(m for _, m in roots) <= g.n
             for value, mult in roots:
                 assert eig_multiplicity(g, value) == mult
-                assert char_poly(adjacency_matrix(g))(value) == 0
+                assert poly_at(char_poly(g.adj), value) == 0
 
     def test_multiplicity_cache_is_bounded(self):
         assert eig_multiplicity.cache_info().maxsize == CACHE_SIZE
@@ -379,7 +411,7 @@ class TestNonMain:
             r = is_regular(g)
             if r is None:
                 continue
-            roots, _ = char_poly(adjacency_matrix(g)).factor_rational()
+            roots, _ = integer_roots(char_poly(g.adj))
             for value, _m in roots:
                 if value != r:
                     assert is_nonmain(g, value) is True
@@ -398,7 +430,7 @@ class TestNonMain:
 )
 def test_is_nonmain_matches_two_rank_oracle(g):
     # mu is non-main iff appending q j to M = qA - pI leaves the rank alone
-    for mu, _ in char_poly(adjacency_matrix(g)).factor_rational()[0]:
+    for mu, _ in integer_roots(char_poly(g.adj))[0]:
         p, q = mu.numerator, mu.denominator
         m = [[q * int(v) - (p if i == j else 0) for j, v in enumerate(row)]
              for i, row in enumerate(g.adj)]
@@ -445,7 +477,7 @@ class TestResolvent:
     def test_via_minpoly_coefficients_2_2(self):
         # a_3..a_0 = (1, -2, -1, -2) at s = t = 2, mu = -2
         h = make_complete_split(2, 2)
-        adj = adjacency_matrix(h)
+        adj = h.adj.astype(object)
         expected = (
             adj @ adj @ adj
             + (-2) * (adj @ adj)
@@ -470,8 +502,8 @@ class TestResolvent:
             if eig_multiplicity(g, mu) > 0:
                 continue
             trials += 1
-            m_mu = krylov_min_poly(adjacency_matrix(g))(mu)
-            shifted = mu * identity_matrix(g.n) - adjacency_matrix(g)
+            m_mu = poly_at(krylov_min_poly(g.adj), mu)
+            shifted = mu * identity_matrix(g.n) - g.adj
             direct = fraction_inverse(shifted) * m_mu
             assert (direct == minpoly_scaled_resolvent(g, mu)).all()
 
@@ -480,7 +512,7 @@ class TestResolvent:
         for _ in range(10):
             g = random_graph(rng.randint(2, 6), rng)
             mu = Fraction(rng.randint(2, 9))  # beyond spectral radius
-            m_mu = krylov_min_poly(adjacency_matrix(g))(mu)
+            m_mu = poly_at(krylov_min_poly(g.adj), mu)
             scaled = minpoly_scaled_resolvent(g, mu)
             x = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
             y = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=object)
@@ -517,7 +549,7 @@ class TestResolvent:
             for _ in range(4):
                 g = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.7]))
                 mu = Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3]))
-                shifted = mu * identity_matrix(n) - adjacency_matrix(g)
+                shifted = mu * identity_matrix(n) - g.adj
                 if eig_multiplicity(g, mu) > 0:
                     with pytest.raises(SingularResolventError):
                         resolvent_inverse(g, mu)
