@@ -220,25 +220,27 @@ def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
     return payload, lines, EXIT_OK
 
 
-def _branch_lines(b) -> Iterable[str]:
-    status = "PASS" if b.passed else "FAIL"
-    summary = f"unique graph {b.graph6}" if b.t == 2 and b.graph6 else f"{b.graphs_found} graphs"
-    yield f"  t={b.t} mu={format_rational(b.mu)}: {status} ({b.candidates} candidates, {summary})"
-    for name, ok, detail in b.checks:
-        if not ok:
-            yield f"    FAILED {name}: {detail}"
+def _branch_lines(b: dict) -> Iterable[str]:
+    status = "PASS" if b["passed"] else "FAIL"
+    if b["t"] == 2 and b["graph6"]:
+        summary = f"unique graph {b['graph6']}"
+    else:
+        summary = f"{b['graphs']} graphs"
+    yield f"  t={b['t']} mu={b['mu']}: {status} ({b['candidates']} candidates, {summary})"
+    for check in b["checks"]:
+        if not check["ok"]:
+            yield f"    FAILED {check['name']}: {check['detail']}"
 
 
 def cmd_theorem(args) -> tuple[dict, Iterable[str], int]:
     _check_counts(args)
-    report = theorem_check(args.s, args.t_max)
-    payload = report.to_json()
+    payload = theorem_check(args.s, args.t_max)
     lines = chain(
         [f"classification check at s = {args.s}, t = 2..{args.t_max}"],
-        chain.from_iterable(map(_branch_lines, report.branches)),
-        ["overall: " + ("PASS" if report.passed else "FAIL")],
+        chain.from_iterable(map(_branch_lines, payload["branches"])),
+        ["overall: " + ("PASS" if payload["passed"] else "FAIL")],
     )
-    return payload, lines, EXIT_OK if report.passed else EXIT_VERIFICATION
+    return payload, lines, EXIT_OK if payload["passed"] else EXIT_VERIFICATION
 
 
 def cmd_explore(args) -> tuple[dict, Iterable[str], int]:
@@ -250,19 +252,19 @@ def cmd_explore(args) -> tuple[dict, Iterable[str], int]:
         "s_range": list(s_range),
         "t_range": list(t_range),
         "mu_range": [mu_lo, mu_hi],
-        **table.to_json(),
+        **table,
     }
     lines = chain(
         [
             f"integer solutions over s={args.s}, t={args.t}, mu={args.mu} "
-            f"({len(table.rows)} rows, {table.dropped_nonintegral} dropped non-integral, "
-            f"{table.skipped_eigenvalue} skipped eigenvalue combinations)",
+            f"({len(table['rows'])} rows, {table['dropped_nonintegral']} dropped non-integral, "
+            f"{table['skipped_eigenvalue']} skipped eigenvalue combinations)",
             f"  {'s':>3} {'t':>3} {'mu':>5} {'a':>3} {'b':>3}  t+mu=0",
         ],
         (
-            f"  {r.s:>3} {r.t:>3} {format_rational(r.mu):>5} {r.a:>3} {r.b:>3}  "
-            f"{'yes' if r.degenerate_linear else 'no'}"
-            for r in table.rows
+            f"  {r['s']:>3} {r['t']:>3} {r['mu']:>5} {r['a']:>3} {r['b']:>3}  "
+            f"{'yes' if r['t_plus_mu_zero'] else 'no'}"
+            for r in table["rows"]
         ),
     )
     return payload, lines, EXIT_OK

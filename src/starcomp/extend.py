@@ -17,8 +17,10 @@ int64 when mu is integral and every intermediate provably fits, and over
 Python ints otherwise.  Pair classes use the scaled form R' = m(mu) R / D of
 resolvent_via_minpoly: with the candidates as the rows of a 0/1 matrix C,
 every scaled pair value m(mu) <b_u, b_v> is an entry of the one product
-C R' C^T, compared against -m(mu) and 0, under the same rule.
-build_compat_graph does this once per run and keeps C and the two masks in
+C R' C^T, compared against -m(mu) and 0, under the same rule.  The
+table takes an integral mu only: <b, b> = mu makes mu a rational
+eigenvalue of the integer matrix A(H + v), an integer, so a non-integral
+mu has no candidates.  build_compat_graph does this once per run and keeps C and the two masks in
 a CompatTable: the masks are the only record of the pair classes (adjacent,
 and compat = adjacent or nonadjacent), and assemble_graph slices each
 clique's block adjacency from them.
@@ -223,9 +225,11 @@ class CompatTable:
 
 def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> CompatTable:
     """Classify every candidate pair with one product C R' C^T, compared
-    against -m(mu) and 0, in the dtype kernels.int_dtype proves safe for an
-    integral mu and over Python ints otherwise.  ValueError if a candidate
-    has a vertex outside H or is not strictly ascending (its row's order)."""
+    against -m(mu) and 0, in the dtype kernels.int_dtype proves safe.
+    ValueError if a candidate has a vertex outside H or is not strictly
+    ascending (its row's order), and, from resolvent_via_minpoly, if the
+    list is nonempty and mu is not an integer: a non-integral mu has no
+    candidates."""
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=np.uint8)
     for i, cand in enumerate(candidates):
@@ -241,11 +245,8 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> C
             raise MuIsEigenvalueError(
                 f"mu={format_rational(mu)} is an eigenvalue of the star complement"
             ) from None
-        m_mu = poly_eval(graph_min_poly(h), mu)
-        dtype = object
-        if mu.denominator == 1:  # then R' and m(mu) are integers
-            m_mu = int(m_mu)
-            dtype = kernels.int_dtype(res, m_mu)
+        m_mu = poly_eval(graph_min_poly(h), int(mu))
+        dtype = kernels.int_dtype(res, m_mu)
         cm = c.astype(dtype)
         values = cm @ res.astype(dtype) @ cm.T
         adjacent = values == -m_mu

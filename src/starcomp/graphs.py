@@ -294,28 +294,29 @@ def write_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string; raises Graph6Error with a byte offset on defects,
-    a non-ASCII character among them.
+    a non-ASCII character among them.  Offsets count from the start of text,
+    a >>graph6<< header included.
 
     The bytes are checked and unbiased by bytes.translate, and the body's
     6-bit groups are unpacked in one numpy pass to fill the strict lower
     triangle row by row, the inverse of _graph6.
     """
-    if text.startswith(_G6_HEADER):
-        text = text[len(_G6_HEADER) :]
+    skip = len(_G6_HEADER) if text.startswith(_G6_HEADER) else 0
+    text = text[skip:]
     try:
         data = text.encode("ascii")
     except UnicodeEncodeError as exc:
-        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", skip + exc.start) from None
     if len(data) == 0:
-        raise Graph6Error("empty graph6 string", 0)
+        raise Graph6Error("empty graph6 string", skip)
     if data.translate(None, _G6_BYTES):
         pos, byte = next((i, b) for i, b in enumerate(data) if not 63 <= b <= 126)
-        raise Graph6Error(f"invalid graph6 byte {byte!r}", pos)
+        raise Graph6Error(f"invalid graph6 byte {byte!r}", skip + pos)
     if data[0] == 126:
         if len(data) < 2 or data[1] == 126:
-            raise Graph6Error("graph6 size prefix for n > 258047 not supported", 0)
+            raise Graph6Error("graph6 size prefix for n > 258047 not supported", skip)
         if len(data) < 4:
-            raise Graph6Error("truncated graph6 size prefix", len(data))
+            raise Graph6Error("truncated graph6 size prefix", skip + len(data))
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body_offset = 4
     else:
@@ -323,20 +324,22 @@ def parse_graph6(text: str) -> Graph:
         body_offset = 1
     body = data[body_offset:]
     if n > MAX_VERTICES:
-        raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", 0)
+        raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", skip)
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise Graph6Error(
             f"graph6 body has {len(body)} bytes, expected {expect} for n={n}",
-            body_offset + min(len(body), expect),
+            skip + body_offset + min(len(body), expect),
         )
     # Each group sits in the low six bits of its byte, most significant first.
     groups = np.frombuffer(body.translate(_G6_UNBIAS), dtype=np.uint8)
     bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
     padding = np.flatnonzero(bits[nbits:])
     if len(padding):
-        raise Graph6Error("nonzero padding bit", body_offset + (nbits + int(padding[0])) // 6)
+        raise Graph6Error(
+            "nonzero padding bit", skip + body_offset + (nbits + int(padding[0])) // 6
+        )
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
     return Graph.from_adjacency(adj | adj.T)

@@ -404,13 +404,14 @@ def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:
     """The scaled resolvent m(mu) (mu I - A(H))^{-1}, m the minimal polynomial.
 
     It is m(mu) R / D from the cached resolvent_inverse.  Being a polynomial
-    in A(H) with coefficients in Z[mu], it is an integer matrix whenever mu
-    is an integer; its entries are then Python ints from an exact integer
-    division.  Raises SingularResolventError when mu is an eigenvalue of H.
+    in A(H) with coefficients in Z[mu], it is an integer matrix for an
+    integer mu, whose entries are Python ints from an exact integer
+    division.  Only an integer mu is taken (ValueError otherwise): no
+    candidate has a non-integral mu, so no pair table needs one.  Raises
+    SingularResolventError when mu is an eigenvalue of H.
     """
     mu = Fraction(mu)
+    if mu.denominator != 1:
+        raise ValueError(f"the scaled resolvent takes an integral mu, got {format_rational(mu)}")
     r, den = resolvent_inverse(h, mu)
-    m_mu = poly_eval(graph_min_poly(h), mu)
-    if mu.denominator == 1:
-        return int(m_mu) * r // den
-    return r * (m_mu / den)
+    return poly_eval(graph_min_poly(h), int(mu)) * r // den

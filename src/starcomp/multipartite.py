@@ -9,12 +9,17 @@ resolvent m(mu)(mu I - A)^{-1} has the block form
     (delta J                 gamma J + beta(mu+1) I)
 
 with alpha = mu^2 + mu t, beta = mu^2 - (s-1) mu - st, gamma = s(mu+1) and
-delta = mu^2 + mu.  coeffs returns these, and closed_bilinear reads the
-scaled pair value m(mu) <b_u, b_v> of two candidates off their types (a
-neighbors in the clique, b in the independent part) and their overlaps.
-The explorer's diagonal test reads them: a type (a, b) forced by
-<b, j> = -1 is kept when its pair value with itself is mu m(mu), that is
-when <b, b> = mu.
+delta = mu^2 + mu.  coeffs(s, t, mu) returns these five values and m(mu) as
+one tuple, and closed_bilinear reads the scaled pair value
+m(mu) <b_u, b_v> of two candidates off their types, each an (a, b) pair
+(a neighbors in the clique, b in the independent part), and their
+overlaps.  The explorer's diagonal test reads them: a type (a, b) forced
+by <b, j> = -1 is kept when its pair value with itself is mu m(mu), that
+is when <b, b> = mu.
+
+theorem_check and solution_explorer return their reports as the JSON
+payloads that the CLI writes, dicts of strings, ints, bools and lists;
+the CLI renders its text reports from the same dicts.
 
 The paper's other closed forms (the minimal polynomial, the diagonal
 quintic, the non-main relation a(mu+t) + b(mu+1) = s(mu+t) - mu(mu+1), the
@@ -26,16 +31,14 @@ generic exact-arithmetic route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .extend import check_subset_budget, maximal_extensions
 from .graphs import (
-    Graph,
     is_isomorphic,
     make_cocktail,
     make_complete_split,
@@ -54,61 +57,26 @@ class MuIsSplitEigenvalueError(PreconditionError):
     """mu hits the spectrum of K_s + tK_1 (mu in {0,-1} or beta = 0)."""
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Parameters of the split star complement, restricted to s, t >= 2."""
-
-    s: int
-    t: int
-
-    def __post_init__(self):
-        if self.s < 2 or self.t < 2:
-            raise ValueError("block spec requires s >= 2 and t >= 2")
-
-    def graph(self) -> Graph:
-        return make_complete_split(self.s, self.t)
-
-
-@dataclass(frozen=True)
-class ResolventCoeffs:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    m_mu: Fraction
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Candidate type: a neighbors in the clique part, b in the independent part."""
-
-    a: int
-    b: int
-
-
-def coeffs(spec: BlockSpec, mu) -> ResolventCoeffs:
-    """The (alpha, beta, gamma, delta, m(mu)) tuple of the block resolvent."""
+def coeffs(s: int, t: int, mu) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """The (alpha, beta, gamma, delta, m(mu)) tuple of the block resolvent of
+    K_s + tK_1, which is restricted to s, t >= 2."""
+    if s < 2 or t < 2:
+        raise ValueError("the split star complement requires s >= 2 and t >= 2")
     mu = Fraction(mu)
-    s, t = spec.s, spec.t
     beta = mu * mu - (s - 1) * mu - s * t
     if mu in (0, -1) or beta == 0:
         raise MuIsSplitEigenvalueError(
             f"mu={format_rational(mu)} is an eigenvalue of K_{s} + {t}K_1"
         )
-    return ResolventCoeffs(
-        alpha=mu * mu + mu * t,
-        beta=beta,
-        gamma=s * (mu + 1),
-        delta=mu * mu + mu,
-        m_mu=mu * (mu + 1) * beta,
-    )
+    return mu * mu + mu * t, beta, s * (mu + 1), mu * mu + mu, mu * (mu + 1) * beta
 
 
 def closed_bilinear(
-    spec: BlockSpec,
+    s: int,
+    t: int,
     mu,
-    u: TypeVector,
-    v: TypeVector,
+    u: tuple[int, int],
+    v: tuple[int, int],
     y_overlap: int,
     z_overlap: int,
 ) -> Fraction:
@@ -120,81 +88,34 @@ def closed_bilinear(
         alpha a e + beta mu y_overlap + delta (a f + e b)
         + gamma b f + beta (mu+1) z_overlap
     """
-    c = coeffs(spec, mu)
-    a, b = u.a, u.b
-    e, f = v.a, v.b
-    if not (0 <= a <= spec.s and 0 <= e <= spec.s):
+    c = coeffs(s, t, mu)
+    (a, b), (e, f) = u, v
+    if not (0 <= a <= s and 0 <= e <= s):
         raise ValueError("clique-side type out of range")
-    if not (0 <= b <= spec.t and 0 <= f <= spec.t):
+    if not (0 <= b <= t and 0 <= f <= t):
         raise ValueError("independent-side type out of range")
-    if not (max(0, a + e - spec.s) <= y_overlap <= min(a, e)):
+    if not (max(0, a + e - s) <= y_overlap <= min(a, e)):
         raise ValueError("clique overlap out of range")
-    if not (max(0, b + f - spec.t) <= z_overlap <= min(b, f)):
+    if not (max(0, b + f - t) <= z_overlap <= min(b, f)):
         raise ValueError("independent overlap out of range")
     return _pair_value(c, Fraction(mu), a, b, e, f, y_overlap, z_overlap)
 
 
-def _pair_value(c: ResolventCoeffs, mu: Fraction, a, b, e, f, y, z) -> Fraction:
+def _pair_value(c: tuple, mu: Fraction, a, b, e, f, y, z) -> Fraction:
     """closed_bilinear's value from the coefficients c at mu, unchecked."""
+    alpha, beta, gamma, delta, _ = c
     return (
-        c.alpha * a * e
-        + c.beta * mu * y
-        + c.delta * (a * f + e * b)
-        + c.gamma * b * f
-        + c.beta * (mu + 1) * z
+        alpha * a * e
+        + beta * mu * y
+        + delta * (a * f + e * b)
+        + gamma * b * f
+        + beta * (mu + 1) * z
     )
 
 
 # ---------------------------------------------------------------------------
 # End-to-end classification checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoremBranch:
-    t: int
-    mu: Fraction
-    candidates: int
-    graphs_found: int
-    checks: tuple[tuple[str, bool, str], ...]
-    graph6: Optional[str]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "mu": format_rational(self.mu),
-            "candidates": self.candidates,
-            "graphs": self.graphs_found,
-            "passed": self.passed,
-            "graph6": self.graph6,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in self.checks
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    s: int
-    t_max: int
-    branches: tuple[TheoremBranch, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(b.passed for b in self.branches)
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "t_max": self.t_max,
-            "passed": self.passed,
-            "branches": [b.to_json() for b in self.branches],
-        }
 
 
 def _expected_spectrum_poly(s: int) -> tuple[int, ...]:
@@ -208,7 +129,7 @@ def _expected_spectrum_poly(s: int) -> tuple[int, ...]:
     return tuple(a - 2 * s * b for a, b in zip([0] + p, p + [0]))
 
 
-def theorem_check(s: int, t_max: int) -> TheoremReport:
+def theorem_check(s: int, t_max: int) -> dict:
     """Run the classification for mu = -t over t = 2..t_max at clique size s.
 
     Expected outcome: for t = 2 exactly one regular maximal graph, the
@@ -217,6 +138,12 @@ def theorem_check(s: int, t_max: int) -> TheoremReport:
     t >= 3 no regular maximal graph at all.  Any failed check is reported as
     a counterexample rather than raised.  The largest branch's subset scan
     is checked against DEFAULT_BUDGET before any branch runs.
+
+    Returns the report's JSON payload: s, t_max, passed and one branch per
+    t, each with its t, mu, candidate and graph counts ("graphs"), passed,
+    the found graph's graph6 (t = 2 only, else None) and its checks as
+    {"name", "ok", "detail"}.  A branch passes when all its checks do, and
+    the report when all its branches do.
     """
     if s < 2 or t_max < 2:
         raise ValueError("theorem check requires s >= 2 and t_max >= 2")
@@ -277,16 +204,25 @@ def theorem_check(s: int, t_max: int) -> TheoremReport:
                 )
             )
         branches.append(
-            TheoremBranch(
-                t=t,
-                mu=mu,
-                candidates=len(report.candidates),
-                graphs_found=len(report.maximal_graphs),
-                checks=tuple(checks),
-                graph6=g6,
-            )
+            {
+                "t": t,
+                "mu": format_rational(mu),
+                "candidates": len(report.candidates),
+                "graphs": len(report.maximal_graphs),
+                "passed": all(ok for _, ok, _ in checks),
+                "graph6": g6,
+                "checks": [
+                    {"name": name, "ok": ok, "detail": detail}
+                    for name, ok, detail in checks
+                ],
+            }
         )
-    return TheoremReport(s=s, t_max=t_max, branches=tuple(branches))
+    return {
+        "s": s,
+        "t_max": t_max,
+        "passed": all(b["passed"] for b in branches),
+        "branches": branches,
+    }
 
 
 def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
@@ -329,49 +265,11 @@ def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplorerRow:
-    s: int
-    t: int
-    mu: Fraction
-    a: int
-    b: int
-
-    @property
-    def degenerate_linear(self) -> bool:
-        """True when t + mu = 0 (the forced-type regime)."""
-        return self.t + self.mu == 0
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "mu": format_rational(self.mu),
-            "a": self.a,
-            "b": self.b,
-            "t_plus_mu_zero": self.degenerate_linear,
-        }
-
-
-@dataclass(frozen=True)
-class ExplorerTable:
-    rows: tuple[ExplorerRow, ...]
-    dropped_nonintegral: int
-    skipped_eigenvalue: int
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [r.to_json() for r in self.rows],
-            "dropped_nonintegral": self.dropped_nonintegral,
-            "skipped_eigenvalue": self.skipped_eigenvalue,
-        }
-
-
 def solution_explorer(
     s_range: tuple[int, int],
     t_range: tuple[int, int],
     mu_values: Iterable,
-) -> ExplorerTable:
+) -> dict:
     """All integer types (a, b) solving both constraints over a parameter grid.
 
     For each (s, t, mu) with mu outside the spectrum of H (as coeffs
@@ -382,6 +280,10 @@ def solution_explorer(
     mu m(mu), i.e. when <b, b> = mu.  Every emitted row is re-verified by
     building one candidate of that type and evaluating the two bilinear
     values directly.
+
+    Returns the JSON payload {"rows", "dropped_nonintegral",
+    "skipped_eigenvalue"}; the rows are sorted on (s, t, mu, a, b) and each
+    is {"s", "t", "mu", "a", "b", "t_plus_mu_zero"}, with mu as its text.
     """
     if s_range[0] < 2 or t_range[0] < 2:
         raise ValueError("explorer grid requires s, t >= 2")
@@ -391,14 +293,13 @@ def solution_explorer(
     mu_list = sorted(set(Fraction(m) for m in mu_values))
     for s in range(s_range[0], s_range[1] + 1):
         for t in range(t_range[0], t_range[1] + 1):
-            spec = BlockSpec(s, t)
             for mu in mu_list:
                 try:
-                    c = coeffs(spec, mu)
+                    c = coeffs(s, t, mu)
                 except MuIsSplitEigenvalueError:
                     skipped += 1
                     continue
-                want_diag = mu * c.m_mu
+                want_diag = mu * c[-1]  # mu m(mu)
                 # b over the one denominator q (p + q), for mu = p/q
                 p, q = mu.numerator, mu.denominator
                 for a in range(0, s + 1):
@@ -410,24 +311,36 @@ def solution_explorer(
                         continue
                     if _pair_value(c, mu, a, b, a, b, a, b) != want_diag:
                         continue
-                    _verify_row(spec, mu, a, b)
-                    rows.append(ExplorerRow(s=s, t=t, mu=mu, a=a, b=b))
-    rows.sort(key=lambda r: (r.s, r.t, r.mu, r.a, r.b))
-    return ExplorerTable(
-        rows=tuple(rows), dropped_nonintegral=dropped, skipped_eigenvalue=skipped
-    )
+                    _verify_row(s, t, mu, a, b)
+                    rows.append((s, t, mu, a, b))
+    rows.sort()
+    return {
+        "rows": [
+            {
+                "s": s,
+                "t": t,
+                "mu": format_rational(mu),
+                "a": a,
+                "b": b,
+                "t_plus_mu_zero": t + mu == 0,
+            }
+            for s, t, mu, a, b in rows
+        ],
+        "dropped_nonintegral": dropped,
+        "skipped_eigenvalue": skipped,
+    }
 
 
-def _verify_row(spec: BlockSpec, mu: Fraction, a: int, b: int) -> None:
+def _verify_row(s: int, t: int, mu: Fraction, a: int, b: int) -> None:
     """Re-check a solution row against the generic bilinear form."""
-    h = spec.graph()
+    h = make_complete_split(s, t)
     vec = np.zeros(h.n, dtype=object)
-    vec[:a] = vec[spec.s : spec.s + b] = 1
+    vec[:a] = vec[s : s + b] = 1
     ones = np.ones(h.n, dtype=object)
     diag = resolvent_bilinear(h, mu, vec, vec)
     row_sum = resolvent_bilinear(h, mu, vec, ones)
     if diag != mu or row_sum != -1:
         raise AssertionError(
-            f"explorer row (s={spec.s}, t={spec.t}, mu={format_rational(mu)}, "
+            f"explorer row (s={s}, t={t}, mu={format_rational(mu)}, "
             f"a={a}, b={b}) fails direct verification; this is a bug"
         )

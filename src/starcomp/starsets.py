@@ -1,4 +1,4 @@
-"""Star sets: verification certificates, search as row-matroid bases, and eigenspace bases.
+"""Star sets: verification certificates and search as row-matroid bases.
 
 A star set for an eigenvalue mu of G is a vertex set X with |X| equal to the
 multiplicity of mu and mu not an eigenvalue of H = G - X.  Writing the
@@ -29,7 +29,6 @@ space and the main/non-main test share; its rows are reduced fraction-free.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -58,17 +57,6 @@ DEFAULT_BUDGET = 10_000_000
 
 class BudgetExceededError(RuntimeError):
     """A search would take more subsets, masks or cliques than the budget allows."""
-
-
-class InvalidStarSetError(ValueError):
-    """The operation requires a valid star set and got something else."""
-
-    def __init__(self, certificate: "StarSetCertificate"):
-        super().__init__(
-            f"{sorted(certificate.star_set)} is not a star set for "
-            f"mu={format_rational(certificate.mu)}"
-        )
-        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -102,9 +90,6 @@ class StarSetCertificate:
                 "residual_zero": self.residual_zero,
             },
         }
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _scaled_residual(g: Graph, mu: Fraction, star, comp, r, den) -> np.ndarray:
@@ -212,35 +197,3 @@ def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int
             rest.append((w, other))
         stack.append((star + (v,), rest, 0))
     return hits
-
-
-def eigenspace_from_star(g: Graph, mu, star_set: Sequence[int]) -> list[np.ndarray]:
-    """Eigenspace basis reconstructed from a star set.
-
-    For each u in X the vector with e_u on X and (mu I - C)^{-1} B e_u, that
-    is R B e_u / D, on the complement is an exact eigenvector; together they
-    span the eigenspace.  Every returned vector is re-checked against
-    A v = mu v.
-    """
-    mu = Fraction(mu)
-    cert = verify_star_set(g, mu, star_set)
-    if not cert.valid:
-        raise InvalidStarSetError(cert)
-    star = list(cert.star_set)
-    drop = set(star)
-    comp = [v for v in range(g.n) if v not in drop]
-    r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
-    adj = g.adj.astype(object)
-    b = adj[np.ix_(comp, star)]
-    basis = []
-    for idx in range(len(star)):
-        tail = r @ b[:, idx]
-        vec = np.zeros(g.n, dtype=object)
-        vec[star[idx]] = Fraction(1)
-        for pos, v in zip(comp, tail):
-            vec[pos] = Fraction(v, den)
-        if not np.all(adj @ vec == mu * vec):
-            raise AssertionError("reconstructed vector is not an eigenvector")
-        basis.append(vec)
-    return basis
-

@@ -18,8 +18,9 @@ by the argparse parser the package was first built with, instead of its own
 table.  The polynomial oracles hold a polynomial as a tuple of Fractions,
 low degree first, and use the few operations defined here (poly_trim,
 poly_add, poly_mul, poly_divmod, poly_from_roots, poly_at), not the
-package's.  Two helpers that only tests call live here too: deleting vertices,
-and the sub-star-set check built on the package's certificate.
+package's.  Helpers that only tests call live here too: deleting vertices,
+the sub-star-set check built on the package's certificate, and the
+eigenspace basis reconstructed from a star set.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -69,8 +70,8 @@ from starcomp.graphs import (
     make_complete_split,
     vertex_set,
 )
-from starcomp.linalg import eig_multiplicity, resolvent_bilinear
-from starcomp.multipartite import BlockSpec, MuIsSplitEigenvalueError, TypeVector, coeffs
+from starcomp.linalg import eig_multiplicity, format_rational, resolvent_bilinear, resolvent_inverse
+from starcomp.multipartite import MuIsSplitEigenvalueError, coeffs
 from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
 
@@ -197,32 +198,33 @@ def delete_vertices(g: Graph, vertices) -> Graph:
 
 def bitwise_parse_graph6(text: str) -> Graph:
     """graph6 decoded bit by bit in Python, with the package's error
-    messages and byte offsets: the oracle for graphs.parse_graph6."""
-    if text.startswith(">>graph6<<"):
-        text = text[len(">>graph6<<") :]
-    for pos, char in enumerate(text):
+    messages and byte offsets, counted from the start of text with any
+    >>graph6<< header included: the oracle for graphs.parse_graph6."""
+    skip = len(">>graph6<<") if text.startswith(">>graph6<<") else 0
+    for pos, char in enumerate(text[skip:], skip):
         if ord(char) > 127:
             raise Graph6Error(f"non-ASCII character {char!r}", pos)
+    text = text[skip:]
     data = text.encode("ascii")
     if len(data) == 0:
-        raise Graph6Error("empty graph6 string", 0)
-    for pos, byte in enumerate(data):
+        raise Graph6Error("empty graph6 string", skip)
+    for pos, byte in enumerate(data, skip):
         if byte < 63 or byte > 126:
             raise Graph6Error(f"invalid graph6 byte {byte!r}", pos)
     if data[0] == 126:
         if len(data) < 2 or data[1] == 126:
-            raise Graph6Error("graph6 size prefix for n > 258047 not supported", 0)
+            raise Graph6Error("graph6 size prefix for n > 258047 not supported", skip)
         if len(data) < 4:
-            raise Graph6Error("truncated graph6 size prefix", len(data))
+            raise Graph6Error("truncated graph6 size prefix", skip + len(data))
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
-        body_offset = 4
+        body_offset = skip + 4
     else:
         n = data[0] - 63
         body = data[1:]
-        body_offset = 1
+        body_offset = skip + 1
     if n > MAX_VERTICES:
-        raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", 0)
+        raise Graph6Error(f"vertex count {n} exceeds bound {MAX_VERTICES}", skip)
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
     if len(body) != expect:
@@ -562,6 +564,48 @@ def substar_check(g: Graph, mu, star_set, removed) -> bool:
     return verify_star_set(induced_subgraph(g, keep), mu, reduced_star).valid
 
 
+class InvalidStarSetError(ValueError):
+    """eigenspace_from_star was given a set that is not a star set."""
+
+    def __init__(self, certificate):
+        super().__init__(
+            f"{sorted(certificate.star_set)} is not a star set for "
+            f"mu={format_rational(certificate.mu)}"
+        )
+        self.certificate = certificate
+
+
+def eigenspace_from_star(g: Graph, mu, star_set) -> list[np.ndarray]:
+    """Eigenspace basis reconstructed from a star set.
+
+    For each u in X the vector with e_u on X and (mu I - C)^{-1} B e_u, that
+    is R B e_u / D, on the complement is an exact eigenvector; together they
+    span the eigenspace.  Every returned vector is re-checked against
+    A v = mu v.
+    """
+    mu = Fraction(mu)
+    cert = verify_star_set(g, mu, star_set)
+    if not cert.valid:
+        raise InvalidStarSetError(cert)
+    star = list(cert.star_set)
+    drop = set(star)
+    comp = [v for v in range(g.n) if v not in drop]
+    r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
+    adj = g.adj.astype(object)
+    b = adj[np.ix_(comp, star)]
+    basis = []
+    for idx in range(len(star)):
+        tail = r @ b[:, idx]
+        vec = np.zeros(g.n, dtype=object)
+        vec[star[idx]] = Fraction(1)
+        for pos, v in zip(comp, tail):
+            vec[pos] = Fraction(v, den)
+        if not np.all(adj @ vec == mu * vec):
+            raise AssertionError("reconstructed vector is not an eigenvector")
+        basis.append(vec)
+    return basis
+
+
 def exhaustive_candidates(h: Graph, mu, nonmain: bool) -> list[tuple[int, ...]]:
     """Every H-neighborhood b with <b, b> = mu (and <b, j> = -1 if nonmain),
     by evaluating resolvent_bilinear on each of the 2^n subsets in turn."""
@@ -763,9 +807,8 @@ def split_type(c: tuple[int, ...], s: int) -> tuple[int, int]:
     return a, len(c) - a
 
 
-def minpoly_formula(spec: BlockSpec) -> tuple[Fraction, ...]:
+def minpoly_formula(s: int, t: int) -> tuple[Fraction, ...]:
     """x^4 + (2-s) x^3 + (1-s-st) x^2 - st x, monic of degree 4."""
-    s, t = spec.s, spec.t
     return poly_trim([0, -s * t, 1 - s - s * t, 2 - s, 1])
 
 
@@ -775,23 +818,21 @@ def expected_spectrum_from_roots(s: int) -> tuple[Fraction, ...]:
     return poly_from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
 
 
-def resolvent_block(spec: BlockSpec, mu) -> np.ndarray:
+def resolvent_block(s: int, t: int, mu) -> np.ndarray:
     """m(mu)(mu I - A(H))^{-1} assembled from the closed-form blocks: the
     object matrix ((alpha J + beta mu I, delta J), (delta J, gamma J +
     beta (mu+1) I)) with diagonal blocks of sizes s and t."""
-    c = coeffs(spec, mu)
+    alpha, beta, gamma, delta, _ = coeffs(s, t, mu)
     mu = Fraction(mu)
-    s, n = spec.s, spec.s + spec.t
-    out = np.full((n, n), c.delta, dtype=object)
-    out[:s, :s] = c.alpha
-    out[s:, s:] = c.gamma
-    out[range(n), range(n)] = (
-        [c.alpha + c.beta * mu] * s + [c.gamma + c.beta * (mu + 1)] * spec.t
-    )
+    n = s + t
+    out = np.full((n, n), delta, dtype=object)
+    out[:s, :s] = alpha
+    out[s:, s:] = gamma
+    out[range(n), range(n)] = [alpha + beta * mu] * s + [gamma + beta * (mu + 1)] * t
     return out
 
 
-def diag_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
+def diag_constraint(s: int, t: int, mu, a: int, b: int) -> Fraction:
     """mu m(mu) - m(mu) <b_u, b_u> for a type-(a,b) candidate, expanded.
 
     Zero exactly when the type satisfies the diagonal condition <b,b> = mu:
@@ -801,7 +842,6 @@ def diag_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
         + (bs - 2ab - b - a^2 t - b^2 s + ast + bst) mu - s b^2 + stb
     """
     mu = Fraction(mu)
-    s, t = spec.s, spec.t
     return (
         mu**5
         + (2 - s) * mu**4
@@ -813,14 +853,13 @@ def diag_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
     )
 
 
-def nonmain_constraint(spec: BlockSpec, mu, a: int, b: int) -> Fraction:
+def nonmain_constraint(s: int, t: int, mu, a: int, b: int) -> Fraction:
     """a(mu+t) + b(mu+1) - [s(mu+t) - mu(mu+1)]; zero iff <b,j> = -1 holds."""
     mu = Fraction(mu)
-    s, t = spec.s, spec.t
     return a * (mu + t) + b * (mu + 1) - (s * (mu + t) - mu * (mu + 1))
 
 
-def quadratic_in_a(spec: BlockSpec, mu) -> tuple[Fraction, ...]:
+def quadratic_in_a(s: int, t: int, mu) -> tuple[Fraction, ...]:
     """The polynomial in a obtained by eliminating b from the two constraints.
 
         (t + mu) a^2 + (t + 2mu - 2st - 2smu + tmu + 2mu^2) a
@@ -834,7 +873,6 @@ def quadratic_in_a(spec: BlockSpec, mu) -> tuple[Fraction, ...]:
     equation.  mu = -1 is rejected: the elimination divides by mu + 1.
     """
     mu = Fraction(mu)
-    s, t = spec.s, spec.t
     if mu == -1:
         raise MuIsSplitEigenvalueError(
             f"mu=-1 is an eigenvalue of K_{s} + {t}K_1"
@@ -855,19 +893,19 @@ def quadratic_in_a(spec: BlockSpec, mu) -> tuple[Fraction, ...]:
     return poly_trim([const, linear, t + mu])
 
 
-def corollary_ab(spec: BlockSpec, mu) -> Optional[TypeVector]:
+def corollary_ab(s: int, t: int, mu) -> Optional[tuple[int, int]]:
     """The forced candidate type in the t + mu = 0 regime.
 
     a = -mu^2 - 2mu + s - 1 and b = -mu = t; returns None when that a falls
     outside [0, s], which means no candidate of any type exists.
     """
     mu = Fraction(mu)
-    if spec.t + mu != 0:
+    if t + mu != 0:
         raise ValueError("closed-form type requires t + mu = 0")
-    a = -mu * mu - 2 * mu + spec.s - 1
+    a = -mu * mu - 2 * mu + s - 1
     if a.denominator != 1:
         return None
     a = int(a)
-    if not 0 <= a <= spec.s:
+    if not 0 <= a <= s:
         return None
-    return TypeVector(a=a, b=spec.t)
+    return a, t

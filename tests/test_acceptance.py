@@ -28,13 +28,13 @@ from starcomp.graphs import (
     path_graph,
 )
 from starcomp.linalg import char_poly, eig_multiplicity, graph_min_poly, min_poly
-from starcomp.multipartite import BlockSpec
-from starcomp.starsets import eigenspace_from_star, find_star_sets, verify_star_set
+from starcomp.starsets import find_star_sets, verify_star_set
 
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
     diag_constraint,
+    eigenspace_from_star,
     fraction_inverse,
     identity_matrix,
     minpoly_formula,
@@ -74,7 +74,7 @@ def test_criterion_1_resolvent_identity():
                 direct = fraction_inverse(
                     Fraction(mu) * identity_matrix(h.n) - adj
                 ) * poly_at(m, mu)
-                block = resolvent_block(BlockSpec(s, t), mu)
+                block = resolvent_block(s, t, mu)
                 assert (block == direct).all(), (s, t, mu)
                 checked += 1
     assert checked > 200
@@ -86,7 +86,7 @@ def test_criterion_2_minimal_polynomial():
     t0 = time.perf_counter()
     for s in range(2, 9):
         for t in range(2, 9):
-            assert minpoly_formula(BlockSpec(s, t)) == min_poly(
+            assert minpoly_formula(s, t) == min_poly(
                 make_complete_split(s, t).adj
             ), (s, t)
     finish("criterion 2 (minimal polynomial)", 5.0, t0)
@@ -151,14 +151,13 @@ def test_criterion_5_constraint_consistency():
     for s in range(2, 7):
         for t in range(2, 5):
             mu = Fraction(-t)
-            spec = BlockSpec(s, t)
             for c in enumerate_candidates(
                 make_complete_split(s, t), mu, nonmain=True
             ):
                 a, b = split_type(c, s)
-                assert diag_constraint(spec, mu, a, b) == 0
-                assert nonmain_constraint(spec, mu, a, b) == 0
-    quad = quadratic_in_a(BlockSpec(2, 3), -2)
+                assert diag_constraint(s, t, mu, a, b) == 0
+                assert nonmain_constraint(s, t, mu, a, b) == 0
+    quad = quadratic_in_a(2, 3, -2)
     assert quad == (4, -3, 1)
     disc = quad[1] ** 2 - 4 * quad[2] * quad[0]
     assert disc < 0  # no real roots at all

@@ -172,27 +172,54 @@ class TestTheorem:
         assert "overall: PASS" in text
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        from starcomp.multipartite import TheoremBranch, TheoremReport
-        from fractions import Fraction
-
-        fake = TheoremReport(
-            s=2,
-            t_max=2,
-            branches=(
-                TheoremBranch(
-                    t=2,
-                    mu=Fraction(-2),
-                    candidates=0,
-                    graphs_found=0,
-                    checks=(("unique-regular-graph", False, "found 0"),),
-                    graph6=None,
-                ),
-            ),
-        )
+        fake = {
+            "s": 2,
+            "t_max": 2,
+            "passed": False,
+            "branches": [
+                {
+                    "t": 2,
+                    "mu": "-2",
+                    "candidates": 0,
+                    "graphs": 0,
+                    "passed": False,
+                    "graph6": None,
+                    "checks": [{"name": "unique-regular-graph", "ok": False, "detail": "found 0"}],
+                },
+            ],
+        }
         monkeypatch.setattr(cli, "theorem_check", lambda s, t_max: fake)
         code, text = run_text(capsys, "theorem", "--s", "2", "--t-max", "2")
         assert code == EXIT_VERIFICATION
-        assert "FAIL" in text
+        assert text.splitlines()[1:] == [
+            "  t=2 mu=-2: FAIL (0 candidates, 0 graphs)",
+            "    FAILED unique-regular-graph: found 0",
+            "overall: FAIL",
+        ]
+
+
+class TestPayloads:
+    # theorem_check and solution_explorer return the JSON reports: the CLI
+    # adds the schema, the command and the explorer's ranges, nothing else
+    def test_theorem_json_is_theorem_check(self, capsys):
+        from starcomp.multipartite import theorem_check
+
+        code, data = run_json(capsys, "theorem", "--s", "4", "--t-max", "4")
+        assert code == EXIT_OK
+        assert data.pop("schema") == cli.SCHEMA_VERSION
+        assert data.pop("command") == "theorem"
+        assert data == theorem_check(4, 4)
+
+    def test_explore_json_is_solution_explorer(self, capsys):
+        from starcomp.multipartite import solution_explorer
+
+        code, data = run_json(capsys, "explore", "--s", "2..4", "--t", "2..4", "--mu=-4..-2")
+        assert code == EXIT_OK
+        assert data.pop("schema") == cli.SCHEMA_VERSION
+        assert data.pop("command") == "explore"
+        ranges = [data.pop(key) for key in ("s_range", "t_range", "mu_range")]
+        assert ranges == [[2, 4], [2, 4], [-4, -2]]
+        assert data == solution_explorer((2, 4), (2, 4), range(-4, -1))
 
 
 class TestExplore:
@@ -221,6 +248,16 @@ class TestErrors:
         schema.validate(data)
         assert data["error"]["kind"] == "graph6-parse"
         assert data["error"]["detail"].endswith("(byte offset 1)")
+
+    def test_graph6_offset_counts_the_header(self, capsys, schema):
+        # the offset is the bad byte's place in the argument, header included
+        code, data = run_json(capsys, "spectrum", "--graph", ">>graph6<<E   ")
+        assert code == EXIT_USAGE
+        schema.validate(data)
+        assert data["error"] == {
+            "kind": "graph6-parse",
+            "detail": "invalid graph6 byte 32 (byte offset 11)",
+        }
 
     def test_bad_mu(self, capsys):
         code, data = run_json(

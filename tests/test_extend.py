@@ -35,7 +35,6 @@ from starcomp.graphs import (
     write_graph6,
 )
 from starcomp.linalg import eig_multiplicity, resolvent_bilinear
-from starcomp.multipartite import BlockSpec
 from starcomp.starsets import BudgetExceededError, verify_star_set
 
 from conftest import (
@@ -167,13 +166,12 @@ class TestEnumerateCandidates:
         # exactly the neighbourhoods of the types (a, b) that solve the closed
         # type constraints, C(s, a) C(t, b) of each
         h = make_complete_split(s, t)
-        spec = BlockSpec(s, t)
         want = {
             (a, b): comb(s, a) * comb(t, b)
             for a in range(s + 1)
             for b in range(t + 1)
-            if diag_constraint(spec, mu, a, b) == 0
-            and (not nonmain or nonmain_constraint(spec, mu, a, b) == 0)
+            if diag_constraint(s, t, mu, a, b) == 0
+            and (not nonmain or nonmain_constraint(s, t, mu, a, b) == 0)
         }
         cands = enumerate_candidates(h, mu, nonmain=nonmain)
         assert cands or s + t < 18
@@ -323,7 +321,7 @@ class TestCompatTable:
         with pytest.raises(BudgetExceededError, match="more than 4096 maximal cliques"):
             maximal_extensions(h, 1, nonmain=True, budget=4096)
 
-    @pytest.mark.parametrize("mu", [-2, Fraction(-5, 2)])
+    @pytest.mark.parametrize("mu", [-2, 1])
     def test_table_matches_exact_values(self, mu):
         # the one-product table, entry by entry, against resolvent_bilinear
         h = cycle_graph(5)
@@ -401,7 +399,7 @@ class TestCompatTable:
     def int64_and_exact_tables(monkeypatch, h, mu, cands):
         """Build the table as the overflow rule chooses and again with int64
         ruled out, require equal fields, and return the dtypes that
-        kernels.int_dtype chose for the two builds (none for a rational mu)."""
+        kernels.int_dtype chose for the two builds."""
         chosen = []
         real = kernels.int_dtype
 
@@ -432,11 +430,14 @@ class TestCompatTable:
         chosen = self.int64_and_exact_tables(monkeypatch, cycle_graph(5), -2, cands)
         assert chosen == [np.int64, object]
 
-    def test_rational_mu_table_is_exact(self, monkeypatch):
-        # R' holds Fractions for a rational mu: the overflow rule is not asked
+    def test_rational_mu_table_is_refused(self):
+        # a non-integral mu has no candidates, so a table of some refuses it;
+        # a table of none is still built
         cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
         for h in (cycle_graph(5), make_complete_split(4, 8)):
-            assert self.int64_and_exact_tables(monkeypatch, h, Fraction(-5, 2), cands) == []
+            with pytest.raises(ValueError, match="takes an integral mu, got -5/2"):
+                build_compat_graph(h, Fraction(-5, 2), cands)
+            assert build_compat_graph(h, Fraction(-5, 2), []).candidates == ()
 
     def test_int64_table_matches_exact_table_random(self, monkeypatch):
         # random H (n <= 7), integral mu outside spec(H), arbitrary extra subsets

@@ -291,7 +291,7 @@ class TestGraph6:
 
     @pytest.mark.parametrize(
         "text, offset",
-        [("A\u00e9", 1), ("\u00e9", 0), (">>graph6<<A\u00e9", 1)],
+        [("A\u00e9", 1), ("\u00e9", 0), (">>graph6<<A\u00e9", 11)],
         ids=["second", "first", "after-header"],
     )
     def test_non_ascii_rejected(self, text, offset):
@@ -316,6 +316,22 @@ class TestGraph6:
 
     def test_header_stripped(self):
         assert parse_graph6(">>graph6<<E~~w") == complete_graph(6)
+
+    @pytest.mark.parametrize("body, message, offset", [
+        ("E   ", "invalid graph6 byte 32", 11),
+        ("", "empty graph6 string", 10),
+        ("E~~", "graph6 body has 2 bytes, expected 3 for n=6", 13),
+        ("E~~ww", "graph6 body has 4 bytes, expected 3 for n=6", 14),
+        ("B{", "nonzero padding bit", 11),
+        ("~~", "graph6 size prefix for n > 258047 not supported", 10),
+        ("~?", "truncated graph6 size prefix", 12),
+        ("~}??", "vertex count 253952 exceeds bound 65536", 10),
+    ], ids=["byte", "empty", "short", "long", "padding", "prefix", "truncated", "size"])
+    def test_offsets_count_the_header(self, body, message, offset):
+        # each offset is the defect's place in the whole string, header
+        # included, in the package and in the oracle alike
+        want = (f"{message} (byte offset {offset})", offset)
+        assert self.decode_both(">>graph6<<" + body) == [want, want]
 
     def test_zero_vertices(self):
         assert write_graph6(empty_graph(0)) == "?"

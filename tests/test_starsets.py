@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -28,16 +27,16 @@ from starcomp.linalg import (
 )
 from starcomp.starsets import (
     BudgetExceededError,
-    InvalidStarSetError,
     _scaled_residual,
-    eigenspace_from_star,
     find_star_sets,
     verify_star_set,
 )
 
 from conftest import (
+    InvalidStarSetError,
     block_residual,
     complement_rank_star_sets,
+    eigenspace_from_star,
     fraction_rank,
     random_graph,
     random_graph_with_twins,
@@ -84,7 +83,7 @@ class TestVerify:
 
     def test_certificate_json(self):
         cert = verify_star_set(make_cocktail(3), -2, (0, 2))
-        data = json.loads(str(cert))
+        data = cert.to_json()
         assert data["valid"] is True
         assert data["mu"] == "-2"
         assert data["X"] == [0, 2]
