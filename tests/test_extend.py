@@ -321,7 +321,7 @@ class TestCompatTable:
         with pytest.raises(BudgetExceededError, match="more than 4096 maximal cliques"):
             maximal_extensions(h, 1, nonmain=True, budget=4096)
 
-    @pytest.mark.parametrize("mu", [-2, 1])
+    @pytest.mark.parametrize("mu", [-2, pytest.param(1, id="mu1")])
     def test_table_matches_exact_values(self, mu):
         # the one-product table, entry by entry, against resolvent_bilinear
         h = cycle_graph(5)
@@ -430,14 +430,19 @@ class TestCompatTable:
         chosen = self.int64_and_exact_tables(monkeypatch, cycle_graph(5), -2, cands)
         assert chosen == [np.int64, object]
 
+    def test_rational_mu_table_is_exact(self, monkeypatch):
+        # a non-integral mu has no candidates: its table is the empty one,
+        # built without asking the overflow rule
+        for h in (cycle_graph(5), make_complete_split(4, 8)):
+            assert self.int64_and_exact_tables(monkeypatch, h, Fraction(-5, 2), []) == []
+            assert build_compat_graph(h, Fraction(-5, 2), []).candidates == ()
+
     def test_rational_mu_table_is_refused(self):
-        # a non-integral mu has no candidates, so a table of some refuses it;
-        # a table of none is still built
+        # a table of some candidates refuses a non-integral mu
         cands = [c for k in (1, 2, 3) for c in combinations(range(5), k)]
         for h in (cycle_graph(5), make_complete_split(4, 8)):
             with pytest.raises(ValueError, match="takes an integral mu, got -5/2"):
                 build_compat_graph(h, Fraction(-5, 2), cands)
-            assert build_compat_graph(h, Fraction(-5, 2), []).candidates == ()
 
     def test_int64_table_matches_exact_table_random(self, monkeypatch):
         # random H (n <= 7), integral mu outside spec(H), arbitrary extra subsets
