@@ -31,6 +31,7 @@ n <= 64, far above anything the search engine produces.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -231,17 +232,15 @@ def complement(g: Graph) -> Graph:
 
 
 def vertex_set(g: Graph, vertices: Iterable[int], what: str = "vertex set") -> tuple[int, ...]:
-    """The sorted distinct vertices; ValueError naming `what` if any is not in g."""
-    out = tuple(sorted(set(int(v) for v in vertices)))
+    """The sorted distinct vertices; ValueError naming `what` if any is not
+    an integer (read by operator.index, so 1.5 and '3' are refused) or not in g."""
+    try:
+        out = tuple(sorted(set(map(operator.index, vertices))))
+    except TypeError as exc:
+        raise ValueError(f"{what} vertices must be integers ({exc})") from None
     if out and not (0 <= out[0] and out[-1] < g.n):
         raise ValueError(f"{what} {out} out of range for n={g.n}")
     return out
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
-    idx = np.array(vertex_set(g, vertices), dtype=np.intp)
-    return Graph._of(g.adj[idx][:, idx])
 
 
 def is_regular(g: Graph) -> Optional[int]:

@@ -8,16 +8,16 @@ star set exactly when mu is missing from H's spectrum and
     mu I - A_X = B^T (mu I - C)^{-1} B.
 
 Certificates record the multiplicity comparison, the complement-spectrum
-check, and the residual identity as three separately evaluated exact
-checks, even though the residual is implied by the other two.  The
-multiplicity of mu in G is a rank.  The complement check is the cached
-resolvent pair (R, D) of linalg.resolvent_inverse, R = D (mu I - C)^{-1}
-with D mu integral: it exists exactly when mu is not an eigenvalue of C,
-and the complement is ranked only when it does not, to report its
-multiplicity.  The residual is evaluated in integers from the same pair:
-the identity reads D (mu I - A_X) = B^T R B.  Each entry of B^T R B is a
-0/1 form of R, so the product runs in int64 when kernels.int_dtype, the
-subset scan's overflow rule, proves that it fits, and in Python ints otherwise.
+check and the residual identity as three separately evaluated exact checks,
+though the residual is implied by the other two.  The multiplicity of mu in
+G is a cached rank.  Each set costs one permuted slice of A, X first and
+then V - X, each ascending: C is its trailing block, and its first |X| rows
+hold A_X and B^T.  The complement check is the cached resolvent pair (R, D)
+of linalg.resolvent_inverse, R = D (mu I - C)^{-1} with D mu integral: it
+exists exactly when mu is not an eigenvalue of C, and C is ranked only when
+it does not.  The residual D (mu I - A_X) = B^T R B is one product of 0/1
+forms of R, in int64 when kernels.int_dtype, the subset scan's overflow
+rule, proves that it fits, and in Python ints otherwise.
 
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, induced_subgraph, vertex_set, write_graph6
+from .graphs import Graph, vertex_set, write_graph6
 from .linalg import (
     NotAnEigenvalueError,
     SingularResolventError,
@@ -92,26 +92,29 @@ class StarSetCertificate:
         }
 
 
-def _scaled_residual(g: Graph, mu: Fraction, star, comp, r, den) -> np.ndarray:
-    """D (mu I - A_X) - B^T R B with B = A[comp, star], zero exactly when the
+def _scaled_residual(top: np.ndarray, mu: Fraction, r, den) -> np.ndarray:
+    """D (mu I - A_X) - B^T R B from top = A[X, X + comp], zero exactly when the
     star-set identity holds, in the dtype kernels.int_dtype(R, D mu, D) chose."""
-    d_mu = int(mu * den)
+    k = len(top)
+    d_mu = mu.numerator * den // mu.denominator  # exact: D mu is integral
     dtype = kernels.int_dtype(r, d_mu, den)
-    rows = g.adj[list(star)]  # A[X, :], so B^T = A[X, comp]
-    bt = rows[:, comp]
-    lhs = rows[:, star].astype(dtype) * -den
-    np.fill_diagonal(lhs, d_mu)  # A_X has a zero diagonal
-    return lhs - bt @ r.astype(dtype) @ bt.T
+    top = top.astype(dtype)
+    lhs = top[:, :k] * -den
+    lhs.flat[:: k + 1] = d_mu  # D mu on the diagonal, where A_X is zero
+    bt = top[:, k:]  # B^T = A[X, comp]
+    return lhs - bt @ r.astype(dtype, copy=False) @ bt.T
 
 
 def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
-    """Evaluate all three star-set checks exactly; never raises on invalid X."""
+    """Evaluate all three star-set checks exactly; a set that is not a star set
+    fails them, and a vertex that is not an integer or not in g raises ValueError."""
     mu = Fraction(mu)
     star = vertex_set(g, star_set, "star set")
+    k = len(star)
     multiplicity = eig_multiplicity(g, mu)
-    drop = set(star)
-    comp = [v for v in range(g.n) if v not in drop]
-    complement = induced_subgraph(g, comp)
+    order = np.array(star + tuple(sorted(set(range(g.n)).difference(star))), dtype=np.intp)
+    p = g.adj.take(order, 0).take(order, 1)  # A with X first, then V - X
+    complement = Graph._of(p[k:, k:].copy())  # the graph G - X, labelled in order
     try:
         r, den = resolvent_inverse(complement, mu)
     except SingularResolventError:
@@ -120,17 +123,15 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
         residual_zero = False
     else:
         comp_mult = 0
-        residual_zero = not _scaled_residual(g, mu, star, comp, r, den).any()
-    complement_ok = comp_mult == 0
-    sizes_match = multiplicity == len(star)
+        residual_zero = not _scaled_residual(p[:k], mu, r, den).any()
     return StarSetCertificate(
         graph=g,
         mu=mu,
         star_set=star,
         multiplicity=multiplicity,
         complement_multiplicity=comp_mult,
-        sizes_match=sizes_match,
-        complement_ok=complement_ok,
+        sizes_match=multiplicity == k,
+        complement_ok=comp_mult == 0,
         residual_zero=residual_zero,
     )
 

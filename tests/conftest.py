@@ -18,9 +18,9 @@ by the argparse parser the package was first built with, instead of its own
 table.  The polynomial oracles hold a polynomial as a tuple of Fractions,
 low degree first, and use the few operations defined here (poly_trim,
 poly_add, poly_mul, poly_divmod, poly_from_roots, poly_at), not the
-package's.  Helpers that only tests call live here too: deleting vertices,
-the sub-star-set check built on the package's certificate, and the
-eigenspace basis reconstructed from a star set.
+package's.  Helpers that only tests call live here too: induced subgraphs,
+deleting vertices, the sub-star-set check built on the package's
+certificate, and the eigenspace basis reconstructed from a star set.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -65,7 +65,6 @@ from starcomp.graphs import (
     Graph6Error,
     MAX_VERTICES,
     canonical_form,
-    induced_subgraph,
     is_regular,
     make_complete_split,
     vertex_set,
@@ -189,6 +188,12 @@ def random_graph_with_twins(n: int, twins: int, rng: random.Random) -> Graph:
             adj[u].append(bit)
         adj.append(row + [False])
     return Graph.from_adjacency(np.array(adj, dtype=np.uint8))
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
+    idx = np.array(vertex_set(g, vertices), dtype=np.intp)
+    return Graph._of(g.adj[idx][:, idx])
 
 
 def delete_vertices(g: Graph, vertices) -> Graph:

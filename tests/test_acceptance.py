@@ -19,7 +19,6 @@ from starcomp.extend import (
 from starcomp.graphs import (
     complement,
     cycle_graph,
-    induced_subgraph,
     is_isomorphic,
     is_regular,
     make_cocktail,
@@ -37,6 +36,7 @@ from conftest import (
     eigenspace_from_star,
     fraction_inverse,
     identity_matrix,
+    induced_subgraph,
     minpoly_formula,
     nonmain_constraint,
     poly_at,

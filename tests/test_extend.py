@@ -266,6 +266,13 @@ class TestPairClass:
         with pytest.raises(ValueError, match=r"out of range for n=6"):
             build_compat_graph(h, -3, [(0,), bad])
 
+    @pytest.mark.parametrize("bad", [(1.0, 2.0), (0, 2.5)])
+    def test_non_integer_candidate_rejected(self, bad):
+        # (1.0, 2.0) would pass as (1, 2) if vertices were read by int()
+        h = cycle_graph(5)
+        with pytest.raises(ValueError, match=r"^candidate vertices must be integers"):
+            build_compat_graph(h, -2, [(0,), bad])
+
     @pytest.mark.parametrize("bad", [(3, 1, 1), (1, 0)])
     def test_unsorted_candidate_rejected(self, bad):
         # its attachment row would be {1, 3} or {0, 1}, not the tuple kept

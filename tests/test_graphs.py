@@ -14,7 +14,6 @@ from starcomp.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    induced_subgraph,
     is_regular,
     join,
     make_cocktail,
@@ -22,10 +21,11 @@ from starcomp.graphs import (
     matching_graph,
     parse_graph6,
     relabel,
+    vertex_set,
     write_graph6,
 )
 
-from conftest import bitwise_parse_graph6, delete_vertices, random_graph
+from conftest import bitwise_parse_graph6, delete_vertices, induced_subgraph, random_graph
 
 
 class TestGraphBasics:
@@ -81,6 +81,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match=r"out of range for n=6"):
             induced_subgraph(g, [0, 6])
 
+
+    @pytest.mark.parametrize("bad", [[1.9, 0.2, True], ["3"], [0, 1.0], [np.float64(2)]])
+    def test_vertex_set_refuses_non_integers(self, bad):
+        # int() would truncate 1.9 to 1 and read '3' as 3
+        with pytest.raises(ValueError, match=r"^star set vertices must be integers"):
+            vertex_set(make_cocktail(3), bad, "star set")
+
+    def test_vertex_set_reads_numpy_integers(self):
+        got = vertex_set(make_cocktail(3), np.array([5, 1, 5], dtype=np.int16))
+        assert got == (1, 5) and all(type(v) is int for v in got)
+        assert vertex_set(make_cocktail(3), [np.uint8(4), True]) == (1, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 12), st.randoms(use_true_random=False), st.data())

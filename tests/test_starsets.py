@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starcomp import kernels
+from starcomp import kernels, starsets
 from starcomp.graphs import (
     complete_graph,
     cycle_graph,
-    induced_subgraph,
     is_isomorphic,
     is_regular,
     make_cocktail,
@@ -38,6 +37,7 @@ from conftest import (
     complement_rank_star_sets,
     eigenspace_from_star,
     fraction_rank,
+    induced_subgraph,
     random_graph,
     random_graph_with_twins,
     substar_check,
@@ -80,6 +80,11 @@ class TestVerify:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             verify_star_set(complete_graph(3), 1, (7,))
+
+    def test_non_integer_vertices_rejected(self):
+        # int() would truncate these to X = [0, 1, 2, 3, 4] and certify it
+        with pytest.raises(ValueError, match=r"^star set vertices must be integers"):
+            verify_star_set(PETERSEN, 1, [0.5, 1.5, 2.5, 3.5, 4.5])
 
     def test_certificate_json(self):
         cert = verify_star_set(make_cocktail(3), -2, (0, 2))
@@ -154,8 +159,10 @@ class TestResidualDifferential:
             if expected is None:
                 continue
             assert cert.residual_zero == (expected == 0).all(), star
+            # the helper reads A[X, X + comp], the rows of X permuted first
+            top = g.adj[list(star)][:, list(star) + comp]
             r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
-            got = _scaled_residual(g, mu, star, comp, r, den)
+            got = _scaled_residual(top, mu, r, den)
             assert got.shape == (k, k), star
             assert np.array_equal(got, den * expected), star
             assert got.dtype == kernels.int_dtype(r, int(mu * den), den), star
@@ -325,30 +332,82 @@ def test_basis_search_matches_complement_ranks(g, rng):
         st.builds(random_graph, st.integers(0, 7), seeds, st.sampled_from([0.25, 0.5, 0.75])),
         # twins give multiplicities above 1 at 0 and -1
         st.builds(random_graph_with_twins, st.integers(1, 4), st.integers(0, 3), seeds),
+        st.builds(make_cocktail, st.integers(1, 3)),
     ),
-    st.integers(0, 2**7 - 1),
+    st.lists(st.integers(0, 9), max_size=9),
     st.integers(-6, 6),
     st.sampled_from([1, 2, 3]),
+    st.sampled_from(["list", "numpy", "int64 tuple"]),
+    st.booleans(),
 )
-@example(make_cocktail(3), 0b101, -2, 1)  # a valid star set
-@example(make_complete_split(2, 2), 0b1, -5, 2)
-def test_certificate_matches_fraction_oracles(g, mask, p, q):
+@example(make_cocktail(3), [2, 0], -2, 1, "list", False)  # a valid star set
+@example(make_complete_split(2, 2), [0], -5, 2, "list", False)
+@example(make_cocktail(3), [], -2, 1, "list", False)  # k = 0 with mu an eigenvalue
+@example(make_cocktail(3), [], 3, 1, "numpy", True)  # k = 0, a vacuous star set
+@example(make_cocktail(3), [5, 4, 3, 2, 1, 0, 5], 1, 2, "list", True)  # k = n
+@example(PETERSEN, [9, 3, 1, 9], -2, 1, "int64 tuple", False)
+@example(make_cocktail(3), [1, 0, 1], -2, 1, "numpy", False)  # singular complement
+@example(make_cocktail(3), [3, 1, 0, 1], -2, 1, "int64 tuple", True)  # singular complement
+@example(make_cocktail(3), [2, 0, 2], -2, 1, "list", True)  # a star set over Python ints
+def test_certificate_matches_fraction_oracles(g, raw, p, q, form, exact):
     # Every certificate field against Fraction ranks and the Fraction block
-    # residual, over integral and rational mu = p/q and arbitrary X.
+    # residual, over integral and rational mu = p/q and any X: unsorted, with
+    # repeats, as Python or numpy ints, of any size.  With ACCUMULATOR_LIMIT
+    # = 1 every residual runs over Python ints.  The complement handed to
+    # resolvent_inverse must be the graph induced_subgraph gives, so the
+    # cache keys do not depend on how the certificate slices it.
     mu = Fraction(p, q)
-    star = tuple(v for v in range(g.n) if mask >> v & 1)
+    vertices = [v % g.n for v in raw] if g.n else []
+    star_set = {
+        "list": vertices,
+        "numpy": np.array(vertices, dtype=np.int64),
+        "int64 tuple": tuple(np.int64(v) for v in vertices),
+    }[form]
+    star = tuple(sorted(set(vertices)))
     comp = [v for v in range(g.n) if v not in star]
-    cert = verify_star_set(g, mu, star)
+    seen, dtypes, residuals = [], [], []
+    real_inverse, real_dtype = starsets.resolvent_inverse, kernels.int_dtype
+    real_residual = starsets._scaled_residual
+
+    def inverse_spy(h, m):
+        seen.append(h)
+        return real_inverse(h, m)
+
+    def dtype_spy(*args):
+        dtypes.append(real_dtype(*args))
+        return dtypes[-1]
+
+    def residual_spy(*args):
+        residuals.append(real_residual(*args))
+        return residuals[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(starsets, "resolvent_inverse", inverse_spy)
+        m.setattr(kernels, "int_dtype", dtype_spy)
+        m.setattr(starsets, "_scaled_residual", residual_spy)
+        if exact:
+            m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+        cert = verify_star_set(g, mu, star_set)
     residual = block_residual(g, mu, star)
     multiplicity = oracle_multiplicity(g, mu, range(g.n))
     comp_mult = oracle_multiplicity(g, mu, comp)
     assert (cert.graph, cert.mu, cert.star_set) == (g, mu, star)
+    assert all(type(v) is int for v in cert.star_set)
     assert cert.multiplicity == multiplicity
     assert cert.complement_multiplicity == comp_mult
     assert cert.sizes_match == (multiplicity == len(star))
     assert cert.complement_ok == (comp_mult == 0) == (residual is not None)
     assert cert.residual_zero == (residual is not None and not residual.any())
     assert cert.valid == (cert.sizes_match and cert.complement_ok and cert.residual_zero)
+    assert cert == verify_star_set(g, mu, star)
+    ref = induced_subgraph(g, comp)
+    assert len(seen) == 1 and seen[0] == ref and hash(seen[0]) == hash(ref)
+    assert seen[0].adj.dtype == np.uint8 and not seen[0].adj.flags.writeable
+    # one overflow decision per certificate that has a resolvent, and the
+    # residual computed in the dtype it chose
+    assert len(dtypes) == (residual is not None)
+    assert set(dtypes) <= ({object} if exact else {np.int64})
+    assert [x.dtype for x in residuals] == dtypes
 
 
 class TestEigenspace:
