@@ -99,7 +99,10 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand payloads: (json payload, lazy text lines, exit code)
+# Subcommand payloads: (json payload, lazy text lines, exit code).  extend
+# and theorem write their engine's payload as it is, explore adds its ranges
+# to it, and starsets lists verify_star_set's certificates unchanged; every
+# text report is rendered from its payload.
 # ---------------------------------------------------------------------------
 
 
@@ -150,14 +153,13 @@ def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
     g = load_graph(args.graph)
     mu = parse_rational(args.mu)
     stars = find_star_sets(g, mu, budget=args.budget)
-    certs = [verify_star_set(g, mu, star) for star in stars]
     payload = {
         "graph6": write_graph6(g),
         "mu": format_rational(mu),
         "multiplicity": eig_multiplicity(g, mu),
         "count": len(stars),
         "star_sets": [list(star) for star in stars],
-        "certificates": [c.to_json() for c in certs],
+        "certificates": [verify_star_set(g, mu, star) for star in stars],
     }
     lines = chain(
         [
@@ -196,7 +198,7 @@ def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
     _check_counts(args)
     h = load_graph(args.graph, args.budget)
     mu = parse_rational(args.mu)
-    report = maximal_extensions(
+    payload = maximal_extensions(
         h,
         mu,
         nonmain=args.nonmain,
@@ -204,17 +206,16 @@ def cmd_extend(args) -> tuple[dict, Iterable[str], int]:
         budget=args.budget,
         maximal_only=not args.include_nonmaximal,
     )
-    payload = report.to_json()
     lines = chain(
         [
             f"H = {payload['H']}, mu = {payload['mu']}: "
-            f"{len(report.candidates)} candidates, "
-            f"{len(report.maximal_graphs)} graph(s)"
+            f"{payload['candidates']} candidates, "
+            f"{len(payload['maximal'])} graph(s)"
         ],
         (
-            f"  {write_graph6(m.graph)}  X = {list(m.star_vertices)}  "
-            f"{'irregular' if m.regular is None else f'{m.regular}-regular'}"
-            for m in report.maximal_graphs
+            f"  {m['graph6']}  X = {m['X']}  "
+            + ("irregular" if m["regular"] is None else f"{m['regular']}-regular")
+            for m in payload["maximal"]
         ),
     )
     return payload, lines, EXIT_OK

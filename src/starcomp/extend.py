@@ -41,13 +41,15 @@ they generate.  The first clique of an isomorphism class in that list is the
 first of its own orbit, so it is still assembled and still the witness, and
 the report keeps every byte (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26 (1998)).
+
+maximal_extensions returns its report as the JSON payload that the CLI
+writes, and the CLI renders its text report from the same dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,8 +204,7 @@ def enumerate_candidates(
     return _decode_masks(_lex_order(masks, n), n)
 
 
-@dataclass(frozen=True, eq=False)  # numpy fields: compare by identity
-class CompatTable:
+class CompatTable(NamedTuple):
     """Candidates of one (H, mu) with every pair classified once.
 
     attachment holds the candidates' 0/1 rows as uint8; adjacent[i, j] says
@@ -376,11 +377,10 @@ def _orbit_representatives(
     return [c for i, c in enumerate(cliques) if root[i] == i]
 
 
-def assemble_graph(
-    table: CompatTable, clique: Sequence[int]
-) -> tuple[Graph, tuple[int, ...]]:
+def assemble_graph(table: CompatTable, clique: Sequence[int]) -> Graph:
     """Attach the candidates with the given indices to H; adjacency inside
-    the new set is the table's -1/0 split.
+    the new set is the table's -1/0 split.  The added vertices, the star
+    set, are h.n, ..., g.n - 1 in the clique's order.
 
     The graph is the block adjacency ((A(H), C_K^T), (C_K, ADJ_K)), sliced
     from the table's attachment rows (0/1) and adjacent mask (symmetric, no
@@ -402,53 +402,11 @@ def assemble_graph(
         )
     h, c = table.h, table.attachment[k]
     g = Graph._of(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
-    star = tuple(range(h.n, g.n))
-    cert = verify_star_set(g, table.mu, star)
-    if not cert.valid:
+    if not verify_star_set(g, table.mu, range(h.n, g.n))["valid"]:
         raise AssertionError(
             "assembled graph failed star-set verification; this is a bug"
         )
-    return g, star
-
-
-@dataclass(frozen=True)
-class MaximalGraph:
-    graph: Graph
-    star_vertices: tuple[int, ...]
-    witness: tuple[int, ...]  # candidate indices of the clique
-    regular: Optional[int]
-    canonical: bytes
-
-    def to_json(self) -> dict:
-        return {
-            "graph6": write_graph6(self.graph),
-            "X": list(self.star_vertices),
-            "regular": self.regular,
-        }
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    complement: Graph
-    mu: Fraction
-    nonmain: bool
-    regular_only: bool
-    maximal_only: bool
-    candidates: tuple[tuple[int, ...], ...]
-    maximal_graphs: tuple[MaximalGraph, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "H": write_graph6(self.complement),
-            "mu": format_rational(self.mu),
-            "candidates": len(self.candidates),
-            "maximal": [m.to_json() for m in self.maximal_graphs],
-            "filters": {
-                "nonmain": self.nonmain,
-                "regular_only": self.regular_only,
-                "maximal_only": self.maximal_only,
-            },
-        }
+    return g
 
 
 def maximal_extensions(
@@ -458,13 +416,20 @@ def maximal_extensions(
     regular_only: bool = False,
     budget: int = DEFAULT_BUDGET,
     maximal_only: bool = True,
-) -> ExtensionReport:
+) -> dict:
     """Enumerate the maximal graphs having H as a star complement for mu.
 
-    Candidate cliques are deduplicated by canonical form (keeping the
-    lexicographically smallest witness) and optionally filtered to regular
-    graphs.  Regularity is an isomorphism invariant, so the filter runs
-    before the canonical form and leaves the same survivors and witnesses.
+    Returns the report's JSON payload {"H", "mu", "candidates" (their
+    count), "maximal", "filters"}: one {"graph6", "X", "regular"} per
+    isomorphism class, X being the added vertices and regular the common
+    degree or None, ordered by canonical form.  A canonical form is graph6,
+    whose size prefix sorts by vertex count first.
+
+    Candidate cliques are deduplicated by canonical form, each class
+    reported as the graph that its lexicographically smallest clique, the
+    witness, assembles, and optionally filtered to regular graphs.
+    Regularity is an isomorphism invariant, so the filter runs before the
+    canonical form and leaves the same survivors and witnesses.
     budget bounds the 2^|V(H)| subset scan and the number of maximal
     cliques.  With maximal_only=False every nonempty clique is reported, not
     just the maximal ones; their count, sum(2^|c| - 1) over the maximal
@@ -489,29 +454,27 @@ def maximal_extensions(
             )
         cliques = all_cliques(table)
     cliques = _orbit_representatives(table, cliques, twin_transpositions(h))
-    by_canon: dict[bytes, MaximalGraph] = {}
+    by_canon: dict[bytes, dict] = {}
     for clique in cliques:
-        graph, star = assemble_graph(table, clique)
+        graph = assemble_graph(table, clique)
         regular = is_regular(graph)
         if regular_only and regular is None:
             continue
         canon = canonical_form(graph)
-        if canon in by_canon:
-            continue
-        by_canon[canon] = MaximalGraph(
-            graph=graph,
-            star_vertices=star,
-            witness=tuple(clique),
-            regular=regular,
-            canonical=canon,
-        )
-    found = sorted(by_canon.values(), key=lambda m: (m.graph.n, m.canonical))
-    return ExtensionReport(
-        complement=h,
-        mu=mu,
-        nonmain=nonmain,
-        regular_only=regular_only,
-        maximal_only=maximal_only,
-        candidates=tuple(cands),
-        maximal_graphs=tuple(found),
-    )
+        if canon not in by_canon:
+            by_canon[canon] = {
+                "graph6": write_graph6(graph),
+                "X": list(range(h.n, graph.n)),
+                "regular": regular,
+            }
+    return {
+        "H": write_graph6(h),
+        "mu": format_rational(mu),
+        "candidates": len(cands),
+        "maximal": [by_canon[canon] for canon in sorted(by_canon)],
+        "filters": {
+            "nonmain": nonmain,
+            "regular_only": regular_only,
+            "maximal_only": maximal_only,
+        },
+    }

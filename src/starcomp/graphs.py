@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -122,12 +121,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u, v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(int(u) for u in np.nonzero(self._adj[v])[0])
-
-    def degree(self, v: int) -> int:
-        return int(self._adj[v].sum())
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(d) for d in self._adj.sum(axis=1))
 
@@ -153,24 +146,6 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def matching_graph(p: int) -> Graph:
@@ -204,25 +179,6 @@ def make_cocktail(p: int) -> Graph:
     if p < 1:
         raise ValueError("cocktail-party graph needs p >= 1")
     return complement(matching_graph(p))
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Graph join: disjoint union plus all edges between the two parts."""
-    n = g.n + h.n
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[: g.n, : g.n] = g.adj
-    adj[g.n :, g.n :] = h.adj
-    adj[: g.n, g.n :] = 1
-    adj[g.n :, : g.n] = 1
-    return Graph.from_adjacency(adj)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[: g.n, : g.n] = g.adj
-    adj[g.n :, g.n :] = h.adj
-    return Graph.from_adjacency(adj)
 
 
 def complement(g: Graph) -> Graph:

@@ -38,12 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .extend import check_subset_budget, maximal_extensions
-from .graphs import (
-    is_isomorphic,
-    make_cocktail,
-    make_complete_split,
-    write_graph6,
-)
+from .graphs import is_isomorphic, make_cocktail, make_complete_split, parse_graph6
 from .linalg import (
     PreconditionError,
     char_poly,
@@ -153,39 +148,41 @@ def theorem_check(s: int, t_max: int) -> dict:
         mu = Fraction(-t)
         h = make_complete_split(s, t)
         report = maximal_extensions(h, mu, nonmain=True, regular_only=True)
+        maximal = report["maximal"]
         checks: list[tuple[str, bool, str]] = []
         g6 = None
         if t == 2:
-            ok_count = len(report.maximal_graphs) == 1
-            checks.append(
-                ("unique-regular-graph", ok_count, f"found {len(report.maximal_graphs)}")
-            )
+            ok_count = len(maximal) == 1
+            checks.append(("unique-regular-graph", ok_count, f"found {len(maximal)}"))
             if ok_count:
-                found = report.maximal_graphs[0]
-                g6 = write_graph6(found.graph)
+                found = maximal[0]
+                g6, star = found["graph6"], found["X"]
+                # graph6 is the exact labelled adjacency, so every check
+                # below sees the graph that was assembled.
+                graph = parse_graph6(g6)
                 expected = make_cocktail(s + 1)
                 checks.append(
                     (
                         "isomorphic-to-cocktail",
-                        is_isomorphic(found.graph, expected),
+                        is_isomorphic(graph, expected),
                         f"expected complement of {s + 1} disjoint edges",
                     )
                 )
                 checks.append(
                     (
                         "regularity",
-                        found.regular == 2 * s,
-                        f"degree {found.regular}, expected {2 * s}",
+                        found["regular"] == 2 * s,
+                        f"degree {found['regular']}, expected {2 * s}",
                     )
                 )
                 checks.append(
                     (
                         "star-set-size",
-                        len(found.star_vertices) == s,
-                        f"|X| = {len(found.star_vertices)}, expected {s}",
+                        len(star) == s,
+                        f"|X| = {len(star)}, expected {s}",
                     )
                 )
-                spec_poly = char_poly(found.graph.adj)
+                spec_poly = char_poly(graph.adj)
                 checks.append(
                     (
                         "spectrum",
@@ -193,22 +190,21 @@ def theorem_check(s: int, t_max: int) -> dict:
                         "char poly == (x - 2s) x^{s+1} (x + 2)^s",
                     )
                 )
-                checks.extend(_degree_balance_checks(s, found))
+                checks.extend(_degree_balance_checks(s, graph, star))
         else:
             checks.append(
                 (
                     "no-regular-graph",
-                    len(report.maximal_graphs) == 0,
-                    f"found {len(report.maximal_graphs)} "
-                    f"(candidates: {len(report.candidates)})",
+                    len(maximal) == 0,
+                    f"found {len(maximal)} (candidates: {report['candidates']})",
                 )
             )
         branches.append(
             {
                 "t": t,
                 "mu": format_rational(mu),
-                "candidates": len(report.candidates),
-                "graphs": len(report.maximal_graphs),
+                "candidates": report["candidates"],
+                "graphs": len(maximal),
                 "passed": all(ok for _, ok, _ in checks),
                 "graph6": g6,
                 "checks": [
@@ -225,7 +221,7 @@ def theorem_check(s: int, t_max: int) -> dict:
     }
 
 
-def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
+def _degree_balance_checks(s: int, g, star) -> list[tuple[str, bool, str]]:
     """Measure a, b, c, d on the assembled graph and re-derive r three ways.
 
     A regular graph of degree r over H = K_s + 2K_1 with star set X forces
@@ -233,8 +229,7 @@ def _degree_balance_checks(s: int, found) -> list[tuple[str, bool, str]]:
         r = s - 1 + 2 + c      (clique vertex with c neighbors in X)
         r = a + b + d          (star-set vertex with d neighbors in X)
     """
-    g = found.graph
-    star = set(found.star_vertices)
+    star = set(star)
     x_size = len(star)
     clique_part = range(s)
     indep_part = range(s, s + 2)

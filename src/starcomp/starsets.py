@@ -7,13 +7,14 @@ star set exactly when mu is missing from H's spectrum and
 
     mu I - A_X = B^T (mu I - C)^{-1} B.
 
-Certificates record the multiplicity comparison, the complement-spectrum
-check and the residual identity as three separately evaluated exact checks,
-though the residual is implied by the other two.  The multiplicity of mu in
-G is a cached rank.  Each set costs one permuted slice of A, X first and
-then V - X, each ascending: C is its trailing block, and its first |X| rows
-hold A_X and B^T.  The complement check is the cached resolvent pair (R, D)
-of linalg.resolvent_inverse, R = D (mu I - C)^{-1} with D mu integral: it
+verify_star_set returns a certificate as the JSON payload that the CLI
+writes: the multiplicity comparison, the complement-spectrum check and the
+residual identity as three separately evaluated exact checks, though the
+residual is implied by the other two.  The multiplicity of mu in G is a
+cached rank.  Each set costs one permuted slice of A, X first and then
+V - X, each ascending: C is its trailing block, and its first |X| rows hold
+A_X and B^T.  The complement check is the cached resolvent pair (R, D) of
+linalg.resolvent_inverse, R = D (mu I - C)^{-1} with D mu integral: it
 exists exactly when mu is not an eigenvalue of C, and C is ranked only when
 it does not.  The residual D (mu I - A_X) = B^T R B is one product of 0/1
 forms of R, in int64 when kernels.int_dtype, the subset scan's overflow
@@ -29,7 +30,6 @@ space and the main/non-main test share; its rows are reduced fraction-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
@@ -59,39 +59,6 @@ class BudgetExceededError(RuntimeError):
     """A search would take more subsets, masks or cliques than the budget allows."""
 
 
-@dataclass(frozen=True)
-class StarSetCertificate:
-    """Machine-checkable evidence that X is (or is not) a star set for mu."""
-
-    graph: Graph
-    mu: Fraction
-    star_set: tuple[int, ...]
-    multiplicity: int
-    complement_multiplicity: int
-    sizes_match: bool
-    complement_ok: bool
-    residual_zero: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.sizes_match and self.complement_ok and self.residual_zero
-
-    def to_json(self) -> dict:
-        return {
-            "graph": write_graph6(self.graph),
-            "mu": format_rational(self.mu),
-            "X": list(self.star_set),
-            "valid": self.valid,
-            "checks": {
-                "multiplicity": self.multiplicity,
-                "sizes_match": self.sizes_match,
-                "complement_ok": self.complement_ok,
-                "complement_multiplicity": self.complement_multiplicity,
-                "residual_zero": self.residual_zero,
-            },
-        }
-
-
 def _scaled_residual(top: np.ndarray, mu: Fraction, r, den) -> np.ndarray:
     """D (mu I - A_X) - B^T R B from top = A[X, X + comp], zero exactly when the
     star-set identity holds, in the dtype kernels.int_dtype(R, D mu, D) chose."""
@@ -105,9 +72,12 @@ def _scaled_residual(top: np.ndarray, mu: Fraction, r, den) -> np.ndarray:
     return lhs - bt @ r.astype(dtype, copy=False) @ bt.T
 
 
-def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate:
+def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> dict:
     """Evaluate all three star-set checks exactly; a set that is not a star set
-    fails them, and a vertex that is not an integer or not in g raises ValueError."""
+    fails them, and a vertex that is not an integer or not in g raises ValueError.
+
+    Returns the certificate's JSON payload {"graph", "mu", "X", "valid",
+    "checks"}, valid being the conjunction of the three checks."""
     mu = Fraction(mu)
     star = vertex_set(g, star_set, "star set")
     k = len(star)
@@ -124,16 +94,20 @@ def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> StarSetCertificate
     else:
         comp_mult = 0
         residual_zero = not _scaled_residual(p[:k], mu, r, den).any()
-    return StarSetCertificate(
-        graph=g,
-        mu=mu,
-        star_set=star,
-        multiplicity=multiplicity,
-        complement_multiplicity=comp_mult,
-        sizes_match=multiplicity == k,
-        complement_ok=comp_mult == 0,
-        residual_zero=residual_zero,
-    )
+    sizes_match = multiplicity == k
+    return {
+        "graph": write_graph6(g),
+        "mu": format_rational(mu),
+        "X": list(star),
+        "valid": sizes_match and comp_mult == 0 and residual_zero,
+        "checks": {
+            "multiplicity": multiplicity,
+            "sizes_match": sizes_match,
+            "complement_ok": comp_mult == 0,
+            "complement_multiplicity": comp_mult,
+            "residual_zero": residual_zero,
+        },
+    }
 
 
 def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int] | None:

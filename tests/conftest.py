@@ -18,8 +18,10 @@ by the argparse parser the package was first built with, instead of its own
 table.  The polynomial oracles hold a polynomial as a tuple of Fractions,
 low degree first, and use the few operations defined here (poly_trim,
 poly_add, poly_mul, poly_divmod, poly_from_roots, poly_at), not the
-package's.  Helpers that only tests call live here too: induced subgraphs,
-deleting vertices, the sub-star-set check built on the package's
+package's.  Helpers that only tests call live here too: the small graph
+constructions (empty, complete, path and cycle graphs, join and disjoint
+union), a vertex's neighbours and degree, induced subgraphs, deleting
+vertices, the sub-star-set check built on the package's
 certificate, and the eigenspace basis reconstructed from a star set.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
@@ -53,8 +55,6 @@ from starcomp.cli import (
     cmd_theorem,
 )
 from starcomp.extend import (
-    ExtensionReport,
-    MaximalGraph,
     assemble_graph,
     build_compat_graph,
     enumerate_candidates,
@@ -65,11 +65,11 @@ from starcomp.graphs import (
     Graph6Error,
     MAX_VERTICES,
     canonical_form,
-    is_regular,
     make_complete_split,
     vertex_set,
+    write_graph6,
 )
-from starcomp.linalg import eig_multiplicity, format_rational, resolvent_bilinear, resolvent_inverse
+from starcomp.linalg import eig_multiplicity, resolvent_bilinear, resolvent_inverse
 from starcomp.multipartite import MuIsSplitEigenvalueError, coeffs
 from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
@@ -190,6 +190,51 @@ def random_graph_with_twins(n: int, twins: int, rng: random.Random) -> Graph:
     return Graph.from_adjacency(np.array(adj, dtype=np.uint8))
 
 
+def empty_graph(n: int) -> Graph:
+    return Graph(n)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def join(g: Graph, h: Graph) -> Graph:
+    """Graph join: disjoint union plus all edges between the two parts."""
+    n = g.n + h.n
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[: g.n, : g.n] = g.adj
+    adj[g.n :, g.n :] = h.adj
+    adj[: g.n, g.n :] = 1
+    adj[g.n :, : g.n] = 1
+    return Graph.from_adjacency(adj)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    n = g.n + h.n
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[: g.n, : g.n] = g.adj
+    adj[g.n :, g.n :] = h.adj
+    return Graph.from_adjacency(adj)
+
+
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    return tuple(int(u) for u in np.nonzero(g.adj[v])[0])
+
+
+def degree(g: Graph, v: int) -> int:
+    return int(g.adj[v].sum())
+
+
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0..k-1 in sorted order."""
     idx = np.array(vertex_set(g, vertices), dtype=np.intp)
@@ -268,7 +313,7 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if v == n:
             return True
         for w in range(n):
-            if used[w] or g.degree(v) != h.degree(w):
+            if used[w] or degree(g, v) != degree(h, w):
                 continue
             if all(ga[v, u] == ha[w, mapping[u]] for u in range(v)):
                 mapping[v] = w
@@ -342,10 +387,10 @@ def unpruned_canon_code(g: Graph) -> tuple[int, list[int]]:
     nontrivial cell), with no automorphism pruning and no backjump.
     Returns the code and the first leaf (vertex -> position) attaining it.
     The tree has at least |Aut(g)| leaves."""
-    neighbors = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [neighbors(g, v) for v in range(g.n)]
 
     def leaves(colors):
-        colors = _refine(neighbors, colors)
+        colors = _refine(nbrs, colors)
         split = [cell for cell in colour_cells(colors) if len(cell) > 1]
         if not split:
             yield _encode(g.adj, colors), colors
@@ -566,7 +611,7 @@ def substar_check(g: Graph, mu, star_set, removed) -> bool:
         raise ValueError("removed set must be a proper subset of the star set")
     keep = [v for v in range(g.n) if v not in drop]
     reduced_star = [i for i, v in enumerate(keep) if v in star]
-    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star).valid
+    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star)["valid"]
 
 
 class InvalidStarSetError(ValueError):
@@ -574,8 +619,7 @@ class InvalidStarSetError(ValueError):
 
     def __init__(self, certificate):
         super().__init__(
-            f"{sorted(certificate.star_set)} is not a star set for "
-            f"mu={format_rational(certificate.mu)}"
+            f"{certificate['X']} is not a star set for mu={certificate['mu']}"
         )
         self.certificate = certificate
 
@@ -590,9 +634,9 @@ def eigenspace_from_star(g: Graph, mu, star_set) -> list[np.ndarray]:
     """
     mu = Fraction(mu)
     cert = verify_star_set(g, mu, star_set)
-    if not cert.valid:
+    if not cert["valid"]:
         raise InvalidStarSetError(cert)
-    star = list(cert.star_set)
+    star = cert["X"]
     drop = set(star)
     comp = [v for v in range(g.n) if v not in drop]
     r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
@@ -687,10 +731,13 @@ def brute_force_extensions(h: Graph, mu, k: int) -> set[tuple]:
 
 def unreduced_extensions(
     h: Graph, mu, nonmain: bool, regular_only: bool, maximal_only: bool
-) -> ExtensionReport:
-    """maximal_extensions with no symmetry reduction: every clique (every
-    nonempty sub-clique unless maximal_only) is assembled, and the first
-    clique of each isomorphism class in sorted order is its witness."""
+) -> tuple[dict, list[tuple[int, ...]]]:
+    """maximal_extensions' payload with no symmetry reduction, and the
+    witness of each reported graph: every clique (every nonempty sub-clique
+    unless maximal_only) is assembled, and the first clique of each
+    isomorphism class in sorted order is its witness.  The payload is built
+    here, key by key, with the graphs ordered by (vertex count, canonical
+    form)."""
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain)
     table = build_compat_graph(h, mu, cands)
@@ -701,21 +748,42 @@ def unreduced_extensions(
         )
     by_canon = {}
     for clique in cliques:
-        graph, star = assemble_graph(table, clique)
-        regular = is_regular(graph)
+        graph = assemble_graph(table, clique)
+        degrees = set(graph.adj.sum(axis=1).tolist())
+        regular = degrees.pop() if len(degrees) == 1 else None
         if regular_only and regular is None:
             continue
-        canon = canonical_form(graph)
-        by_canon.setdefault(canon, MaximalGraph(graph, star, tuple(clique), regular, canon))
-    return ExtensionReport(
-        complement=h,
-        mu=mu,
-        nonmain=nonmain,
-        regular_only=regular_only,
-        maximal_only=maximal_only,
-        candidates=tuple(cands),
-        maximal_graphs=tuple(sorted(by_canon.values(), key=lambda m: (m.graph.n, m.canonical))),
-    )
+        by_canon.setdefault((graph.n, canonical_form(graph)), (graph, regular, tuple(clique)))
+    found = [by_canon[key] for key in sorted(by_canon)]
+    payload = {
+        "H": write_graph6(h),
+        "mu": str(mu),
+        "candidates": len(cands),
+        "maximal": [
+            {"graph6": write_graph6(g), "X": list(range(h.n, g.n)), "regular": regular}
+            for g, regular, _ in found
+        ],
+        "filters": {
+            "nonmain": nonmain,
+            "regular_only": regular_only,
+            "maximal_only": maximal_only,
+        },
+    }
+    return payload, [witness for *_, witness in found]
+
+
+def decoded_witnesses(h: Graph, candidates, payload: dict) -> list[tuple[int, ...]]:
+    """The witness clique of each graph in an extension payload, read back
+    from its graph6: row h.n + i of the assembled adjacency, on H's columns,
+    is the attachment of the witness's i-th candidate."""
+    index = {tuple(c): i for i, c in enumerate(candidates)}
+    return [
+        tuple(
+            index[tuple(np.flatnonzero(row[: h.n]).tolist())]
+            for row in bitwise_parse_graph6(m["graph6"]).adj[h.n :]
+        )
+        for m in payload["maximal"]
+    ]
 
 
 def _attach(h: Graph, base_edges, masks, internal) -> Graph:

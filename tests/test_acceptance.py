@@ -18,13 +18,12 @@ from starcomp.extend import (
 )
 from starcomp.graphs import (
     complement,
-    cycle_graph,
     is_isomorphic,
     is_regular,
     make_cocktail,
     make_complete_split,
     matching_graph,
-    path_graph,
+    parse_graph6,
 )
 from starcomp.linalg import char_poly, eig_multiplicity, graph_min_poly, min_poly
 from starcomp.starsets import find_star_sets, verify_star_set
@@ -32,6 +31,7 @@ from starcomp.starsets import find_star_sets, verify_star_set
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
+    cycle_graph,
     diag_constraint,
     eigenspace_from_star,
     fraction_inverse,
@@ -39,6 +39,7 @@ from conftest import (
     induced_subgraph,
     minpoly_formula,
     nonmain_constraint,
+    path_graph,
     poly_at,
     poly_from_roots,
     quadratic_in_a,
@@ -113,16 +114,17 @@ def test_criterion_3_theorem_reproduction(theorem_runs):
     t0 = time.perf_counter() - build_time
     for (s, t), report in runs.items():
         if t == 2:
-            assert len(report.maximal_graphs) == 1, (s, t)
-            found = report.maximal_graphs[0]
+            assert len(report["maximal"]) == 1, (s, t)
+            found = report["maximal"][0]
+            graph = parse_graph6(found["graph6"])
             expected = complement(matching_graph(s + 1))
-            assert is_isomorphic(found.graph, expected), (s, t)
-            assert found.regular == 2 * s, (s, t)
-            assert len(found.star_vertices) == s, (s, t)
+            assert is_isomorphic(graph, expected), (s, t)
+            assert found["regular"] == 2 * s, (s, t)
+            assert len(found["X"]) == s, (s, t)
             spectrum = poly_from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
-            assert char_poly(found.graph.adj) == spectrum, (s, t)
+            assert char_poly(graph.adj) == spectrum, (s, t)
         else:
-            assert report.maximal_graphs == (), (s, t)
+            assert report["maximal"] == [], (s, t)
     finish("criterion 3 (theorem reproduction)", 60.0, t0)
 
 
@@ -175,14 +177,14 @@ def test_criterion_6_star_set_census():
     split22 = make_complete_split(2, 2)
     for star in stars:
         cert = verify_star_set(g, -2, star)
-        assert cert.valid
+        assert cert["valid"]
         rest = induced_subgraph(g, [v for v in range(6) if v not in star])
         assert is_isomorphic(rest, split22)
     antipodal = [(0, 1), (2, 3), (4, 5)]
     for pair in antipodal:
         cert = verify_star_set(g, -2, pair)
-        assert not cert.valid
-        assert cert.complement_multiplicity == 1  # witness: -2 in the C_4 left over
+        assert not cert["valid"]
+        assert cert["checks"]["complement_multiplicity"] == 1  # witness: -2 in the C_4 left over
         rest = induced_subgraph(g, [v for v in range(6) if v not in pair])
         assert is_isomorphic(rest, cycle_graph(4))
         assert eig_multiplicity(rest, -2) == 1
@@ -244,13 +246,13 @@ def test_criterion_8_eigenspace_reconstruction(theorem_runs, oracle_runs):
     t0 = time.perf_counter()
     assembled = []
     for (s, t), report in theorem_runs[0].items():
-        for m in report.maximal_graphs:
-            assembled.append((m.graph, Fraction(-t), m.star_vertices))
+        for m in report["maximal"]:
+            assembled.append((parse_graph6(m["graph6"]), Fraction(-t), m["X"]))
     for h, mu, per_k in oracle_runs[0]:
         for k, (table, cliques) in per_k.items():
             for idxs in cliques:
-                g, star = assemble_graph(table, idxs)
-                assembled.append((g, mu, star))
+                g = assemble_graph(table, idxs)
+                assembled.append((g, mu, range(table.h.n, g.n)))
     assert assembled
     for g, mu, star in assembled:
         vectors = eigenspace_from_star(g, mu, star)  # re-checks A v = mu v

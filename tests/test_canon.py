@@ -21,16 +21,11 @@ from starcomp.graphs import (
     _root,
     canonical_form,
     complement,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     is_isomorphic,
     make_cocktail,
     make_complete_split,
     matching_graph,
     parse_graph6,
-    path_graph,
     relabel,
     write_graph6,
 )
@@ -40,6 +35,12 @@ from conftest import (
     _refine as colour_refine,
     brute_isomorphic,
     colour_cells,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    neighbors,
+    path_graph,
     random_graph,
     random_graph_with_twins,
     unpruned_canon_code,
@@ -253,9 +254,9 @@ def test_ordered_cells_match_colour_refinement(g, rng):
     # colour order.  The walk goes down the first child until the cells are
     # discrete, so every depth is checked.
     g = shuffled(g, rng)
-    neighbors = [g.neighbors(v) for v in range(g.n)]
+    lists = [neighbors(g, v) for v in range(g.n)]
     nbr = _bitsets(g.adj)
-    colors = colour_refine(neighbors, [0] * g.n)
+    colors = colour_refine(lists, [0] * g.n)
     cells = _initial_cells(nbr)
     assert cells == colour_cells(colors)
     while len(cells) < g.n:
@@ -263,10 +264,10 @@ def test_ordered_cells_match_colour_refinement(g, rng):
             (i for i, cell in enumerate(cells) if len(cell) > 1), key=lambda i: len(cells[i])
         )
         for w in cells[target]:
-            child = colour_refine(neighbors, colour_individualize(colors, w))
+            child = colour_refine(lists, colour_individualize(colors, w))
             assert _individualize(nbr, cells, target, w) == colour_cells(child)
         w = cells[target][0]
-        colors = colour_refine(neighbors, colour_individualize(colors, w))
+        colors = colour_refine(lists, colour_individualize(colors, w))
         cells = _individualize(nbr, cells, target, w)
 
 
@@ -331,7 +332,7 @@ def test_twin_rule_prunes_the_search():
     # cell holds two vertices that no automorphism swaps, and each of the
     # two subtrees is a path of 9 nodes, so the bound is 2n rather than n.
     report = maximal_extensions(make_complete_split(8, 3), -3, nonmain=False)
-    extensions = [m.graph for m in report.maximal_graphs]
+    extensions = [parse_graph6(m["graph6"]) for m in report["maximal"]]
     assert [g.n for g in extensions] == [12, 13]
     for g in [make_complete_split(17, 17), *extensions]:
         assert search_nodes(g) <= 2 * g.n
@@ -417,7 +418,7 @@ def test_pinned_canonical_bytes(g, form):
 
 def test_pinned_extend_maximal_graphs():
     report = maximal_extensions(make_complete_split(8, 3), -3, nonmain=False)
-    assert [m.canonical for m in report.maximal_graphs] == [
+    assert [canonical_form(parse_graph6(m["graph6"])) for m in report["maximal"]] == [
         b"K?\\~~~~~~~~~",
         b"L}q||}~^z~n~^~",
     ]

@@ -17,10 +17,10 @@ import pytest
 import starcomp
 from starcomp import cli
 from starcomp.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main, write_json
-from starcomp.graphs import disjoint_union, make_cocktail, parse_graph6, write_graph6
+from starcomp.graphs import make_cocktail, parse_graph6, write_graph6
 from starcomp.linalg import eig_multiplicity
 
-from conftest import build_parser, random_graph
+from conftest import build_parser, disjoint_union, random_graph
 
 # The benchmark's 2^19-mask int64 scan with the <b, j> test: 5005 candidates.
 SCAN_ARGV = ["candidates", "--graph", "split:15,4", "--mu=-4", "--nonmain"]
@@ -220,6 +220,44 @@ class TestPayloads:
         ranges = [data.pop(key) for key in ("s_range", "t_range", "mu_range")]
         assert ranges == [[2, 4], [2, 4], [-4, -2]]
         assert data == solution_explorer((2, 4), (2, 4), range(-4, -1))
+
+    # maximal_extensions and verify_star_set return the JSON objects too:
+    # the extension report as the CLI writes it, and each certificate
+    @pytest.mark.parametrize("argv, mu, kwargs", [
+        (EXTEND_ARGV, -3, {}),
+        (["extend", "--graph", "split:4,2", "--mu=-2", "--include-nonmaximal"], -2,
+         {"maximal_only": False}),
+    ], ids=["split:10,3", "split:4,2-nonmaximal"])
+    def test_extend_json_is_maximal_extensions(self, capsys, argv, mu, kwargs):
+        from starcomp.extend import maximal_extensions
+
+        code, data = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert data.pop("schema") == cli.SCHEMA_VERSION
+        assert data.pop("command") == "extend"
+        h = cli.load_graph(argv[2])
+        assert data == maximal_extensions(h, mu, nonmain=False, **kwargs)
+
+    def test_starsets_certificates_are_verify_star_set(self, capsys):
+        from starcomp.starsets import find_star_sets, verify_star_set
+
+        code, data = run_json(capsys, "starsets", "--graph", "IheA@GUAo", "--mu=3")
+        assert code == EXIT_OK
+        g = parse_graph6("IheA@GUAo")
+        stars = find_star_sets(g, 3)
+        assert data["certificates"] == [verify_star_set(g, 3, x) for x in stars]
+
+    def test_failing_certificate_payload(self, schema):
+        # the CLI only ever prints valid certificates; on the Petersen graph
+        # at mu = 1 the complement of this 5-set keeps 1 as an eigenvalue
+        from starcomp.starsets import verify_star_set
+
+        cert = verify_star_set(parse_graph6("IheA@GUAo"), 1, (0, 1, 2, 3, 6))
+        assert cert["checks"]["complement_multiplicity"] > 0
+        assert cert["valid"] is False
+        definitions = schema.schema["definitions"]
+        only_certificate = {"$ref": "#/definitions/certificate", "definitions": definitions}
+        type(schema)(only_certificate).validate(cert)
 
 
 class TestExplore:
@@ -472,6 +510,17 @@ class TestDeterminism:
     ], ids=["cocktail:6", "petersen", "petersen--2", "petersen-3"])
     def test_starsets_bytes_pinned(self, capsys, graph, mu, digest):
         code = main(["--format", "json", "starsets", "--graph", graph, f"--mu={mu}"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # The text reports of two of those, recorded before verify_star_set
+    # returned its certificate as a JSON payload.
+    @pytest.mark.parametrize("graph, mu, digest", [
+        ("cocktail:6", "-2", "cb999091db58f491bf674c7578abd50e054c1434e624eda849945542a00f643f"),
+        ("IheA@GUAo", "-2", "6c6f8b447292b92d001869d476253a57fc352cde58dbd31a860db4b384b2322d"),
+    ], ids=["cocktail:6", "petersen--2"])
+    def test_starsets_text_bytes_pinned(self, capsys, graph, mu, digest):
+        code = main(["starsets", "--graph", graph, f"--mu={mu}"])
         assert code == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -24,13 +24,11 @@ from starcomp.extend import (
 )
 from starcomp.graphs import (
     Graph,
-    cycle_graph,
     is_isomorphic,
     is_regular,
     make_cocktail,
     make_complete_split,
     parse_graph6,
-    path_graph,
     relabel,
     write_graph6,
 )
@@ -40,9 +38,12 @@ from starcomp.starsets import BudgetExceededError, verify_star_set
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
+    cycle_graph,
+    decoded_witnesses,
     diag_constraint,
     exhaustive_candidates,
     nonmain_constraint,
+    path_graph,
     random_graph,
     random_graph_with_twins,
     split_type,
@@ -363,8 +364,8 @@ class TestCompatTable:
         table = build_compat_graph(h, mu, cands)
         pairs = edges = 0
         for clique in maximal_cliques(table):
-            g, star = assemble_graph(table, clique)
-            assert star == tuple(range(n, n + len(clique)))
+            g = assemble_graph(table, clique)
+            assert g.n == n + len(clique)
             assert np.array_equal(g.adj[:n, :n], h.adj)
             for a, i in enumerate(clique):
                 assert np.array_equal(g.adj[n + a, :n], np.isin(range(n), cands[i]))
@@ -480,25 +481,23 @@ class TestAssemble:
     def test_both_candidates_build_octahedron(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        g, star = assemble_graph(build_compat_graph(h, -2, cands), (0, 1))
+        g = assemble_graph(build_compat_graph(h, -2, cands), (0, 1))
         assert g.n == 6
         assert is_regular(g) == 4
-        assert star == (4, 5)
         assert is_isomorphic(g, make_cocktail(3))
 
     def test_single_candidate(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        g, star = assemble_graph(build_compat_graph(h, -2, cands), (0,))
+        g = assemble_graph(build_compat_graph(h, -2, cands), (0,))
         assert g.n == h.n + 1
-        cert = verify_star_set(g, -2, star)
-        assert cert.valid and cert.multiplicity == 1
+        cert = verify_star_set(g, -2, [h.n])
+        assert cert["valid"] and cert["checks"]["multiplicity"] == 1
 
     def test_empty_choice(self):
         h = make_complete_split(2, 2)
         cands = enumerate_candidates(h, -2, nonmain=True)
-        g, star = assemble_graph(build_compat_graph(h, -2, cands), ())
-        assert g == h and star == ()
+        assert assemble_graph(build_compat_graph(h, -2, cands), ()) == h
 
     @pytest.mark.parametrize("h, mu, nonmain", [
         (make_complete_split(2, 2), -2, True),
@@ -511,7 +510,7 @@ class TestAssemble:
         # accepts it and gives an equal graph with the same hash and graph6
         table = build_compat_graph(h, mu, enumerate_candidates(h, mu, nonmain=nonmain))
         for clique in [()] + maximal_cliques(table):
-            g, _ = assemble_graph(table, clique)
+            g = assemble_graph(table, clique)
             k = np.asarray(clique, dtype=np.intp)
             c = table.attachment[k]
             checked = Graph.from_adjacency(
@@ -576,25 +575,25 @@ class TestMaximalExtensions:
         rep = maximal_extensions(
             make_complete_split(2, 2), -2, nonmain=True, regular_only=True
         )
-        assert len(rep.maximal_graphs) == 1
-        found = rep.maximal_graphs[0]
-        assert is_isomorphic(found.graph, make_cocktail(3))
-        assert len(found.star_vertices) == 2
-        assert found.regular == 4
+        assert len(rep["maximal"]) == 1
+        found = rep["maximal"][0]
+        assert is_isomorphic(parse_graph6(found["graph6"]), make_cocktail(3))
+        assert len(found["X"]) == 2
+        assert found["regular"] == 4
 
     def test_5_3_none_regular(self):
         rep = maximal_extensions(
             make_complete_split(5, 3), -3, nonmain=True, regular_only=True
         )
-        assert len(rep.candidates) == 5
-        assert rep.maximal_graphs == ()
+        assert rep["candidates"] == 5
+        assert rep["maximal"] == []
 
     def test_2_2_without_regular_filter(self):
         rep = maximal_extensions(
             make_complete_split(2, 2), -2, nonmain=True, regular_only=False
         )
-        assert len(rep.maximal_graphs) == 1
-        assert is_isomorphic(rep.maximal_graphs[0].graph, make_cocktail(3))
+        assert len(rep["maximal"]) == 1
+        assert is_isomorphic(parse_graph6(rep["maximal"][0]["graph6"]), make_cocktail(3))
 
     def test_soundness_every_graph_verifies(self):
         for h, mu in [
@@ -603,16 +602,16 @@ class TestMaximalExtensions:
             (path_graph(4), -3),
         ]:
             rep = maximal_extensions(h, mu, nonmain=False)
-            for m in rep.maximal_graphs:
-                assert verify_star_set(m.graph, mu, m.star_vertices).valid
+            for m in rep["maximal"]:
+                assert verify_star_set(parse_graph6(m["graph6"]), mu, m["X"])["valid"]
 
     def test_include_nonmaximal(self):
         rep = maximal_extensions(
             make_complete_split(2, 2), -2, nonmain=True, maximal_only=False
         )
         # the 2-clique plus its two 1-subsets, up to isomorphism
-        assert len(rep.maximal_graphs) == 2
-        sizes = sorted(len(m.star_vertices) for m in rep.maximal_graphs)
+        assert len(rep["maximal"]) == 2
+        sizes = sorted(len(m["X"]) for m in rep["maximal"])
         assert sizes == [1, 2]
 
     def test_include_nonmaximal_budget(self, monkeypatch):
@@ -623,7 +622,7 @@ class TestMaximalExtensions:
         threshold = sum((1 << len(c)) - 1 for c in cliques)
         assert threshold == 180 > 1 << h.n
         rep = maximal_extensions(h, -2, nonmain=False, maximal_only=False, budget=threshold)
-        assert rep.maximal_graphs
+        assert rep["maximal"]
 
         def untouched(*args):
             raise AssertionError("sub-cliques materialised past the budget")
@@ -652,16 +651,12 @@ class TestMaximalExtensions:
             )
             runs[regular_only] = (rep, list(canonised))
         (full, all_canon), (kept, regular_canon) = runs[False], runs[True]
-        assert any(m.regular is None for m in full.maximal_graphs)
+        assert any(m["regular"] is None for m in full["maximal"])
         assert regular_canon and all(is_regular(g) is not None for g in regular_canon)
         assert len(regular_canon) < len(all_canon)
-
-        def summary(graphs):
-            return [(m.to_json(), m.witness, m.canonical) for m in graphs]
-
-        assert summary(kept.maximal_graphs) == summary(
-            m for m in full.maximal_graphs if m.regular is not None
-        )
+        # graph6 is the witness's labelled graph, so equal entries keep the
+        # same witnesses and canonical forms
+        assert kept["maximal"] == [m for m in full["maximal"] if m["regular"] is not None]
 
 class TestOrbitReduction:
     @pytest.fixture
@@ -731,9 +726,11 @@ class TestOrbitReduction:
         assert len(maximal_cliques(table)) == 63
         rep = maximal_extensions(h, -3, nonmain=False)
         assert len(assembled) == 2
-        oracle = unreduced_extensions(h, -3, nonmain=False, regular_only=False, maximal_only=True)
-        assert rep.to_json() == oracle.to_json()
-        assert [m.witness for m in rep.maximal_graphs] == [m.witness for m in oracle.maximal_graphs]
+        oracle, witnesses = unreduced_extensions(
+            h, -3, nonmain=False, regular_only=False, maximal_only=True
+        )
+        assert rep == oracle
+        assert decoded_witnesses(h, table.candidates, rep) == witnesses
 
     def test_nonmaximal_reduces_after_expansion(self):
         # A triangle plus two isolated vertices at mu = 1: the first
@@ -741,9 +738,12 @@ class TestOrbitReduction:
         # reducing before the sub-cliques are listed changes a witness.
         h = Graph(5, [(0, 3), (0, 4), (3, 4)])
         rep = maximal_extensions(h, 1, nonmain=False, maximal_only=False)
-        oracle = unreduced_extensions(h, 1, nonmain=False, regular_only=False, maximal_only=False)
-        assert rep.to_json() == oracle.to_json()
-        assert [m.witness for m in rep.maximal_graphs] == [m.witness for m in oracle.maximal_graphs]
+        oracle, witnesses = unreduced_extensions(
+            h, 1, nonmain=False, regular_only=False, maximal_only=False
+        )
+        assert rep == oracle
+        cands = enumerate_candidates(h, 1, nonmain=False)
+        assert decoded_witnesses(h, cands, rep) == witnesses
 
     def test_matches_unreduced_oracle(self, assembled):
         # random H with planted true and false twins, under every filter setting
@@ -775,13 +775,12 @@ class TestOrbitReduction:
                 )
             except BudgetExceededError:
                 assume(False)
-            oracle = unreduced_extensions(h, mu, nonmain, regular_only, maximal_only)
-            assert rep.to_json() == oracle.to_json()
-            assert [m.witness for m in rep.maximal_graphs] == [
-                m.witness for m in oracle.maximal_graphs
-            ]
+            oracle, witnesses = unreduced_extensions(h, mu, nonmain, regular_only, maximal_only)
+            assert rep == oracle
+            cands = enumerate_candidates(h, mu, nonmain=nonmain)
+            assert decoded_witnesses(h, cands, rep) == witnesses
             if maximal_only:
-                table = build_compat_graph(h, mu, rep.candidates)
+                table = build_compat_graph(h, mu, cands)
                 reduced.append(len(assembled) < len(maximal_cliques(table)))
 
         check()

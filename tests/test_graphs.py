@@ -10,12 +10,7 @@ from starcomp.graphs import (
     Graph6Error,
     MAX_VERTICES,
     complement,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     is_regular,
-    join,
     make_cocktail,
     make_complete_split,
     matching_graph,
@@ -25,7 +20,17 @@ from starcomp.graphs import (
     write_graph6,
 )
 
-from conftest import bitwise_parse_graph6, delete_vertices, induced_subgraph, random_graph
+from conftest import (
+    bitwise_parse_graph6,
+    complete_graph,
+    cycle_graph,
+    delete_vertices,
+    disjoint_union,
+    empty_graph,
+    induced_subgraph,
+    join,
+    random_graph,
+)
 
 
 class TestGraphBasics:

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starcomp import kernels
-from starcomp.graphs import (
-    CACHE_SIZE,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    make_cocktail,
-    make_complete_split,
-    path_graph,
-)
+from starcomp.graphs import CACHE_SIZE, make_cocktail, make_complete_split
 from starcomp.linalg import (
     NotAnEigenvalueError,
     SingularResolventError,
@@ -39,6 +31,9 @@ from starcomp.linalg import (
 )
 
 from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
     euclid_poly_gcd,
     faddeev_leverrier_char_poly,
     fraction_inverse,
@@ -48,6 +43,7 @@ from conftest import (
     krylov_min_poly,
     leibniz_char_poly,
     minpoly_scaled_resolvent,
+    path_graph,
     poly_at,
     poly_divmod,
     poly_from_roots,

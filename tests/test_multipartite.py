@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -375,18 +374,19 @@ class TestTheorem:
         # the s = 4 cocktail witness with one star-star edge dropped: the
         # measured d is no longer one value, so the balance check fails too
         from starcomp.extend import maximal_extensions
-        from starcomp.graphs import Graph
+        from starcomp.graphs import Graph, parse_graph6
         from starcomp.multipartite import _degree_balance_checks
 
-        found = maximal_extensions(make_complete_split(4, 2), -2, regular_only=True).maximal_graphs[0]
-        checks = _degree_balance_checks(4, found)
+        found = maximal_extensions(make_complete_split(4, 2), -2, regular_only=True)["maximal"][0]
+        graph, star = parse_graph6(found["graph6"]), found["X"]
+        checks = _degree_balance_checks(4, graph, star)
         assert checks[-1] == ("degree-balance", True, "r = 8/8/8")
         ok = dict((name, passed) for name, passed, _ in checks)
         assert ok == {"attachment-types": True, "x-degrees": True, "degree-balance": True}
-        u, v = found.star_vertices[:2]
-        perturbed = Graph(found.graph.n, [e for e in found.graph.edges() if e != (u, v)])
-        assert perturbed.edge_count == found.graph.edge_count - 1
-        checks = _degree_balance_checks(4, dataclasses.replace(found, graph=perturbed))
+        u, v = star[:2]
+        perturbed = Graph(graph.n, [e for e in graph.edges() if e != (u, v)])
+        assert perturbed.edge_count == graph.edge_count - 1
+        checks = _degree_balance_checks(4, perturbed, star)
         ok = dict((name, passed) for name, passed, _ in checks)
         assert ok == {"attachment-types": True, "x-degrees": False, "degree-balance": False}
 
