@@ -21,7 +21,10 @@ form unless it is a negative number), unique prefixes, the last repetition
 winning, --format before the command, -h on every command.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
-SIGPIPE) when the reader closes stdout early.
+SIGPIPE) when the reader closes stdout early.  An exit-2 error is reported
+with one of four kinds (_error_kind): graph6-parse for a Graph6Error,
+budget for a BudgetExceededError, precondition for a PreconditionError
+(SingularResolventError among them) and usage for any other ValueError.
 """
 
 from __future__ import annotations
@@ -59,17 +62,13 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
-class UsageError(ValueError):
-    pass
-
-
 def load_graph(spec: str, budget: Optional[int] = None) -> Graph:
     """graph6, "split:s,t" or "cocktail:p"; a construction with 2^n > budget is refused unbuilt."""
     if spec.startswith("split:"):
         try:
             s, t = (int(x) for x in spec[len("split:") :].split(","))
         except ValueError as exc:
-            raise UsageError(f"bad split construction {spec!r}: want split:s,t") from exc
+            raise ValueError(f"bad split construction {spec!r}: want split:s,t") from exc
         if budget is not None and min(s, t) >= 1 and s + t <= MAX_VERTICES:
             check_subset_budget(s + t, budget)
         return make_complete_split(s, t)
@@ -77,7 +76,7 @@ def load_graph(spec: str, budget: Optional[int] = None) -> Graph:
         try:
             p = int(spec[len("cocktail:") :])
         except ValueError as exc:
-            raise UsageError(f"bad cocktail construction {spec!r}: want cocktail:p") from exc
+            raise ValueError(f"bad cocktail construction {spec!r}: want cocktail:p") from exc
         if budget is not None and 1 <= p <= MAX_VERTICES // 2:
             check_subset_budget(2 * p, budget)
         return make_cocktail(p)
@@ -88,13 +87,13 @@ def parse_range(text: str) -> tuple[int, int]:
     """Parse "lo..hi" into an inclusive integer range."""
     parts = text.split("..")
     if len(parts) != 2:
-        raise UsageError(f"bad range {text!r}: want lo..hi")
+        raise ValueError(f"bad range {text!r}: want lo..hi")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise UsageError(f"bad range {text!r}: want integers lo..hi") from exc
+        raise ValueError(f"bad range {text!r}: want integers lo..hi") from exc
     if lo > hi:
-        raise UsageError(f"bad range {text!r}: lo > hi")
+        raise ValueError(f"bad range {text!r}: lo > hi")
     return lo, hi
 
 

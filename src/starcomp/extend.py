@@ -71,18 +71,6 @@ from .linalg import (  # noqa: F401
 from .starsets import DEFAULT_BUDGET, BudgetExceededError, verify_star_set
 
 
-class EngineRestrictionError(PreconditionError):
-    """mu in {0, -1} is outside the engine's supported regime."""
-
-
-class MuIsEigenvalueError(PreconditionError):
-    """mu must avoid the spectrum of the prescribed star complement."""
-
-
-class IncompatiblePairError(ValueError):
-    """A candidate pair with a bilinear value other than -1 or 0 was combined."""
-
-
 # Masks are decoded DECODE_BITS bits at a time, through a table of the
 # 2^DECODE_BITS vertex tuples of each chunk.
 DECODE_BITS = 10
@@ -176,7 +164,7 @@ def enumerate_candidates(
     """
     mu = Fraction(mu)
     if mu in (0, -1):
-        raise EngineRestrictionError(
+        raise PreconditionError(
             f"mu={format_rational(mu)} is not supported by the extension engine"
         )
     total = check_subset_budget(h.n, budget)
@@ -230,7 +218,8 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> C
     ValueError if a candidate has a vertex outside H or is not strictly
     ascending (its row's order), and, from resolvent_via_minpoly, if the
     list is nonempty and mu is not an integer: a non-integral mu has no
-    candidates."""
+    candidates.  SingularResolventError, from the same call, if mu is an
+    eigenvalue of H."""
     mu = Fraction(mu)
     c = np.zeros((len(candidates), h.n), dtype=np.uint8)
     for i, cand in enumerate(candidates):
@@ -240,12 +229,7 @@ def build_compat_graph(h: Graph, mu, candidates: Sequence[tuple[int, ...]]) -> C
     adjacent = np.zeros((len(candidates),) * 2, dtype=bool)
     compat = adjacent.copy()
     if candidates:
-        try:
-            res = resolvent_via_minpoly(h, mu)
-        except SingularResolventError:
-            raise MuIsEigenvalueError(
-                f"mu={format_rational(mu)} is an eigenvalue of the star complement"
-            ) from None
+        res = resolvent_via_minpoly(h, mu)
         m_mu = poly_eval(graph_min_poly(h), int(mu))
         dtype = kernels.int_dtype(res, m_mu)
         cm = c.astype(dtype)
@@ -386,7 +370,8 @@ def assemble_graph(table: CompatTable, clique: Sequence[int]) -> Graph:
     from the table's attachment rows (0/1) and adjacent mask (symmetric, no
     diagonal), so it is a graph and is wrapped unchecked.  The result is
     re-verified as a star-set certificate before returning.  ValueError if
-    an index is outside [0, len(table.candidates)), negative ones included.
+    an index is outside [0, len(table.candidates)), negative ones included,
+    or if two of the candidates cannot coexist.
     """
     k = np.asarray(clique, dtype=np.intp)
     if ((k < 0) | (k >= len(table.candidates))).any():
@@ -396,7 +381,7 @@ def assemble_graph(table: CompatTable, clique: Sequence[int]) -> Graph:
     bad = np.argwhere(np.triu(~table.compat[np.ix_(k, k)], 1))
     if len(bad):
         i, j = bad[0]  # argwhere is row-major: the first pair in (i, j) order
-        raise IncompatiblePairError(
+        raise ValueError(
             f"candidates {table.candidates[k[i]]} and {table.candidates[k[j]]} "
             f"cannot coexist for mu={format_rational(table.mu)}"
         )

@@ -2,7 +2,9 @@
 
 Vertices are the contiguous indices 0..n-1 and graphs are immutable values,
 so they hash, compare, and are safe to share.  The only wire format is
-graph6 (6-bit encoding, bias 63), implemented bit-exactly.
+graph6 (6-bit encoding, bias 63), implemented bit-exactly.  The two named
+constructions are complete multipartite graphs built by one function:
+K_s + tK_1 = K_{1,...,1,t} and the cocktail-party graph K_{2,...,2}.
 
 Canonical forms use individualization-refinement on ordered partitions: a
 list of sorted cells, with neighbourhoods held as int bitsets, so a vertex's
@@ -54,10 +56,6 @@ class Graph6Error(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class UnsupportedSizeError(ValueError):
-    """Graph too large for the requested operation."""
 
 
 class Graph:
@@ -148,43 +146,38 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def matching_graph(p: int) -> Graph:
-    """p disjoint edges: vertices 2i and 2i+1 are matched."""
-    return Graph(2 * p, ((2 * i, 2 * i + 1) for i in range(p)))
+def _complete_multipartite(sizes: Sequence[int], repeats: Sequence[int]) -> Graph:
+    """The complete multipartite graph with parts np.repeat(sizes, repeats)
+    on consecutive vertices: two vertices are adjacent iff their parts
+    differ.  The vertex bound is checked before any array is built."""
+    n = sum(map(operator.mul, sizes, repeats))
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    parts = np.repeat(np.array(sizes, dtype=np.intp), repeats)
+    block = np.repeat(np.arange(len(parts)), parts)
+    return Graph._of((block[:, None] != block).view(np.uint8))
 
 
 def make_complete_split(s: int, t: int) -> Graph:
-    """Join of a clique on s vertices with t isolated vertices.
+    """Join of a clique on s vertices with t isolated vertices, K_{1,...,1,t}.
 
     Vertices 0..s-1 are the clique block, s..s+t-1 the independent block, so
     the adjacency matrix has the block shape ((J-I, J), (J, 0)).
     """
     if s < 1 or t < 1:
         raise ValueError("complete split graph needs s >= 1 and t >= 1")
-    n = s + t
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[:s] = 1
-    adj[:, :s] = 1
-    np.fill_diagonal(adj[:s, :s], 0)
-    return Graph._of(adj)
+    return _complete_multipartite((1, t), (s, 1))
 
 
 def make_cocktail(p: int) -> Graph:
-    """Cocktail-party graph: complement of p disjoint edges; (2p-2)-regular.
+    """Cocktail-party graph K_{2,...,2}: complement of p disjoint edges;
+    (2p-2)-regular.
 
     Vertex 2i is nonadjacent exactly to vertex 2i+1.
     """
     if p < 1:
         raise ValueError("cocktail-party graph needs p >= 1")
-    return complement(matching_graph(p))
-
-
-def complement(g: Graph) -> Graph:
-    adj = 1 - g.adj
-    np.fill_diagonal(adj, 0)
-    return Graph.from_adjacency(adj)
+    return _complete_multipartite((2,), (p,))
 
 
 def vertex_set(g: Graph, vertices: Iterable[int], what: str = "vertex set") -> tuple[int, ...]:
@@ -223,7 +216,7 @@ def _g6_size_bytes(n: int) -> bytes:
         return bytes([n + 63])
     if n <= 258047:
         return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    raise UnsupportedSizeError(f"graph6 output for n={n} not supported")
+    raise ValueError(f"graph6 output for n={n} not supported")
 
 
 def _graph6(adj: np.ndarray) -> str:
@@ -521,7 +514,7 @@ def canonical_form(g: Graph) -> bytes:
     just canonised reuses its form.
     """
     if g.n > CANON_MAX_VERTICES:
-        raise UnsupportedSizeError(
+        raise ValueError(
             f"canonical form supported up to n={CANON_MAX_VERTICES}, got n={g.n}"
         )
     _, order = _canon_search(g)

@@ -33,16 +33,14 @@ from .graphs import CACHE_SIZE, Graph
 
 class PreconditionError(ValueError):
     """mu breaks a precondition of the question asked: it is an eigenvalue
-    where it must not be, is none where it must be, or lies outside the
-    extension engine's regime."""
+    where it must not be (SingularResolventError), is none where it must be,
+    or lies outside the extension engine's regime."""
 
 
 class SingularResolventError(PreconditionError):
-    """mu is an eigenvalue, so (mu I - A) is singular."""
-
-
-class NotAnEigenvalueError(PreconditionError):
-    """The question requires mu to be an eigenvalue and it is not."""
+    """mu is an eigenvalue of the star complement H, so (mu I - A(H)) is
+    singular.  The extension engine, the star-set check and the explorer
+    catch it."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -346,7 +344,7 @@ def is_nonmain(g: Graph, mu) -> bool:
     aug = [row + [mu.denominator] for row in _shifted_int_matrix(g, mu)]
     rank_m = len(kernels._bareiss(aug, g.n))
     if rank_m == g.n:
-        raise NotAnEigenvalueError(f"{format_rational(mu)} is not an eigenvalue")
+        raise PreconditionError(f"{format_rational(mu)} is not an eigenvalue")
     return not any(row[g.n] for row in aug[rank_m:])
 
 
@@ -371,7 +369,7 @@ def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
         y, d = _inverse_scaled(_shifted_int_matrix(h, mu))
     except SingularResolventError:
         raise SingularResolventError(
-            f"{format_rational(mu)} is an eigenvalue of the complement graph"
+            f"mu={format_rational(mu)} is an eigenvalue of the star complement"
         ) from None
     # y / d inverts qA - pI = -q (mu I - A), so (mu I - A)^{-1} = -q y / d.
     # With g = gcd(d, y), its entries have least common denominator d / g,

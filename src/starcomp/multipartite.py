@@ -39,28 +39,20 @@ import numpy as np
 
 from .extend import check_subset_budget, maximal_extensions
 from .graphs import is_isomorphic, make_cocktail, make_complete_split, parse_graph6
-from .linalg import (
-    PreconditionError,
-    char_poly,
-    format_rational,
-    resolvent_bilinear,
-)
+from .linalg import SingularResolventError, char_poly, format_rational, resolvent_bilinear
 from .starsets import DEFAULT_BUDGET
-
-
-class MuIsSplitEigenvalueError(PreconditionError):
-    """mu hits the spectrum of K_s + tK_1 (mu in {0,-1} or beta = 0)."""
 
 
 def coeffs(s: int, t: int, mu) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
     """The (alpha, beta, gamma, delta, m(mu)) tuple of the block resolvent of
-    K_s + tK_1, which is restricted to s, t >= 2."""
+    K_s + tK_1, which is restricted to s, t >= 2.  SingularResolventError if
+    mu is an eigenvalue of K_s + tK_1: mu in {0, -1} or beta = 0."""
     if s < 2 or t < 2:
         raise ValueError("the split star complement requires s >= 2 and t >= 2")
     mu = Fraction(mu)
     beta = mu * mu - (s - 1) * mu - s * t
     if mu in (0, -1) or beta == 0:
-        raise MuIsSplitEigenvalueError(
+        raise SingularResolventError(
             f"mu={format_rational(mu)} is an eigenvalue of K_{s} + {t}K_1"
         )
     return mu * mu + mu * t, beta, s * (mu + 1), mu * mu + mu, mu * (mu + 1) * beta
@@ -291,7 +283,7 @@ def solution_explorer(
             for mu in mu_list:
                 try:
                     c = coeffs(s, t, mu)
-                except MuIsSplitEigenvalueError:
+                except SingularResolventError:
                     skipped += 1
                     continue
                 want_diag = mu * c[-1]  # mu m(mu)

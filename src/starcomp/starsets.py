@@ -39,7 +39,7 @@ import numpy as np
 from . import kernels
 from .graphs import Graph, vertex_set, write_graph6
 from .linalg import (
-    NotAnEigenvalueError,
+    PreconditionError,
     SingularResolventError,
     _null_space,
     _shifted_int_matrix,
@@ -138,7 +138,7 @@ def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int
     basis = _null_space(_shifted_int_matrix(g, mu))
     k = len(basis[0]) if basis else 0
     if k == 0:
-        raise NotAnEigenvalueError(
+        raise PreconditionError(
             f"{format_rational(mu)} is not an eigenvalue; no star set exists"
         )
     total = comb(g.n, k)

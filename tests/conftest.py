@@ -19,10 +19,11 @@ table.  The polynomial oracles hold a polynomial as a tuple of Fractions,
 low degree first, and use the few operations defined here (poly_trim,
 poly_add, poly_mul, poly_divmod, poly_from_roots, poly_at), not the
 package's.  Helpers that only tests call live here too: the small graph
-constructions (empty, complete, path and cycle graphs, join and disjoint
-union), a vertex's neighbours and degree, induced subgraphs, deleting
-vertices, the sub-star-set check built on the package's
-certificate, and the eigenspace basis reconstructed from a star set.
+constructions (empty, complete, path and cycle graphs, p disjoint edges,
+complement, join and disjoint union), a vertex's neighbours and degree,
+induced subgraphs, deleting vertices, the sub-star-set check built on the
+package's certificate, and the eigenspace basis reconstructed from a star
+set.
 
 For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
@@ -65,12 +66,16 @@ from starcomp.graphs import (
     Graph6Error,
     MAX_VERTICES,
     canonical_form,
-    make_complete_split,
     vertex_set,
     write_graph6,
 )
-from starcomp.linalg import eig_multiplicity, resolvent_bilinear, resolvent_inverse
-from starcomp.multipartite import MuIsSplitEigenvalueError, coeffs
+from starcomp.linalg import (
+    SingularResolventError,
+    eig_multiplicity,
+    resolvent_bilinear,
+    resolvent_inverse,
+)
+from starcomp.multipartite import coeffs
 from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
 
@@ -206,6 +211,17 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def matching_graph(p: int) -> Graph:
+    """p disjoint edges: vertices 2i and 2i+1 are matched."""
+    return Graph(2 * p, ((2 * i, 2 * i + 1) for i in range(p)))
+
+
+def complement(g: Graph) -> Graph:
+    adj = 1 - g.adj
+    np.fill_diagonal(adj, 0)
+    return Graph.from_adjacency(adj)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -795,10 +811,6 @@ def _attach(h: Graph, base_edges, masks, internal) -> Graph:
     return Graph(n + len(masks), edges)
 
 
-def split_graph_corpus() -> list[Graph]:
-    return [make_complete_split(s, t) for s in (2, 3) for t in (2, 3)]
-
-
 # ---------------------------------------------------------------------------
 # The command line as argparse built it
 # ---------------------------------------------------------------------------
@@ -947,7 +959,7 @@ def quadratic_in_a(s: int, t: int, mu) -> tuple[Fraction, ...]:
     """
     mu = Fraction(mu)
     if mu == -1:
-        raise MuIsSplitEigenvalueError(
+        raise SingularResolventError(
             f"mu=-1 is an eigenvalue of K_{s} + {t}K_1"
         )
     const = (

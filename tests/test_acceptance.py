@@ -17,12 +17,10 @@ from starcomp.extend import (
     maximal_extensions,
 )
 from starcomp.graphs import (
-    complement,
     is_isomorphic,
     is_regular,
     make_cocktail,
     make_complete_split,
-    matching_graph,
     parse_graph6,
 )
 from starcomp.linalg import char_poly, eig_multiplicity, graph_min_poly, min_poly
@@ -31,12 +29,14 @@ from starcomp.starsets import find_star_sets, verify_star_set
 from conftest import (
     attachment_pattern,
     brute_force_extensions,
+    complement,
     cycle_graph,
     diag_constraint,
     eigenspace_from_star,
     fraction_inverse,
     identity_matrix,
     induced_subgraph,
+    matching_graph,
     minpoly_formula,
     nonmain_constraint,
     path_graph,

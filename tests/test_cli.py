@@ -411,15 +411,35 @@ class TestErrors:
         assert data["error"]["kind"] == "precondition"
 
     def test_precondition_kind_has_one_owner(self):
-        # every precondition class shares one base; other ValueErrors are usage
-        from starcomp.extend import EngineRestrictionError, MuIsEigenvalueError
-        from starcomp.linalg import NotAnEigenvalueError, SingularResolventError
-        from starcomp.multipartite import MuIsSplitEigenvalueError
+        # the package defines four exception classes, each with one kind;
+        # any other ValueError is usage
+        import importlib
+        import pkgutil
 
-        for cls in (EngineRestrictionError, MuIsEigenvalueError, MuIsSplitEigenvalueError,
-                    NotAnEigenvalueError, SingularResolventError):
-            assert cli._error_kind(cls("x")) == "precondition"
-        assert cli._error_kind(ValueError("x")) == "usage"
+        from starcomp.graphs import Graph6Error
+        from starcomp.linalg import PreconditionError, SingularResolventError
+        from starcomp.starsets import BudgetExceededError
+
+        modules = [
+            importlib.import_module(f"starcomp.{info.name}")
+            for info in pkgutil.iter_modules(starcomp.__path__)
+            if info.name != "__main__"  # importing it runs the command line
+        ]
+        defined = {
+            obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+        assert defined == {Graph6Error, BudgetExceededError, PreconditionError,
+                           SingularResolventError}
+        kinds = [
+            (Graph6Error("x", 0), "graph6-parse"),
+            (BudgetExceededError("x"), "budget"),
+            (PreconditionError("x"), "precondition"),
+            (SingularResolventError("x"), "precondition"),
+            (ValueError("x"), "usage"),
+        ]
+        assert [cli._error_kind(exc) for exc, _ in kinds] == [kind for _, kind in kinds]
 
     def test_default_budget_has_one_owner(self):
         from starcomp.starsets import DEFAULT_BUDGET

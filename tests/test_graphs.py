@@ -1,19 +1,20 @@
 import random
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcomp.cli import load_graph
 from starcomp.graphs import (
     Graph,
     Graph6Error,
     MAX_VERTICES,
-    complement,
+    _complete_multipartite,
     is_regular,
     make_cocktail,
     make_complete_split,
-    matching_graph,
     parse_graph6,
     relabel,
     vertex_set,
@@ -22,6 +23,7 @@ from starcomp.graphs import (
 
 from conftest import (
     bitwise_parse_graph6,
+    complement,
     complete_graph,
     cycle_graph,
     delete_vertices,
@@ -29,6 +31,7 @@ from conftest import (
     empty_graph,
     induced_subgraph,
     join,
+    matching_graph,
     random_graph,
 )
 
@@ -177,13 +180,18 @@ class TestCompleteSplit:
             make_complete_split(2, 0)
 
     def test_vertex_bound_checked_before_edges(self):
-        # the matrix would take 4 GiB; nothing of it may be allocated first
+        # the matrix would take 4 GiB; nothing of it may be allocated first,
+        # nor a list of the s clique parts
         import tracemalloc
 
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=rf"vertex count {MAX_VERTICES + 1} outside"):
                 make_complete_split(MAX_VERTICES, 1)
+            with pytest.raises(ValueError, match=rf"vertex count {MAX_VERTICES + 2} outside"):
+                make_cocktail(MAX_VERTICES // 2 + 1)
+            with pytest.raises(ValueError, match=rf"vertex count {(1 << 40) + 1} outside"):
+                make_complete_split(1 << 40, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,6 +247,26 @@ class TestCocktail:
         g = make_cocktail(3)
         for i in range(3):
             assert not g.has_edge(2 * i, 2 * i + 1)
+
+
+class TestCompleteMultipartite:
+    @given(st.lists(st.integers(0, 5), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_join_of_empty_graphs(self, parts):
+        g = _complete_multipartite(parts, [1] * len(parts))
+        want = reduce(join, map(empty_graph, parts), empty_graph(0))
+        assert g == want and write_graph6(g) == write_graph6(want)
+        assert g.adj.dtype == np.uint8 and not g.adj.flags.writeable
+
+    @pytest.mark.parametrize("s, t", [(1, 1), (1, 4), (3, 2), (6, 5), (14, 3)])
+    def test_split_spec_is_clique_join_independent_set(self, s, t):
+        want = join(complete_graph(s), empty_graph(t))
+        assert write_graph6(load_graph(f"split:{s},{t}")) == write_graph6(want)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 20])
+    def test_cocktail_spec_is_matching_complement(self, p):
+        want = complement(matching_graph(p))
+        assert write_graph6(load_graph(f"cocktail:{p}")) == write_graph6(want)
 
 
 class TestJoinComplement:

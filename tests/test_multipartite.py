@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -7,9 +8,13 @@ import pytest
 
 from starcomp.extend import build_compat_graph, enumerate_candidates
 from starcomp.graphs import make_complete_split
-from starcomp.linalg import min_poly, resolvent_bilinear, resolvent_via_minpoly
+from starcomp.linalg import (
+    SingularResolventError,
+    min_poly,
+    resolvent_bilinear,
+    resolvent_via_minpoly,
+)
 from starcomp.multipartite import (
-    MuIsSplitEigenvalueError,
     closed_bilinear,
     coeffs,
     solution_explorer,
@@ -73,12 +78,10 @@ class TestCoeffs:
             closed_bilinear(2, 1, -3, (1, 1), (1, 1), 1, 1)
 
     def test_eigenvalue_rejected(self):
-        with pytest.raises(MuIsSplitEigenvalueError):
-            coeffs(2, 3, -2)  # beta = 0
-        with pytest.raises(MuIsSplitEigenvalueError):
-            coeffs(2, 2, 0)
-        with pytest.raises(MuIsSplitEigenvalueError):
-            coeffs(2, 2, -1)
+        for s, t, mu in [(2, 3, -2), (2, 2, 0), (2, 2, -1)]:  # beta = 0, then mu in {0, -1}
+            message = f"mu={mu} is an eigenvalue of K_{s} + {t}K_1"
+            with pytest.raises(SingularResolventError, match=f"^{re.escape(message)}$"):
+                coeffs(s, t, mu)
 
     def test_m_mu_consistency(self):
         for s in range(2, 6):
@@ -293,7 +296,8 @@ class TestConstraints:
                 assert q[1] == mu * (mu + 1)
 
     def test_minus_one_rejected(self):
-        with pytest.raises(MuIsSplitEigenvalueError):
+        message = re.escape("mu=-1 is an eigenvalue of K_2 + 2K_1")
+        with pytest.raises(SingularResolventError, match=message):
             quadratic_in_a(2, 2, -1)
 
     def test_elimination_identity(self):

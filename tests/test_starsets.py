@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -17,7 +18,7 @@ from starcomp.graphs import (
     write_graph6,
 )
 from starcomp.linalg import (
-    NotAnEigenvalueError,
+    PreconditionError,
     eig_multiplicity,
     resolvent_inverse,
 )
@@ -246,7 +247,7 @@ class TestFindStarSets:
         assert find_star_sets(complete_graph(2), 1) == [(0,), (1,)]
 
     def test_not_an_eigenvalue(self):
-        with pytest.raises(NotAnEigenvalueError):
+        with pytest.raises(PreconditionError, match="^7 is not an eigenvalue; no star set exists$"):
             find_star_sets(complete_graph(3), 7)
 
     @pytest.mark.parametrize("g, mu", [(make_cocktail(4), -2), (PETERSEN, 1)])
@@ -318,7 +319,8 @@ def test_basis_search_matches_complement_ranks(g, rng):
     for mu in range(-g.n, g.n + 1):
         expected = complement_rank_star_sets(g, mu)
         if expected == [()]:  # multiplicity 0: only the empty set passes
-            with pytest.raises(NotAnEigenvalueError):
+            message = f"{mu} is not an eigenvalue; no star set exists"
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
                 find_star_sets(g, mu)
         else:
             assert find_star_sets(g, mu) == expected, mu

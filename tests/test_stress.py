@@ -16,7 +16,6 @@ from starcomp.extend import CompatTable, all_cliques, build_compat_graph, maxima
 from starcomp.graphs import (
     Graph,
     canonical_form,
-    complement,
     is_isomorphic,
     make_cocktail,
     make_complete_split,
@@ -29,6 +28,7 @@ from starcomp.starsets import BudgetExceededError, find_star_sets, verify_star_s
 
 from conftest import (
     brute_isomorphic,
+    complement,
     cycle_graph,
     disjoint_union,
     fraction_rank,
