@@ -12,8 +12,9 @@ to its pure-Python encoder, which would cost a scan report more than the
 scan.  A list of int rows, such as the candidates or the star sets, is
 written in one pass: one str.join of the rows, each row one join of its
 ints' texts from an int-to-text table, driven by map, so no Python code
-runs per row or per int.  Each command returns its text lines as a lazy iterable, so they are
-only formatted in text mode.
+runs per row or per int.  A value no report holds (a float, a non-str
+key) is json.dumps' own text, re-indented.  Each command returns its text
+lines as a lazy iterable, so they are only formatted in text mode.
 
 The command line is read from one table, COMMANDS, which also writes the
 usage and the help: --opt value or --opt=value (a dash-led value needs the =
@@ -435,23 +436,16 @@ class _IntText(dict):
 _int_text = _IntText().__getitem__
 
 
-def _write_key(key) -> str:
-    # json writes an int, float, bool or None key as the string of its JSON
-    # text and rejects other types; a one-key dump gives its bytes and errors.
-    if isinstance(key, str):
-        return _encode_str(key)
-    return json.dumps({key: 0})[1:-4]
-
-
 def write_json(obj, pad: str = "") -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), nested at `pad`.
 
-    Containers, strings, None, bools and ints are written here; floats and
-    anything else go to json.dumps, so their bytes and errors are json's
-    own.  A list of plain ints is one join of their texts, and a list of
-    nonempty such lists or tuples one join of the rows' joins, at C speed.
-    An empty row, a bool, an int or list subclass or a nested value takes
-    the general path, one write_json per item.
+    Lists, tuples, dicts keyed by str, strings, None, bools and ints are
+    written here; anything else (a float, a dict with another key) is
+    json.dumps' own text and errors, `pad` put after each newline, which a
+    JSON string never holds raw.  A list of plain ints is one join of their
+    texts, and a list of nonempty such lists or tuples one join of the
+    rows' joins, at C speed.  An empty row, a bool, an int or list subclass
+    or a nested value takes the general path, one write_json per item.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -485,14 +479,14 @@ def write_json(obj, pad: str = "") -> str:
         else:
             body = sep.join([write_json(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         if not obj:
             return "{}"
         body = sep.join(
-            [f"{_write_key(k)}: {write_json(v, inner)}" for k, v in sorted(obj.items())]
+            [f"{_encode_str(k)}: {write_json(v, inner)}" for k, v in sorted(obj.items())]
         )
         return f"{{\n{inner}{body}\n{pad}}}"
-    return json.dumps(obj)
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 _USAGE_ERRORS = (ValueError, BudgetExceededError)

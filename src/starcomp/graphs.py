@@ -116,9 +116,6 @@ class Graph:
     def adj(self) -> np.ndarray:
         return self._adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u, v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(d) for d in self._adj.sum(axis=1))
 

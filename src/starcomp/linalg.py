@@ -4,9 +4,10 @@ Matrices hold integers (numpy object arrays, row lists or a graph's uint8
 adjacency), read as Python ints.  The characteristic and minimal
 polynomials of an integer matrix are monic with integer coefficients, held
 as tuples of Python ints, low degree first.  By the rational root theorem
-every rational eigenvalue is an integer (integer_roots); a rational
-mu = p/q enters only as the integer matrix qA - pI, and Fractions appear
-only in results.  Rank
+every rational eigenvalue is an integer, and every eigenvalue of a
+symmetric matrix is real, so integer_roots tries the divisors up to
+sqrt(tr A^2).  A rational mu = p/q enters only as the integer matrix
+qA - pI, and Fractions appear only in results.  Rank
 (kernels.try_int_rank), inverse, null space and the main/non-main test share
 one Bareiss echelon (kernels._bareiss); the last three also share one integer
 back-substitution (_back_substitute).  The characteristic polynomial is
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
@@ -56,8 +57,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """x as "p" or "p/q" in lowest terms: Fraction's own text."""
+    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +75,18 @@ def poly_eval(coeffs: Sequence[int], x):
 
 
 def integer_roots(coeffs: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """(integer roots with multiplicities, ascending, root-free residual) of a
-    monic polynomial with integer coefficients; raises ValueError on any other.
+    """(integer roots with multiplicities, ascending, root-free residual) of
+    the characteristic polynomial of a symmetric integer matrix; raises
+    ValueError on a polynomial that is not monic with integer coefficients.
 
     By the rational root theorem every rational root is an integer that
-    divides the lowest nonzero coefficient, and it lies within Fujiwara's
-    bound, which is O(n) for the characteristic polynomial of an adjacency
-    matrix.  Each root is divided out as often as it occurs while it is
-    counted, so the quotient left at the end is the residual.
+    divides the lowest nonzero coefficient.  The roots of a symmetric
+    matrix are real, so each root's square is at most the sum of their
+    squares, c_(d-1)^2 - 2 c_(d-2) from the two coefficients below the
+    leading one (tr A^2 = 2m for a graph): the divisors are tried up to its
+    isqrt.  A polynomial with a non-real root breaks this precondition.
+    Each root is divided out as often as it occurs while it is counted, so
+    the quotient left at the end is the residual.
     """
     if not coeffs:
         raise ValueError("zero polynomial has every root")
@@ -91,7 +96,8 @@ def integer_roots(coeffs: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[i
     mult0 = next(i for i, c in enumerate(poly) if c)
     roots = [(0, mult0)] if mult0 else []
     poly = poly[mult0:]
-    for y in range(1, _root_bound(poly) + 1):
+    *_, c2, c1, _ = [0, 0, *poly]  # absent below degree 2
+    for y in range(1, isqrt(c1 * c1 - 2 * c2) + 1):
         if poly[0] % y:
             continue
         for cand in (y, -y):
@@ -129,9 +135,7 @@ def poly_text(coeffs: Sequence) -> str:
 
 def _primitive(p: list[int]) -> list[int]:
     """An integer polynomial divided by its content, leading coefficient > 0."""
-    content = 0
-    for c in p:
-        content = gcd(content, c)
+    content = gcd(*p)
     if p and p[-1] < 0:
         content = -content
     return [c // content for c in p] if content else p
@@ -163,25 +167,6 @@ def _monic_quotient(a: list[int], b: list[int]) -> list[int]:
         for i, c in enumerate(b):
             r[k + i] -= top * c
     return q
-
-
-def _ceil_root(c: int, k: int) -> int:
-    """The smallest r >= 0 with r^k >= c, for c >= 0 and k >= 1."""
-    lo, hi = -1, 1 << -(-c.bit_length() // k)  # r lies in (lo, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**k >= c:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _root_bound(monic: list[int]) -> int:
-    """Fujiwara's bound 2 max_k |c_(d-k)|^(1/k) on the roots of a monic
-    integer polynomial (low degree first), each k-th root rounded up."""
-    d = len(monic) - 1
-    return 2 * max((_ceil_root(abs(monic[d - k]), k) for k in range(1, d + 1)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,13 @@ def _degree_balance_checks(s: int, g, star) -> list[tuple[str, bool, str]]:
         r = s - 1 + 2 + c      (clique vertex with c neighbors in X)
         r = a + b + d          (star-set vertex with d neighbors in X)
     """
-    star = set(star)
+    star = sorted(set(star))
     x_size = len(star)
-    clique_part = range(s)
-    indep_part = range(s, s + 2)
-    a_vals = {sum(1 for w in clique_part if g.has_edge(u, w)) for u in star}
-    b_vals = {sum(1 for w in indep_part if g.has_edge(u, w)) for u in star}
-    c_vals = {sum(1 for u in star if g.has_edge(w, u)) for w in clique_part}
-    d_vals = {sum(1 for u2 in star if u2 != u and g.has_edge(u, u2)) for u in star}
+    rows = g.adj[star]  # zero diagonal: the X-by-X block counts d
+    a_vals = set(rows[:, :s].sum(axis=1).tolist())
+    b_vals = set(rows[:, s : s + 2].sum(axis=1).tolist())
+    c_vals = set(rows[:, :s].sum(axis=0).tolist())
+    d_vals = set(rows[:, star].sum(axis=1).tolist())
     ok_types = a_vals == {s - 1} and b_vals == {2}
     ok_cd = c_vals == {x_size - 1} and d_vals == {x_size - 1}
     measured = (a_vals, b_vals, c_vals, d_vals)

@@ -842,6 +842,10 @@ class TestCommandLine:
         assert outcomes == {"ns", "exit"}
 
 
+class Key(str):
+    """A str subclass, which json writes as the str it holds."""
+
+
 class TestWriteJson:
     """write_json against json.dumps(x, indent=2, sort_keys=True)."""
 
@@ -881,12 +885,16 @@ class TestWriteJson:
         [[1, 2], [], (3,)], [[]], [(), [-1 << 70]], [[1], [True]], [[0], [None]], [[1], 2],
         [[0], [], [1]], [(5,)], [[-3, 1 << 70]], [[True, 1]], [[1], [2.5]],
         [list(range(k % 7 + 1, k % 7 + 1 + k % 5 + 1)) for k in range(5000)],
+        # json's own text nested below the top level, and a str subclass key
+        [{"a": [{1: {"b": 2.5}}]}], {"k": [{None: [1.5, {"x": -0.0}]}]},
+        {Key("b"): [1], Key("a"): {Key("c"): None}},
     ], ids=lambda obj: None if len(repr(obj)) < 40 else "5000-rows")
     def test_edge_cases(self, obj):
         assert write_json(obj) == self.reference(obj)
 
     @pytest.mark.parametrize("obj", [
         object(), {1: 0, "a": 0}, [1, {2, 3}], {"a": b"x"}, {None: 1, "k": 2}, {(1,): 0},
+        {"a": [{1: 0, "b": 0}]},
     ])
     def test_errors_are_json_errors(self, obj):
         with pytest.raises(Exception) as want:

@@ -216,9 +216,9 @@ class TestCompleteSplit:
     def test_block_layout(self):
         # clique block first, then the independent block
         g = make_complete_split(3, 2)
-        assert all(g.has_edge(i, j) for i in range(3) for j in range(3) if i != j)
-        assert not g.has_edge(3, 4)
-        assert all(g.has_edge(i, j) for i in range(3) for j in (3, 4))
+        assert all(g.adj[i, j] for i in range(3) for j in range(3) if i != j)
+        assert not g.adj[3, 4]
+        assert all(g.adj[i, j] for i in range(3) for j in (3, 4))
 
 
 class TestCocktail:
@@ -246,7 +246,7 @@ class TestCocktail:
     def test_antipodal_pairs(self):
         g = make_cocktail(3)
         for i in range(3):
-            assert not g.has_edge(2 * i, 2 * i + 1)
+            assert not g.adj[2 * i, 2 * i + 1]
 
 
 class TestCompleteMultipartite:

@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from starcomp.linalg import (
     _inverse_scaled,
     _monic_quotient,
     _null_space,
-    _root_bound,
     _shifted_int_matrix,
     char_poly,
     eig_multiplicity,
@@ -34,12 +34,14 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     euclid_poly_gcd,
     faddeev_leverrier_char_poly,
     fraction_inverse,
     fraction_null_space,
     fraction_rank,
     identity_matrix,
+    join,
     krylov_min_poly,
     leibniz_char_poly,
     minpoly_scaled_resolvent,
@@ -49,6 +51,7 @@ from conftest import (
     poly_from_roots,
     poly_mul,
     random_graph,
+    random_graph_with_twins,
 )
 
 
@@ -61,8 +64,11 @@ def random_rational_matrix(n: int, rng: random.Random) -> np.ndarray:
 
 
 # Root-free factors over the integers: irreducible quadratics and a cubic
-# with no integer root, each monic.
-ROOT_FREE = [(-2, 0, 1), (1, 0, 1), (-4, -1, 1), (1, 1, 0, 1)]
+# with no integer root, each monic and with real roots only, as the
+# characteristic polynomial of a symmetric matrix has.
+ROOT_FREE = [(-2, 0, 1), (-3, 0, 1), (-4, -1, 1), (1, -3, 0, 1)]
+
+seeds = st.integers(0, 2**32 - 1).map(random.Random)
 
 
 class TestPolynomial:
@@ -89,7 +95,7 @@ class TestPolynomial:
         p = poly_from_roots([0, 0, -2, 3])
         assert integer_roots(p)[0] == [(-2, 1), (0, 2), (3, 1)]
         # a root far out, a repeated one and an irreducible factor
-        p = poly_mul(poly_from_roots([-1000, 7, -5, 12, 12]), (1, 0, 1))
+        p = poly_mul(poly_from_roots([-1000, 7, -5, 12, 12]), (-3, 0, 1))
         assert integer_roots(p)[0] == [(-1000, 1), (-5, 1), (7, 1), (12, 2)]
         assert all(type(r) is int for r, _ in integer_roots(p)[0])
 
@@ -108,15 +114,6 @@ class TestPolynomial:
         # the rational root theorem search holds for monic integer polynomials
         with pytest.raises(ValueError, match=match):
             integer_roots(poly)
-
-    def test_root_bound_rounds_each_root_up_exactly(self):
-        # 2 max_k ceil(|c_(d-k)|^(1/k)), low degree first
-        assert _root_bound([-9, 0, 1]) == 6
-        assert _root_bound([-10, 0, 1]) == 8
-        assert _root_bound([5, 1]) == 10
-        assert _root_bound([-(10**30) - 1, 0, 0, 1]) == 2 * (10**10 + 1)
-        assert _root_bound([0, 0, 1]) == 0
-        assert _root_bound([1]) == 0
 
     def test_integer_roots_residual(self):
         p = poly_mul((-4, -1, 1), poly_from_roots([0, -1]))  # x^2-x-4 times x(x+1)
@@ -144,6 +141,46 @@ class TestPolynomial:
         got, rest = integer_roots(tuple(int(c) for c in p))
         assert got == sorted(roots.items())
         assert rest == residual and all(type(c) is int for c in rest)
+
+    def test_top_eigenvalue_on_the_bound(self):
+        # The search stops at isqrt of the sum of the squared roots, tr A^2 =
+        # 2m for a graph.  K_n (n - 1 and (-1)^(n-1)) and cocktail:p (2p - 2,
+        # 0^p and (-2)^(p-1)) have their largest eigenvalue exactly there;
+        # K_{4,9} has +-6 within isqrt(72) = 8, and the edgeless graphs and
+        # n = 0 a bound of 0.
+        on_bound = [
+            (complete_graph(n), [(n - 1, 1), (-1, n - 1)]) for n in range(1, 10)
+        ] + [
+            (make_cocktail(p), [(2 * p - 2, 1), (0, p), (-2, p - 1)]) for p in range(1, 11)
+        ]
+        within = [
+            (join(empty_graph(4), empty_graph(9)), [(6, 1), (-6, 1), (0, 11)]),
+            (empty_graph(5), [(0, 5)]),
+            (empty_graph(0), []),
+        ]
+        for g, spectrum in on_bound + within:
+            mults = Counter()
+            for value, mult in spectrum:
+                mults[value] += mult
+            want = sorted((value, mult) for value, mult in mults.items() if mult)
+            assert integer_roots(char_poly(g.adj)) == (want, (1,))
+        for g, spectrum in on_bound:
+            assert spectrum[0][0] == isqrt(2 * g.edge_count)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.builds(random_graph, st.integers(0, 8), seeds)
+        | st.builds(random_graph_with_twins, st.integers(1, 6), st.integers(0, 3), seeds)
+    )
+    def test_integer_roots_are_the_integral_spectrum(self, g):
+        # every integer eigenvalue lies in [-(n - 1), n - 1]: the roots are
+        # exactly the integers there with a nonzero multiplicity, as a rank
+        want = [
+            (value, mult)
+            for value in range(1 - g.n, g.n)
+            if (mult := eig_multiplicity(g, value))
+        ]
+        assert integer_roots(char_poly(g.adj))[0] == want
 
     def test_parse_format_rational(self):
         assert parse_rational("-5/2") == Fraction(-5, 2)

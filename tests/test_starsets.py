@@ -288,7 +288,7 @@ class TestFindStarSets:
         for star in find_star_sets(g, -2):
             comp = [v for v in range(g.n) if v not in star]
             hoods = [
-                frozenset(w for w in comp if g.has_edge(u, w)) for u in star
+                frozenset(w for w in comp if g.adj[u, w]) for u in star
             ]
             assert all(hoods)
             assert len(set(hoods)) == len(hoods)

@@ -84,7 +84,7 @@ class TestCanonicalFormStress:
                 (i, j)
                 for i in range(8)
                 for j in range(i + 1, 8)
-                if not g.has_edge(i, j)
+                if not g.adj[i, j]
             ]
             if not edges or not non_edges:
                 continue
