@@ -34,13 +34,31 @@ Only one clique per symmetry orbit is assembled.  A transposition of twins
 in H (equal adjacency rows, or equal rows plus the identity) is an
 automorphism sigma, and <sigma b, sigma c> = <b, c>, <sigma b, j> = <b, j>:
 sigma maps candidates to candidates and cliques to cliques of the same
-table, and the graphs they assemble are isomorphic.  For K_s + tK_1 these
-transpositions generate all of Aut(H) = S_s x S_t.  Before assembly the
-sorted clique list is cut to the first clique of each orbit of the group
-they generate.  The first clique of an isomorphism class in that list is the
-first of its own orbit, so it is still assembled and still the witness, and
-the report keeps every byte (McKay, "Isomorph-free exhaustive generation",
+table, and the graphs they assemble are isomorphic.  These transpositions
+generate the twin group G = Sym(V_1) x ... x Sym(V_k) of the twin classes
+V_i; for K_s + tK_1 that is all of Aut(H) = S_s x S_t.  The first clique of
+an isomorphism class in sorted order is the first of its own G-orbit, so
+keeping the first clique of every G-orbit keeps every witness, and the
+report keeps every byte (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26 (1998)).
+
+The maximal cliques are found orbit first.  G maps candidate b to c exactly
+when |b & V_i| = |c & V_i| for every i.  Take these candidate orbits in
+order of their first candidate r.  The first clique of a G-orbit of cliques
+meets some earliest candidate orbit O; an element of G moves one of its
+members onto r_O, and r_O precedes every candidate of O and of later
+orbits, so that first clique contains r_O and no candidate of an earlier
+orbit.  So one Bron-Kerbosch per orbit, from R = {r_O} with the earlier
+orbits' candidates in X, lists a short family that still holds it.  The
+family is closed under the stabilizer of b_r in G, a Young subgroup
+generated by transpositions inside each V_i & b_r and each V_i - b_r, and is
+cut to the first clique of each of its orbits, which keeps the first clique
+of each G-orbit.  Every clique of root r has r as its least member, so the
+roots' lists, in root order, join into one sorted list.  For split:14,3 at
+mu = -3 (non-main) that is one search listing 1575 cliques, not 525 525.
+maximal_only=False lists every sub-clique and cuts that sorted list under
+all of G, since the first sub-clique of a class need not lie in an orbit's
+first maximal clique.
 
 maximal_extensions returns its report as the JSON payload that the CLI
 writes, and the CLI renders its text report from the same dict.
@@ -189,6 +207,8 @@ def enumerate_candidates(
         )
     else:
         masks = _subset_scan_exact(res, rj, want_diag, want_j, nonmain, 0, total)
+    if not len(masks):
+        return []  # before the chunk tables of _lex_order and _decode_masks
     return _decode_masks(_lex_order(masks, n), n)
 
 
@@ -250,12 +270,26 @@ def _bits(mask: int):
         mask ^= low
 
 
-def maximal_cliques(table: CompatTable, limit: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+def maximal_cliques(
+    table: CompatTable,
+    limit: int = DEFAULT_BUDGET,
+    root: int | None = None,
+    exclude: int = 0,
+    rows: list[int] | None = None,
+) -> list[tuple[int, ...]]:
     """Maximal candidate sets that are pairwise not incompatible, sorted, at
     most `limit` of them (BudgetExceededError past that): Bron-Kerbosch on
     the compat rows as ints, pivoting on the first vertex of P | X with the
-    most neighbours in P and branching in bit order."""
-    nbr = _bitsets(table.compat)
+    most neighbours in P and branching in bit order.
+
+    With a root, only the maximal cliques that contain candidate `root` and
+    no candidate of the bitmask `exclude` are listed: the search starts
+    from R = {root}, P = compat(root) minus exclude and X = compat(root)
+    within exclude, so a clique that an excluded candidate extends is not
+    maximal and is not listed either.  `rows`, the compat rows as ints
+    (graphs._bitsets), spares a caller with many roots rebuilding them.
+    """
+    nbr = _bitsets(table.compat) if rows is None else rows
     index = list(range(len(nbr))).__getitem__  # one int object per candidate
     cliques: list[tuple[int, ...]] = []
 
@@ -272,7 +306,9 @@ def maximal_cliques(table: CompatTable, limit: int = DEFAULT_BUDGET) -> list[tup
                 expand(r | 1 << v, p & nbr[v], x & nbr[v])
                 p, x = p ^ 1 << v, x | 1 << v
 
-    if nbr:
+    if root is not None:
+        expand(1 << root, nbr[root] & ~exclude, nbr[root] & exclude)
+    elif nbr:
         expand(0, (1 << len(nbr)) - 1, 0)
     return sorted(cliques)
 
@@ -293,6 +329,22 @@ def all_cliques(table: CompatTable) -> list[tuple[int, ...]]:
     return out
 
 
+def _twin_parts(h: Graph) -> list[int]:
+    """The twin classes of H (graphs._twin_classes) as vertex bitmasks, in
+    order of their first vertex."""
+    parts: dict[int, int] = {}
+    for v, first in enumerate(_twin_classes(_bitsets(h.adj))):
+        parts[first] = parts.get(first, 0) | 1 << v
+    return list(parts.values())
+
+
+def _consecutive(mask: int) -> list[tuple[int, int]]:
+    """The transpositions of consecutive members of a vertex bitmask; they
+    generate its symmetric group."""
+    vs = list(_bits(mask))
+    return list(zip(vs, vs[1:]))
+
+
 def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
     """Transpositions of twins in H, each an automorphism of H.
 
@@ -301,13 +353,60 @@ def twin_transpositions(h: Graph) -> list[tuple[int, int]]:
     of consecutive members are returned; they generate the symmetric group
     of the class, so for K_s + tK_1 they generate all of S_s x S_t.
     """
-    pairs = []
-    last: dict[int, int] = {}
-    for v, first in enumerate(_twin_classes(_bitsets(h.adj))):
-        if first in last:
-            pairs.append((last[first], v))
-        last[first] = v
-    return pairs
+    return [pair for part in _twin_parts(h) for pair in _consecutive(part)]
+
+
+def _orbit_roots(table: CompatTable) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The roots of the orbit-first clique search, one per orbit of the twin
+    group G = Sym(V_1) x ... x Sym(V_k) on the table's candidates, the V_i
+    being the twin classes of H.
+
+    G maps b to c exactly when |b & V_i| = |c & V_i| for every i; that count
+    vector, the attachment row times the classes' 0/1 columns, is the
+    orbit's key.  The orbits come in order of their first candidate r, each
+    as (r, the bitmask of the candidates in earlier orbits, the consecutive
+    transpositions inside each V_i & b_r and each V_i - b_r); the last
+    generate the stabilizer of b_r in G.
+    """
+    n, parts = table.h.n, _twin_parts(table.h)
+    columns = np.array([[part >> v & 1 for part in parts] for v in range(n)], dtype=np.intp)
+    counts = table.attachment @ columns.reshape(n, len(parts))
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(map(tuple, counts.tolist())):
+        orbits.setdefault(key, []).append(i)
+    twins = [part for part in parts if part & (part - 1)]  # classes of 2 or more
+    roots, earlier = [], 0
+    for members in orbits.values():
+        b = sum(1 << v for v in table.candidates[members[0]])
+        stabilizer = [pair for part in twins for pair in _consecutive(part & b) + _consecutive(part & ~b)]
+        roots.append((members[0], earlier, stabilizer))
+        earlier |= sum(1 << i for i in members)
+    return roots
+
+
+def _transposition_perms(table: CompatTable):
+    """A lookup from a transposition (u, v) of H's vertices to the
+    permutation of candidate indices that it induces, built on first use
+    from the candidates' H-neighbourhoods as ints.  A transposition that
+    maps a candidate off the table raises."""
+    masks: list[int] = []
+    index: dict[int, int] = {}
+    built: dict[tuple[int, int], np.ndarray] = {}
+
+    def perm(pair: tuple[int, int]) -> np.ndarray:
+        if not index:
+            masks.extend(_bitsets(table.attachment))
+            index.update((m, i) for i, m in enumerate(masks))
+        if pair not in built:
+            u, v = pair
+            swap = (1 << u) | (1 << v)
+            images = [m ^ swap if (m >> u ^ m >> v) & 1 else m for m in masks]
+            if not all(m in index for m in images):
+                raise AssertionError(f"({u} {v}) maps a candidate off the table; this is a bug")
+            built[pair] = np.array([index[m] for m in images], dtype=np.intp)
+        return built[pair]
+
+    return perm
 
 
 def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -328,32 +427,30 @@ def _merge(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _orbit_representatives(
-    table: CompatTable, cliques: list[tuple[int, ...]], generators: list[tuple[int, int]]
+    cliques: list[tuple[int, ...]], generators: list[tuple[int, int]], perm
 ) -> list[tuple[int, ...]]:
     """The first clique of each orbit of the group the generators span.
 
-    cliques must be sorted and closed under every generator, as the maximal
-    cliques of a table and their sub-cliques are: an automorphism of H keeps
-    every pair value, so it maps candidates to candidates and cliques to
-    cliques.  The cliques of one size, stacked as rows, are in lex order; a
-    generator's images, sorted the same way, must be exactly those rows, and
-    the sort then says which clique maps to which.  A missing image raises.
+    generators are transpositions of H's vertices and perm is
+    _transposition_perms of the table.  cliques must be sorted and closed
+    under every generator: an automorphism of H keeps every pair value, so
+    it maps candidates to candidates and cliques to cliques, and the
+    maximal cliques of a table, their sub-cliques, and the maximal cliques
+    through a root that avoid a union of orbits are each closed under the
+    automorphisms that fix that root and those orbits.  The cliques of one
+    size, stacked as rows, are in lex order; a generator's images, sorted
+    the same way, must be exactly those rows, and the sort then says which
+    clique maps to which.  A missing image raises.  A list of at most one
+    clique is returned as it is.
     """
-    masks = _bitsets(table.attachment)  # each candidate's H-neighbourhood
-    index = {m: i for i, m in enumerate(masks)}
-    perms = []
-    for u, v in generators:
-        swap = (1 << u) | (1 << v)
-        images = [m ^ swap if (m >> u ^ m >> v) & 1 else m for m in masks]
-        if not all(m in index for m in images):
-            raise AssertionError(f"({u} {v}) maps a candidate off the table; this is a bug")
-        perms.append(np.array([index[m] for m in images], dtype=np.intp))
+    if len(cliques) < 2 or not generators:
+        return cliques
     root = np.arange(len(cliques))
     for size in sorted({len(c) for c in cliques}):
         at = np.array([i for i, c in enumerate(cliques) if len(c) == size])
         rows = np.array([cliques[i] for i in at], dtype=np.intp).reshape(len(at), size)
-        for (u, v), perm in zip(generators, perms):
-            images = np.sort(perm[rows], axis=1)
+        for u, v in generators:
+            images = np.sort(perm((u, v))[rows], axis=1)
             order = np.lexsort(images.T[::-1])
             if not np.array_equal(images[order], rows):
                 raise AssertionError(f"({u} {v}) maps a clique off the list; this is a bug")
@@ -416,29 +513,48 @@ def maximal_extensions(
     Regularity is an isomorphism invariant, so the filter runs before the
     canonical form and leaves the same survivors and witnesses.
     budget bounds the 2^|V(H)| subset scan and the number of maximal
-    cliques.  With maximal_only=False every nonempty clique is reported, not
-    just the maximal ones; their count, sum(2^|c| - 1) over the maximal
-    cliques c, must not exceed budget either.
+    cliques that the search lists, summed over its roots.  With
+    maximal_only=False every nonempty clique is reported, not just the
+    maximal ones; their count, sum(2^|c| - 1) over the maximal cliques c,
+    must not exceed budget either.
 
-    Only the first clique of each orbit under the twin transpositions of H
-    is assembled, which keeps every witness (module docstring).  With
-    maximal_only=False the orbits are taken after the sub-cliques are
-    listed, since the first sub-clique of a class need not lie in an orbit's
-    first maximal clique.  An H without twins keeps every clique.
+    The maximal cliques are found orbit first (module docstring): one
+    root-restricted search per orbit of the twin group on the candidates,
+    each list cut to the first clique of each orbit of its root's
+    stabilizer.  That keeps the first clique of every orbit of the whole
+    group, so every witness.  With maximal_only=False the orbits are taken
+    after all sub-cliques are listed, since the first sub-clique of a class
+    need not lie in an orbit's first maximal clique.  An H without twins
+    keeps every clique.
     """
     mu = Fraction(mu)
     cands = enumerate_candidates(h, mu, nonmain=nonmain, budget=budget)
     table = build_compat_graph(h, mu, cands)
-    cliques = maximal_cliques(table, budget)
-    if not maximal_only:
-        subcliques = sum((1 << len(c)) - 1 for c in cliques)
+    perm = _transposition_perms(table)
+    if maximal_only:
+        rows = _bitsets(table.compat)
+        listed = 0
+        # Every clique listed from root r has r as its least member, so the
+        # roots' lists, taken in root order, join into one sorted list.
+        cliques = []
+        for r, earlier, stabilizer in _orbit_roots(table):
+            try:
+                found = maximal_cliques(table, budget - listed, r, earlier, rows)
+            except BudgetExceededError:
+                raise BudgetExceededError(
+                    f"more than {budget} maximal cliques exceeds budget {budget}"
+                ) from None
+            listed += len(found)
+            cliques += _orbit_representatives(found, stabilizer, perm)
+    else:
+        maximal = maximal_cliques(table, budget)
+        subcliques = sum((1 << len(c)) - 1 for c in maximal)
         if subcliques > budget:
             raise BudgetExceededError(
-                f"{subcliques} sub-cliques of {len(cliques)} maximal cliques "
+                f"{subcliques} sub-cliques of {len(maximal)} maximal cliques "
                 f"exceeds budget {budget}"
             )
-        cliques = all_cliques(table)
-    cliques = _orbit_representatives(table, cliques, twin_transpositions(h))
+        cliques = _orbit_representatives(all_cliques(table), twin_transpositions(h), perm)
     by_canon: dict[bytes, dict] = {}
     for clique in cliques:
         graph = assemble_graph(table, clique)

@@ -11,7 +11,10 @@ import pytest
 import starcomp.extend as extend_module
 from starcomp import kernels
 from starcomp.extend import (
+    CompatTable,
     _orbit_representatives,
+    _orbit_roots,
+    _transposition_perms,
     assemble_graph,
     build_compat_graph,
     enumerate_candidates,
@@ -61,7 +64,12 @@ class TestEnumerateCandidates:
         assert all(split_type(c, 2) == (1, 2) for c in cands)
         assert cands == exhaustive_candidates(h, -2, True)
 
-    def test_split_2_3_no_candidates(self):
+    def test_split_2_3_no_candidates(self, monkeypatch):
+        # a scan with no hits returns before the mask tables are built
+        def unreachable(*args):
+            raise AssertionError("mask tables built for an empty scan")
+
+        monkeypatch.setattr(extend_module, "_lex_order", unreachable)
         assert enumerate_candidates(make_complete_split(2, 3), -2, nonmain=True) == []
 
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 19, 20, 23])
@@ -330,6 +338,22 @@ class TestCompatTable:
         h = parse_graph6("G]~MUO")
         with pytest.raises(BudgetExceededError, match="more than 4096 maximal cliques"):
             maximal_extensions(h, 1, nonmain=True, budget=4096)
+
+    def test_clique_budget_counts_the_orbit_first_search(self):
+        # split:14,3 at mu = -3 has 525 525 maximal cliques in one orbit; the
+        # search lists only those through the orbit's first candidate, which
+        # fit in a budget that the 2^17-subset scan needs anyway
+        rep = maximal_extensions(make_complete_split(14, 3), -3, nonmain=True, budget=131072)
+        assert (rep["candidates"], len(rep["maximal"])) == (1001, 1)
+
+    def test_clique_budget_sums_over_roots(self):
+        # 443 maximal cliques; the search lists 147 from the first root and
+        # 27 from the second, so the budget binds at their sum, 174
+        h = parse_graph6("F||Fo")
+        rep = maximal_extensions(h, -2, nonmain=False, budget=174)
+        assert rep == unreduced_extensions(h, -2, False, False, True)[0]
+        with pytest.raises(BudgetExceededError, match="^more than 173 maximal cliques exceeds budget 173$"):
+            maximal_extensions(h, -2, nonmain=False, budget=173)
 
     @pytest.mark.parametrize("mu", [-2, pytest.param(1, id="mu1")])
     def test_table_matches_exact_values(self, mu):
@@ -721,7 +745,9 @@ class TestOrbitReduction:
         table = build_compat_graph(h, -3, enumerate_candidates(h, -3, nonmain=False))
         cliques = maximal_cliques(table)
         with pytest.raises(AssertionError, match="off the list"):
-            _orbit_representatives(table, cliques[1:], twin_transpositions(h))
+            _orbit_representatives(
+                cliques[1:], twin_transpositions(h), _transposition_perms(table)
+            )
 
     def test_extend_workload_assembles_two_cliques(self, assembled):
         # extend split:8,3 --mu=-3: 63 maximal cliques in two isomorphism classes
@@ -735,6 +761,69 @@ class TestOrbitReduction:
         )
         assert rep == oracle
         assert decoded_witnesses(h, table.candidates, rep) == witnesses
+
+    def test_split_8_3_nonmain_lists_one_clique(self, assembled, monkeypatch):
+        # one orbit of 35 maximal cliques; the search from its first
+        # candidate lists one clique, and that one is assembled
+        listed = []
+        real = extend_module.maximal_cliques
+
+        def counting(*args, **kwargs):
+            listed.append(len(found := real(*args, **kwargs)))
+            return found
+
+        monkeypatch.setattr(extend_module, "maximal_cliques", counting)
+        h = make_complete_split(8, 3)
+        table = build_compat_graph(h, -3, enumerate_candidates(h, -3, nonmain=True))
+        assert len(real(table)) == 35
+        rep = maximal_extensions(h, -3, nonmain=True)
+        assert sum(listed) == 1 and len(assembled) == 1 and len(rep["maximal"]) == 1
+        assert rep == unreduced_extensions(h, -3, True, False, True)[0]
+
+    def test_orbit_roots_and_stabilizers(self):
+        # on every subset of a random H with twins: the roots are the first
+        # members of the twin group's orbits, each with the earlier orbits,
+        # and its stabilizer's generators fix b_r and join exactly the
+        # parts V_i & b_r and V_i - b_r of the twin classes V_i
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(1, 5), st.integers(0, 3), st.randoms(use_true_random=False))
+        def check(n, twins, rng):
+            h = random_graph_with_twins(n, twins, rng)
+            masks = list(range(1 << h.n))
+            twin_of = [[u for u in range(h.n) if u == v or is_twin(h, u, v)] for v in range(h.n)]
+            orbit = []  # orbit[m]: the least mask that G maps m to
+            for m in masks:
+                seen, todo = {m}, [m]
+                for x in todo:
+                    for u, v in twin_transpositions(h):
+                        if (x >> u ^ x >> v) & 1 and (y := x ^ (1 << u | 1 << v)) not in seen:
+                            seen.add(y)
+                            todo.append(y)
+                orbit.append(min(seen))
+            # a table whose candidates are all subsets, candidate m being mask m;
+            # _orbit_roots reads only H, the candidates and their attachment rows
+            rows = np.array([[m >> v & 1 for v in range(h.n)] for m in masks], dtype=np.uint8)
+            none = np.zeros((len(masks),) * 2, dtype=bool)
+            cands = tuple(tuple(np.flatnonzero(row).tolist()) for row in rows)
+            roots = _orbit_roots(CompatTable(h, Fraction(1), cands, rows, none, none))
+            assert [r for r, _, _ in roots] == sorted(set(orbit))
+            for r, earlier, stabilizer in roots:
+                assert earlier == sum(1 << m for m in masks if orbit[m] < r)
+                cls = list(range(h.n))
+                for u, v in stabilizer:
+                    assert (r >> u ^ r >> v) & 1 == 0 and u in twin_of[v]
+                    cls = [cls[u] if c == cls[v] else c for c in cls]
+                for u, v in combinations(range(h.n), 2):
+                    same_side = (r >> u ^ r >> v) & 1 == 0
+                    assert (cls[u] == cls[v]) is (u in twin_of[v] and same_side)
+
+        def is_twin(h, u, v):
+            closed = h.adj + np.eye(h.n, dtype=h.adj.dtype)
+            return np.array_equal(h.adj[u], h.adj[v]) or np.array_equal(closed[u], closed[v])
+
+        check()
 
     def test_nonmaximal_reduces_after_expansion(self):
         # A triangle plus two isolated vertices at mu = 1: the first

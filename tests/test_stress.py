@@ -226,6 +226,12 @@ class TestBronKerboschStress:
                 match=f"^more than {below} maximal cliques exceeds budget {below}$",
             ):
                 maximal_cliques(table, below)
+            # from a root: the maximal cliques through it that avoid exclude
+            root = rng.randrange(n)
+            exclude = rng.getrandbits(n) & ~(1 << root)
+            assert maximal_cliques(table, root=root, exclude=exclude) == [
+                c for c in maximal if root in c and not any(exclude >> v & 1 for v in c)
+            ]
 
         check()
 
