@@ -101,8 +101,8 @@ def parse_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Subcommand payloads: (json payload, lazy text lines, exit code).  extend
 # and theorem write their engine's payload as it is, explore adds its ranges
-# to it, and starsets lists verify_star_set's certificates unchanged; every
-# text report is rendered from its payload.
+# to it, and starsets lists the certificates of one verify_star_set call over
+# all its star sets unchanged; every text report is rendered from its payload.
 # ---------------------------------------------------------------------------
 
 
@@ -159,7 +159,7 @@ def cmd_starsets(args) -> tuple[dict, Iterable[str], int]:
         "multiplicity": eig_multiplicity(g, mu),
         "count": len(stars),
         "star_sets": [list(star) for star in stars],
-        "certificates": [verify_star_set(g, mu, star) for star in stars],
+        "certificates": verify_star_set(g, mu, stars),
     }
     lines = chain(
         [

@@ -484,7 +484,7 @@ def assemble_graph(table: CompatTable, clique: Sequence[int]) -> Graph:
         )
     h, c = table.h, table.attachment[k]
     g = Graph._of(np.block([[h.adj, c.T], [c, table.adjacent[np.ix_(k, k)]]]))
-    if not verify_star_set(g, table.mu, range(h.n, g.n))["valid"]:
+    if not verify_star_set(g, table.mu, [range(h.n, g.n)])[0]["valid"]:
         raise AssertionError(
             "assembled graph failed star-set verification; this is a bug"
         )

@@ -7,18 +7,18 @@ star set exactly when mu is missing from H's spectrum and
 
     mu I - A_X = B^T (mu I - C)^{-1} B.
 
-verify_star_set returns a certificate as the JSON payload that the CLI
-writes: the multiplicity comparison, the complement-spectrum check and the
-residual identity as three separately evaluated exact checks, though the
-residual is implied by the other two.  The multiplicity of mu in G is a
-cached rank.  Each set costs one permuted slice of A, X first and then
-V - X, each ascending: C is its trailing block, and its first |X| rows hold
-A_X and B^T.  The complement check is the cached resolvent pair (R, D) of
-linalg.resolvent_inverse, R = D (mu I - C)^{-1} with D mu integral: it
-exists exactly when mu is not an eigenvalue of C, and C is ranked only when
-it does not.  The residual D (mu I - A_X) = B^T R B is one product of 0/1
-forms of R, in int64 when kernels.int_dtype, the subset scan's overflow
-rule, proves that it fits, and in Python ints otherwise.
+verify_star_set certifies the sets of one (G, mu) in one call, each as the
+JSON payload that the CLI writes: the multiplicity comparison, the
+complement-spectrum check and the residual identity as three separately
+evaluated exact checks, though the residual is implied by the other two.
+The multiplicity of mu in G is one cached rank per call.  Each set costs one
+permuted slice of A, X first and then V - X, each ascending: C is its
+trailing block, and its first |X| rows hold A_X and B^T.  Each distinct C
+costs one cached resolvent pair (R, D) of linalg.resolvent_inverse, which
+exists exactly when mu is not an eigenvalue of C (C is ranked only then),
+and one call of kernels.int_dtype, the subset scan's overflow rule.  Up to
+STACK_SETS residuals D (mu I - A_X) - B^T R B of one size are one stacked
+product, in int64 when every R in it fits, in Python ints otherwise.
 
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,55 +59,84 @@ class BudgetExceededError(RuntimeError):
     """A search would take more subsets, masks or cliques than the budget allows."""
 
 
-def _scaled_residual(top: np.ndarray, mu: Fraction, r, den) -> np.ndarray:
-    """D (mu I - A_X) - B^T R B from top = A[X, X + comp], zero exactly when the
-    star-set identity holds, in the dtype kernels.int_dtype(R, D mu, D) chose."""
-    k = len(top)
-    d_mu = mu.numerator * den // mu.denominator  # exact: D mu is integral
-    dtype = kernels.int_dtype(r, d_mu, den)
-    top = top.astype(dtype)
-    lhs = top[:, :k] * -den
-    lhs.flat[:: k + 1] = d_mu  # D mu on the diagonal, where A_X is zero
-    bt = top[:, k:]  # B^T = A[X, comp]
-    return lhs - bt @ r.astype(dtype, copy=False) @ bt.T
+# At most this many sets share one stacked residual product, which bounds its
+# scratch memory however many sets one call certifies.
+STACK_SETS = 256
 
 
-def verify_star_set(g: Graph, mu, star_set: Sequence[int]) -> dict:
-    """Evaluate all three star-set checks exactly; a set that is not a star set
-    fails them, and a vertex that is not an integer or not in g raises ValueError.
-
-    Returns the certificate's JSON payload {"graph", "mu", "X", "valid",
-    "checks"}, valid being the conjunction of the three checks."""
-    mu = Fraction(mu)
-    star = vertex_set(g, star_set, "star set")
-    k = len(star)
-    multiplicity = eig_multiplicity(g, mu)
-    order = np.array(star + tuple(sorted(set(range(g.n)).difference(star))), dtype=np.intp)
-    p = g.adj.take(order, 0).take(order, 1)  # A with X first, then V - X
-    complement = Graph._of(p[k:, k:].copy())  # the graph G - X, labelled in order
+def _complement_record(h: Graph, mu: Fraction) -> tuple[int, tuple | None]:
+    """(multiplicity of mu in H, (D, D mu, R, R as int64 if kernels.int_dtype
+    allows)), the record None when mu is an eigenvalue of H, which is then ranked."""
     try:
-        r, den = resolvent_inverse(complement, mu)
+        r, den = resolvent_inverse(h, mu)
     except SingularResolventError:
-        # Only a failing certificate ranks the complement, for its report.
-        comp_mult = eig_multiplicity(complement, mu)
-        residual_zero = False
-    else:
-        comp_mult = 0
-        residual_zero = not _scaled_residual(p[:k], mu, r, den).any()
-    sizes_match = multiplicity == k
-    return {
-        "graph": write_graph6(g),
-        "mu": format_rational(mu),
-        "X": list(star),
-        "valid": sizes_match and comp_mult == 0 and residual_zero,
-        "checks": {
-            "multiplicity": multiplicity,
-            "sizes_match": sizes_match,
-            "complement_ok": comp_mult == 0,
-            "complement_multiplicity": comp_mult,
-            "residual_zero": residual_zero,
-        },
-    }
+        return eig_multiplicity(h, mu), None
+    d_mu = mu.numerator * den // mu.denominator  # exact: D mu is integral
+    fits = kernels.int_dtype(r, d_mu, den) is np.int64
+    return 0, (den, d_mu, r, r.astype(np.int64) if fits else None)
+
+
+def _scaled_residuals(tops: np.ndarray, records) -> np.ndarray:
+    """D (mu I - A_X) - B^T R B for sets X of one size, zero exactly where the
+    star-set identity holds, from tops[i] = A[X, X + comp] and the records of
+    the complements: in int64 when every R has an int64 copy, else Python ints."""
+    k = tops.shape[1]
+    den, d_mu, r, fast = zip(*records)
+    dtype, r = (object, r) if any(f is None for f in fast) else (np.int64, fast)
+    if all(x is records[0] for x in records):  # one complement: broadcast it
+        den, d_mu, r = den[0], d_mu[0], r[0]
+    else:  # np.array stacks faster than np.stack
+        den, r = np.array(den, dtype=dtype)[:, None, None], np.array(r, dtype=dtype)
+        d_mu = np.array(d_mu, dtype=dtype)[:, None]
+    tops = tops.astype(dtype)
+    lhs = np.multiply(tops[:, :, :k], -den, order="C")  # C order: reshape is a view
+    lhs.reshape(len(lhs), -1)[:, :: k + 1] = d_mu  # D mu on the diagonal, where A_X is zero
+    bt = tops[:, :, k:]  # B^T = A[X, comp]
+    return lhs - bt @ r @ bt.transpose(0, 2, 1)
+
+
+def verify_star_set(g: Graph, mu, star_sets: Iterable[Sequence[int]]) -> list[dict]:
+    """Certificates {"graph", "mu", "X", "valid", "checks"} of the vertex sets
+    star_sets of g at mu, in input order; valid is the conjunction of three
+    exact checks.  A vertex that is not an integer or not in g raises ValueError."""
+    mu = Fraction(mu)
+    multiplicity = eig_multiplicity(g, mu)
+    graph6, mu_text = write_graph6(g), format_rational(mu)
+    complements = {}  # (|X|, complement bytes) -> _complement_record
+    pending: dict[int, list] = {}  # |X| -> [(certificate, A[X, X + comp], record)]
+    certs = []
+
+    def flush(batch: list) -> None:
+        waiting, tops, records = zip(*batch)
+        nonzero = _scaled_residuals(np.array(tops), records).any((1, 2))
+        for cert, bad in zip(waiting, nonzero.tolist()):
+            cert["checks"]["residual_zero"] = not bad
+            cert["valid"] = cert["checks"]["sizes_match"] and not bad
+        batch.clear()
+
+    for star_set in star_sets:
+        star = vertex_set(g, star_set, "star set")
+        k = len(star)
+        order = np.array(star + tuple(sorted(set(range(g.n)).difference(star))), dtype=np.intp)
+        p = g.adj.take(order, 0).take(order, 1)  # A with X first, then V - X
+        block = p[k:, k:].copy()  # the graph G - X, labelled in order
+        key = (k, block.tobytes())
+        if key not in complements:
+            complements[key] = _complement_record(Graph._of(block), mu)
+        comp_mult, record = complements[key]
+        checks = {"multiplicity": multiplicity, "sizes_match": multiplicity == k,
+                  "complement_ok": comp_mult == 0, "complement_multiplicity": comp_mult,
+                  "residual_zero": False}  # flush sets it and "valid"
+        certs.append({"graph": graph6, "mu": mu_text, "X": list(star), "valid": False,
+                      "checks": checks})
+        if record is not None:
+            batch = pending.setdefault(k, [])
+            if len(batch) == STACK_SETS:
+                flush(batch)
+            batch.append((certs[-1], p[:k], record))
+    for batch in pending.values():
+        flush(batch)
+    return certs
 
 
 def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int] | None:

@@ -627,7 +627,7 @@ def substar_check(g: Graph, mu, star_set, removed) -> bool:
         raise ValueError("removed set must be a proper subset of the star set")
     keep = [v for v in range(g.n) if v not in drop]
     reduced_star = [i for i, v in enumerate(keep) if v in star]
-    return verify_star_set(induced_subgraph(g, keep), mu, reduced_star)["valid"]
+    return verify_star_set(induced_subgraph(g, keep), mu, [reduced_star])[0]["valid"]
 
 
 class InvalidStarSetError(ValueError):
@@ -649,7 +649,7 @@ def eigenspace_from_star(g: Graph, mu, star_set) -> list[np.ndarray]:
     A v = mu v.
     """
     mu = Fraction(mu)
-    cert = verify_star_set(g, mu, star_set)
+    (cert,) = verify_star_set(g, mu, [star_set])
     if not cert["valid"]:
         raise InvalidStarSetError(cert)
     star = cert["X"]

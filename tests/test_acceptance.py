@@ -175,14 +175,12 @@ def test_criterion_6_star_set_census():
     edges = sorted(tuple(sorted(e)) for e in g.edges())
     assert stars == edges and len(stars) == 12
     split22 = make_complete_split(2, 2)
-    for star in stars:
-        cert = verify_star_set(g, -2, star)
+    for star, cert in zip(stars, verify_star_set(g, -2, stars), strict=True):
         assert cert["valid"]
         rest = induced_subgraph(g, [v for v in range(6) if v not in star])
         assert is_isomorphic(rest, split22)
     antipodal = [(0, 1), (2, 3), (4, 5)]
-    for pair in antipodal:
-        cert = verify_star_set(g, -2, pair)
+    for pair, cert in zip(antipodal, verify_star_set(g, -2, antipodal), strict=True):
         assert not cert["valid"]
         assert cert["checks"]["complement_multiplicity"] == 1  # witness: -2 in the C_4 left over
         rest = induced_subgraph(g, [v for v in range(6) if v not in pair])

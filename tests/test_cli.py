@@ -245,14 +245,14 @@ class TestPayloads:
         assert code == EXIT_OK
         g = parse_graph6("IheA@GUAo")
         stars = find_star_sets(g, 3)
-        assert data["certificates"] == [verify_star_set(g, 3, x) for x in stars]
+        assert data["certificates"] == verify_star_set(g, 3, stars)
 
     def test_failing_certificate_payload(self, schema):
         # the CLI only ever prints valid certificates; on the Petersen graph
         # at mu = 1 the complement of this 5-set keeps 1 as an eigenvalue
         from starcomp.starsets import verify_star_set
 
-        cert = verify_star_set(parse_graph6("IheA@GUAo"), 1, (0, 1, 2, 3, 6))
+        (cert,) = verify_star_set(parse_graph6("IheA@GUAo"), 1, [(0, 1, 2, 3, 6)])
         assert cert["checks"]["complement_multiplicity"] > 0
         assert cert["valid"] is False
         definitions = schema.schema["definitions"]

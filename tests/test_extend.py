@@ -517,7 +517,7 @@ class TestAssemble:
         cands = enumerate_candidates(h, -2, nonmain=True)
         g = assemble_graph(build_compat_graph(h, -2, cands), (0,))
         assert g.n == h.n + 1
-        cert = verify_star_set(g, -2, [h.n])
+        (cert,) = verify_star_set(g, -2, [[h.n]])
         assert cert["valid"] and cert["checks"]["multiplicity"] == 1
 
     def test_empty_choice(self):
@@ -631,7 +631,7 @@ class TestMaximalExtensions:
         ]:
             rep = maximal_extensions(h, mu, nonmain=False)
             for m in rep["maximal"]:
-                assert verify_star_set(parse_graph6(m["graph6"]), mu, m["X"])["valid"]
+                assert verify_star_set(parse_graph6(m["graph6"]), mu, [m["X"]])[0]["valid"]
 
     def test_include_nonmaximal(self):
         rep = maximal_extensions(

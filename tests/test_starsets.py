@@ -20,11 +20,12 @@ from starcomp.graphs import (
 from starcomp.linalg import (
     PreconditionError,
     eig_multiplicity,
-    resolvent_inverse,
 )
 from starcomp.starsets import (
+    STACK_SETS,
     BudgetExceededError,
-    _scaled_residual,
+    _complement_record,
+    _scaled_residuals,
     find_star_sets,
     verify_star_set,
 )
@@ -56,7 +57,7 @@ def oracle_multiplicity(g, mu, keep):
 
 class TestVerify:
     def test_octahedron_adjacent_pair_valid(self):
-        cert = verify_star_set(make_cocktail(3), -2, (0, 2))
+        (cert,) = verify_star_set(make_cocktail(3), -2, [(0, 2)])
         assert cert["valid"]
         assert cert["checks"]["multiplicity"] == 2
         assert cert["checks"]["complement_multiplicity"] == 0
@@ -65,7 +66,7 @@ class TestVerify:
 
     def test_octahedron_antipodal_pair_invalid(self):
         g = make_cocktail(3)
-        cert = verify_star_set(g, -2, (0, 1))
+        (cert,) = verify_star_set(g, -2, [(0, 1)])
         assert not cert["valid"]
         assert cert["checks"]["sizes_match"]  # size is right, the complement check fails
         assert not cert["checks"]["complement_ok"]
@@ -74,21 +75,21 @@ class TestVerify:
 
     def test_empty_star_set_vacuous(self):
         g = complete_graph(3)
-        cert = verify_star_set(g, 5, ())
+        (cert,) = verify_star_set(g, 5, [()])
         assert cert["valid"]
         assert cert["checks"]["multiplicity"] == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            verify_star_set(complete_graph(3), 1, (7,))
+            verify_star_set(complete_graph(3), 1, [(0,), (7,)])
 
     def test_non_integer_vertices_rejected(self):
         # int() would truncate these to X = [0, 1, 2, 3, 4] and certify it
         with pytest.raises(ValueError, match=r"^star set vertices must be integers"):
-            verify_star_set(PETERSEN, 1, [0.5, 1.5, 2.5, 3.5, 4.5])
+            verify_star_set(PETERSEN, 1, [[0.5, 1.5, 2.5, 3.5, 4.5]])
 
     def test_certificate_json(self):
-        data = verify_star_set(make_cocktail(3), -2, (0, 2))
+        (data,) = verify_star_set(make_cocktail(3), -2, [(0, 2)])
         assert data["valid"] is True
         assert data["mu"] == "-2"
         assert data["X"] == [0, 2]
@@ -100,9 +101,33 @@ class TestVerify:
             "residual_zero",
         }
 
+    def test_empty_batch(self):
+        assert verify_star_set(PETERSEN, 1, []) == []
+        assert verify_star_set(PETERSEN, 1, iter(())) == []
+
+    def test_stack_bound(self, monkeypatch):
+        # STACK_SETS + 1 star sets take two stacked products, of STACK_SETS
+        # sets and of one, and certify as one call per set does; the
+        # antipodal pair in front has a singular complement and no residual
+        g, mu = make_cocktail(8), -2
+        subsets = [(0, 1, 2, 4, 6, 8, 10)] + find_star_sets(g, mu)[: STACK_SETS + 1]
+        stacks = []
+        real = starsets._scaled_residuals
+
+        def spy(tops, records):
+            stacks.append(len(tops))
+            return real(tops, records)
+
+        with monkeypatch.context() as m:
+            m.setattr(starsets, "_scaled_residuals", spy)
+            batch = verify_star_set(g, mu, subsets)
+        assert stacks == [STACK_SETS, 1]
+        assert batch == [cert for x in subsets for cert in verify_star_set(g, mu, [x])]
+        assert [c["valid"] for c in batch] == [False] + [True] * (STACK_SETS + 1)
+
     def test_equivalence_of_checks_exhaustive(self):
         # residual holds exactly when the size and complement checks both do,
-        # over every subset of every vertex count <= 7
+        # over every subset of every vertex count <= 7, all in one batch
         graphs = [
             path_graph(3),
             cycle_graph(4),
@@ -115,12 +140,12 @@ class TestVerify:
         for g in graphs:
             roots = {-2, -1, 0, 1, 2}
             for mu in roots:
-                for size in range(g.n + 1):
-                    for star in combinations(range(g.n), size):
-                        cert = verify_star_set(g, mu, star)
-                        assert cert["checks"]["residual_zero"] == (
-                            cert["checks"]["sizes_match"] and cert["checks"]["complement_ok"]
-                        ), (g, mu, star)
+                subsets = [x for size in range(g.n + 1) for x in combinations(range(g.n), size)]
+                for star, cert in zip(subsets, verify_star_set(g, mu, subsets), strict=True):
+                    assert cert["X"] == list(star)
+                    assert cert["checks"]["residual_zero"] == (
+                        cert["checks"]["sizes_match"] and cert["checks"]["complement_ok"]
+                    ), (g, mu, star)
 
 
 class TestResidualDifferential:
@@ -149,8 +174,9 @@ class TestResidualDifferential:
             k = eig_multiplicity(g, mu)
         valid = 0
         multiplicity = oracle_multiplicity(g, mu, range(g.n))
-        for star in combinations(range(g.n), k):
-            cert = verify_star_set(g, mu, star)
+        subsets = list(combinations(range(g.n), k))
+        tops, records, scaled = [], [], []
+        for star, cert in zip(subsets, verify_star_set(g, mu, subsets), strict=True):
             comp = [v for v in range(g.n) if v not in star]
             assert cert["checks"]["multiplicity"] == multiplicity, star
             assert cert["checks"]["complement_multiplicity"] == oracle_multiplicity(g, mu, comp), star
@@ -161,13 +187,23 @@ class TestResidualDifferential:
             assert cert["checks"]["residual_zero"] == (expected == 0).all(), star
             # the helper reads A[X, X + comp], the rows of X permuted first
             top = g.adj[list(star)][:, list(star) + comp]
-            r, den = resolvent_inverse(induced_subgraph(g, comp), mu)
-            got = _scaled_residual(top, mu, r, den)
-            assert got.shape == (k, k), star
-            assert np.array_equal(got, den * expected), star
-            assert got.dtype == kernels.int_dtype(r, int(mu * den), den), star
+            _, record = _complement_record(induced_subgraph(g, comp), mu)
+            den, d_mu, r, fast = record
+            assert d_mu == mu * den
+            got = _scaled_residuals(top[None], [record])
+            assert got.shape == (1, k, k), star
+            assert np.array_equal(got[0], den * expected), star
+            assert got.dtype == kernels.int_dtype(r, d_mu, den), star
+            assert (fast is None) == (got.dtype == object), star
+            tops.append(top)
+            records.append(record)
+            scaled.append(den * expected)
             valid += cert["valid"]
         assert valid == (len(find_star_sets(g, mu)) if mu.denominator == 1 else 0)
+        # one stacked product over every set with a resolvent, each with its
+        # own R and D, gives the same residuals
+        got = _scaled_residuals(np.array(tops), records)
+        assert all(np.array_equal(a, b) for a, b in zip(got, scaled, strict=True))
 
 
 class TestResidualInt64:
@@ -176,9 +212,10 @@ class TestResidualInt64:
     # complement has mu as an eigenvalue and sets with a nonzero residual.
     @staticmethod
     def int64_and_exact_dtypes(monkeypatch, g, mu, k):
-        """Certify every k-subset as the overflow rule chooses and again over
-        Python ints, require equal certificates field by field, and return
-        the number of valid ones and the dtypes chosen for the two passes."""
+        """Certify every k-subset in one batch as the overflow rule chooses
+        and again over Python ints, require equal certificates field by
+        field, and return the number of valid ones and the dtypes chosen for
+        the two passes: one per distinct complement with a resolvent."""
         chosen = []
         real = kernels.int_dtype
 
@@ -189,12 +226,15 @@ class TestResidualInt64:
         subsets = list(combinations(range(g.n), k))
         with monkeypatch.context() as m:
             m.setattr(kernels, "int_dtype", spy)
-            fast = [verify_star_set(g, mu, x) for x in subsets]
+            fast = verify_star_set(g, mu, subsets)
             m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
-            exact = [verify_star_set(g, mu, x) for x in subsets]
-        for a, b in zip(fast, exact):
+            exact = verify_star_set(g, mu, subsets)
+        assert len(fast) == len(subsets)
+        for a, b in zip(fast, exact, strict=True):
             assert a == b, a["X"]
-        half = len(chosen) // 2
+        complements = {induced_subgraph(g, [v for v in range(g.n) if v not in x]) for x in subsets}
+        half = sum(eig_multiplicity(h, mu) == 0 for h in complements)
+        assert len(chosen) == 2 * half
         return sum(c["valid"] for c in fast), chosen[:half], chosen[half:]
 
     @pytest.mark.parametrize("g, mu", [
@@ -278,8 +318,7 @@ class TestFindStarSets:
             mu = roots[0]
             stars = find_star_sets(g, mu)
             assert stars  # star sets exist for every eigenvalue
-            for star in stars:
-                assert verify_star_set(g, mu, star)["valid"]
+            assert all(cert["valid"] for cert in verify_star_set(g, mu, stars))
 
     def test_neighborhoods_nonempty_distinct(self):
         # for mu outside {0, -1}, star-set vertices have nonempty, pairwise
@@ -334,84 +373,101 @@ def test_basis_search_matches_complement_ranks(g, rng):
         st.builds(random_graph_with_twins, st.integers(1, 4), st.integers(0, 3), seeds),
         st.builds(make_cocktail, st.integers(1, 3)),
     ),
-    st.lists(st.integers(0, 9), max_size=9),
+    st.lists(st.lists(st.integers(0, 9), max_size=9), max_size=4),
     st.integers(-6, 6),
     st.sampled_from([1, 2, 3]),
     st.sampled_from(["list", "numpy", "int64 tuple"]),
-    st.booleans(),
 )
-@example(make_cocktail(3), [2, 0], -2, 1, "list", False)  # a valid star set
-@example(make_complete_split(2, 2), [0], -5, 2, "list", False)
-@example(make_cocktail(3), [], -2, 1, "list", False)  # k = 0 with mu an eigenvalue
-@example(make_cocktail(3), [], 3, 1, "numpy", True)  # k = 0, a vacuous star set
-@example(make_cocktail(3), [5, 4, 3, 2, 1, 0, 5], 1, 2, "list", True)  # k = n
-@example(PETERSEN, [9, 3, 1, 9], -2, 1, "int64 tuple", False)
-@example(make_cocktail(3), [1, 0, 1], -2, 1, "numpy", False)  # singular complement
-@example(make_cocktail(3), [3, 1, 0, 1], -2, 1, "int64 tuple", True)  # singular complement
-@example(make_cocktail(3), [2, 0, 2], -2, 1, "list", True)  # a star set over Python ints
-def test_certificate_matches_fraction_oracles(g, raw, p, q, form, exact):
-    # Every certificate field against Fraction ranks and the Fraction block
-    # residual, over integral and rational mu = p/q and any X: unsorted, with
-    # repeats, as Python or numpy ints, of any size.  With ACCUMULATOR_LIMIT
-    # = 1 every residual runs over Python ints.  The complement handed to
-    # resolvent_inverse must be the graph induced_subgraph gives, so the
-    # cache keys do not depend on how the certificate slices it.
+@example(make_cocktail(3), [[2, 0]], -2, 1, "list")  # a valid star set
+@example(make_complete_split(2, 2), [[0]], -5, 2, "list")
+@example(make_cocktail(3), [[]], -2, 1, "list")  # k = 0 with mu an eigenvalue
+@example(make_cocktail(3), [[]], 3, 1, "numpy")  # k = 0, a vacuous star set
+@example(make_cocktail(3), [[5, 4, 3, 2, 1, 0, 5]], 1, 2, "list")  # k = n
+@example(PETERSEN, [[9, 3, 1, 9]], -2, 1, "int64 tuple")
+@example(make_cocktail(3), [[1, 0, 1]], -2, 1, "numpy")  # singular complement
+@example(make_cocktail(3), [[3, 1, 0, 1]], -2, 1, "int64 tuple")  # singular complement
+@example(make_cocktail(3), [], -2, 1, "list")  # an empty batch
+# star sets, one of them twice in another order, the empty set, all of V,
+# singular complements and sets of other sizes, in one batch
+@example(
+    make_cocktail(3), [[2, 0], [3, 1, 0], [0, 2, 2], [], [5, 4, 3, 2, 1, 0], [1, 0], [4, 2]],
+    -2, 1, "list",
+)
+@example(PETERSEN, [[0, 1], [1, 0], [], list(range(10)), [0, 1, 2, 3, 4]], 1, 2, "numpy")
+def test_certificate_matches_fraction_oracles(g, raws, p, q, form):
+    # Every certificate of one batch against Fraction ranks and the Fraction
+    # block residual, over integral and rational mu = p/q and sets of mixed
+    # sizes: unsorted, with repeats, duplicated, as Python or numpy ints.
+    # The batch runs as the overflow rule chooses (int64 here) and again
+    # with ACCUMULATOR_LIMIT = 1, where every residual runs over Python
+    # ints.  Each distinct complement reaches resolvent_inverse once, as the
+    # graph induced_subgraph gives, so the cache keys do not depend on how
+    # the certificate slices it, and costs one overflow decision when it has
+    # a resolvent.
     mu = Fraction(p, q)
-    vertices = [v % g.n for v in raw] if g.n else []
-    star_set = {
-        "list": vertices,
-        "numpy": np.array(vertices, dtype=np.int64),
-        "int64 tuple": tuple(np.int64(v) for v in vertices),
+    batch = [[v % g.n for v in raw] if g.n else [] for raw in raws]
+    form = {
+        "list": list,
+        "numpy": lambda x: np.array(x, dtype=np.int64),
+        "int64 tuple": lambda x: tuple(np.int64(v) for v in x),
     }[form]
-    star = tuple(sorted(set(vertices)))
-    comp = [v for v in range(g.n) if v not in star]
-    seen, dtypes, residuals = [], [], []
-    real_inverse, real_dtype = starsets.resolvent_inverse, kernels.int_dtype
-    real_residual = starsets._scaled_residual
-
-    def inverse_spy(h, m):
-        seen.append(h)
-        return real_inverse(h, m)
-
-    def dtype_spy(*args):
-        dtypes.append(real_dtype(*args))
-        return dtypes[-1]
-
-    def residual_spy(*args):
-        residuals.append(real_residual(*args))
-        return residuals[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(starsets, "resolvent_inverse", inverse_spy)
-        m.setattr(kernels, "int_dtype", dtype_spy)
-        m.setattr(starsets, "_scaled_residual", residual_spy)
-        if exact:
-            m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
-        cert = verify_star_set(g, mu, star_set)
-    residual = block_residual(g, mu, star)
+    stars = [tuple(sorted(set(x))) for x in batch]
+    comps = [[v for v in range(g.n) if v not in star] for star in stars]
+    complements = [induced_subgraph(g, comp) for comp in comps]
     multiplicity = oracle_multiplicity(g, mu, range(g.n))
-    comp_mult = oracle_multiplicity(g, mu, comp)
-    assert (cert["graph"], cert["mu"], cert["X"]) == (write_graph6(g), str(mu), list(star))
-    assert all(type(v) is int for v in cert["X"])
-    assert cert["checks"]["multiplicity"] == multiplicity
-    assert cert["checks"]["complement_multiplicity"] == comp_mult
-    assert cert["checks"]["sizes_match"] == (multiplicity == len(star))
-    assert cert["checks"]["complement_ok"] == (comp_mult == 0) == (residual is not None)
-    assert cert["checks"]["residual_zero"] == (residual is not None and not residual.any())
-    assert cert["valid"] == (
-        cert["checks"]["sizes_match"]
-        and cert["checks"]["complement_ok"]
-        and cert["checks"]["residual_zero"]
-    )
-    assert cert == verify_star_set(g, mu, star)
-    ref = induced_subgraph(g, comp)
-    assert len(seen) == 1 and seen[0] == ref and hash(seen[0]) == hash(ref)
-    assert seen[0].adj.dtype == np.uint8 and not seen[0].adj.flags.writeable
-    # one overflow decision per certificate that has a resolvent, and the
-    # residual computed in the dtype it chose
-    assert len(dtypes) == (residual is not None)
-    assert set(dtypes) <= ({object} if exact else {np.int64})
-    assert [x.dtype for x in residuals] == dtypes
+    comp_mults = [oracle_multiplicity(g, mu, comp) for comp in comps]
+    residuals = [block_residual(g, mu, star) for star in stars]
+    passes = []
+    for exact in (False, True):
+        seen, dtypes, stacks = [], [], []
+        real_inverse, real_dtype = starsets.resolvent_inverse, kernels.int_dtype
+        real_residuals = starsets._scaled_residuals
+
+        def inverse_spy(h, m):
+            seen.append(h)
+            return real_inverse(h, m)
+
+        def dtype_spy(*args):
+            dtypes.append(real_dtype(*args))
+            return dtypes[-1]
+
+        def residuals_spy(*args):
+            stacks.append(real_residuals(*args))
+            return stacks[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(starsets, "resolvent_inverse", inverse_spy)
+            m.setattr(kernels, "int_dtype", dtype_spy)
+            m.setattr(starsets, "_scaled_residuals", residuals_spy)
+            if exact:
+                m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
+            certs = verify_star_set(g, mu, (form(x) for x in batch))
+        distinct = list(dict.fromkeys(complements))
+        assert seen == distinct and [hash(h) for h in seen] == [hash(h) for h in distinct]
+        assert all(h.adj.dtype == np.uint8 and not h.adj.flags.writeable for h in seen)
+        # one overflow decision per distinct complement that has a resolvent,
+        # and every stacked residual computed in the dtype they chose
+        assert len(dtypes) == len({h for h, c in zip(complements, comp_mults) if c == 0})
+        assert set(dtypes) <= ({object} if exact else {np.int64})
+        assert all(x.dtype in dtypes for x in stacks)
+        assert sum(len(x) for x in stacks) == comp_mults.count(0)
+        passes.append(certs)
+    assert passes[0] == passes[1]
+    assert [c["X"] for c in certs] == [list(star) for star in stars]
+    for cert, star, comp_mult, residual in zip(certs, stars, comp_mults, residuals, strict=True):
+        assert (cert["graph"], cert["mu"]) == (write_graph6(g), str(mu))
+        assert all(type(v) is int for v in cert["X"])
+        assert cert["checks"]["multiplicity"] == multiplicity
+        assert cert["checks"]["complement_multiplicity"] == comp_mult
+        assert cert["checks"]["sizes_match"] == (multiplicity == len(star))
+        assert cert["checks"]["complement_ok"] == (comp_mult == 0) == (residual is not None)
+        assert cert["checks"]["residual_zero"] == (residual is not None and not residual.any())
+        assert cert["valid"] == (
+            cert["checks"]["sizes_match"]
+            and cert["checks"]["complement_ok"]
+            and cert["checks"]["residual_zero"]
+        )
+        assert [cert] == verify_star_set(g, mu, [star])
 
 
 class TestEigenspace:

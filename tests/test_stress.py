@@ -243,7 +243,7 @@ class TestBigIntegerFallback:
         g = make_cocktail(3)
         mu = Fraction(1, 1 << 32)
         assert eig_multiplicity(g, mu) == 0
-        cert = verify_star_set(g, mu, ())
+        (cert,) = verify_star_set(g, mu, [()])
         assert cert["valid"] and cert["checks"]["multiplicity"] == 0
 
     def test_multiplicity_agrees_across_scales(self):
