@@ -4,7 +4,9 @@ Bareiss elimination.
 Fraction-free (Bareiss) elimination over Python ints is exact for entries
 of any size and, in pure Python, beats an interpreted int64 elimination.
 Rank, inverse, null space and the main/non-main test share one Bareiss
-echelon and one integer back-substitution (linalg._back_substitute).
+echelon and one integer back-substitution (linalg._back_substitute); for a
+graph's resolvent, multiplicity and main test that echelon is of the k x k
+twin quotient (linalg._twin_quotient), not of the n x n matrix.
 
 The subset scan finds the masks b with b^T R b on target, for attachment
 candidates, in one numpy pass with no matrix product: the form over the

@@ -10,8 +10,11 @@ sqrt(tr A^2).  A rational mu = p/q enters only as the integer matrix
 qA - pI, and Fractions appear only in results.  Rank
 (kernels.try_int_rank), inverse, null space and the main/non-main test share
 one Bareiss echelon (kernels._bareiss); the last three also share one integer
-back-substitution (_back_substitute).  The characteristic polynomial is
-Berkowitz's division-free method over Python ints, and the minimal
+back-substitution (_back_substitute).  For a graph, the resolvent, the
+multiplicity, the main/non-main test and the characteristic polynomial run
+on the k x k quotient of its k twin classes (_twin_quotient), so the
+echelon is k x k; a twin-free graph has k = n.  The characteristic
+polynomial is Berkowitz's division-free method over Python ints, and the minimal
 polynomial of a symmetric matrix is its squarefree part.  The resolvent is
 computed and made integral in one place, resolvent_inverse, as the cached
 least integer pair (R, D), R = D (mu I - A)^{-1} with D mu integral, which
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .graphs import CACHE_SIZE, Graph
+from .graphs import CACHE_SIZE, Graph, _bitsets, _twin_classes
 
 
 class PreconditionError(ValueError):
@@ -193,12 +196,13 @@ def _back_substitute(m: list[list[int]], pivots: list[int], rhs: list[list[int]]
     return x
 
 
-def _inverse_scaled(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(Y, d) with d > 0 and N^{-1} = Y / d, for a square integer row list N:
-    the echelon form of [N | I] back-substituted against d times the carried
-    identity, d = |det N|.  Raises SingularResolventError."""
+def _solve_scaled(rows: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(X, d) with d > 0 and N^{-1} B = X / d, for a square integer row list N
+    and integer right-hand sides B (one row per row of N): the echelon form of
+    [N | B] back-substituted against d times the carried B, d = |det N|.
+    Raises SingularResolventError."""
     n = len(rows)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [row + b for row, b in zip(rows, rhs)]
     pivots = kernels._bareiss(aug, n)
     if len(pivots) < n:
         raise SingularResolventError("matrix is singular")
@@ -229,6 +233,46 @@ def _null_space(rows: list[list[int]]) -> list[list[int]]:
     for c, xs in zip(pivots, x):
         u[c] = xs
     return u
+
+
+# ---------------------------------------------------------------------------
+# The twin quotient
+# ---------------------------------------------------------------------------
+
+
+def _twin_quotient(adj: np.ndarray, p: int = 0, q: int = 1):
+    """(K, cls, sizes, taus) for N = qA - pI and the twin classes V_1..V_k
+    of the graph with 0/1 adjacency adj (graphs._twin_classes), in order of
+    their first vertices r_1..r_k.
+
+    cls[v] is the class of vertex v and sizes[i] = n_i; taus[i] is 1 when
+    V_i holds true twins (adjacent) and 0 for false twins or a singleton.
+    K is the k x k quotient K_ij = sum_{v in V_j} N[r_i, v].  Twins share
+    their neighbours outside their class, so N is constant on each block
+    off the diagonal and N P = P K for the 0/1 class matrix P.  The vectors
+    that vanish off V_i and sum to 0 on it are the rest of the eigenvectors
+    of N: each class gives the eigenvalue -(p + q tau_i), n_i - 1 times.
+    A twin-free graph has K = qA - pI.  K is built in one pass over the rows.
+    """
+    rows = adj.tolist()
+    first = _twin_classes(_bitsets(adj))
+    index: dict[int, int] = {}
+    cls = [index.setdefault(f, len(index)) for f in first]
+    k = len(index)
+    sizes, taus = [1] * k, [0] * k
+    for v, f in enumerate(first):
+        if f != v:
+            sizes[cls[v]] += 1
+            taus[cls[v]] = rows[v][f]
+    quotient = []
+    for i, r in enumerate(index):
+        row = [0] * k
+        for c, a in zip(cls, rows[r]):
+            if a:
+                row[c] += q
+        row[i] -= p
+        quotient.append(row)
+    return quotient, cls, sizes, taus
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +320,28 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
 
 
 def char_poly(m) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - M) of a square integer matrix,
-    by Berkowitz; raises ValueError on any other input."""
-    return tuple(_berkowitz(_square_int_rows(m, "characteristic polynomial")))
+    """Characteristic polynomial det(xI - M) of a square integer matrix;
+    raises ValueError on any other input.
+
+    A 0/1 symmetric matrix with a zero diagonal is a graph's adjacency A:
+    its polynomial is Berkowitz's on the k x k twin quotient B of A
+    (_twin_quotient) times (x + tau_i)^(n_i - 1) for each twin class.  Any
+    other matrix runs Berkowitz on itself.
+    """
+    rows = _square_int_rows(m, "characteristic polynomial")
+    a = np.array(rows)
+    if not rows or a.dtype.kind != "i" or (a.T != a).any() or a.diagonal().any() or (a >> 1).any():
+        return tuple(_berkowitz(rows))
+    quotient, _, sizes, taus = _twin_quotient(a.astype(np.uint8))
+    poly = _berkowitz(quotient)
+    ones = sum(n_i - 1 for n_i, tau in zip(sizes, taus) if tau)
+    zeros = len(rows) - len(quotient) - ones
+    binom = [comb(ones, j) for j in range(ones + 1)]  # (x + 1)^ones
+    poly = [
+        sum(poly[i - j] * binom[j] for j in range(max(0, i - len(poly) + 1), min(i, ones) + 1))
+        for i in range(len(poly) + ones)
+    ]
+    return (0,) * zeros + tuple(poly)
 
 
 def min_poly(m) -> tuple[int, ...]:
@@ -286,14 +349,14 @@ def min_poly(m) -> tuple[int, ...]:
     on any other input.
 
     A symmetric matrix is diagonalizable, so its minimal polynomial is the
-    squarefree part of its characteristic polynomial, char / gcd(char, char').
-    The monic char has a monic primitive gcd with its derivative, so the
-    division is exact over the integers.
+    squarefree part of its characteristic polynomial (char_poly),
+    char / gcd(char, char').  The monic char has a monic primitive gcd with
+    its derivative, so the division is exact over the integers.
     """
     rows = _square_int_rows(m, "minimal polynomial")
     if rows != [list(col) for col in zip(*rows)]:
         raise ValueError("minimal polynomial needs a symmetric matrix")
-    cp = _berkowitz(rows)
+    cp = list(char_poly(m))
     slope = [i * c for i, c in enumerate(cp)][1:]
     return tuple(_monic_quotient(cp, _int_poly_gcd(cp, slope)))
 
@@ -315,22 +378,37 @@ def _shifted_int_matrix(g: Graph, mu: Fraction) -> list[list[int]]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def eig_multiplicity(g: Graph, mu) -> int:
-    """Multiplicity of mu as an adjacency eigenvalue: n - rank(A - mu I),
-    cached per (graph, mu) like resolvent_inverse, since every star-set
-    certificate for G asks for the same rank."""
-    return g.n - kernels.try_int_rank(_shifted_int_matrix(g, Fraction(mu)))
+    """Multiplicity of mu as an adjacency eigenvalue: n - rank(qA - pI) for
+    mu = p/q, read off the twin quotient K as k - rank K plus n_i - 1 for
+    each class whose eigenvalue -(p + q tau_i) is 0.  Cached per (graph,
+    mu) like resolvent_inverse, since every star-set certificate for G asks
+    for the same rank."""
+    mu = Fraction(mu)
+    p, q = mu.numerator, mu.denominator
+    quotient, _, sizes, taus = _twin_quotient(g.adj, p, q)
+    inner = sum(n_i - 1 for n_i, tau in zip(sizes, taus) if p + q * tau == 0)
+    return len(quotient) - kernels.try_int_rank(quotient) + inner
 
 
 def is_nonmain(g: Graph, mu) -> bool:
     """True iff the eigenspace of mu is orthogonal to the all-ones vector j,
-    that is (A being symmetric) j lies in the column space of A - mu I: the
-    echelon form of [qA - pI | q j] carries 0 in every row below the rank."""
+    that is (A being symmetric) j lies in the column space of N = qA - pI.
+
+    N commutes with averaging over each twin class, so j = N x holds for an
+    x that is constant on the classes, and j is in the column space of N
+    exactly when 1 is in that of the twin quotient K: the echelon form of
+    [K | q 1] carries 0 in every row below the rank.  mu is an eigenvalue
+    when K is singular or a class of two or more has -(p + q tau_i) = 0.
+    """
     mu = Fraction(mu)
-    aug = [row + [mu.denominator] for row in _shifted_int_matrix(g, mu)]
-    rank_m = len(kernels._bareiss(aug, g.n))
-    if rank_m == g.n:
+    p, q = mu.numerator, mu.denominator
+    quotient, _, sizes, taus = _twin_quotient(g.adj, p, q)
+    k = len(quotient)
+    aug = [row + [q] for row in quotient]
+    rank = len(kernels._bareiss(aug, k))
+    if rank == k and all(n_i == 1 or p + q * tau for n_i, tau in zip(sizes, taus)):
         raise PreconditionError(f"{format_rational(mu)} is not an eigenvalue")
-    return not any(row[g.n] for row in aug[rank_m:])
+    return not any(row[k] for row in aug[rank:])
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +426,57 @@ def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
     the resolvent is computed or scaled to integers; every caller asks an
     integer question in R and D.  Graphs are immutable, so entries never
     need invalidation.
+
+    The inverse of N = qA - pI is block-constant on the twin classes
+    (_twin_quotient) plus the diagonal 1 / c_i, c_i = -(p + q tau_i), on
+    each class of n_i >= 2: with P the 0/1 class matrix,
+        N^{-1} = P Z P^T + diag(1 / c_i),  Z = S^{-1} - diag(1 / (c_i n_i)),
+    where S = P^T N P is the quotient K with row i times n_i, symmetric and
+    k x k.  With L = lcm |c_i n_i| and h_i = -L / (c_i n_i) (0 on a
+    singleton), S (L Z) = L I + S diag(h): one echelon solves it, and the
+    entries of N^{-1} come over the one denominator d L, d = |det S|.  A
+    twin-free graph has S = qA - pI and the right-hand side I.
     """
     mu = Fraction(mu)
+    p, q = mu.numerator, mu.denominator
+    quotient, cls, sizes, taus = _twin_quotient(h.adj, p, q)
+    shifts = [(p + q * tau) * n_i if n_i > 1 else 0 for n_i, tau in zip(sizes, taus)]
     try:
-        y, d = _inverse_scaled(_shifted_int_matrix(h, mu))
+        if any(n_i > 1 and not e for n_i, e in zip(sizes, shifts)):
+            raise SingularResolventError("a twin class has eigenvalue 0")
+        big = lcm(*(e for e in shifts if e))
+        hs = [big // e if e else 0 for e in shifts]
+        s_rows = [row if n_i == 1 else [n_i * v for v in row] for row, n_i in zip(quotient, sizes)]
+        rhs = [[0] * len(s_rows) for _ in s_rows]
+        for i, row in enumerate(rhs):
+            row[i] = big
+        for j, h_j in enumerate(hs):
+            if h_j:
+                for row, s_row in zip(rhs, s_rows):
+                    row[j] += s_row[j] * h_j
+        z, d = _solve_scaled(s_rows, rhs)
     except SingularResolventError:
         raise SingularResolventError(
             f"mu={format_rational(mu)} is an eigenvalue of the star complement"
         ) from None
-    # y / d inverts qA - pI = -q (mu I - A), so (mu I - A)^{-1} = -q y / d.
-    # With g = gcd(d, y), its entries have least common denominator d / g,
-    # prime to q since det(pI - qA) = p^n mod q: D = q d / g, R = -q^2 y / g.
-    q = mu.denominator
-    g = gcd(d, *(v for row in y for v in row))
-    out = np.empty((h.n, h.n), dtype=object)
-    for i, row in enumerate(y):
-        out[i, :] = [-q * q * (v // g) for v in row]
+    # N^{-1} = (z[i][j] + [u = v] diag[j]) / (d L) at u in V_i, v in V_j,
+    # and (mu I - A)^{-1} = -q N^{-1}.  With g the gcd of d L and every
+    # numerator, M = d L / g, D = lcm(q, M / gcd(M, q)) and R = -(D q / M)
+    # times the numerators over g.
+    diag = [-d * n_i * h_j for n_i, h_j in zip(sizes, hs)]
+    g = gcd(d * big, *diag, *(v for row in z for v in row))
+    m = d * big // g
+    c = gcd(m, q)
+    den = lcm(q, m // c)
+    f = -(den // (m // c)) * (q // c)
+    out = np.array([[f * (v // g) for v in row] for row in z], dtype=object).reshape(len(z), len(z))
+    if len(z) < h.n:
+        out = out[np.ix_(cls, cls)]
+        for v, i in enumerate(cls):
+            if diag[i]:
+                out[v, v] += f * (diag[i] // g)
     out.setflags(write=False)
-    return out, q * (d // g)
+    return out, den
 
 
 def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:

@@ -12,7 +12,7 @@ from starcomp.graphs import CACHE_SIZE, make_cocktail, make_complete_split
 from starcomp.linalg import (
     PreconditionError,
     SingularResolventError,
-    _inverse_scaled,
+    _solve_scaled,
     _monic_quotient,
     _null_space,
     _shifted_int_matrix,
@@ -389,12 +389,12 @@ class TestInvertExact:
             rows = [[int(v * scale) for v in row] for row in m]
             if fraction_rank(m) < n:
                 with pytest.raises(SingularResolventError):
-                    _inverse_scaled(rows)
+                    _solve_scaled(rows, identity_matrix(n).tolist())
                 with pytest.raises(ZeroDivisionError):
                     fraction_inverse(m)
                 singular += 1
                 continue
-            y, d = _inverse_scaled(rows)
+            y, d = _solve_scaled(rows, identity_matrix(n).tolist())
             inv = np.empty((n, n), dtype=object)
             for i in range(n):
                 inv[i, :] = [Fraction(v * scale, d) for v in y[i]]
@@ -598,3 +598,89 @@ class TestResolvent:
                 assert (r == den * inverse).all()
                 checked["integral" if mu.denominator == 1 else "rational"] += 1
         assert min(checked.values()) >= 10
+
+
+class TestTwinQuotient:
+    """char_poly, min_poly, eig_multiplicity, is_nonmain and resolvent_inverse
+    read the k x k twin quotient; each is checked against its n x n oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(random_graph_with_twins, st.integers(1, 6), st.integers(1, 4), seeds),
+        st.sampled_from([Fraction(m) for m in range(-3, 4)] + [Fraction(1, 2), Fraction(-3, 2)]),
+    )
+    def test_differential(self, g, mu):
+        p, q = mu.numerator, mu.denominator
+        m = [[q * int(v) - (p if i == j else 0) for j, v in enumerate(row)]
+             for i, row in enumerate(g.adj)]
+        rank = fraction_rank(m)
+        assert eig_multiplicity(g, mu) == g.n - rank
+        assert char_poly(g.adj) == faddeev_leverrier_char_poly(g.adj)
+        assert min_poly(g.adj) == krylov_min_poly(g.adj)
+        if rank < g.n:
+            expected = fraction_rank([row + [q] for row in m]) == rank
+            assert is_nonmain(g, mu) is expected
+            with pytest.raises(SingularResolventError, match="is an eigenvalue of the star complement"):
+                resolvent_inverse(g, mu)
+            return
+        r, den = resolvent_inverse(g, mu)
+        inverse = fraction_inverse(mu * identity_matrix(g.n) - g.adj)
+        assert den == lcm(q, *(v.denominator for v in inverse.flat))
+        assert (r == den * inverse).all() and not r.flags.writeable
+
+    @pytest.mark.parametrize(
+        "g, mu, inner",
+        [(complete_graph(4), -1, 3), (join(complete_graph(1), empty_graph(3)), 0, 2)],
+        ids=["true-twins-minus-1", "false-twins-0"],
+    )
+    def test_class_eigenvalue(self, g, mu, inner):
+        # -(p + q tau) = 0 on a class of n_i twins and a nonsingular
+        # quotient: mu is a non-main eigenvalue of multiplicity n_i - 1
+        with pytest.raises(SingularResolventError, match=f"^mu={mu} is an eigenvalue of the star complement$"):
+            resolvent_inverse(g, mu)
+        assert eig_multiplicity(g, mu) == inner
+        assert is_nonmain(g, mu) is True
+
+    def test_closed_forms(self):
+        # K_s + tK_1 and cocktail:p, up to 50 vertices a side
+        for s in range(1, 51, 7):
+            for t in range(1, 51, 7):
+                # x^(t-1) (x + 1)^(s-1) (x^2 - (s - 1) x - s t)
+                want = poly_mul(poly_from_roots([0] * (t - 1) + [-1] * (s - 1)), (-s * t, 1 - s, 1))
+                assert char_poly(make_complete_split(s, t).adj) == want
+        for p in range(1, 51, 7):
+            # (x - 2p + 2) x^p (x + 2)^(p - 1)
+            want = poly_from_roots([2 * p - 2] + [0] * p + [-2] * (p - 1))
+            assert char_poly(make_cocktail(p).adj) == want
+
+    def test_split_resolvent_blocks(self):
+        # m(mu) (mu I - A)^{-1} of K_s + tK_1 is alpha J + beta mu I on the
+        # clique, delta J across and gamma J + beta (mu + 1) I on the
+        # independent set (multipartite.coeffs): R m(mu) = D times that
+        from starcomp.multipartite import coeffs
+
+        checked = 0
+        for s in range(2, 41, 6):
+            for t in range(2, 41, 6):
+                h = make_complete_split(s, t)
+                for mu in range(-12, 13):
+                    try:
+                        alpha, beta, gamma, delta, m_mu = coeffs(s, t, mu)
+                    except SingularResolventError:
+                        continue
+                    r, den = resolvent_inverse(h, Fraction(mu))
+                    block = np.empty((s + t, s + t), dtype=object)
+                    block[:s, :s] = alpha
+                    block[:s, s:] = block[s:, :s] = delta
+                    block[s:, s:] = gamma
+                    for v in range(s + t):
+                        block[v, v] += beta * (mu if v < s else mu + 1)
+                    assert (r * m_mu == den * block).all()
+                    checked += 1
+        assert checked > 900
+
+    @pytest.mark.parametrize("g, k", [(make_complete_split(40, 40), 2), (cycle_graph(14), 14)])
+    def test_one_quotient_elimination(self, bareiss_calls, g, k):
+        resolvent_inverse.cache_clear()
+        resolvent_inverse(g, Fraction(3))
+        assert bareiss_calls == [k]
