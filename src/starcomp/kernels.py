@@ -1,12 +1,17 @@
-"""Integer hot-loop kernels: one subset scan, one overflow rule and one
-Bareiss elimination.
+"""Integer hot-loop kernels: one subset scan, one overflow rule, one
+Bareiss elimination and one stacked fraction-free inverse.
 
 Fraction-free (Bareiss) elimination over Python ints is exact for entries
 of any size and, in pure Python, beats an interpreted int64 elimination.
 Rank, inverse, null space and the main/non-main test share one Bareiss
 echelon and one integer back-substitution (linalg._back_substitute); for a
 graph's resolvent, multiplicity and main test that echelon is of the k x k
-twin quotient (linalg._twin_quotient), not of the n x n matrix.
+twin quotient (linalg._twin_quotient), not of the n x n matrix.  Many small
+inverses at once, the distinct complements of the star sets that
+starsets.verify_star_set certifies, take one fraction-free Gauss-Jordan
+elimination of the whole stack in numpy instead (inverse_stack): in int64
+when a Hadamard bound on the minors proves that every product fits, over
+object arrays of Python ints otherwise.
 
 The subset scan finds the masks b with b^T R b on target, for attachment
 candidates, in one numpy pass with no matrix product: the form over the
@@ -28,7 +33,8 @@ import numpy as np
 
 # int_dtype allows int64 only when every partial form and target stays below
 # this; its callers, the subset scan, the pair table of build_compat_graph
-# and the star-set residual, use Python ints otherwise.
+# and the star-set residual, use Python ints otherwise.  inverse_stack runs
+# in int64 only when its Hadamard bound _minor_bound stays below it.
 ACCUMULATOR_LIMIT = 1 << 62
 
 
@@ -158,6 +164,68 @@ def _bareiss(m: list[list[int]], pivot_cols: int) -> list[int]:
         prev = piv
         pivots.append(c)
     return pivots
+
+
+def _minor_bound(mats: np.ndarray) -> int:
+    """(t + 1)^r for a stack of r x r integer matrices, t the largest squared
+    row norm in it: by Hadamard's inequality no minor of any [M | I] exceeds
+    its square root, since each row of a minor is at most as long as its
+    row of [M | I], whose squared norm is at most t + 1."""
+    if not mats.size:
+        return 1
+    r = mats.shape[-1]
+    peak = int(abs(mats).max())
+    if r * peak * peak < 1 << 63:  # every squared row norm is exact in int64
+        top = int((mats.astype(np.int64) ** 2).sum(-1).max())
+    else:
+        top = r * peak * peak
+    return (top + 1) ** r
+
+
+def inverse_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, adj, singular) for a stack of s square integer matrices M, shape
+    (s, r, r): d > 0 and adj = d M^{-1} integral, with singular[i] set (and
+    d[i], adj[i] left as 1 and I) when M_i has no inverse.
+
+    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss, Math.
+    Comp. 22, 1968) for the whole stack.  Step c swaps the first row at or
+    below row c with a nonzero entry in column c into row c, keeps that
+    pivot row, and replaces every other row by
+    (piv row - row[c] pivot_row) / prev, prev the pivot of step c - 1.
+    Every entry stays a minor of [M | I] of size at most r, so each
+    division is exact, and after step r - 1 the left block is det(P M) I
+    and the right block det(P M) M^{-1}, P the swaps.
+    A matrix with no pivot in some column is singular; it is reset to
+    [I | I] with prev = 1, which every later step leaves unchanged.
+
+    Each product and difference is at most 2 H^2, H^2 = _minor_bound(mats),
+    so the stack runs in int64 when H^2 < ACCUMULATOR_LIMIT and over object
+    arrays of Python ints otherwise.
+    """
+    s, r = mats.shape[0], mats.shape[-1]
+    dtype = np.int64 if _minor_bound(mats) < ACCUMULATOR_LIMIT else object
+    eye = np.eye(r, dtype=np.int64).astype(dtype)
+    aug = np.concatenate([mats.astype(dtype), np.broadcast_to(eye, (s, r, r))], axis=2)
+    singular = np.zeros(s, dtype=bool)
+    prev = np.ones((s, 1, 1), dtype=dtype)
+    at = np.arange(s)
+    for c in range(r):
+        nonzero = aug[:, c:, c] != 0
+        dead = ~nonzero.any(1)
+        if dead.any():
+            singular |= dead
+            aug[dead] = np.concatenate([eye, eye], axis=1)
+            prev[dead] = 1
+            nonzero[dead, 0] = True
+        rows = c + nonzero.argmax(1)
+        pivot_row = aug[at, rows]
+        aug[at, rows] = aug[:, c]
+        piv = pivot_row[:, c, None, None]
+        aug = (piv * aug - aug[:, :, c, None] * pivot_row[:, None, :]) // prev
+        aug[:, c] = pivot_row
+        prev = piv
+    sign = np.where(prev[:, 0, 0] < 0, -1, 1)
+    return prev[:, 0, 0] * sign, aug[:, :, r:] * sign[:, None, None], singular
 
 
 # perfbench/tracer.py wraps this name to count rank calls.

@@ -13,12 +13,15 @@ complement-spectrum check and the residual identity as three separately
 evaluated exact checks, though the residual is implied by the other two.
 The multiplicity of mu in G is one cached rank per call.  Each set costs one
 permuted slice of A, X first and then V - X, each ascending: C is its
-trailing block, and its first |X| rows hold A_X and B^T.  Each distinct C
-costs one cached resolvent pair (R, D) of linalg.resolvent_inverse, which
-exists exactly when mu is not an eigenvalue of C (C is ranked only then),
-and one call of kernels.int_dtype, the subset scan's overflow rule.  Up to
-STACK_SETS residuals D (mu I - A_X) - B^T R B of one size are one stacked
-product, in int64 when every R in it fits, in Python ints otherwise.
+trailing block, and its first |X| rows hold A_X and B^T.  The distinct C of
+one size are inverted STACK_SETS at a time by one kernels.inverse_stack of
+q (mu I - C), mu = p/q, which gives an integer pair (R, D) with
+R = D (mu I - C)^{-1} for each C with mu not an eigenvalue (C is ranked only
+otherwise), and one call of kernels.int_dtype, the subset scan's overflow
+rule, decides the stack's int64 copies.  A lone C of its size reads the
+cached least pair of linalg.resolvent_inverse instead.  Up to STACK_SETS
+residuals D (mu I - A_X) - B^T R B of one size are one stacked product, in
+int64 when every R in it fits, in Python ints otherwise.
 
 The search enumerates the bases of the row matroid of an exact integer
 eigenspace basis U: X is a star set exactly when the row-minor U[X] is
@@ -59,8 +62,9 @@ class BudgetExceededError(RuntimeError):
     """A search would take more subsets, masks or cliques than the budget allows."""
 
 
-# At most this many sets share one stacked residual product, which bounds its
-# scratch memory however many sets one call certifies.
+# At most this many complements share one stacked inverse, and this many sets
+# one stacked residual product, which bounds their scratch memory however many
+# sets one call certifies.
 STACK_SETS = 256
 
 
@@ -95,47 +99,95 @@ def _scaled_residuals(tops: np.ndarray, records) -> np.ndarray:
     return lhs - bt @ r @ bt.transpose(0, 2, 1)
 
 
+def _stacked_records(blocks: list[np.ndarray], mu: Fraction) -> list[tuple[int, tuple | None]]:
+    """_complement_record for each of several r x r complement blocks, from
+    one kernels.inverse_stack of q (mu I - C) = p I - q C, mu = p/q.
+
+    With (d, adj = d M^{-1}) for M = q (mu I - C), (mu I - C)^{-1} = q M^{-1},
+    so D = d q, D mu = d p and R = q^2 adj form a pair for the residual: not
+    the least one, which the residual's zero test does not need.  One
+    kernels.int_dtype call on the peak of every R decides the int64 copies.
+    A singular block is ranked (eig_multiplicity) as the cached path does.
+    """
+    p, q = mu.numerator, mu.denominator
+    r = blocks[0].shape[0]
+    # the entries p and -q need int64 storage only; inverse_stack bounds the rest
+    mats = np.array(blocks, dtype=np.int64 if max(abs(p), q) < kernels.ACCUMULATOR_LIMIT else object) * -q
+    mats[:, range(r), range(r)] = p  # a graph has a zero diagonal
+    d, adj, singular = kernels.inverse_stack(mats)
+    scaled = adj if q == 1 else adj.astype(object) * (q * q)
+    d = d.tolist()
+    live = [i for i, dead in enumerate(singular.tolist()) if not dead]
+    fast = None
+    if live:
+        peak = abs(scaled[live]).max(0)
+        targets = (d[i] * t for i in live for t in (p, q))
+        if kernels.int_dtype(peak, *targets) is np.int64:
+            fast = scaled.astype(np.int64, copy=False)
+    out = []
+    for i, (block, dead) in enumerate(zip(blocks, singular.tolist())):
+        if dead:
+            out.append((eig_multiplicity(Graph._of(block), mu), None))
+        else:
+            out.append((0, (d[i] * q, d[i] * p, scaled[i], None if fast is None else fast[i])))
+    return out
+
+
 def verify_star_set(g: Graph, mu, star_sets: Iterable[Sequence[int]]) -> list[dict]:
     """Certificates {"graph", "mu", "X", "valid", "checks"} of the vertex sets
     star_sets of g at mu, in input order; valid is the conjunction of three
-    exact checks.  A vertex that is not an integer or not in g raises ValueError."""
+    exact checks.  A vertex that is not an integer or not in g raises ValueError.
+
+    Cost: each set is one permuted slice of A and a dict lookup of its
+    complement's bytes.  Then, per set size, the distinct complements take
+    one kernels.inverse_stack (_stacked_records) per STACK_SETS of them, and
+    one eig_multiplicity rank each where mu is an eigenvalue; a chunk of a
+    lone complement reads the cached resolvent_inverse (_complement_record)
+    instead, since a stack of one costs more than a cache hit or one small
+    twin-quotient solve.  The sets whose complement has a resolvent take one
+    _scaled_residuals product per STACK_SETS of them.
+    """
     mu = Fraction(mu)
     multiplicity = eig_multiplicity(g, mu)
     graph6, mu_text = write_graph6(g), format_rational(mu)
-    complements = {}  # (|X|, complement bytes) -> _complement_record
-    pending: dict[int, list] = {}  # |X| -> [(certificate, A[X, X + comp], record)]
+    rest = set(range(g.n))
+    # |X| -> ({complement bytes: (index, block)}, [(certificate, A[X, X + comp], index)])
+    sizes: dict[int, tuple[dict, list]] = {}
     certs = []
-
-    def flush(batch: list) -> None:
-        waiting, tops, records = zip(*batch)
-        nonzero = _scaled_residuals(np.array(tops), records).any((1, 2))
-        for cert, bad in zip(waiting, nonzero.tolist()):
-            cert["checks"]["residual_zero"] = not bad
-            cert["valid"] = cert["checks"]["sizes_match"] and not bad
-        batch.clear()
-
     for star_set in star_sets:
         star = vertex_set(g, star_set, "star set")
         k = len(star)
-        order = np.array(star + tuple(sorted(set(range(g.n)).difference(star))), dtype=np.intp)
-        p = g.adj.take(order, 0).take(order, 1)  # A with X first, then V - X
-        block = p[k:, k:].copy()  # the graph G - X, labelled in order
-        key = (k, block.tobytes())
-        if key not in complements:
-            complements[key] = _complement_record(Graph._of(block), mu)
-        comp_mult, record = complements[key]
+        order = np.array(star + tuple(sorted(rest.difference(star))), dtype=np.intp)
+        rows = g.adj.take(order, 0)  # A with X first, then V - X
+        block = rows[k:].take(order[k:], 1)  # the graph G - X, labelled in order
+        blocks, members = sizes.setdefault(k, ({}, []))
+        index, _ = blocks.setdefault(block.tobytes(), (len(blocks), block))
         checks = {"multiplicity": multiplicity, "sizes_match": multiplicity == k,
-                  "complement_ok": comp_mult == 0, "complement_multiplicity": comp_mult,
-                  "residual_zero": False}  # flush sets it and "valid"
+                  "complement_ok": False, "complement_multiplicity": 0,
+                  "residual_zero": False}  # set once the complement is solved
         certs.append({"graph": graph6, "mu": mu_text, "X": list(star), "valid": False,
                       "checks": checks})
-        if record is not None:
-            batch = pending.setdefault(k, [])
-            if len(batch) == STACK_SETS:
-                flush(batch)
-            batch.append((certs[-1], p[:k], record))
-    for batch in pending.values():
-        flush(batch)
+        members.append((certs[-1], rows[:k].take(order, 1), index))
+    for blocks, members in sizes.values():
+        blocks = [block for _, block in blocks.values()]
+        records = []
+        for i in range(0, len(blocks), STACK_SETS):
+            chunk = blocks[i : i + STACK_SETS]
+            records += (_stacked_records(chunk, mu) if len(chunk) > 1
+                        else [_complement_record(Graph._of(chunk[0]), mu)])
+        batch = []
+        for cert, top, index in members:
+            comp_mult, record = records[index]
+            cert["checks"]["complement_ok"] = comp_mult == 0
+            cert["checks"]["complement_multiplicity"] = comp_mult
+            if record is not None:
+                batch.append((cert, top, record))
+        for i in range(0, len(batch), STACK_SETS):
+            waiting, tops, stack = zip(*batch[i : i + STACK_SETS])
+            nonzero = _scaled_residuals(np.array(tops), stack).any((1, 2))
+            for cert, bad in zip(waiting, nonzero.tolist()):
+                cert["checks"]["residual_zero"] = not bad
+                cert["valid"] = cert["checks"]["sizes_match"] and not bad
     return certs
 
 

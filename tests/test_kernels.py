@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
 
+from itertools import count
+from math import isqrt
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starcomp import kernels
 from starcomp.extend import _subset_scan_exact
 from starcomp.graphs import Graph
 from starcomp.linalg import eig_multiplicity
 
-from conftest import fraction_rank, random_graph
+from conftest import fraction_inverse, fraction_rank, random_graph
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -272,6 +276,132 @@ class TestSubsetScanKernels:
                 for tier in self.tiers(monkeypatch):
                     int64, exact = self.scans(*args, 0, 1 << n)
                     assert int64 == exact == ref, (tier, flip, want_diag)
+
+
+def random_stack(rng, r, s, shape):
+    """s random r x r integer matrices as an int64 stack: "dense" entries in
+    [-6, 6], "sparse" ones mostly 0, "zero diagonal" sparse with every
+    diagonal entry 0 (column 0 always needs a row swap), and "mixed" a
+    sparse or a rank-deficient matrix at random for each member."""
+    mats = []
+    for _ in range(s):
+        if shape == "dense":
+            m = random_int_matrix(rng, r, r)
+        elif shape == "mixed" and rng.random() < 0.5:
+            m = rank_deficient_matrix(rng, r, r, 6)
+        else:
+            m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(r)] for _ in range(r)]
+            if shape == "zero diagonal":
+                for i in range(r):
+                    m[i][i] = 0
+        mats.append(m)
+    return np.array(mats, dtype=np.int64).reshape(s, r, r)
+
+
+class TestInverseStack:
+    # kernels.inverse_stack, one fraction-free Gauss-Jordan elimination for
+    # a stack of matrices, against conftest.fraction_inverse member by member
+    @staticmethod
+    def check(mats, d, adj, singular):
+        """Each member singular exactly when the Fraction inverse fails,
+        otherwise d > 0 and adj = d M^{-1} exactly."""
+        s, r = mats.shape[0], mats.shape[-1]
+        assert d.shape == singular.shape == (s,) and adj.shape == (s, r, r)
+        for m, di, ai, dead in zip(mats.tolist(), d.tolist(), adj.tolist(), singular.tolist()):
+            try:
+                inv = fraction_inverse(m)
+            except ZeroDivisionError:
+                assert dead, m
+                continue
+            assert not dead and type(di) is int and di > 0, m
+            assert ai == [[di * v for v in row] for row in inv.tolist()], m
+
+    @staticmethod
+    def both_paths(mats):
+        """inverse_stack as the bound chooses and with ACCUMULATOR_LIMIT = 1
+        (object arrays), each checked, as lists; the dtypes are returned too."""
+        out = []
+        for limit in (kernels.ACCUMULATOR_LIMIT, 1):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(kernels, "ACCUMULATOR_LIMIT", limit)
+                d, adj, singular = kernels.inverse_stack(mats)
+            TestInverseStack.check(mats, d, adj, singular)
+            assert d.dtype == adj.dtype
+            out.append((adj.dtype, (d.tolist(), adj.tolist(), singular.tolist())))
+        (fast_dtype, fast), (exact_dtype, exact) = out
+        assert exact_dtype == object
+        assert fast == exact
+        return fast_dtype, fast
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dense", "sparse", "zero diagonal", "mixed"]),
+    )
+    @example(r=0, s=3, seed=0, shape="dense")  # empty matrices: d = 1
+    @example(r=7, s=4, seed=1, shape="zero diagonal")
+    @example(r=6, s=5, seed=2, shape="mixed")
+    def test_matches_fraction_inverse(self, r, s, seed, shape):
+        mats = random_stack(random.Random(seed), r, s, shape)
+        dtype, _ = self.both_paths(mats)
+        # (7 * 36 + 1)^7 < 2^62: entries in [-6, 6] always fit
+        assert dtype == np.int64
+
+    def test_row_swaps_and_singular_members(self):
+        # a permutation matrix (a zero pivot at every step), a matrix that
+        # turns out singular only at its last column, one singular from the
+        # start and an invertible one with a zero leading entry, in one stack
+        mats = np.array([
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            [[1, 2, 0], [2, 1, 0], [3, 3, 0]],
+            [[0, 0, 0], [1, 2, 3], [2, 4, 6]],
+            [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        ])
+        _, (d, adj, singular) = self.both_paths(mats)
+        assert singular == [False, True, True, False]
+        assert d == [1, 1, 1, 2]  # |det|, and 1 on a singular member
+        assert adj[0] == mats[0].T.tolist()  # a permutation's inverse
+        assert adj[1] == adj[2] == np.eye(3, dtype=int).tolist()
+
+    def test_int64_at_the_hadamard_threshold(self, monkeypatch):
+        # The stack runs in int64 exactly when (t + 1)^r < ACCUMULATOR_LIMIT,
+        # t the largest squared row norm.  The limit is moved onto the bound
+        # of a small stack rather than entries built up to it...
+        mats = np.array([[[0, 2, -1], [2, 0, 3], [-1, 3, 0]], [[1, 1, 0], [1, 1, 0], [0, 0, 5]]])
+        bound = (max(sum(v * v for v in row) for m in mats.tolist() for row in m) + 1) ** 3
+        results = []
+        for limit, dtype in ((bound, object), (bound + 1, np.int64)):
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "ACCUMULATOR_LIMIT", limit)
+                d, adj, singular = kernels.inverse_stack(mats)
+            assert adj.dtype == d.dtype == dtype
+            self.check(mats, d, adj, singular)
+            results.append((d.tolist(), adj.tolist(), singular.tolist()))
+        assert results[0] == results[1]
+        # ... and at the real limit, entries just inside it run in int64 and
+        # entries one larger do not: a 1 x 1 matrix and a nonsingular 3 x 3
+        # one with every entry +-x, x the largest with (3 x^2 + 1)^3 < 2^62
+        limit = kernels.ACCUMULATOR_LIMIT
+        a = isqrt(limit - 2)
+        x = next(x for x in count(1) if (3 * (x + 1) ** 2 + 1) ** 3 >= limit)
+        signs = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1]])
+        for inside, outside in (([[[a]]], [[[a + 1]]]), ([x * signs], [(x + 1) * signs])):
+            assert self.both_paths(np.array(inside))[0] == np.int64
+            assert self.both_paths(np.array(outside))[0] == object
+
+    @pytest.mark.parametrize("bits", [40, 70])
+    def test_huge_entries(self, bits):
+        # 2^40 I - C and 2^70 I - C for 0/1 C: beyond the bound, over Python
+        # ints; at 2^70 the input itself is an object array
+        rng = random.Random(bits)
+        mats = random_stack(rng, 5, 3, "sparse").astype(object)
+        for m in mats:
+            for i in range(5):
+                m[i, i] = 1 << bits
+        dtype, _ = self.both_paths(mats)
+        assert dtype == object
 
 
 def test_backend_reports_something():

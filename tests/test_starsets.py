@@ -26,6 +26,7 @@ from starcomp.starsets import (
     BudgetExceededError,
     _complement_record,
     _scaled_residuals,
+    _stacked_records,
     find_star_sets,
     verify_star_set,
 )
@@ -37,7 +38,9 @@ from conftest import (
     complete_graph,
     cycle_graph,
     eigenspace_from_star,
+    fraction_inverse,
     fraction_rank,
+    identity_matrix,
     induced_subgraph,
     path_graph,
     random_graph,
@@ -125,6 +128,56 @@ class TestVerify:
         assert batch == [cert for x in subsets for cert in verify_star_set(g, mu, [x])]
         assert [c["valid"] for c in batch] == [False] + [True] * (STACK_SETS + 1)
 
+    def test_complement_stack_bound(self, monkeypatch):
+        # L(K6) at mu = 2: 1518 star sets with 1512 distinct labelled
+        # 10-vertex complements, solved in six stacks of at most STACK_SETS,
+        # each complement once; the batch certifies as one call per set does
+        g, mu = parse_graph6("NbIkZxZ{EnUrqkMl|iO"), 2
+        stars = find_star_sets(g, mu)
+        assert len(stars) == 1518
+        sizes = []
+        real = kernels.inverse_stack
+
+        def spy(mats):
+            sizes.append(len(mats))
+            return real(mats)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "inverse_stack", spy)
+            batch = verify_star_set(g, mu, stars)
+        assert sizes == [STACK_SETS] * 5 + [1512 - 5 * STACK_SETS]
+        assert all(c["valid"] for c in batch)
+        assert batch == [cert for x in stars for cert in verify_star_set(g, mu, [x])]
+
+    @pytest.mark.parametrize("mu", [1 << 40, Fraction(-(1 << 70), 3)])
+    def test_huge_mu(self, monkeypatch, mu):
+        # p I - q A(H) with p = 2^40 fits int64 storage but not the
+        # elimination bound, and p = -2^70 not even the storage: the stacked
+        # solves run over Python ints and every certificate matches the
+        # Fraction oracles and the one-set call
+        g = PETERSEN
+        subsets = list(combinations(range(g.n), 2))
+        dtypes = []
+        real = kernels.inverse_stack
+
+        def spy(mats):
+            out = real(mats)
+            dtypes.append(out[1].dtype)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "inverse_stack", spy)
+            batch = verify_star_set(g, mu, subsets)
+        assert dtypes == [object]
+        for star, cert in zip(subsets, batch, strict=True):
+            comp = [v for v in range(g.n) if v not in star]
+            residual = block_residual(g, Fraction(mu), star)
+            assert cert["checks"]["multiplicity"] == 0
+            assert cert["checks"]["complement_multiplicity"] == oracle_multiplicity(g, Fraction(mu), comp) == 0
+            assert residual.any()  # mu is no eigenvalue of G
+            assert not cert["checks"]["residual_zero"] and not cert["valid"]
+            assert [cert] == verify_star_set(g, mu, [star])
+
     def test_equivalence_of_checks_exhaustive(self):
         # residual holds exactly when the size and complement checks both do,
         # over every subset of every vertex count <= 7, all in one batch
@@ -175,18 +228,35 @@ class TestResidualDifferential:
         valid = 0
         multiplicity = oracle_multiplicity(g, mu, range(g.n))
         subsets = list(combinations(range(g.n), k))
+        # every complement also through the stacked solve, in stacks of at
+        # most STACK_SETS (none of one here)
+        blocks = [induced_subgraph(g, [v for v in range(g.n) if v not in star]).adj for star in subsets]
+        assert len(blocks) % STACK_SETS != 1
+        stacked = [rec for i in range(0, len(blocks), STACK_SETS)
+                   for rec in _stacked_records(blocks[i : i + STACK_SETS], mu)]
         tops, records, scaled = [], [], []
-        for star, cert in zip(subsets, verify_star_set(g, mu, subsets), strict=True):
+        for star, cert, block, (comp_mult, stacked_record) in zip(
+            subsets, verify_star_set(g, mu, subsets), blocks, stacked, strict=True
+        ):
             comp = [v for v in range(g.n) if v not in star]
             assert cert["checks"]["multiplicity"] == multiplicity, star
             assert cert["checks"]["complement_multiplicity"] == oracle_multiplicity(g, mu, comp), star
+            assert comp_mult == cert["checks"]["complement_multiplicity"], star
             expected = block_residual(g, mu, star)
             assert cert["checks"]["complement_ok"] == (expected is not None), star
+            assert (stacked_record is None) == (expected is None), star
             if expected is None:
                 continue
             assert cert["checks"]["residual_zero"] == (expected == 0).all(), star
             # the helper reads A[X, X + comp], the rows of X permuted first
             top = g.adj[list(star)][:, list(star) + comp]
+            # the stacked pair: R / D is the resolvent, and its residual is D
+            # times the Fraction one
+            s_den, s_d_mu, s_r, _ = stacked_record
+            assert s_d_mu == mu * s_den and s_den > 0
+            resolvent = fraction_inverse(mu * identity_matrix(len(comp)) - block.astype(object))
+            assert (s_r == s_den * resolvent).all(), star
+            assert np.array_equal(_scaled_residuals(top[None], [stacked_record])[0], s_den * expected), star
             _, record = _complement_record(induced_subgraph(g, comp), mu)
             den, d_mu, r, fast = record
             assert d_mu == mu * den
@@ -206,36 +276,90 @@ class TestResidualDifferential:
         assert all(np.array_equal(a, b) for a, b in zip(got, scaled, strict=True))
 
 
+def expected_solves(g, mu, stars):
+    """The complements of the sets stars (as graphs) in the order
+    verify_star_set solves them: the sizes by first appearance, each size's
+    distinct complements by first appearance, STACK_SETS to a chunk.  Returns
+    (chunks of one, which read resolvent_inverse; longer chunks, each one
+    kernels.inverse_stack; the number of chunks with a complement that has
+    a resolvent, each one kernels.int_dtype call)."""
+    by_size = {}
+    for star in stars:
+        comp = [v for v in range(g.n) if v not in star]
+        by_size.setdefault(len(star), {}).setdefault(induced_subgraph(g, comp), None)
+    chunks = [
+        list(hs)[i : i + STACK_SETS] for hs in by_size.values() for i in range(0, len(hs), STACK_SETS)
+    ]
+    singles = [h for chunk in chunks if len(chunk) == 1 for h in chunk]
+    stacks = [chunk for chunk in chunks if len(chunk) > 1]
+    decided = sum(any(eig_multiplicity(h, mu) == 0 for h in chunk) for chunk in chunks)
+    return singles, stacks, decided
+
+
+def solve_spies(m, mu):
+    """Patch starsets.resolvent_inverse, kernels.inverse_stack and
+    kernels.int_dtype with spies; returns the lists they fill: the graphs
+    resolvent_inverse sees, (stack, np.int64 or object) per inverse_stack call
+    and the dtypes int_dtype chooses."""
+    singles, stacks, dtypes = [], [], []
+    real_inverse, real_stack, real_dtype = (
+        starsets.resolvent_inverse, kernels.inverse_stack, kernels.int_dtype)
+
+    def inverse_spy(h, m):
+        singles.append(h)
+        return real_inverse(h, m)
+
+    def stack_spy(mats):
+        out = real_stack(mats)
+        stacks.append((mats, object if out[1].dtype == object else out[1].dtype.type))
+        return out
+
+    def dtype_spy(*args):
+        dtypes.append(real_dtype(*args))
+        return dtypes[-1]
+
+    m.setattr(starsets, "resolvent_inverse", inverse_spy)
+    m.setattr(kernels, "inverse_stack", stack_spy)
+    m.setattr(kernels, "int_dtype", dtype_spy)
+    return singles, stacks, dtypes
+
+
+def shifted(hs, mu):
+    """The stack q (mu I - A(H)) = p I - q A(H) over Python ints, mu = p/q."""
+    return [(mu.numerator * identity_matrix(h.n) - mu.denominator * h.adj.astype(object)).tolist()
+            for h in hs]
+
+
 class TestResidualInt64:
     # The residual in the dtype kernels.int_dtype chooses against the same
     # residual with int64 ruled out, on every k-subset: star sets, sets whose
     # complement has mu as an eigenvalue and sets with a nonzero residual.
     @staticmethod
     def int64_and_exact_dtypes(monkeypatch, g, mu, k):
-        """Certify every k-subset in one batch as the overflow rule chooses
+        """Certify every k-subset in one batch as the overflow rules choose
         and again over Python ints, require equal certificates field by
-        field, and return the number of valid ones and the dtypes chosen for
-        the two passes: one per distinct complement with a resolvent."""
-        chosen = []
-        real = kernels.int_dtype
-
-        def spy(*args):
-            chosen.append(real(*args))
-            return chosen[-1]
-
+        field, and return the number of valid ones and, for each pass, the
+        dtypes of its stacked solves and of its int_dtype decisions: one
+        solve per STACK_SETS distinct complements of a size (a lone one
+        reads resolvent_inverse) and one decision per solve with a resolvent."""
+        mu = Fraction(mu)
         subsets = list(combinations(range(g.n), k))
-        with monkeypatch.context() as m:
-            m.setattr(kernels, "int_dtype", spy)
-            fast = verify_star_set(g, mu, subsets)
-            m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
-            exact = verify_star_set(g, mu, subsets)
+        singles, stacks, decided = expected_solves(g, mu, subsets)
+        passes = []
+        for limit in (kernels.ACCUMULATOR_LIMIT, 1):
+            with monkeypatch.context() as m:
+                seen, solved, dtypes = solve_spies(m, mu)
+                m.setattr(kernels, "ACCUMULATOR_LIMIT", limit)
+                certs = verify_star_set(g, mu, subsets)
+            assert seen == singles
+            assert [mats.tolist() for mats, _ in solved] == [shifted(hs, mu) for hs in stacks]
+            assert len(dtypes) == decided
+            passes.append((certs, [dtype for _, dtype in solved], dtypes))
+        (fast, fast_solves, fast_dtypes), (exact, exact_solves, exact_dtypes) = passes
         assert len(fast) == len(subsets)
         for a, b in zip(fast, exact, strict=True):
             assert a == b, a["X"]
-        complements = {induced_subgraph(g, [v for v in range(g.n) if v not in x]) for x in subsets}
-        half = sum(eig_multiplicity(h, mu) == 0 for h in complements)
-        assert len(chosen) == 2 * half
-        return sum(c["valid"] for c in fast), chosen[:half], chosen[half:]
+        return sum(c["valid"] for c in fast), fast_solves + fast_dtypes, exact_solves + exact_dtypes
 
     @pytest.mark.parametrize("g, mu", [
         (PETERSEN, 1), (PETERSEN, -2), (PETERSEN, 3), (make_cocktail(4), -2),
@@ -244,8 +368,9 @@ class TestResidualInt64:
         k = eig_multiplicity(g, mu)
         valid, fast, exact = self.int64_and_exact_dtypes(monkeypatch, g, mu, k)
         assert valid == len(find_star_sets(g, mu))
-        assert fast and set(fast) == {np.int64}
-        assert len(exact) == len(fast) and set(exact) == {object}
+        # one stack of every distinct complement, solved and decided in int64
+        assert fast == [np.int64, np.int64]
+        assert exact == [object, object]
 
     def test_random_graphs(self, monkeypatch):
         # monkeypatch.context() undoes each example's patches, so the one
@@ -398,12 +523,13 @@ def test_certificate_matches_fraction_oracles(g, raws, p, q, form):
     # Every certificate of one batch against Fraction ranks and the Fraction
     # block residual, over integral and rational mu = p/q and sets of mixed
     # sizes: unsorted, with repeats, duplicated, as Python or numpy ints.
-    # The batch runs as the overflow rule chooses (int64 here) and again
-    # with ACCUMULATOR_LIMIT = 1, where every residual runs over Python
-    # ints.  Each distinct complement reaches resolvent_inverse once, as the
-    # graph induced_subgraph gives, so the cache keys do not depend on how
-    # the certificate slices it, and costs one overflow decision when it has
-    # a resolvent.
+    # The batch runs as the overflow rules choose (int64 here) and again
+    # with ACCUMULATOR_LIMIT = 1, where every solve and residual runs over
+    # Python ints.  The distinct complements of each size are solved once,
+    # a lone one through resolvent_inverse, as the graph induced_subgraph
+    # gives, so the cache keys do not depend on how the certificate slices
+    # it, and the rest as kernels.inverse_stack calls on p I - q A(H); each
+    # solve with a resolvent among its complements costs one overflow decision.
     mu = Fraction(p, q)
     batch = [[v % g.n for v in raw] if g.n else [] for raw in raws]
     form = {
@@ -413,44 +539,36 @@ def test_certificate_matches_fraction_oracles(g, raws, p, q, form):
     }[form]
     stars = [tuple(sorted(set(x))) for x in batch]
     comps = [[v for v in range(g.n) if v not in star] for star in stars]
-    complements = [induced_subgraph(g, comp) for comp in comps]
     multiplicity = oracle_multiplicity(g, mu, range(g.n))
     comp_mults = [oracle_multiplicity(g, mu, comp) for comp in comps]
     residuals = [block_residual(g, mu, star) for star in stars]
+    singles, stacks, decided = expected_solves(g, mu, stars)
     passes = []
     for exact in (False, True):
-        seen, dtypes, stacks = [], [], []
-        real_inverse, real_dtype = starsets.resolvent_inverse, kernels.int_dtype
+        residual_stacks = []
         real_residuals = starsets._scaled_residuals
 
-        def inverse_spy(h, m):
-            seen.append(h)
-            return real_inverse(h, m)
-
-        def dtype_spy(*args):
-            dtypes.append(real_dtype(*args))
-            return dtypes[-1]
-
         def residuals_spy(*args):
-            stacks.append(real_residuals(*args))
-            return stacks[-1]
+            residual_stacks.append(real_residuals(*args))
+            return residual_stacks[-1]
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(starsets, "resolvent_inverse", inverse_spy)
-            m.setattr(kernels, "int_dtype", dtype_spy)
+            seen, solved, dtypes = solve_spies(m, mu)
             m.setattr(starsets, "_scaled_residuals", residuals_spy)
             if exact:
                 m.setattr(kernels, "ACCUMULATOR_LIMIT", 1)
             certs = verify_star_set(g, mu, (form(x) for x in batch))
-        distinct = list(dict.fromkeys(complements))
-        assert seen == distinct and [hash(h) for h in seen] == [hash(h) for h in distinct]
+        assert seen == singles and [hash(h) for h in seen] == [hash(h) for h in singles]
         assert all(h.adj.dtype == np.uint8 and not h.adj.flags.writeable for h in seen)
-        # one overflow decision per distinct complement that has a resolvent,
-        # and every stacked residual computed in the dtype they chose
-        assert len(dtypes) == len({h for h, c in zip(complements, comp_mults) if c == 0})
+        assert [mats.tolist() for mats, _ in solved] == [shifted(hs, mu) for hs in stacks]
+        assert all(len(mats) <= STACK_SETS for mats, _ in solved)
+        # one overflow decision per solve that found a resolvent, and every
+        # stack solved and every stacked residual computed in the dtype they chose
+        assert len(dtypes) == decided
         assert set(dtypes) <= ({object} if exact else {np.int64})
-        assert all(x.dtype in dtypes for x in stacks)
-        assert sum(len(x) for x in stacks) == comp_mults.count(0)
+        assert {dtype for _, dtype in solved} <= ({object} if exact else {np.int64})
+        assert all(x.dtype in dtypes for x in residual_stacks)
+        assert sum(len(x) for x in residual_stacks) == comp_mults.count(0)
         passes.append(certs)
     assert passes[0] == passes[1]
     assert [c["X"] for c in certs] == [list(star) for star in stars]
