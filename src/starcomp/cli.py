@@ -108,7 +108,7 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def cmd_spectrum(args) -> tuple[dict, Iterable[str], int]:
     g = load_graph(args.graph)
-    poly = char_poly(g.adj)
+    poly = char_poly(g)
     roots, residual = integer_roots(poly)
     entries = []
     for value, mult in roots:

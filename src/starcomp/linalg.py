@@ -2,23 +2,26 @@
 
 Matrices hold integers (numpy object arrays, row lists or a graph's uint8
 adjacency), read as Python ints.  The characteristic and minimal
-polynomials of an integer matrix are monic with integer coefficients, held
-as tuples of Python ints, low degree first.  By the rational root theorem
-every rational eigenvalue is an integer, and every eigenvalue of a
-symmetric matrix is real, so integer_roots tries the divisors up to
-sqrt(tr A^2).  A rational mu = p/q enters only as the integer matrix
-qA - pI, and Fractions appear only in results.  Rank
-(kernels.try_int_rank), inverse, null space and the main/non-main test share
-one Bareiss echelon (kernels._bareiss); the last three also share one integer
+polynomials of a graph are monic with integer coefficients, held as tuples
+of Python ints, low degree first.  By the rational root theorem every
+rational eigenvalue is an integer, and every eigenvalue of a symmetric
+matrix is real, so integer_roots tries the divisors up to sqrt(tr A^2).  A
+rational mu = p/q enters only as the integer matrix qM - pI (_shifted), and
+Fractions appear only in results.  Rank (kernels.try_int_rank), inverse,
+null space and the main/non-main test share one Bareiss echelon
+(kernels._bareiss); the last three also share one integer
 back-substitution (_back_substitute).  For a graph, the resolvent, the
 multiplicity, the main/non-main test and the characteristic polynomial run
 on the k x k quotient of its k twin classes (_twin_quotient), so the
 echelon is k x k; a twin-free graph has k = n.  The characteristic
-polynomial is Berkowitz's division-free method over Python ints, and the minimal
-polynomial of a symmetric matrix is its squarefree part.  The resolvent is
-computed and made integral in one place, resolvent_inverse, as the cached
-least integer pair (R, D), R = D (mu I - A)^{-1} with D mu integral, which
-the bilinear form, scan, pair table and star-set residual all read.
+polynomial is Berkowitz's division-free method over Python ints, and the
+minimal polynomial of a graph is its squarefree part.  The resolvent is
+computed and made integral in one place, quotient_form, as the class
+blocks of the least integer pair (R, D), R = D (mu I - A)^{-1} with D mu
+integral; resolvent_inverse caches its n x n expansion, which the bilinear
+form, scan, pair table and star-set residual read, and the explorer reads
+the blocks themselves.  The paper's closed forms for K_s + tK_1 are test
+references in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -240,19 +243,21 @@ def _null_space(rows: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _twin_quotient(adj: np.ndarray, p: int = 0, q: int = 1):
-    """(K, cls, sizes, taus) for N = qA - pI and the twin classes V_1..V_k
-    of the graph with 0/1 adjacency adj (graphs._twin_classes), in order of
-    their first vertices r_1..r_k.
+def _twin_quotient(adj: np.ndarray):
+    """(B, cls, sizes, taus) for the twin classes V_1..V_k of the graph with
+    0/1 adjacency adj (graphs._twin_classes), in order of their first
+    vertices r_1..r_k.
 
     cls[v] is the class of vertex v and sizes[i] = n_i; taus[i] is 1 when
     V_i holds true twins (adjacent) and 0 for false twins or a singleton.
-    K is the k x k quotient K_ij = sum_{v in V_j} N[r_i, v].  Twins share
-    their neighbours outside their class, so N is constant on each block
-    off the diagonal and N P = P K for the 0/1 class matrix P.  The vectors
-    that vanish off V_i and sum to 0 on it are the rest of the eigenvectors
-    of N: each class gives the eigenvalue -(p + q tau_i), n_i - 1 times.
-    A twin-free graph has K = qA - pI.  K is built in one pass over the rows.
+    B is the k x k class-adjacency count matrix, B_ij = |N(r_i) cap V_j|.
+    Twins share their neighbours outside their class, so A is constant on
+    each block off the diagonal and A P = P B for the 0/1 class matrix P;
+    for mu = p/q, N = qA - pI has the quotient K = qB - pI (_shifted).  The
+    vectors that vanish off V_i and sum to 0 on it are the rest of the
+    eigenvectors of N: each class gives the eigenvalue -(p + q tau_i),
+    n_i - 1 times.  A twin-free graph has B = A.  B is built in one pass
+    over the rows.
     """
     rows = adj.tolist()
     first = _twin_classes(_bitsets(adj))
@@ -264,33 +269,29 @@ def _twin_quotient(adj: np.ndarray, p: int = 0, q: int = 1):
         if f != v:
             sizes[cls[v]] += 1
             taus[cls[v]] = rows[v][f]
-    quotient = []
-    for i, r in enumerate(index):
+    counts = []
+    for r in index:
         row = [0] * k
         for c, a in zip(cls, rows[r]):
             if a:
-                row[c] += q
+                row[c] += 1
+        counts.append(row)
+    return counts, cls, sizes, taus
+
+
+def _shifted(m: list[list[int]], mu: Fraction) -> list[list[int]]:
+    """qM - pI for mu = p/q, as new rows: for an adjacency, an integer
+    matrix with the rank of A - mu I."""
+    p, q = mu.numerator, mu.denominator
+    rows = [[q * v for v in row] for row in m]
+    for i, row in enumerate(rows):
         row[i] -= p
-        quotient.append(row)
-    return quotient, cls, sizes, taus
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Characteristic and minimal polynomials
 # ---------------------------------------------------------------------------
-
-
-def _square_int_rows(m, what: str) -> list[list[int]]:
-    """The rows of a square matrix with integral entries, as Python ints;
-    raises ValueError on any other matrix."""
-    arr = np.asarray(m, dtype=object)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} needs a square matrix")
-    rows = arr.tolist()
-    ints = [[int(v) for v in row] for row in rows]
-    if ints != rows:
-        raise ValueError(f"{what} needs an integer matrix")
-    return ints
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:
@@ -319,23 +320,14 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
     return poly[::-1]
 
 
-def char_poly(m) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - M) of a square integer matrix;
-    raises ValueError on any other input.
-
-    A 0/1 symmetric matrix with a zero diagonal is a graph's adjacency A:
-    its polynomial is Berkowitz's on the k x k twin quotient B of A
-    (_twin_quotient) times (x + tau_i)^(n_i - 1) for each twin class.  Any
-    other matrix runs Berkowitz on itself.
-    """
-    rows = _square_int_rows(m, "characteristic polynomial")
-    a = np.array(rows)
-    if not rows or a.dtype.kind != "i" or (a.T != a).any() or a.diagonal().any() or (a >> 1).any():
-        return tuple(_berkowitz(rows))
-    quotient, _, sizes, taus = _twin_quotient(a.astype(np.uint8))
+def char_poly(g: Graph) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - A) of a graph's adjacency A:
+    Berkowitz's on the k x k twin quotient B of A (_twin_quotient) times
+    (x + tau_i)^(n_i - 1) for each twin class."""
+    quotient, _, sizes, taus = _twin_quotient(g.adj)
     poly = _berkowitz(quotient)
     ones = sum(n_i - 1 for n_i, tau in zip(sizes, taus) if tau)
-    zeros = len(rows) - len(quotient) - ones
+    zeros = g.n - len(quotient) - ones
     binom = [comb(ones, j) for j in range(ones + 1)]  # (x + 1)^ones
     poly = [
         sum(poly[i - j] * binom[j] for j in range(max(0, i - len(poly) + 1), min(i, ones) + 1))
@@ -344,19 +336,16 @@ def char_poly(m) -> tuple[int, ...]:
     return (0,) * zeros + tuple(poly)
 
 
-def min_poly(m) -> tuple[int, ...]:
-    """Minimal polynomial of a symmetric integer matrix; raises ValueError
-    on any other input.
+@lru_cache(maxsize=CACHE_SIZE)
+def graph_min_poly(h: Graph) -> tuple[int, ...]:
+    """Minimal polynomial of A(H), cached per graph.
 
-    A symmetric matrix is diagonalizable, so its minimal polynomial is the
-    squarefree part of its characteristic polynomial (char_poly),
+    A(H) is symmetric, hence diagonalizable, so its minimal polynomial is
+    the squarefree part of its characteristic polynomial (char_poly),
     char / gcd(char, char').  The monic char has a monic primitive gcd with
     its derivative, so the division is exact over the integers.
     """
-    rows = _square_int_rows(m, "minimal polynomial")
-    if rows != [list(col) for col in zip(*rows)]:
-        raise ValueError("minimal polynomial needs a symmetric matrix")
-    cp = list(char_poly(m))
+    cp = list(char_poly(h))
     slope = [i * c for i, c in enumerate(cp)][1:]
     return tuple(_monic_quotient(cp, _int_poly_gcd(cp, slope)))
 
@@ -364,16 +353,6 @@ def min_poly(m) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Eigenvalue multiplicity and the main/non-main split
 # ---------------------------------------------------------------------------
-
-
-def _shifted_int_matrix(g: Graph, mu: Fraction) -> list[list[int]]:
-    """q*A - p*I for mu = p/q: integer matrix with the rank of A - mu*I."""
-    mu = Fraction(mu)
-    p, q = mu.numerator, mu.denominator
-    rows = [[q * v for v in r] for r in g.adj.tolist()]
-    for i in range(g.n):
-        rows[i][i] -= p
-    return rows
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -385,9 +364,9 @@ def eig_multiplicity(g: Graph, mu) -> int:
     for the same rank."""
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    quotient, _, sizes, taus = _twin_quotient(g.adj, p, q)
+    counts, _, sizes, taus = _twin_quotient(g.adj)
     inner = sum(n_i - 1 for n_i, tau in zip(sizes, taus) if p + q * tau == 0)
-    return len(quotient) - kernels.try_int_rank(quotient) + inner
+    return len(counts) - kernels.try_int_rank(_shifted(counts, mu)) + inner
 
 
 def is_nonmain(g: Graph, mu) -> bool:
@@ -402,9 +381,9 @@ def is_nonmain(g: Graph, mu) -> bool:
     """
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    quotient, _, sizes, taus = _twin_quotient(g.adj, p, q)
-    k = len(quotient)
-    aug = [row + [q] for row in quotient]
+    counts, _, sizes, taus = _twin_quotient(g.adj)
+    k = len(counts)
+    aug = [row + [q] for row in _shifted(counts, mu)]
     rank = len(kernels._bareiss(aug, k))
     if rank == k and all(n_i == 1 or p + q * tau for n_i, tau in zip(sizes, taus)):
         raise PreconditionError(f"{format_rational(mu)} is not an eigenvalue")
@@ -416,37 +395,37 @@ def is_nonmain(g: Graph, mu) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
-    """The least pair (R, D): D is the least positive integer with D mu and
-    D (mu I - A(H))^{-1} integral, R = D (mu I - A(H))^{-1}, cached per
-    (graph, mu).
+def quotient_form(twins, mu) -> tuple[list[list[int]], list[int], int]:
+    """The least pair (R, D) of resolvent_inverse in class blocks (Z, x, D),
+    for the twin classes twins = (B, cls, sizes, taus) of _twin_quotient:
+    R[u, v] = Z[c_u][c_v] + [u = v] x[c_u], c_u the class of u, with Z
+    k x k and x zero on a singleton.  Raises SingularResolventError when mu
+    is an eigenvalue of the graph.
 
-    R is a read-only object array of Python ints.  This is the only place
-    the resolvent is computed or scaled to integers; every caller asks an
-    integer question in R and D.  Graphs are immutable, so entries never
-    need invalidation.
-
-    The inverse of N = qA - pI is block-constant on the twin classes
-    (_twin_quotient) plus the diagonal 1 / c_i, c_i = -(p + q tau_i), on
-    each class of n_i >= 2: with P the 0/1 class matrix,
-        N^{-1} = P Z P^T + diag(1 / c_i),  Z = S^{-1} - diag(1 / (c_i n_i)),
-    where S = P^T N P is the quotient K with row i times n_i, symmetric and
-    k x k.  With L = lcm |c_i n_i| and h_i = -L / (c_i n_i) (0 on a
-    singleton), S (L Z) = L I + S diag(h): one echelon solves it, and the
-    entries of N^{-1} come over the one denominator d L, d = |det S|.  A
-    twin-free graph has S = qA - pI and the right-hand side I.
+    The inverse of N = qA - pI is block-constant on the twin classes plus
+    the diagonal 1 / c_i, c_i = -(p + q tau_i), on each class of n_i >= 2:
+    with P the 0/1 class matrix,
+        N^{-1} = P Y P^T + diag(1 / c_i),  Y = S^{-1} - diag(1 / (c_i n_i)),
+    where S = P^T N P is the quotient K = qB - pI with row i times n_i,
+    symmetric and k x k.  With L = lcm |c_i n_i| and h_i = -L / (c_i n_i)
+    (0 on a singleton), S (L Y) = L I + S diag(h): one echelon solves it,
+    and the entries of N^{-1} come over the one denominator d L,
+    d = |det S|.  A twin-free graph has S = qA - pI and the right-hand
+    side I.
     """
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    quotient, cls, sizes, taus = _twin_quotient(h.adj, p, q)
+    counts, _, sizes, taus = twins
     shifts = [(p + q * tau) * n_i if n_i > 1 else 0 for n_i, tau in zip(sizes, taus)]
     try:
         if any(n_i > 1 and not e for n_i, e in zip(sizes, shifts)):
             raise SingularResolventError("a twin class has eigenvalue 0")
         big = lcm(*(e for e in shifts if e))
         hs = [big // e if e else 0 for e in shifts]
-        s_rows = [row if n_i == 1 else [n_i * v for v in row] for row, n_i in zip(quotient, sizes)]
+        s_rows = [
+            row if n_i == 1 else [n_i * v for v in row]
+            for row, n_i in zip(_shifted(counts, mu), sizes)
+        ]
         rhs = [[0] * len(s_rows) for _ in s_rows]
         for i, row in enumerate(rhs):
             row[i] = big
@@ -454,27 +433,45 @@ def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
             if h_j:
                 for row, s_row in zip(rhs, s_rows):
                     row[j] += s_row[j] * h_j
-        z, d = _solve_scaled(s_rows, rhs)
+        y, d = _solve_scaled(s_rows, rhs)
     except SingularResolventError:
         raise SingularResolventError(
             f"mu={format_rational(mu)} is an eigenvalue of the star complement"
         ) from None
-    # N^{-1} = (z[i][j] + [u = v] diag[j]) / (d L) at u in V_i, v in V_j,
+    # N^{-1} = (y[i][j] + [u = v] diag[j]) / (d L) at u in V_i, v in V_j,
     # and (mu I - A)^{-1} = -q N^{-1}.  With g the gcd of d L and every
     # numerator, M = d L / g, D = lcm(q, M / gcd(M, q)) and R = -(D q / M)
     # times the numerators over g.
     diag = [-d * n_i * h_j for n_i, h_j in zip(sizes, hs)]
-    g = gcd(d * big, *diag, *(v for row in z for v in row))
+    g = gcd(d * big, *diag, *(v for row in y for v in row))
     m = d * big // g
     c = gcd(m, q)
     den = lcm(q, m // c)
     f = -(den // (m // c)) * (q // c)
-    out = np.array([[f * (v // g) for v in row] for row in z], dtype=object).reshape(len(z), len(z))
+    return [[f * (v // g) for v in row] for row in y], [f * (e // g) for e in diag], den
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def resolvent_inverse(h: Graph, mu: Fraction) -> tuple[np.ndarray, int]:
+    """The least pair (R, D): D is the least positive integer with D mu and
+    D (mu I - A(H))^{-1} integral, R = D (mu I - A(H))^{-1}, cached per
+    (graph, mu).
+
+    R is a read-only object array of Python ints, quotient_form's class
+    blocks expanded to n x n.  quotient_form is the only place the
+    resolvent is computed or scaled to integers; every caller asks an
+    integer question in R and D, or in its blocks.  Graphs are immutable,
+    so entries never need invalidation.
+    """
+    twins = _twin_quotient(h.adj)
+    z, x, den = quotient_form(twins, mu)
+    out = np.array(z, dtype=object).reshape(len(z), len(z))
     if len(z) < h.n:
+        cls = twins[1]
         out = out[np.ix_(cls, cls)]
         for v, i in enumerate(cls):
-            if diag[i]:
-                out[v, v] += f * (diag[i] // g)
+            if x[i]:
+                out[v, v] += x[i]
     out.setflags(write=False)
     return out, den
 
@@ -487,11 +484,6 @@ def resolvent_bilinear(h: Graph, mu, x, y) -> Fraction:
         raise ValueError(f"vectors must have length {h.n}")
     r, den = resolvent_inverse(h, Fraction(mu))
     return Fraction(sum(a * b for a, b in zip(xv, r @ yv)), den)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def graph_min_poly(h: Graph) -> tuple[int, ...]:
-    return min_poly(h.adj)
 
 
 def resolvent_via_minpoly(h: Graph, mu) -> np.ndarray:

@@ -1,32 +1,24 @@
-"""The block resolvent of the complete split graph K_s + tK_1, the
-classification checker, and the constraint explorer.
+"""The classification checker and the constraint explorer for the complete
+split star complement K_s + tK_1 (s, t >= 2).
 
-For H the join of a clique on s vertices with t isolated ones (s, t >= 2),
-the minimal polynomial is m(x) = x(x+1)(x^2 - (s-1)x - st) and the scaled
-resolvent m(mu)(mu I - A)^{-1} has the block form
-
-    (alpha J + beta mu I     delta J               )
-    (delta J                 gamma J + beta(mu+1) I)
-
-with alpha = mu^2 + mu t, beta = mu^2 - (s-1) mu - st, gamma = s(mu+1) and
-delta = mu^2 + mu.  coeffs(s, t, mu) returns these five values and m(mu) as
-one tuple, and closed_bilinear reads the scaled pair value
-m(mu) <b_u, b_v> of two candidates off their types, each an (a, b) pair
-(a neighbors in the clique, b in the independent part), and their
-overlaps.  The explorer's diagonal test reads them: a type (a, b) forced
-by <b, j> = -1 is kept when its pair value with itself is mu m(mu), that
-is when <b, b> = mu.
+theorem_check runs the extension engine at mu = -t and checks the paper's
+classification on what it finds.  solution_explorer lists the candidate
+types (a, b) (a neighbours in the clique, b in the independent part) that
+satisfy both constraints, <b, j> = -1 and <b, b> = mu, reading them off the
+twin-quotient blocks of the resolvent (linalg.quotient_form): the two
+twin classes of K_s + tK_1 are its clique and its independent part.
 
 theorem_check and solution_explorer return their reports as the JSON
 payloads that the CLI writes, dicts of strings, ints, bools and lists;
 the CLI renders its text reports from the same dicts.
 
-The paper's other closed forms (the minimal polynomial, the diagonal
-quintic, the non-main relation a(mu+t) + b(mu+1) = s(mu+t) - mu(mu+1), the
-quadratic in a left by eliminating b, and the forced type
-(a, b) = (-mu^2 - 2mu + s - 1, t) when t + mu = 0) are test references in
-tests/conftest.py, checked there against this module and against the
-generic exact-arithmetic route.
+All of the paper's closed forms (the minimal polynomial, the block
+resolvent's coefficients alpha, beta, gamma and delta, the scaled pair
+value of two types, the diagonal quintic, the non-main relation
+a(mu+t) + b(mu+1) = s(mu+t) - mu(mu+1), the quadratic in a left by
+eliminating b, and the forced type (a, b) = (-mu^2 - 2mu + s - 1, t) when
+t + mu = 0) are test references in tests/conftest.py, checked there
+against this module and against the generic exact-arithmetic route.
 """
 
 from __future__ import annotations
@@ -39,65 +31,15 @@ import numpy as np
 
 from .extend import check_subset_budget, maximal_extensions
 from .graphs import is_isomorphic, make_cocktail, make_complete_split, parse_graph6
-from .linalg import SingularResolventError, char_poly, format_rational, resolvent_bilinear
+from .linalg import (
+    SingularResolventError,
+    _twin_quotient,
+    char_poly,
+    format_rational,
+    quotient_form,
+    resolvent_bilinear,
+)
 from .starsets import DEFAULT_BUDGET
-
-
-def coeffs(s: int, t: int, mu) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """The (alpha, beta, gamma, delta, m(mu)) tuple of the block resolvent of
-    K_s + tK_1, which is restricted to s, t >= 2.  SingularResolventError if
-    mu is an eigenvalue of K_s + tK_1: mu in {0, -1} or beta = 0."""
-    if s < 2 or t < 2:
-        raise ValueError("the split star complement requires s >= 2 and t >= 2")
-    mu = Fraction(mu)
-    beta = mu * mu - (s - 1) * mu - s * t
-    if mu in (0, -1) or beta == 0:
-        raise SingularResolventError(
-            f"mu={format_rational(mu)} is an eigenvalue of K_{s} + {t}K_1"
-        )
-    return mu * mu + mu * t, beta, s * (mu + 1), mu * mu + mu, mu * (mu + 1) * beta
-
-
-def closed_bilinear(
-    s: int,
-    t: int,
-    mu,
-    u: tuple[int, int],
-    v: tuple[int, int],
-    y_overlap: int,
-    z_overlap: int,
-) -> Fraction:
-    """Scaled bilinear value m(mu) <b_u, b_v> from types and overlaps.
-
-    With u of type (a, b), v of type (e, f), |Y1 cap Y2| = y_overlap and
-    |Z1 cap Z2| = z_overlap:
-
-        alpha a e + beta mu y_overlap + delta (a f + e b)
-        + gamma b f + beta (mu+1) z_overlap
-    """
-    c = coeffs(s, t, mu)
-    (a, b), (e, f) = u, v
-    if not (0 <= a <= s and 0 <= e <= s):
-        raise ValueError("clique-side type out of range")
-    if not (0 <= b <= t and 0 <= f <= t):
-        raise ValueError("independent-side type out of range")
-    if not (max(0, a + e - s) <= y_overlap <= min(a, e)):
-        raise ValueError("clique overlap out of range")
-    if not (max(0, b + f - t) <= z_overlap <= min(b, f)):
-        raise ValueError("independent overlap out of range")
-    return _pair_value(c, Fraction(mu), a, b, e, f, y_overlap, z_overlap)
-
-
-def _pair_value(c: tuple, mu: Fraction, a, b, e, f, y, z) -> Fraction:
-    """closed_bilinear's value from the coefficients c at mu, unchecked."""
-    alpha, beta, gamma, delta, _ = c
-    return (
-        alpha * a * e
-        + beta * mu * y
-        + delta * (a * f + e * b)
-        + gamma * b * f
-        + beta * (mu + 1) * z
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +116,7 @@ def theorem_check(s: int, t_max: int) -> dict:
                         f"|X| = {len(star)}, expected {s}",
                     )
                 )
-                spec_poly = char_poly(graph.adj)
+                spec_poly = char_poly(graph)
                 checks.append(
                     (
                         "spectrum",
@@ -258,14 +200,18 @@ def solution_explorer(
 ) -> dict:
     """All integer types (a, b) solving both constraints over a parameter grid.
 
-    For each (s, t, mu) with mu outside the spectrum of H (as coeffs
-    decides; the others are counted as skipped), the non-main relation
-    forces b = (s - a)(mu + t)/(mu + 1) - mu per a (one integer divmod);
-    rows where that b is non-integral are dropped (counted), and surviving
-    (a, b) pairs are kept when their scaled pair value with themselves is
-    mu m(mu), i.e. when <b, b> = mu.  Every emitted row is re-verified by
-    building one candidate of that type and evaluating the two bilinear
-    values directly.
+    Each K_s + tK_1 has two twin classes, the clique and the independent
+    part, read once per (s, t).  For each mu, quotient_form gives the least
+    resolvent pair (R, D) as class blocks (Z, x, D); a mu where it raises
+    SingularResolventError is an eigenvalue of H and is counted as skipped.
+    A type (a, b) has <b, j> = (rho_clique a + rho_indep b) / D, where
+    rho = Z sizes + x are R's class row sums, so <b, j> = -1 forces
+    b = -(D + rho_clique a) / rho_indep per a (one integer divmod; rho_indep
+    = D (mu + 1) / beta is never 0 outside the spectrum).  Types whose b is
+    non-integral are dropped (counted), and the others, with 0 <= b <= t,
+    are kept when (a, b) Z (a, b)^T + x . (a, b) = D mu, that is when
+    <b, b> = mu.  Every emitted row is re-verified by building one candidate
+    of that type and evaluating the two bilinear values directly.
 
     Returns the JSON payload {"rows", "dropped_nonintegral",
     "skipped_eigenvalue"}; the rows are sorted on (s, t, mu, a, b) and each
@@ -279,23 +225,23 @@ def solution_explorer(
     mu_list = sorted(set(Fraction(m) for m in mu_values))
     for s in range(s_range[0], s_range[1] + 1):
         for t in range(t_range[0], t_range[1] + 1):
+            twins = _twin_quotient(make_complete_split(s, t).adj)
             for mu in mu_list:
                 try:
-                    c = coeffs(s, t, mu)
+                    ((z11, z12), (_, z22)), (x1, x2), den = quotient_form(twins, mu)
                 except SingularResolventError:
                     skipped += 1
                     continue
-                want_diag = mu * c[-1]  # mu m(mu)
-                # b over the one denominator q (p + q), for mu = p/q
-                p, q = mu.numerator, mu.denominator
+                rho_clique, rho_indep = z11 * s + z12 * t + x1, z12 * s + z22 * t + x2
+                want_diag = den * mu.numerator // mu.denominator  # D mu
                 for a in range(0, s + 1):
-                    b, r = divmod((s - a) * (p + t * q) * q - p * (p + q), q * (p + q))
+                    b, r = divmod(-den - rho_clique * a, rho_indep)
                     if r:
                         dropped += 1
                         continue
                     if not 0 <= b <= t:
                         continue
-                    if _pair_value(c, mu, a, b, a, b, a, b) != want_diag:
+                    if z11 * a * a + 2 * z12 * a * b + z22 * b * b + x1 * a + x2 * b != want_diag:
                         continue
                     _verify_row(s, t, mu, a, b)
                     rows.append((s, t, mu, a, b))

@@ -45,7 +45,7 @@ from .linalg import (
     PreconditionError,
     SingularResolventError,
     _null_space,
-    _shifted_int_matrix,
+    _shifted,
     eig_multiplicity,
     format_rational,
     resolvent_inverse,
@@ -216,7 +216,7 @@ def find_star_sets(g: Graph, mu, budget: int = DEFAULT_BUDGET) -> list[tuple[int
     Refuses up front if C(n, k) exceeds the budget.
     """
     mu = Fraction(mu)
-    basis = _null_space(_shifted_int_matrix(g, mu))
+    basis = _null_space(_shifted(g.adj.tolist(), mu))
     k = len(basis[0]) if basis else 0
     if k == 0:
         raise PreconditionError(

@@ -29,9 +29,11 @@ For H = K_s + tK_1 it also holds the paper's stated closed forms, each
 expanded by hand as the paper prints it: the minimal polynomial, the
 cocktail-party spectrum as a product over its roots, the resolvent blocks,
 the diagonal quintic, the non-main linear relation, the quadratic in a and
-the forced type at t + mu = 0.  The package computes
-from the block-resolvent coefficients alone; the tests check its results
-against these formulas.
+the forced type at t + mu = 0, with the block resolvent's coefficients
+(coeffs) and the scaled pair value of two candidate types
+(closed_bilinear) read off them.  The package computes none of them: it
+reads the twin-quotient resolvent (linalg.quotient_form), and the tests
+check its results against these formulas.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from starcomp.linalg import (
     resolvent_bilinear,
     resolvent_inverse,
 )
-from starcomp.multipartite import coeffs
 from starcomp.starsets import DEFAULT_BUDGET, verify_star_set
 
 
@@ -901,6 +902,66 @@ def expected_spectrum_from_roots(s: int) -> tuple[Fraction, ...]:
     """The cocktail-party graph CP(s + 1)'s characteristic polynomial,
     (x - 2s) x^{s+1} (x + 2)^s, multiplied out from its 2s + 2 roots."""
     return poly_from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
+
+
+def coeffs(s: int, t: int, mu) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma, delta, m(mu)) of the block resolvent of K_s + tK_1:
+
+        m(mu)(mu I - A)^{-1} = (alpha J + beta mu I     delta J               )
+                               (delta J                 gamma J + beta(mu+1) I)
+
+    with alpha = mu^2 + mu t, beta = mu^2 - (s-1) mu - st, gamma = s(mu+1),
+    delta = mu^2 + mu and m(mu) = mu (mu+1) beta.  ValueError unless
+    s, t >= 2; SingularResolventError if mu is an eigenvalue of K_s + tK_1:
+    mu in {0, -1} or beta = 0."""
+    if s < 2 or t < 2:
+        raise ValueError("the split star complement requires s >= 2 and t >= 2")
+    mu = Fraction(mu)
+    beta = mu * mu - (s - 1) * mu - s * t
+    if mu in (0, -1) or beta == 0:
+        raise SingularResolventError(
+            f"mu={mu} is an eigenvalue of K_{s} + {t}K_1"
+        )
+    return mu * mu + mu * t, beta, s * (mu + 1), mu * mu + mu, mu * (mu + 1) * beta
+
+
+def closed_bilinear(
+    s: int,
+    t: int,
+    mu,
+    u: tuple[int, int],
+    v: tuple[int, int],
+    y_overlap: int,
+    z_overlap: int,
+) -> Fraction:
+    """Scaled bilinear value m(mu) <b_u, b_v> from types and overlaps.
+
+    With u of type (a, b), v of type (e, f), |Y1 cap Y2| = y_overlap and
+    |Z1 cap Z2| = z_overlap:
+
+        alpha a e + beta mu y_overlap + delta (a f + e b)
+        + gamma b f + beta (mu+1) z_overlap
+
+    ValueError on a type or an overlap that no two subsets realize.
+    """
+    alpha, beta, gamma, delta, _ = coeffs(s, t, mu)
+    mu = Fraction(mu)
+    (a, b), (e, f) = u, v
+    if not (0 <= a <= s and 0 <= e <= s):
+        raise ValueError("clique-side type out of range")
+    if not (0 <= b <= t and 0 <= f <= t):
+        raise ValueError("independent-side type out of range")
+    if not (max(0, a + e - s) <= y_overlap <= min(a, e)):
+        raise ValueError("clique overlap out of range")
+    if not (max(0, b + f - t) <= z_overlap <= min(b, f)):
+        raise ValueError("independent overlap out of range")
+    return (
+        alpha * a * e
+        + beta * mu * y_overlap
+        + delta * (a * f + e * b)
+        + gamma * b * f
+        + beta * (mu + 1) * z_overlap
+    )
 
 
 def resolvent_block(s: int, t: int, mu) -> np.ndarray:

@@ -23,7 +23,7 @@ from starcomp.graphs import (
     make_complete_split,
     parse_graph6,
 )
-from starcomp.linalg import char_poly, eig_multiplicity, graph_min_poly, min_poly
+from starcomp.linalg import char_poly, eig_multiplicity, graph_min_poly
 from starcomp.starsets import find_star_sets, verify_star_set
 
 from conftest import (
@@ -87,8 +87,8 @@ def test_criterion_2_minimal_polynomial():
     t0 = time.perf_counter()
     for s in range(2, 9):
         for t in range(2, 9):
-            assert minpoly_formula(s, t) == min_poly(
-                make_complete_split(s, t).adj
+            assert minpoly_formula(s, t) == graph_min_poly(
+                make_complete_split(s, t)
             ), (s, t)
     finish("criterion 2 (minimal polynomial)", 5.0, t0)
 
@@ -122,7 +122,7 @@ def test_criterion_3_theorem_reproduction(theorem_runs):
             assert found["regular"] == 2 * s, (s, t)
             assert len(found["X"]) == s, (s, t)
             spectrum = poly_from_roots([2 * s] + [0] * (s + 1) + [-2] * s)
-            assert char_poly(graph.adj) == spectrum, (s, t)
+            assert char_poly(graph) == spectrum, (s, t)
         else:
             assert report["maximal"] == [], (s, t)
     finish("criterion 3 (theorem reproduction)", 60.0, t0)

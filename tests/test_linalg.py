@@ -15,22 +15,25 @@ from starcomp.linalg import (
     _solve_scaled,
     _monic_quotient,
     _null_space,
-    _shifted_int_matrix,
+    _shifted,
+    _twin_quotient,
     char_poly,
     eig_multiplicity,
     format_rational,
+    graph_min_poly,
     integer_roots,
     is_nonmain,
-    min_poly,
     parse_rational,
     poly_eval,
     poly_text,
+    quotient_form,
     resolvent_bilinear,
     resolvent_inverse,
     resolvent_via_minpoly,
 )
 
 from conftest import (
+    coeffs,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -163,7 +166,7 @@ class TestPolynomial:
             for value, mult in spectrum:
                 mults[value] += mult
             want = sorted((value, mult) for value, mult in mults.items() if mult)
-            assert integer_roots(char_poly(g.adj)) == (want, (1,))
+            assert integer_roots(char_poly(g)) == (want, (1,))
         for g, spectrum in on_bound:
             assert spectrum[0][0] == isqrt(2 * g.edge_count)
 
@@ -180,7 +183,7 @@ class TestPolynomial:
             for value in range(1 - g.n, g.n)
             if (mult := eig_multiplicity(g, value))
         ]
-        assert integer_roots(char_poly(g.adj))[0] == want
+        assert integer_roots(char_poly(g))[0] == want
 
     def test_parse_format_rational(self):
         assert parse_rational("-5/2") == Fraction(-5, 2)
@@ -194,50 +197,42 @@ class TestPolynomial:
 
 class TestCharPoly:
     def test_k2(self):
-        assert char_poly(complete_graph(2).adj) == (-1, 0, 1)
+        assert char_poly(complete_graph(2)) == (-1, 0, 1)
 
     def test_octahedron_vs_leibniz(self):
-        adj = make_cocktail(3).adj
-        assert char_poly(adj) == leibniz_char_poly(adj)
-        assert char_poly(adj) == poly_from_roots([4, 0, 0, 0, -2, -2])
+        g = make_cocktail(3)
+        assert char_poly(g) == leibniz_char_poly(g.adj)
+        assert char_poly(g) == poly_from_roots([4, 0, 0, 0, -2, -2])
 
     def test_zero_matrix(self):
-        assert char_poly(np.zeros((3, 3), dtype=object)) == (0, 0, 0, 1)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            char_poly(np.zeros((2, 3), dtype=object))
+        assert char_poly(empty_graph(3)) == (0, 0, 0, 1)
 
     def test_random_vs_leibniz(self):
         rng = random.Random(17)
         for _ in range(15):
             g = random_graph(rng.randint(1, 6), rng)
-            adj = g.adj
-            assert char_poly(adj) == leibniz_char_poly(adj)
+            assert char_poly(g) == leibniz_char_poly(g.adj)
 
     def test_differential_against_faddeev_leverrier(self):
         rng = random.Random(29)
         for n in range(17):
             for _ in range(2):
-                adj = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.8])).adj
-                assert char_poly(adj) == faddeev_leverrier_char_poly(adj)
+                g = random_graph(n, rng, p=rng.choice([0.3, 0.5, 0.8]))
+                assert char_poly(g) == faddeev_leverrier_char_poly(g.adj)
 
 
 class TestMinPoly:
     def test_split_2_2(self):
-        assert min_poly(make_complete_split(2, 2).adj) == (0, -4, -5, 0, 1)
-
-    def test_identity(self):
-        assert min_poly(identity_matrix(3)) == (-1, 1)
+        assert graph_min_poly(make_complete_split(2, 2)) == (0, -4, -5, 0, 1)
 
     def test_k3(self):
-        assert min_poly(complete_graph(3).adj) == (-2, -1, 1)
+        assert graph_min_poly(complete_graph(3)) == (-2, -1, 1)
 
     def test_divides_char_poly_and_squarefree(self):
         rng = random.Random(23)
         for _ in range(20):
             g = random_graph(rng.randint(1, 7), rng)
-            mp, cp = min_poly(g.adj), char_poly(g.adj)
+            mp, cp = graph_min_poly(g), char_poly(g)
             assert poly_divmod(cp, mp)[1] == ()
             assert mp[-1] == 1 and all(type(c) is int for c in mp + cp)
             # adjacency matrices are symmetric, so the minimal polynomial is
@@ -249,29 +244,15 @@ class TestMinPoly:
 
 
     def test_zero_and_empty(self):
-        assert min_poly(np.zeros((3, 3), dtype=object)) == (0, 1)
-        assert min_poly(np.zeros((0, 0), dtype=object)) == (1,)
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            min_poly(np.array([[0, 1], [0, 0]], dtype=object))
-        with pytest.raises(ValueError):
-            min_poly(np.zeros((2, 3), dtype=object))
+        assert graph_min_poly(empty_graph(3)) == (0, 1)
+        assert graph_min_poly(empty_graph(0)) == (1,)
 
     def test_differential_against_krylov(self):
         rng = random.Random(61)
         for n in range(13):
             for _ in range(3):
-                adj = random_graph(n, rng, p=rng.choice([0.2, 0.5, 0.8])).adj
-                assert min_poly(adj) == krylov_min_poly(adj)
-
-
-@pytest.mark.parametrize("func", [char_poly, min_poly])
-@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
-def test_polynomials_need_an_integer_matrix(func, entry):
-    # a symmetric matrix, so only the non-integral entry is refused
-    with pytest.raises(ValueError, match="needs an integer matrix"):
-        func(np.array([[entry, 1], [1, entry]], dtype=object))
+                g = random_graph(n, rng, p=rng.choice([0.2, 0.5, 0.8]))
+                assert graph_min_poly(g) == krylov_min_poly(g.adj)
 
 
 class TestRankMultiplicity:
@@ -302,11 +283,11 @@ class TestRankMultiplicity:
         rng = random.Random(31)
         for _ in range(15):
             g = random_graph(rng.randint(1, 7), rng)
-            roots, _ = integer_roots(char_poly(g.adj))
+            roots, _ = integer_roots(char_poly(g))
             assert sum(m for _, m in roots) <= g.n
             for value, mult in roots:
                 assert eig_multiplicity(g, value) == mult
-                assert poly_at(char_poly(g.adj), value) == 0
+                assert poly_at(char_poly(g), value) == 0
 
     def test_multiplicity_cache_is_bounded(self):
         assert eig_multiplicity.cache_info().maxsize == CACHE_SIZE
@@ -335,7 +316,7 @@ class TestNullSpace:
         graphs += [random_graph(rng.randint(1, 8), rng) for _ in range(20)]
         for g in graphs:
             for mu in range(-g.n, g.n + 1):
-                self.check(_shifted_int_matrix(g, Fraction(mu)), eig_multiplicity(g, mu))
+                self.check(_shifted(g.adj.tolist(), Fraction(mu)), eig_multiplicity(g, mu))
 
     def test_random_integer_matrices(self):
         rng = random.Random(13)
@@ -444,7 +425,7 @@ class TestNonMain:
             r = is_regular(g)
             if r is None:
                 continue
-            roots, _ = integer_roots(char_poly(g.adj))
+            roots, _ = integer_roots(char_poly(g))
             for value, _m in roots:
                 if value != r:
                     assert is_nonmain(g, value) is True
@@ -463,7 +444,7 @@ class TestNonMain:
 )
 def test_is_nonmain_matches_two_rank_oracle(g):
     # mu is non-main iff appending q j to M = qA - pI leaves the rank alone
-    for mu, _ in integer_roots(char_poly(g.adj))[0]:
+    for mu, _ in integer_roots(char_poly(g))[0]:
         p, q = mu.numerator, mu.denominator
         m = [[q * int(v) - (p if i == j else 0) for j, v in enumerate(row)]
              for i, row in enumerate(g.adj)]
@@ -601,8 +582,9 @@ class TestResolvent:
 
 
 class TestTwinQuotient:
-    """char_poly, min_poly, eig_multiplicity, is_nonmain and resolvent_inverse
-    read the k x k twin quotient; each is checked against its n x n oracle."""
+    """char_poly, graph_min_poly, eig_multiplicity, is_nonmain and
+    resolvent_inverse read the k x k twin quotient; each is checked against
+    its n x n oracle, and quotient_form's blocks against the closed forms."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -615,8 +597,8 @@ class TestTwinQuotient:
              for i, row in enumerate(g.adj)]
         rank = fraction_rank(m)
         assert eig_multiplicity(g, mu) == g.n - rank
-        assert char_poly(g.adj) == faddeev_leverrier_char_poly(g.adj)
-        assert min_poly(g.adj) == krylov_min_poly(g.adj)
+        assert char_poly(g) == faddeev_leverrier_char_poly(g.adj)
+        assert graph_min_poly(g) == krylov_min_poly(g.adj)
         if rank < g.n:
             expected = fraction_rank([row + [q] for row in m]) == rank
             assert is_nonmain(g, mu) is expected
@@ -647,35 +629,34 @@ class TestTwinQuotient:
             for t in range(1, 51, 7):
                 # x^(t-1) (x + 1)^(s-1) (x^2 - (s - 1) x - s t)
                 want = poly_mul(poly_from_roots([0] * (t - 1) + [-1] * (s - 1)), (-s * t, 1 - s, 1))
-                assert char_poly(make_complete_split(s, t).adj) == want
+                assert char_poly(make_complete_split(s, t)) == want
         for p in range(1, 51, 7):
             # (x - 2p + 2) x^p (x + 2)^(p - 1)
             want = poly_from_roots([2 * p - 2] + [0] * p + [-2] * (p - 1))
-            assert char_poly(make_cocktail(p).adj) == want
+            assert char_poly(make_cocktail(p)) == want
 
     def test_split_resolvent_blocks(self):
         # m(mu) (mu I - A)^{-1} of K_s + tK_1 is alpha J + beta mu I on the
         # clique, delta J across and gamma J + beta (mu + 1) I on the
-        # independent set (multipartite.coeffs): R m(mu) = D times that
-        from starcomp.multipartite import coeffs
-
+        # independent set (conftest.coeffs): quotient_form's class blocks,
+        # times m(mu) / D, are exactly those coefficients
         checked = 0
         for s in range(2, 41, 6):
             for t in range(2, 41, 6):
-                h = make_complete_split(s, t)
+                twins = _twin_quotient(make_complete_split(s, t).adj)
                 for mu in range(-12, 13):
                     try:
                         alpha, beta, gamma, delta, m_mu = coeffs(s, t, mu)
                     except SingularResolventError:
+                        with pytest.raises(SingularResolventError):
+                            quotient_form(twins, mu)
                         continue
-                    r, den = resolvent_inverse(h, Fraction(mu))
-                    block = np.empty((s + t, s + t), dtype=object)
-                    block[:s, :s] = alpha
-                    block[:s, s:] = block[s:, :s] = delta
-                    block[s:, s:] = gamma
-                    for v in range(s + t):
-                        block[v, v] += beta * (mu if v < s else mu + 1)
-                    assert (r * m_mu == den * block).all()
+                    z, x, den = quotient_form(twins, mu)
+                    blocks = [[alpha, delta], [delta, gamma]]
+                    assert [[v * m_mu for v in row] for row in z] == [
+                        [den * v for v in row] for row in blocks
+                    ]
+                    assert [v * m_mu for v in x] == [den * beta * mu, den * beta * (mu + 1)]
                     checked += 1
         assert checked > 900
 

@@ -10,19 +10,16 @@ from starcomp.extend import build_compat_graph, enumerate_candidates
 from starcomp.graphs import make_complete_split
 from starcomp.linalg import (
     SingularResolventError,
-    min_poly,
+    graph_min_poly,
     resolvent_bilinear,
     resolvent_via_minpoly,
 )
-from starcomp.multipartite import (
-    closed_bilinear,
-    coeffs,
-    solution_explorer,
-    theorem_check,
-)
+from starcomp.multipartite import solution_explorer, theorem_check
 from starcomp.starsets import BudgetExceededError
 
 from conftest import (
+    closed_bilinear,
+    coeffs,
     corollary_ab,
     diag_constraint,
     expected_spectrum_from_roots,
@@ -54,8 +51,8 @@ class TestMinPolyFormula:
         for s in range(2, 9):
             for t in range(2, 9):
                 formula = minpoly_formula(s, t)
-                adj = make_complete_split(s, t).adj
-                assert formula == min_poly(adj) == krylov_min_poly(adj), (s, t)
+                h = make_complete_split(s, t)
+                assert formula == graph_min_poly(h) == krylov_min_poly(h.adj), (s, t)
 
 
 class TestCoeffs:
@@ -472,6 +469,40 @@ class TestExplorer:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             solution_explorer((1, 3), (2, 3), [-2])
+
+    def test_twins_read_once_per_graph(self, monkeypatch):
+        # every mu of one (s, t) reads the same twin classes; apart from
+        # that, only the re-check of an emitted row reads a graph's twins,
+        # once per (s, t, mu) through the cached resolvent
+        import starcomp.graphs as graphs
+        import starcomp.linalg as linalg
+        import starcomp.multipartite as multipartite
+
+        reads = {"explorer": 0, "verify": 0}
+        phase = ["explorer"]
+        twin_classes, verify_row = graphs._twin_classes, multipartite._verify_row
+        verified = []
+
+        def counted_twins(nbr):
+            reads[phase[0]] += 1
+            return twin_classes(nbr)
+
+        def counted_verify(*row):
+            phase[0] = "verify"
+            try:
+                verify_row(*row)
+            finally:
+                phase[0] = "explorer"
+            verified.append(row)
+
+        for module in (graphs, linalg):
+            monkeypatch.setattr(module, "_twin_classes", counted_twins)
+        monkeypatch.setattr(multipartite, "_verify_row", counted_verify)
+        linalg.resolvent_inverse.cache_clear()
+        table = solution_explorer((2, 7), (2, 6), range(-9, 5))
+        assert reads["explorer"] == 6 * 5
+        assert len(verified) == len(table["rows"]) > 10
+        assert reads["verify"] == len({row[:3] for row in verified})
 
     def test_rows_solve_the_paper_constraints(self):
         # every type in the box that satisfies the stated quintic and linear
